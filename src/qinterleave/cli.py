@@ -1,7 +1,8 @@
 """Command-line front end: demo, verification sweeps, synthesis, enumeration.
 
 Exit codes: 0 when the report verdict is "pass", 1 on a verification failure,
-2 on a usage error.
+2 on a usage error, 3 on an I/O error (a file or stream that cannot be
+written).
 """
 from __future__ import annotations
 
@@ -11,11 +12,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channel import BranchSet, ErrorBranch, apply_branches
+from .channel import BranchSet, ErrorBranch
 from .codes import (
     StabilizerCode,
     SyndromeCollisionError,
@@ -23,7 +24,6 @@ from .codes import (
     build_syndrome_table,
     corrects_error_set,
     encode_blocks,
-    encode_phase3,
     five_qubit_code,
     interleaved_code,
     logical_encoder,
@@ -31,7 +31,7 @@ from .codes import (
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import BURST_KINDS, PauliString, enumerate_bursts
-from .statevector import MAX_QUBITS, StateVector
+from .statevector import MAX_QUBITS
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
     "phase3": phase3_code,
@@ -44,7 +44,7 @@ CODES: dict[str, Callable[[], StabilizerCode]] = {
 DEFAULT_COEFFS = ((0.6, 0.8), (0.28, 0.96), (0.96, -0.28))
 
 # The two length-3 phase bursts of the worked example, on the 9-qubit register.
-DEMO_BURSTS = ("111000000", "000001110")
+DEMO_BURSTS = ("ZZZIIIIII", "IIIIIZZZI")
 
 FIDELITY_TOL = 1e-10
 
@@ -120,24 +120,45 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
     return [DEFAULT_COEFFS[i % len(DEFAULT_COEFFS)] for i in range(m)]
 
 
-def _decode_and_report(code: StabilizerCode, table, deint: StateVector, m: int,
-                       reference: StateVector) -> dict:
-    """Block-decode a deinterleaved state and summarize the outcome."""
-    fixed, records = block_decode(code, table, deint, m)
-    decoded = all(r.ok for r in records)
-    fid = fixed.fidelity(reference)
-    positions = sorted(
-        code.n * r.block + q
-        for r in records if r.correction is not None
-        for q in (r.correction.x_mask.support() | r.correction.z_mask.support()))
-    return {
-        "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
-        "fidelity": fid,
-        "block_syndromes": [list(r.syndrome) for r in records],
-        "corrected_positions_0based": positions,
-        "corrected_positions_1based": [q + 1 for q in positions],
-        "decoded": decoded,
-    }
+def _statevector_items(code: StabilizerCode, kind: str,
+                       pairs: Sequence[tuple[complex, complex]],
+                       errors: Iterable[tuple[str, PauliString]]) -> list[dict]:
+    """Encode one block per coefficient pair and interleave them; then, for
+    each (label, error), corrupt -> deinterleave -> block-decode -> fidelity.
+
+    The block decoder corrects the kind's bursts up to the code's burst
+    ability; raises SyndromeCollisionError when no such decoder exists.
+    """
+    table = build_syndrome_table(
+        code, [PauliString.identity(code.n)]
+        + enumerate_bursts(code.n, code.burst_ability, kind))
+    m = len(pairs)
+    phi_in = encode_blocks(pairs, logical_encoder(code))
+    perm = interleave_permutation(code.n, m)
+    interleaved = phi_in.permute_qubits(perm)
+    inverse = perm.inverse()
+    items = []
+    for label, err in errors:
+        deint = interleaved.apply_pauli(err).permute_qubits(inverse)
+        fixed, records = block_decode(code, table, deint, m)
+        decoded = all(r.ok for r in records)
+        fid = fixed.fidelity(phi_in)
+        # Holding the decoded state into the next burst adds a state to peak memory.
+        del fixed
+        positions = sorted(
+            code.n * r.block + q
+            for r in records if r.correction is not None
+            for q in (r.correction.x_mask.support() | r.correction.z_mask.support()))
+        items.append({
+            "label": label,
+            "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
+            "fidelity": fid,
+            "block_syndromes": [list(r.syndrome) for r in records],
+            "corrected_positions_0based": positions,
+            "corrected_positions_1based": [q + 1 for q in positions],
+            "decoded": decoded,
+        })
+    return items
 
 
 def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
@@ -155,28 +176,17 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     coeffs = [(complex(a), complex(b)) for a, b in coeffs]
     if len(coeffs) != 3:
         raise ValueError("demo takes exactly 3 logical coefficient pairs")
-    if bursts is None:
-        paulis = [PauliString.from_masks("0" * 9, mask) for mask in DEMO_BURSTS]
-    else:
-        paulis = [PauliString.from_label(label) for label in bursts]
-        if any(p.n != 9 for p in paulis):
-            raise ValueError("demo bursts act on 9 qubits")
+    labels = DEMO_BURSTS if bursts is None else bursts
+    paulis = [PauliString.from_label(label) for label in labels]
+    if any(p.n != 9 for p in paulis):
+        raise ValueError("demo bursts act on 9 qubits")
 
     code = phase3_code()
-    table = build_syndrome_table(
-        code, [PauliString.identity(3)] + enumerate_bursts(3, 1, "phase"))
-    encoded = [encode_phase3(a, b) for a, b in coeffs]
-    phi_in = encode_blocks(coeffs, encode_phase3)
-    perm = interleave_permutation(3, 3)
-    interleaved = phi_in.permute_qubits(perm)
+    encoder = logical_encoder(code)
     branches = BranchSet(tuple(
         ErrorBranch(p, f"e_{p}") for p in paulis))
-
-    items = []
-    for branch, corrupted in apply_branches(branches, interleaved):
-        deint = corrupted.permute_qubits(perm.inverse())
-        summary = _decode_and_report(code, table, deint, 3, phi_in)
-        items.append({"label": branch.label, **summary})
+    items = _statevector_items(code, "phase", coeffs,
+                               [(b.label, b.pauli) for b in branches.branches])
 
     return Report(
         command="demo",
@@ -186,8 +196,8 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
             "kind": "phase",
             "fidelity_tolerance": FIDELITY_TOL,
             "block_amplitudes": [
-                [list(entry) for entry in block.amplitudes_table()]
-                for block in encoded],
+                [list(entry) for entry in encoder(a, b).amplitudes_table()]
+                for a, b in coeffs],
         },
         items=items,
         elapsed_seconds=time.perf_counter() - start,
@@ -249,10 +259,10 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         if total > MAX_QUBITS:
             raise ValueError(
                 f"statevector method needs n*m <= {MAX_QUBITS}, got {total}")
+        pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
         try:
-            table = build_syndrome_table(
-                code, [PauliString.identity(code.n)]
-                + enumerate_bursts(code.n, code.burst_ability, kind))
+            items = _statevector_items(code, kind, pairs,
+                                       ((str(e), e) for e in errors))
         except SyndromeCollisionError as exc:
             items = [{
                 "label": f"block decoder for {kind} bursts of length <= "
@@ -260,19 +270,6 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                 "passed": False,
                 "reason": str(exc),
             }]
-            return Report("verify", parameters, items,
-                          time.perf_counter() - start)
-        pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
-        encoder = encode_phase3 if code_name == "phase3" else logical_encoder(code)
-        phi_in = encode_blocks(pairs, encoder)
-        perm = interleave_permutation(code.n, degree)
-        interleaved = phi_in.permute_qubits(perm)
-        inverse = perm.inverse()
-        items = []
-        for err in errors:
-            deint = interleaved.apply_pauli(err).permute_qubits(inverse)
-            summary = _decode_and_report(code, table, deint, degree, phi_in)
-            items.append({"label": str(err), **summary})
 
     return Report("verify", parameters, items, time.perf_counter() - start)
 
@@ -400,12 +397,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
             bursts = args.bursts.split(",") if args.bursts else None
             report = run_demo(coeffs=coeffs, seed=args.seed, bursts=bursts)
-            sys.stdout.write(report.render(args.output))
         elif args.command == "verify":
             report = run_verify(args.code, args.degree, burst=args.burst,
                                 kind=args.kind, method=args.method,
                                 seed=args.seed)
-            sys.stdout.write(report.render(args.output))
         elif args.command == "synth":
             text, report = run_synth(args.rows, args.cols, fmt=args.format,
                                      expand_swaps=args.expand_swaps)
@@ -414,12 +409,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-            sys.stdout.write(report.render(args.report))
         else:
             report = run_enumerate(args.qubits, args.burst, args.kind)
-            sys.stdout.write(report.render(args.output))
+        fmt = args.report if args.command == "synth" else args.output
+        sys.stdout.write(report.render(fmt))
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except OSError as exc:
+        parser.exit(3, f"{parser.prog}: I/O error: {exc}\n")
     return 0 if report.verdict == "pass" else 1
 
 

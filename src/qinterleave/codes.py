@@ -313,12 +313,7 @@ def corrects_error_set(code: StabilizerCode,
     against their lexicographically smallest member.
     """
     buckets: dict[tuple[int, ...], list[PauliString]] = {}
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for e in (PauliString.identity(code.n), *errors):
-        key = (e.x_mask.bits, e.z_mask.bits)
-        if key in seen:
-            continue
-        seen.add(key)
+    for e in dict.fromkeys((PauliString.identity(code.n), *errors)):
         buckets.setdefault(code.syndrome_of(e), []).append(e)
     for syn in sorted(buckets):
         bucket = sorted(buckets[syn], key=lambda p: p.sort_key)

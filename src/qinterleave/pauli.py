@@ -1,8 +1,10 @@
-"""Binary-vector and Pauli-mask algebra.
+"""Binary-vector and Pauli-mask algebra on packed integer masks.
 
-An n-qubit Pauli operator is stored as a pair of binary vectors (x_mask, z_mask)
-and read as the operator X_x Z_z, with the global phase deliberately untracked.
-Position 0 is the leftmost symbol of a mask string such as "111000000".
+A binary vector of length n is stored only as (n, as_int), with position 0
+(the leftmost symbol of a mask string such as "111000000") as the most
+significant bit; bit tuples and strings are views derived from the int.  An
+n-qubit Pauli operator is a pair of such masks (x_mask, z_mask), read as the
+operator X_x Z_z with the global phase deliberately untracked.
 
 A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
@@ -11,29 +13,44 @@ when both of its masks are bursts of length l or less.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 BURST_KINDS = ("bit", "phase", "colocated", "independent")
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+_LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
+_LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
+_DROP_LETTERS = str.maketrans("", "", "IXZY")
+_HEX_DIGIT_LETTER = str.maketrans("0123", "IXZY")
+
+# Letters as (x bit, z bit) in "IXZY" order, without and with the identity.
+_END_LETTERS = ((1, 0), (0, 1), (1, 1))
+_ANY_LETTERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BinaryVector:
-    """Ordered 0/1 sequence; positions are 0-indexed left to right."""
+    """Ordered 0/1 sequence of length n packed into the int as_int;
+    positions are 0-indexed left to right, position 0 most significant."""
 
-    bits: tuple[int, ...]
+    n: int
+    as_int: int
 
-    def __post_init__(self) -> None:
-        bits = tuple(self.bits)
+    def __init__(self, bits: Iterable[int]) -> None:
+        bits = tuple(bits)
         if len(bits) < 1:
             raise ValueError("binary vector must have length >= 1")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("binary vector entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", len(bits))
+        object.__setattr__(self, "as_int", int("".join("01"[b] for b in bits), 2))
+
+    @classmethod
+    def from_int(cls, n: int, value: int) -> "BinaryVector":
+        """Trusted constructor: n >= 1 and 0 <= value < 2**n are not checked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "as_int", value)
+        return v
 
     @classmethod
     def zeros(cls, n: int) -> "BinaryVector":
@@ -41,39 +58,36 @@ class BinaryVector:
 
     @classmethod
     def from_string(cls, s: str) -> "BinaryVector":
-        return cls(tuple(int(c) for c in s))
+        return cls(int(c) for c in s)
 
     @classmethod
     def from_support(cls, n: int, positions: Iterable[int]) -> "BinaryVector":
-        bits = [0] * n
-        for p in positions:
-            bits[p] = 1
-        return cls(tuple(bits))
+        support = set(positions)
+        if not support <= set(range(n)):
+            raise ValueError(f"support positions must lie in [0, {n})")
+        return cls(int(i in support) for i in range(n))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The entries as a tuple, position 0 first."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def __getitem__(self, i: int) -> int:
-        return self.bits[i]
+        return tuple(self)[i]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
+        return ((self.as_int >> (self.n - 1 - i)) & 1 for i in range(self.n))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.as_int, f"0{self.n}b")
 
     def __xor__(self, other: "BinaryVector") -> "BinaryVector":
-        if len(self) != len(other):
+        if self.n != other.n:
             raise ValueError("length mismatch in binary-vector xor")
-        return BinaryVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    @cached_property
-    def as_int(self) -> int:
-        """Integer value with position 0 as the most significant bit."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return BinaryVector.from_int(self.n, self.as_int ^ other.as_int)
 
     @property
     def is_zero(self) -> bool:
@@ -81,7 +95,8 @@ class BinaryVector:
 
     def support(self) -> frozenset[int]:
         """Indices carrying a 1."""
-        return frozenset(i for i, b in enumerate(self.bits) if b)
+        return frozenset(i for i in range(self.n)
+                         if (self.as_int >> (self.n - 1 - i)) & 1)
 
     def weight(self) -> int:
         return self.as_int.bit_count()
@@ -91,19 +106,16 @@ class BinaryVector:
         v = self.as_int
         if v == 0:
             return 0
-        n = len(self.bits)
-        first = n - v.bit_length()
-        last = n - (v & -v).bit_length()
-        return last - first + 1
+        return v.bit_length() - (v & -v).bit_length() + 1
 
     def dot(self, other: "BinaryVector") -> int:
         """Inner product mod 2."""
-        if len(self) != len(other):
+        if self.n != other.n:
             raise ValueError("length mismatch in binary-vector dot product")
         return (self.as_int & other.as_int).bit_count() & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """Phase-free n-qubit Pauli operator X_x Z_z encoded as two masks."""
 
@@ -111,7 +123,7 @@ class PauliString:
     z_mask: BinaryVector
 
     def __post_init__(self) -> None:
-        if len(self.x_mask) != len(self.z_mask):
+        if self.x_mask.n != self.z_mask.n:
             raise ValueError("x and z masks must have equal length")
 
     @classmethod
@@ -120,31 +132,37 @@ class PauliString:
 
     @classmethod
     def from_masks(cls, x: str | Sequence[int], z: str | Sequence[int]) -> "PauliString":
-        xv = BinaryVector.from_string(x) if isinstance(x, str) else BinaryVector(tuple(x))
-        zv = BinaryVector.from_string(z) if isinstance(z, str) else BinaryVector(tuple(z))
+        xv = BinaryVector.from_string(x) if isinstance(x, str) else BinaryVector(x)
+        zv = BinaryVector.from_string(z) if isinstance(z, str) else BinaryVector(z)
         return cls(xv, zv)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Build from a string over {I,X,Z,Y}, e.g. "ZZZIIIIII"."""
-        try:
-            pairs = [_LETTER_TO_BITS[c] for c in label.upper()]
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli letter {exc.args[0]!r}") from None
-        return cls(BinaryVector(tuple(p[0] for p in pairs)),
-                   BinaryVector(tuple(p[1] for p in pairs)))
+        label = label.upper()
+        invalid = label.translate(_DROP_LETTERS)
+        if invalid:
+            raise ValueError(f"invalid Pauli letter {invalid[0]!r}")
+        if not label:
+            raise ValueError("Pauli label must have length >= 1")
+        n = len(label)
+        return cls(BinaryVector.from_int(n, int(label.translate(_LETTER_X_DIGIT), 2)),
+                   BinaryVector.from_int(n, int(label.translate(_LETTER_Z_DIGIT), 2)))
 
     @property
     def n(self) -> int:
-        return len(self.x_mask)
+        return self.x_mask.n
 
     @property
     def is_identity(self) -> bool:
         return self.x_mask.is_zero and self.z_mask.is_zero
 
     def label(self) -> str:
-        return "".join(_BITS_TO_LETTER[x, z]
-                       for x, z in zip(self.x_mask.bits, self.z_mask.bits))
+        # Reading a mask's binary digits as hex digits gives every qubit its
+        # own nibble, so x + 2z per nibble is the index into "IXZY".
+        x = int(format(self.x_mask.as_int, "b"), 16)
+        z = int(format(self.z_mask.as_int, "b"), 16)
+        return format(x | (z << 1), f"0{self.n}x").translate(_HEX_DIGIT_LETTER)
 
     def __str__(self) -> str:
         return self.label()
@@ -163,9 +181,6 @@ class PauliString:
             raise ValueError("Pauli strings act on different register sizes")
         return self.x_mask.dot(other.z_mask) ^ self.z_mask.dot(other.x_mask)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return self.symplectic_product(other) == 0
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Mask-level product: XOR both masks, phase discarded."""
         if self.n != other.n:
@@ -174,30 +189,34 @@ class PauliString:
 
     def permute(self, images: Sequence[int]) -> "PauliString":
         """Move the letter at position i to position images[i], in both masks."""
-        if len(images) != self.n:
-            raise ValueError("permutation size does not match Pauli length")
-        x = [0] * self.n
-        z = [0] * self.n
+        n = self.n
+        if sorted(images) != list(range(n)):
+            raise ValueError(f"images must be a permutation of 0..{n - 1}")
+        x_in, z_in = self.x_mask.as_int, self.z_mask.as_int
+        x = z = 0
         for i, dest in enumerate(images):
-            x[dest] = self.x_mask.bits[i]
-            z[dest] = self.z_mask.bits[i]
-        return PauliString(BinaryVector(tuple(x)), BinaryVector(tuple(z)))
+            src, to = n - 1 - i, n - 1 - dest
+            x |= ((x_in >> src) & 1) << to
+            z |= ((z_in >> src) & 1) << to
+        return _pauli(n, x, z)
 
     def embed(self, n_total: int, offset: int) -> "PauliString":
         """Place this operator at [offset, offset+n) of a larger identity register."""
         if offset < 0 or offset + self.n > n_total:
             raise ValueError("embedding window out of range")
-        pad_left = (0,) * offset
-        pad_right = (0,) * (n_total - offset - self.n)
-        return PauliString(
-            BinaryVector(pad_left + self.x_mask.bits + pad_right),
-            BinaryVector(pad_left + self.z_mask.bits + pad_right),
-        )
+        shift = n_total - offset - self.n
+        return _pauli(n_total, self.x_mask.as_int << shift,
+                      self.z_mask.as_int << shift)
 
     @property
-    def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Lexicographic key on (x bits, z bits); used for deterministic tie-breaks."""
-        return (self.x_mask.bits, self.z_mask.bits)
+    def sort_key(self) -> tuple[int, int]:
+        """(x int, z int); for equal lengths this orders like the bit tuples
+        (x bits, z bits) lexicographically.  Used for deterministic tie-breaks."""
+        return (self.x_mask.as_int, self.z_mask.as_int)
+
+
+def _pauli(n: int, x: int, z: int) -> PauliString:
+    return PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
 
 
 def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
@@ -207,45 +226,31 @@ def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
         raise ValueError(f"burst bound l={l} out of range for n={n}")
     out = []
     for length in range(1, l + 1):
-        inner = length - 2
+        # Window read MSB first: a 1, the interior pattern, a 1.
+        windows = [1] if length == 1 else [
+            (1 << (length - 1)) | (pattern << 1) | 1
+            for pattern in range(1 << (length - 2))]
         for start in range(n - length + 1):
-            if length == 1:
-                out.append(BinaryVector.from_support(n, [start]))
-                continue
-            for pattern in range(1 << max(inner, 0)):
-                bits = [0] * n
-                bits[start] = 1
-                bits[start + length - 1] = 1
-                for j in range(inner):
-                    bits[start + 1 + j] = (pattern >> (inner - 1 - j)) & 1
-                out.append(BinaryVector(tuple(bits)))
+            shift = n - start - length
+            out.extend(BinaryVector.from_int(n, w << shift) for w in windows)
     return out
 
 
 def _colocated_bursts(n: int, l: int) -> list[PauliString]:
     # Minimal window containing supp(x) | supp(z) must have span <= l, so the
     # window endpoints carry a non-identity letter and each string is produced
-    # exactly once.
+    # exactly once.  Order: span, start, then the window letters in
+    # lexicographic "IXZY" order, leftmost letter slowest.
     out = []
-    ends = ("X", "Z", "Y")
-    full = ("I", "X", "Z", "Y")
     for span in range(1, l + 1):
+        windows = [(0, 0)]
+        for i in range(span):
+            letters = _END_LETTERS if i in (0, span - 1) else _ANY_LETTERS
+            windows = [((x << 1) | bx, (z << 1) | bz)
+                       for x, z in windows for bx, bz in letters]
         for start in range(n - span + 1):
-            if span == 1:
-                for letter in ends:
-                    label = ["I"] * n
-                    label[start] = letter
-                    out.append(PauliString.from_label("".join(label)))
-                continue
-            for first in ends:
-                for middle in product(full, repeat=span - 2):
-                    for last in ends:
-                        label = ["I"] * n
-                        label[start] = first
-                        for j, letter in enumerate(middle):
-                            label[start + 1 + j] = letter
-                        label[start + span - 1] = last
-                        out.append(PauliString.from_label("".join(label)))
+            shift = n - start - span
+            out.extend(_pauli(n, x << shift, z << shift) for x, z in windows)
     return out
 
 

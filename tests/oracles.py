@@ -6,6 +6,8 @@ code paths under test.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from qinterleave import Circuit, PauliString, Permutation, StateVector
@@ -71,6 +73,48 @@ def scan_burst_length(bits) -> int:
             if all(start <= i < start + w for i in support):
                 return w
     raise AssertionError("unreachable")
+
+
+def label_burst_vectors(n: int, l: int) -> list[str]:
+    """Mask strings of every nonzero length-n vector with burst length <= l,
+    spelled out symbol by symbol in (length, start, interior pattern) order."""
+    out = []
+    for length in range(1, l + 1):
+        windows = ["1"] if length == 1 else [
+            "1" + "".join(inner) + "1" for inner in product("01", repeat=length - 2)]
+        for start in range(n - length + 1):
+            out.extend("0" * start + w + "0" * (n - start - length) for w in windows)
+    return out
+
+
+def label_bursts(n: int, l: int, kind: str) -> list[PauliString]:
+    """enumerate_bursts rebuilt from label strings, in the package's order:
+    bit/phase follow label_burst_vectors; colocated runs over span, start,
+    then the window letters in lexicographic "IXZY" order (end letters never
+    I); independent pairs every x mask (outer) with every z mask (inner)."""
+    zero = "0" * n
+    masks = label_burst_vectors(n, l)
+    if kind == "bit":
+        return [PauliString.from_masks(v, zero) for v in masks]
+    if kind == "phase":
+        return [PauliString.from_masks(zero, v) for v in masks]
+    if kind == "independent":
+        masks = [zero] + masks
+        return [PauliString.from_masks(x, z) for x in masks for z in masks
+                if x != zero or z != zero]
+    out = []
+    for span in range(1, l + 1):
+        windows = ["X", "Z", "Y"] if span == 1 else [
+            first + "".join(middle) + last
+            for first in "XZY" for middle in product("IXZY", repeat=span - 2)
+            for last in "XZY"]
+        for start in range(n - span + 1):
+            for w in windows:
+                label = "I" * start + w + "I" * (n - start - span)
+                out.append(PauliString.from_masks(
+                    "".join("1" if c in "XY" else "0" for c in label),
+                    "".join("1" if c in "ZY" else "0" for c in label)))
+    return out
 
 
 def circuit_label_action(circuit: Circuit) -> np.ndarray:

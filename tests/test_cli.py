@@ -120,7 +120,7 @@ class TestVerifyCommand:
         assert code == 1
         report = json.loads(out)
         assert report["verdict"] == "fail"
-        assert "witness" in report["items"][0]
+        assert report["items"][0]["witness"] == ["IIIIIIIXIY", "IIIIIYIYII"]
 
     def test_burst_clamped(self, capsys):
         code, out = run_main(capsys, "verify", "--degree", "1", "--burst", "4",
@@ -197,6 +197,14 @@ class TestSynthCommand:
         assert parse_plain(target.read_text()) == parse_plain(
             "qubits 9\nSWAP 1 3\nSWAP 2 6\nSWAP 5 7\n")
         assert out.startswith("command:")
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "3", "3", "--output", str(tmp_path / "missing" / "x")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qinterleave: I/O error:")
+        assert err.count("\n") == 1
 
     def test_expand_swaps(self, capsys):
         code, out = run_main(capsys, "synth", "2", "2", "--expand-swaps")

@@ -24,6 +24,7 @@ from qinterleave import (
     logical_encoder,
     phase3_code,
 )
+from qinterleave.cli import DEFAULT_COEFFS
 from oracles import gf2_rank_of, in_gf2_span, pauli_matrix
 
 FID_TOL = 1e-10
@@ -124,6 +125,10 @@ class TestEncoding:
         for _ in range(5):
             c0, c1 = random_pair(rng)
             assert abs(enc(c0, c1).fidelity(encode_phase3(c0, c1)) - 1.0) < 1e-12
+        # the CLI encodes phase3 blocks with the projector encoder, so its
+        # amplitudes must reproduce the reference ones exactly
+        for c0, c1 in [random_pair(rng) for _ in range(20)] + list(DEFAULT_COEFFS):
+            assert enc(c0, c1).amps.tobytes() == encode_phase3(c0, c1).amps.tobytes()
 
     def test_projector_encoder_five(self):
         code = five_qubit_code()

@@ -13,7 +13,7 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
-from oracles import pauli_matrix, scan_burst_length
+from oracles import label_burst_vectors, label_bursts, pauli_matrix, scan_burst_length
 
 
 def all_paulis(n):
@@ -180,6 +180,9 @@ class TestPauliString:
     def test_permute_size_mismatch(self):
         with pytest.raises(ValueError):
             PauliString.from_label("XZ").permute([0, 1, 2])
+        for images in ([0, 2], [1, 1], [-1, 0]):
+            with pytest.raises(ValueError):
+                PauliString.from_label("XZ").permute(images)
 
     def test_label_round_trip(self):
         p = PauliString.from_label("IXZYZXI")
@@ -187,6 +190,27 @@ class TestPauliString:
         assert PauliString.from_label(str(p)) == p
         with pytest.raises(ValueError):
             PauliString.from_label("IXQ")
+        with pytest.raises(ValueError):
+            PauliString.from_label("")
+        assert str(PauliString.from_masks("1100", "0110")) == "XYZI"
+        rng = random.Random(8)
+        long_label = "".join(rng.choice("IXZY") for _ in range(70))
+        p = PauliString.from_label(long_label)
+        assert str(p) == long_label
+        assert str(p.x_mask) == "".join("1" if c in "XY" else "0" for c in long_label)
+
+    def test_sort_key_orders_like_bit_tuples(self):
+        # the witness rule sorts by sort_key; it must order exactly like the
+        # lexicographic (x bits, z bits) tuples, here built from the labels
+        keys = []
+        for letters in itertools.product("IXZY", repeat=4):
+            p = PauliString.from_label("".join(letters))
+            bits = (tuple(int(c in "XY") for c in letters),
+                    tuple(int(c in "ZY") for c in letters))
+            keys.append((p.sort_key, bits))
+        for key_a, bits_a in keys:
+            for key_b, bits_b in keys:
+                assert (key_a < key_b) == (bits_a < bits_b)
 
     def test_embed(self):
         p = PauliString.from_label("XZ")
@@ -227,6 +251,19 @@ class TestEnumerateBursts:
             for p in out:
                 assert not p.is_identity
                 assert p.is_quantum_burst(l)
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    def test_order_matches_label_oracle(self, kind):
+        # report items follow enumeration order, so pin the order, not the set
+        for n in range(1, 7):
+            for l in range(1, n + 1):
+                assert enumerate_bursts(n, l, kind) == label_bursts(n, l, kind)
+
+    def test_vector_order_matches_label_oracle(self):
+        for n in range(1, 9):
+            for l in range(1, n + 1):
+                assert enumerate_burst_vectors(n, l) == [
+                    BinaryVector.from_string(v) for v in label_burst_vectors(n, l)]
 
     def test_exact_length_count_formula(self):
         for n in range(2, 13):

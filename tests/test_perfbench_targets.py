@@ -1,0 +1,41 @@
+"""The benchmark's span tracer (perfbench/spans.py) must still find every
+function it wraps, so that renaming a traced function fails here instead of
+breaking a traced benchmark run."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from qinterleave import PauliString, basis_state
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module_name,qualname",
+                         [target[:2] for target in load_spans().TARGETS])
+def test_target_resolves(module_name, qualname):
+    owner = importlib.import_module(module_name)
+    if "." in qualname:
+        # methods are wrapped on their class, looked up in its __dict__
+        class_name, attr = qualname.split(".")
+        assert callable(vars(getattr(owner, class_name))[attr])
+    else:
+        assert callable(getattr(owner, qualname))
+
+
+def test_apply_pauli_counter_reads_masks():
+    spans = load_spans()
+    counts = spans.OpCounts()
+    state = basis_state(3, "000")
+    spans._apply_pauli_bytes(counts, (state, PauliString.from_label("XZI")), {}, None)
+    # one phase pass and one flip pass over 8 amplitudes
+    assert counts["statevector.apply_pauli.bytes_computed"] == (
+        2 * 8 * (2 * spans.AMP_BYTES + spans.INDEX_BYTES))
