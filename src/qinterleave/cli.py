@@ -1,8 +1,10 @@
 """Command-line front end: demo, verification sweeps, synthesis, enumeration.
 
-Exit codes: 0 when the report verdict is "pass", 1 on a verification failure,
-2 on a usage error, 3 on an I/O error (a file or stream that cannot be
-written).
+Exit codes: 0 when the report verdict is "pass", 1 on a verification failure
+(an empty report counts as one), 2 on a usage error, 3 on an I/O error (a
+file or stream that cannot be written) or an internal error (a state that
+should be a stabilizer eigenstate is not one, or a syndrome table that should
+exist does not).
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .codes import (
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import BURST_KINDS, PauliString, enumerate_bursts
-from .statevector import MAX_QUBITS
+from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
     "phase3": phase3_code,
@@ -60,7 +62,9 @@ class Report:
 
     @property
     def verdict(self) -> str:
-        return "pass" if all(item["passed"] for item in self.items) else "fail"
+        """Pass only when there are items and every one of them passed."""
+        passed = self.items and all(item["passed"] for item in self.items)
+        return "pass" if passed else "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -413,6 +417,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = run_enumerate(args.qubits, args.burst, args.kind)
         fmt = args.report if args.command == "synth" else args.output
         sys.stdout.write(report.render(fmt))
+    # Both subclass ValueError, so they are caught first: a fault in the
+    # program must not read as a usage error.
+    except (IndeterminateEigenvalueError, SyndromeCollisionError) as exc:
+        parser.exit(3, f"{parser.prog}: internal error: {exc}\n")
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except OSError as exc:

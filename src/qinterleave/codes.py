@@ -18,13 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .interleaver import interleave_permutation
 from .pauli import PauliString, enumerate_bursts
-from .statevector import MAX_QUBITS, StateVector, basis_state
+from .statevector import (
+    MAX_QUBITS,
+    StateVector,
+    basis_state,
+    eigenvalue_from_expectation,
+)
 
 _NORM_TOL = 1e-10
 
@@ -345,23 +350,53 @@ class BlockDecode:
         return self.correction is not None
 
 
+def _block_matrices(amps: np.ndarray, n: int, m: int) -> Iterator[np.ndarray]:
+    """Reduced density matrix of each n-qubit block i of an (n*m)-qubit state,
+    in block order: rho_i[b, b'] sums psi(r, b) conj(psi(r, b')) over the
+    labels r of the other blocks.
+
+    The amplitudes of block i are the middle axis of the (2^(i*n), 2^n, rest)
+    view; summing over the outer axes is one matrix product per leading index,
+    or a single product for the last block, where rest is 1.
+    """
+    conj = amps.conj()
+    for i in range(m):
+        a = amps.reshape(1 << (i * n), 1 << n, -1)
+        c = conj.reshape(a.shape)
+        if i == m - 1:
+            yield a[:, :, 0].T @ c[:, :, 0]
+        else:
+            yield np.matmul(a, c.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _expectation(rho: np.ndarray, x: int, z: int) -> complex:
+    """Tr(rho X_x Z_z) = sum_b (-1)^popcount((b^x)&z) rho[b, b^x]."""
+    return complex(sum((-1) ** ((b ^ x) & z).bit_count() * rho[b, b ^ x]
+                       for b in range(len(rho))))
+
+
 def block_decode(code: StabilizerCode, table: SyndromeTable, s: StateVector,
                  m: int) -> tuple[StateVector, list[BlockDecode]]:
     """Decode m consecutive blocks of a block-major (deinterleaved) state.
 
-    Blocks with an unknown syndrome are left uncorrected and flagged; the
-    caller decides whether that counts as failure.
+    Each block's syndrome is read from the amplitudes alone: the block's
+    2^n x 2^n reduced density matrix is formed once, and every generator's
+    +-1 eigenvalue is its expectation on that matrix (a state that is not an
+    eigenstate raises IndeterminateEigenvalueError).  The corrections of all
+    blocks act on disjoint qubits, so they are applied as one Pauli.  Blocks
+    with an unknown syndrome are left uncorrected and flagged; the caller
+    decides whether that counts as failure.
     """
     if s.n != code.n * m:
         raise ValueError("state size must be n*m")
-    state = s
+    fix = PauliString.identity(s.n)
     records = []
-    for i in range(m):
+    for i, rho in enumerate(_block_matrices(s.amps, code.n, m)):
         syn = tuple(
-            0 if state.stabilizer_eigenvalue(g.embed(s.n, i * code.n)) == 1 else 1
-            for g in code.generators)
+            0 if eigenvalue_from_expectation(_expectation(rho, gx, gz)) == 1 else 1
+            for gx, gz in code._generator_masks)
         corr = table.corrections.get(syn)
-        if corr is not None and not corr.is_identity:
-            state = state.apply_pauli(corr.embed(s.n, i * code.n))
+        if corr is not None:
+            fix = fix * corr.embed(s.n, i * code.n)
         records.append(BlockDecode(i, syn, corr))
-    return state, records
+    return (s if fix.is_identity else s.apply_pauli(fix)), records

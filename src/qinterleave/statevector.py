@@ -2,7 +2,10 @@
 
 Qubit 0 is the leftmost symbol of a ket label, so the basis label
 b_0 ... b_{n-1} lives at amplitude index sum(b_q * 2^(n-1-q)).  All
-operations return new states; amplitudes are never mutated in place.
+operations return new states; a state's amplitudes are never mutated.
+Pauli action works on axis views of the amplitudes rather than on index
+arrays: bit flips reverse the X qubits' axes of the (2,)*n view, and phases
+negate the half of the copied amplitudes where a Z qubit reads 1.
 """
 from __future__ import annotations
 
@@ -24,14 +27,20 @@ class IndeterminateEigenvalueError(ValueError):
     """The state is not a +-1 eigenstate of the requested Pauli operator."""
 
 
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    # Parity of the set bits of each entry; entries fit in 32 bits (n <= 26).
-    v = values ^ (values >> 16)
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
+def eigenvalue_from_expectation(value: complex) -> int:
+    """The +-1 eigenvalue that an expectation <s|P|s> reads out.
+
+    Raises IndeterminateEigenvalueError when the state is not an eigenstate
+    (expectation off the unit circle, or unit-modulus but not +-1).
+    """
+    if abs(abs(value) - 1.0) > _EIG_TOL:
+        raise IndeterminateEigenvalueError(
+            f"|<s|P|s>| = {abs(value):.8f}; state is not a Pauli eigenstate")
+    eig = 1 if value.real > 0 else -1
+    if abs(value - eig) > _EIG_TOL:
+        raise IndeterminateEigenvalueError(
+            f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
+    return eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,19 +71,26 @@ class StateVector:
         return StateVector(self.n + other.n, np.kron(self.amps, other.amps))
 
     def apply_pauli(self, p: PauliString) -> "StateVector":
-        """Apply X_x Z_z: phase (-1)^(label . z) first, then the bit flips."""
+        """Apply X_x Z_z: phase (-1)^(label . z) first, then the bit flips.
+
+        The flips are made first, as the one copy of the amplitudes; the
+        phase of a Z qubit then falls on the half where the input label bit
+        was 1, which is the output half 0 on a flipped qubit.
+        """
         if p.n != self.n:
             raise ValueError("Pauli length does not match register size")
-        amps = self.amps
-        x_int = p.x_mask.as_int
-        z_int = p.z_mask.as_int
-        indices = np.arange(1 << self.n, dtype=np.int64)
-        if z_int:
-            signs = 1.0 - 2.0 * _bit_parity(indices & z_int)
-            amps = amps * signs
-        if x_int:
-            amps = amps[indices ^ x_int]
-        return StateVector(self.n, amps)
+        n = self.n
+        x_bits = p.x_mask.bits
+        if p.x_mask.is_zero:
+            amps = self.amps.copy()
+        else:
+            flipped = tuple(q for q in range(n) if x_bits[q])
+            amps = np.ascontiguousarray(
+                np.flip(self.amps.reshape((2,) * n), flipped)).reshape(-1)
+        for q in p.z_mask.support():
+            half = amps.reshape(1 << q, 2, -1)[:, 1 - x_bits[q], :]
+            np.negative(half, out=half)
+        return StateVector(n, amps)
 
     def apply_gate(self, gate: Gate) -> "StateVector":
         if max(gate.qubits) >= self.n:
@@ -129,15 +145,8 @@ class StateVector:
         IndeterminateEigenvalueError when the state is not an eigenstate
         (expectation off the unit circle, or unit-modulus but not +-1).
         """
-        value = complex(np.vdot(self.amps, self.apply_pauli(p).amps))
-        if abs(abs(value) - 1.0) > _EIG_TOL:
-            raise IndeterminateEigenvalueError(
-                f"|<s|P|s>| = {abs(value):.8f}; state is not a Pauli eigenstate")
-        eig = 1 if value.real > 0 else -1
-        if abs(value - eig) > _EIG_TOL:
-            raise IndeterminateEigenvalueError(
-                f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
-        return eig
+        return eigenvalue_from_expectation(
+            complex(np.vdot(self.amps, self.apply_pauli(p).amps)))
 
     def amplitudes_table(self, tol: float = 1e-12) -> list[tuple[str, float, float]]:
         """(basis label, real, imaginary) triples for amplitudes above tol."""

@@ -56,6 +56,24 @@ def gate_unitary(gate, n: int) -> np.ndarray:
     return u
 
 
+def index_apply_pauli(s: StateVector, p: PauliString) -> np.ndarray:
+    """Amplitudes of X_x Z_z |s> from explicit 2^n index arrays: a sign per
+    index from the parity of (index & z), then a gather at index ^ x."""
+    indices = np.arange(1 << s.n, dtype=np.int64)
+    amps = s.amps
+    z = p.z_mask.as_int
+    x = p.x_mask.as_int
+    if z:
+        parity = np.zeros_like(indices)
+        for q in range(s.n):
+            if (z >> q) & 1:
+                parity ^= (indices >> q) & 1
+        amps = amps * (1.0 - 2.0 * parity)
+    if x:
+        amps = amps[indices ^ x]
+    return amps
+
+
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)

@@ -5,8 +5,15 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qinterleave import parse_plain
+import qinterleave.cli
+import qinterleave.codes
+from qinterleave import (
+    IndeterminateEigenvalueError,
+    SyndromeCollisionError,
+    parse_plain,
+)
 from qinterleave.cli import (
+    Report,
     main,
     report_schema,
     run_demo,
@@ -210,6 +217,30 @@ class TestSynthCommand:
         code, out = run_main(capsys, "synth", "2", "2", "--expand-swaps")
         assert "CNOT 1 2" in out and "SWAP" not in out.split("command")[0]
 
+    def test_internal_fault_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken_readout(value):
+            raise IndeterminateEigenvalueError("injected readout fault")
+
+        monkeypatch.setattr(qinterleave.codes, "eigenvalue_from_expectation",
+                            broken_readout)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--degree", "2", "--burst", "1",
+                  "--method", "statevector"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err == "qinterleave: internal error: injected readout fault\n"
+
+    def test_syndrome_collision_is_an_internal_error(self, monkeypatch, capsys):
+        def broken_table(code, errors):
+            raise SyndromeCollisionError("injected table fault")
+
+        monkeypatch.setattr(qinterleave.cli, "build_syndrome_table", broken_table)
+        with pytest.raises(SystemExit) as exc:
+            main(["demo"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err == "qinterleave: internal error: injected table fault\n"
+
     def test_zero_size_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "0", "3"])
@@ -259,6 +290,10 @@ class TestReports:
             text_verdict = [ln for ln in report.to_text().splitlines()
                             if ln.startswith("verdict:")][0].split()[1]
             assert json.loads(report.to_json())["verdict"] == text_verdict
+
+    def test_empty_report_fails(self):
+        assert Report("verify", {}).verdict == "fail"
+        assert Report("verify", {}, [{"label": "x", "passed": True}]).verdict == "pass"
 
     def test_verdict_rule(self):
         report = run_verify("phase3", 3, burst=4, method="statevector")

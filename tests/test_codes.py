@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from qinterleave import (
+    IndeterminateEigenvalueError,
     PauliString,
     StabilizerCode,
+    StateVector,
     SyndromeCollisionError,
     UnknownSyndromeError,
     block_decode,
@@ -25,7 +27,7 @@ from qinterleave import (
     phase3_code,
 )
 from qinterleave.cli import DEFAULT_COEFFS
-from oracles import gf2_rank_of, in_gf2_span, pauli_matrix
+from oracles import gf2_rank_of, in_gf2_span, pauli_matrix, random_state
 
 FID_TOL = 1e-10
 
@@ -391,3 +393,88 @@ class TestBlockDecode:
         table = build_syndrome_table(base, [PauliString.identity(3)])
         with pytest.raises(ValueError):
             block_decode(base, table, encode_phase3(1, 0), 2)
+
+
+def whole_register_syndromes(code, s, m):
+    """Block syndromes read by applying each embedded generator to the whole
+    register (StateVector.stabilizer_eigenvalue)."""
+    return [tuple(0 if s.stabilizer_eigenvalue(g.embed(s.n, i * code.n)) == 1 else 1
+                  for g in code.generators)
+            for i in range(m)]
+
+
+def raises_indeterminate(fn) -> bool:
+    try:
+        fn()
+    except IndeterminateEigenvalueError:
+        return True
+    return False
+
+
+class TestBlockReadoutOracle:
+    """block_decode reads each block's syndrome from the block's reduced
+    density matrix; the whole-register readout is its oracle."""
+
+    @pytest.mark.parametrize("base,m,table_kind", [
+        (phase3_code(), 4, "phase"),
+        (five_qubit_code(), 2, "colocated"),
+    ])
+    def test_matches_whole_register_readout(self, base, m, table_kind):
+        table = build_syndrome_table(
+            base, [PauliString.identity(base.n)]
+            + enumerate_bursts(base.n, 1, table_kind))
+        rng = np.random.default_rng(26)
+        phi_in = encode_blocks([random_pair(rng) for _ in range(m)],
+                               logical_encoder(base))
+        perm = interleave_permutation(base.n, m)
+        interleaved = phi_in.permute_qubits(perm)
+        total = base.n * m
+        seen = set()
+        for err in enumerate_bursts(total, 3, "colocated"):
+            deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
+            _, records = block_decode(base, table, deint, m)
+            got = [r.syndrome for r in records]
+            assert got == whole_register_syndromes(base, deint, m), err
+            seen.update(got)
+        # the bursts reach every syndrome of a block
+        assert len(seen) == 1 << (base.n - base.k)
+
+    def test_both_raise_on_the_same_non_eigenstates(self):
+        base = phase3_code()
+        table = build_syndrome_table(base, [PauliString.identity(3)])
+        state = encode_blocks([(0.6, 0.8), (0.28, 0.96)], encode_phase3)
+
+        def mixed(label):
+            # equal superposition of two syndromes on the Z-hit block
+            amps = state.amps + state.apply_pauli(PauliString.from_label(label)).amps
+            return StateVector(6, amps / np.linalg.norm(amps))
+
+        cases = {
+            "codeword": state,
+            "corrupted": state.apply_pauli(PauliString.from_label("IZIIIZ")),
+            "block 0 mixed": mixed("ZIIIII"),
+            "block 1 mixed": mixed("IIIIZI"),
+            "random": random_state(6, np.random.default_rng(27)),
+        }
+        outcomes = {}
+        for name, s in cases.items():
+            by_block = raises_indeterminate(lambda: block_decode(base, table, s, 2))
+            whole = raises_indeterminate(lambda: whole_register_syndromes(base, s, 2))
+            assert by_block == whole, name
+            outcomes[name] = by_block
+        assert outcomes == {"codeword": False, "corrupted": False,
+                            "block 0 mixed": True, "block 1 mixed": True,
+                            "random": True}
+
+    def test_both_raise_on_unit_modulus_non_real_expectation(self):
+        # X_x Z_z with one overlapping qubit is XZ = -iY, whose expectation on
+        # a Y eigenstate is -i or +i: unit modulus, but not +-1
+        code = StabilizerCode(n=1, k=0, generators=(PauliString.from_label("Y"),),
+                              logical_xs=(), logical_zs=(), burst_ability=0)
+        table = build_syndrome_table(code, [PauliString.identity(1)])
+        plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        s = StateVector(2, np.kron(plus_i, plus_i))
+        with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
+            block_decode(code, table, s, 2)
+        with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
+            whole_register_syndromes(code, s, 2)

@@ -14,7 +14,13 @@ from qinterleave import (
     encode_phase3,
     interleave_permutation,
 )
-from oracles import gate_unitary, pauli_matrix, permutation_label_action, random_state
+from oracles import (
+    gate_unitary,
+    index_apply_pauli,
+    pauli_matrix,
+    permutation_label_action,
+    random_state,
+)
 
 
 class TestBasisAndTensor:
@@ -91,6 +97,31 @@ class TestApplyPauli:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             basis_state(2, "00").apply_pauli(PauliString.identity(3))
+
+    def test_byte_identical_to_index_oracle_all_4_qubit_paulis(self):
+        rng = np.random.default_rng(12)
+        s = random_state(4, rng)
+        for letters in itertools.product("IXZY", repeat=4):
+            p = PauliString.from_label("".join(letters))
+            got = s.apply_pauli(p).amps
+            assert got.tobytes() == index_apply_pauli(s, p).tobytes(), p
+
+    def test_byte_identical_to_index_oracle_random_12_qubit(self):
+        rng = np.random.default_rng(13)
+        s = random_state(12, rng)
+        for _ in range(200):
+            p = PauliString.from_masks(
+                list(rng.integers(0, 2, size=12)), list(rng.integers(0, 2, size=12)))
+            got = s.apply_pauli(p).amps
+            assert got.tobytes() == index_apply_pauli(s, p).tobytes(), p
+
+    def test_input_state_untouched(self):
+        rng = np.random.default_rng(14)
+        s = random_state(3, rng)
+        before = s.amps.copy()
+        for label in ("XXX", "YYY", "ZZZ", "XIZ"):
+            s.apply_pauli(PauliString.from_label(label))
+        assert s.amps.tobytes() == before.tobytes()
 
 
 class TestApplyGate:
