@@ -38,6 +38,7 @@ from .pauli import (
     BURST_KINDS,
     BinaryVector,
     PauliString,
+    burst_masks,
     enumerate_burst_vectors,
     enumerate_bursts,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "block_decode",
     "build_syndrome_table",
     "burst_ability_measured",
+    "burst_masks",
     "correct",
     "corrects_error_set",
     "encode_blocks",

@@ -24,7 +24,7 @@ from .codes import (
     SyndromeCollisionError,
     block_decode,
     build_syndrome_table,
-    corrects_error_set,
+    corrects_masks,
     encode_blocks,
     five_qubit_code,
     interleaved_code,
@@ -32,7 +32,7 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import BURST_KINDS, PauliString, enumerate_bursts
+from .pauli import BURST_KINDS, PauliString, burst_masks, enumerate_bursts
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -235,7 +235,13 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
     total = code.n * degree
     requested = burst if burst is not None else code.burst_ability * degree
     effective = min(requested, total)
-    errors = enumerate_bursts(total, effective, kind)
+    # The stabilizer method checks mask ints; only statevector needs Paulis.
+    if method == "stabilizer":
+        xs, zs = burst_masks(total, effective, kind)
+        count = len(xs)
+    else:
+        errors = enumerate_bursts(total, effective, kind)
+        count = len(errors)
     parameters = {
         "code": code_name,
         "degree": degree,
@@ -244,16 +250,16 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         "kind": kind,
         "method": method,
         "interleaved_code": f"[[{total},{code.k * degree}]]",
-        "burst_count": len(errors),
+        "burst_count": count,
         "code_block": code.to_text(),
     }
 
     if method == "stabilizer":
         compound = interleaved_code(code, degree)
         parameters["interleaved_code_block"] = compound.to_text()
-        result = corrects_error_set(compound, errors)
+        result = corrects_masks(compound, xs, zs)
         item = {
-            "label": f"{len(errors)} {kind} bursts of length <= {effective}",
+            "label": f"{count} {kind} bursts of length <= {effective}",
             "passed": result.ok,
         }
         if not result.ok:

@@ -9,10 +9,12 @@ multiplying the declared burst-correcting ability by m.
 
 Correctability of an error set is the standard stabilizer criterion: any two
 errors with equal syndromes must differ by a stabilizer element (degenerate
-errors are allowed).  Errors are bucketed by syndrome so only intra-bucket
-pairs need the GF(2) membership solve, and within a bucket every element is
-compared against the lexicographically smallest one, which is equivalent by
-linearity of the group membership.
+errors are allowed).  Two errors with equal syndromes differ by an element of
+the normalizer N(S), and that element lies in S exactly when both errors
+commute or anticommute alike with every logical operator, i.e. lie in the
+same class of N(S)/S.  So a set is correctable iff every syndrome bucket
+holds a single class.  Both the syndromes and the classes are commutation
+bits, computed for all errors at once on masks packed into uint64 words.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import PauliString, enumerate_bursts
+from .pauli import BinaryVector, PauliString, burst_masks
 from .statevector import (
     MAX_QUBITS,
     StateVector,
@@ -32,6 +34,8 @@ from .statevector import (
 )
 
 _NORM_TOL = 1e-10
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
 
 
 class SyndromeCollisionError(ValueError):
@@ -308,31 +312,86 @@ class CorrectabilityResult(NamedTuple):
         return self.ok
 
 
+def _pack_masks(masks: Sequence[int], words: int) -> np.ndarray:
+    """(len(masks), words) uint64 array of the masks, word 0 most significant."""
+    if words == 1:
+        # numpy converts ints below 2**64 itself, several times faster.
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    return np.stack([
+        np.array([(m >> (_WORD * (words - 1 - w))) & _WORD_MASK for m in masks],
+                 dtype=np.uint64)
+        for w in range(words)], axis=1)
+
+
+def _commutation_bits(ex: np.ndarray, ez: np.ndarray,
+                      ops: Sequence[PauliString]) -> np.ndarray:
+    """Bit j of row i is 1 when error i anticommutes with ops[j], one operator
+    at a time over the packed error masks.  The matrix has at least one
+    column, so a code without generators still has one all-zero syndrome."""
+    words = ex.shape[1]
+    op_xs = _pack_masks([op.x_mask.as_int for op in ops], words)
+    op_zs = _pack_masks([op.z_mask.as_int for op in ops], words)
+    bits = np.zeros((len(ex), max(1, len(ops))), dtype=np.uint8)
+    for j, (ox, oz) in enumerate(zip(op_xs, op_zs)):
+        # The XOR of the two overlaps has the parity of their summed counts.
+        bits[:, j] = np.bitwise_count((ex & oz) ^ (ez & ox)).sum(axis=1) & 1
+    return bits
+
+
+def corrects_masks(code: StabilizerCode, xs: Sequence[int],
+                   zs: Sequence[int]) -> CorrectabilityResult:
+    """corrects_error_set for the errors X_xs[i] Z_zs[i], given as mask ints
+    of code.n bits (not checked).
+
+    Each error's syndrome (generator bits) and class (logical bits) are
+    computed on packed masks, the identity included.  The set fails iff some
+    syndrome bucket holds two classes; the witness comes from the first such
+    bucket in syndrome order: its smallest member by (x, z), and the first
+    later member of another class, whose product with it is not in S.
+    """
+    xs, zs = [0, *xs], [0, *zs]
+    words = -(-code.n // _WORD)
+    ex, ez = _pack_masks(xs, words), _pack_masks(zs, words)
+    syndromes = np.packbits(_commutation_bits(ex, ez, code.generators), axis=1)
+    classes = _commutation_bits(ex, ez, (*code.logical_xs, *code.logical_zs))
+    # Packed big-endian, the bytes of a row compare like the syndrome tuple.
+    rows = syndromes.view(np.dtype((np.void, syndromes.shape[1]))).ravel()
+    _, first, bucket = np.unique(rows, return_index=True, return_inverse=True)
+    stray = (classes != classes[first[bucket]]).any(axis=1)
+    if not stray.any():
+        return CorrectabilityResult(True, None)
+    members = sorted(np.flatnonzero(bucket == bucket[stray].min()).tolist(),
+                     key=lambda i: (xs[i], zs[i]))
+    base = members[0]
+    partner = next(i for i in members[1:]
+                   if (classes[i] != classes[base]).any())
+    return CorrectabilityResult(False, tuple(
+        PauliString(BinaryVector.from_int(code.n, xs[i]),
+                    BinaryVector.from_int(code.n, zs[i]))
+        for i in (base, partner)))
+
+
 def corrects_error_set(code: StabilizerCode,
                        errors: Sequence[PauliString]) -> CorrectabilityResult:
     """Stabilizer correctability of the error set (identity always included).
 
     True iff any two errors with equal syndromes have a product inside the
-    stabilizer group.  On failure the witness is the offending pair, chosen
-    deterministically: buckets are scanned in syndrome order and compared
-    against their lexicographically smallest member.
+    stabilizer group, i.e. iff errors with equal syndromes lie in one class
+    of N(S)/S.  On failure the witness is the offending pair, chosen
+    deterministically: the first failing bucket in syndrome order, its
+    lexicographically smallest member, and the first later member whose
+    product with it is outside the stabilizer group.
     """
-    buckets: dict[tuple[int, ...], list[PauliString]] = {}
-    for e in dict.fromkeys((PauliString.identity(code.n), *errors)):
-        buckets.setdefault(code.syndrome_of(e), []).append(e)
-    for syn in sorted(buckets):
-        bucket = sorted(buckets[syn], key=lambda p: p.sort_key)
-        base = bucket[0]
-        for e in bucket[1:]:
-            if not code.in_stabilizer_group(base * e):
-                return CorrectabilityResult(False, (base, e))
-    return CorrectabilityResult(True, None)
+    if any(e.n != code.n for e in errors):
+        raise ValueError("error length does not match code size")
+    return corrects_masks(code, [e.x_mask.as_int for e in errors],
+                          [e.z_mask.as_int for e in errors])
 
 
 def burst_ability_measured(code: StabilizerCode, kind: str) -> int:
     """Largest l for which every burst of the kind with length <= l is correctable."""
     for l in range(1, code.n + 1):
-        if not corrects_error_set(code, enumerate_bursts(code.n, l, kind)):
+        if not corrects_masks(code, *burst_masks(code.n, l, kind)):
             return l - 1
     return code.n
 

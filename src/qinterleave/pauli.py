@@ -22,9 +22,13 @@ _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
 _HEX_DIGIT_LETTER = str.maketrans("0123", "IXZY")
 
-# Letters as (x bit, z bit) in "IXZY" order, without and with the identity.
-_END_LETTERS = ((1, 0), (0, 1), (1, 1))
-_ANY_LETTERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+# Window letters of the burst kinds as (x bit, z bit) in "IXZY" order: the
+# letters allowed at the two ends of a window, and inside it.
+_WINDOW_LETTERS = {
+    "bit": (((1, 0),), ((0, 0), (1, 0))),
+    "phase": (((0, 1),), ((0, 0), (0, 1))),
+    "colocated": (((1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (0, 1), (1, 1))),
+}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -219,60 +223,61 @@ def _pauli(n: int, x: int, z: int) -> PauliString:
     return PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
 
 
-def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
-    """All nonzero length-n vectors with burst length <= l, in (length, start,
-    interior pattern) order."""
-    if not 1 <= l <= n:
-        raise ValueError(f"burst bound l={l} out of range for n={n}")
-    out = []
-    for length in range(1, l + 1):
-        # Window read MSB first: a 1, the interior pattern, a 1.
-        windows = [1] if length == 1 else [
-            (1 << (length - 1)) | (pattern << 1) | 1
-            for pattern in range(1 << (length - 2))]
-        for start in range(n - length + 1):
-            shift = n - start - length
-            out.extend(BinaryVector.from_int(n, w << shift) for w in windows)
-    return out
-
-
-def _colocated_bursts(n: int, l: int) -> list[PauliString]:
-    # Minimal window containing supp(x) | supp(z) must have span <= l, so the
-    # window endpoints carry a non-identity letter and each string is produced
-    # exactly once.  Order: span, start, then the window letters in
-    # lexicographic "IXZY" order, leftmost letter slowest.
-    out = []
+def _window_bursts(n: int, l: int, ends: Sequence[tuple[int, int]],
+                   inner: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    # The minimal window holding the support spans at most l positions, so its
+    # endpoints carry an end letter and each string is produced exactly once.
+    # Order: span, start, then the window letters, leftmost letter slowest.
+    xs: list[int] = []
+    zs: list[int] = []
     for span in range(1, l + 1):
         windows = [(0, 0)]
         for i in range(span):
-            letters = _END_LETTERS if i in (0, span - 1) else _ANY_LETTERS
+            letters = ends if i in (0, span - 1) else inner
             windows = [((x << 1) | bx, (z << 1) | bz)
                        for x, z in windows for bx, bz in letters]
+        wx = [x for x, _ in windows]
+        wz = [z for _, z in windows]
         for start in range(n - span + 1):
             shift = n - start - span
-            out.extend(_pauli(n, x << shift, z << shift) for x, z in windows)
-    return out
+            xs.extend([x << shift for x in wx])
+            zs.extend([z << shift for z in wz])
+    return xs, zs
 
 
-def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:
-    """All non-identity Pauli strings of the given burst kind on n qubits.
+def burst_masks(n: int, l: int, kind: str) -> tuple[list[int], list[int]]:
+    """The x masks and the z masks, as ints, of every non-identity Pauli
+    string of the given burst kind on n qubits.
 
     bit: x mask is a burst of length <= l, z mask zero.
     phase: mirror image of bit.
     colocated: the minimal window holding both supports spans <= l positions.
-    independent: each mask is separately a (possibly empty) burst of length <= l.
+    These three are ordered by (span, start, window letters in "IXZY" order).
+    independent: each mask is separately a (possibly empty) burst of length
+    <= l; every x mask (outer) with every z mask (inner).
     """
     if kind not in BURST_KINDS:
         raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
     if not 1 <= l <= n:
         raise ValueError(f"burst bound l={l} out of range for n={n}")
-    zero = BinaryVector.zeros(n)
-    if kind == "bit":
-        return [PauliString(v, zero) for v in enumerate_burst_vectors(n, l)]
-    if kind == "phase":
-        return [PauliString(zero, v) for v in enumerate_burst_vectors(n, l)]
-    if kind == "colocated":
-        return _colocated_bursts(n, l)
-    vectors = [zero] + enumerate_burst_vectors(n, l)
-    return [PauliString(x, z) for x in vectors for z in vectors
-            if not (x.is_zero and z.is_zero)]
+    if kind != "independent":
+        return _window_bursts(n, l, *_WINDOW_LETTERS[kind])
+    vectors = [0] + _window_bursts(n, l, *_WINDOW_LETTERS["bit"])[0]
+    count = len(vectors)
+    # The identity pair comes first and is dropped.
+    xs = [x for x in vectors for _ in range(count)][1:]
+    zs = (vectors * count)[1:]
+    return xs, zs
+
+
+def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
+    """All nonzero length-n vectors with burst length <= l, in (length, start,
+    interior pattern) order."""
+    return [BinaryVector.from_int(n, v) for v in burst_masks(n, l, "bit")[0]]
+
+
+def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:
+    """All non-identity Pauli strings of the given burst kind on n qubits, in
+    the order and with the kinds of burst_masks."""
+    xs, zs = burst_masks(n, l, kind)
+    return [_pauli(n, x, z) for x, z in zip(xs, zs)]

@@ -10,7 +10,14 @@ from itertools import product
 
 import numpy as np
 
-from qinterleave import Circuit, PauliString, Permutation, StateVector
+from qinterleave import (
+    Circuit,
+    CorrectabilityResult,
+    PauliString,
+    Permutation,
+    StabilizerCode,
+    StateVector,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +140,25 @@ def label_bursts(n: int, l: int, kind: str) -> list[PauliString]:
                     "".join("1" if c in "XY" else "0" for c in label),
                     "".join("1" if c in "ZY" else "0" for c in label)))
     return out
+
+
+def gf2_corrects_error_set(code: StabilizerCode,
+                           errors) -> CorrectabilityResult:
+    """Stabilizer correctability by pairwise membership: errors are bucketed
+    by syndrome, and every member of a bucket is checked against the bucket's
+    smallest member by a GF(2) solve for their product in the stabilizer
+    group.  Buckets are scanned in syndrome order; the first product outside
+    the group is the witness."""
+    buckets: dict[tuple[int, ...], list[PauliString]] = {}
+    for e in dict.fromkeys((PauliString.identity(code.n), *errors)):
+        buckets.setdefault(code.syndrome_of(e), []).append(e)
+    for syn in sorted(buckets):
+        bucket = sorted(buckets[syn], key=lambda p: p.sort_key)
+        base = bucket[0]
+        for e in bucket[1:]:
+            if not code.in_stabilizer_group(base * e):
+                return CorrectabilityResult(False, (base, e))
+    return CorrectabilityResult(True, None)
 
 
 def circuit_label_action(circuit: Circuit) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Tests for stabilizer codes, syndrome decoding, and interleaved construction."""
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterleave import (
+    BinaryVector,
     IndeterminateEigenvalueError,
     PauliString,
     StabilizerCode,
@@ -27,7 +31,13 @@ from qinterleave import (
     phase3_code,
 )
 from qinterleave.cli import DEFAULT_COEFFS
-from oracles import gf2_rank_of, in_gf2_span, pauli_matrix, random_state
+from oracles import (
+    gf2_corrects_error_set,
+    gf2_rank_of,
+    in_gf2_span,
+    pauli_matrix,
+    random_state,
+)
 
 FID_TOL = 1e-10
 
@@ -316,6 +326,13 @@ class TestCorrectability:
     def test_phase3_single_phase(self):
         assert corrects_error_set(phase3_code(), enumerate_bursts(3, 1, "phase")).ok
 
+    def test_wrong_length_error_rejected(self):
+        with pytest.raises(ValueError):
+            corrects_error_set(phase3_code(), [PauliString.from_label("ZIII")])
+        with pytest.raises(ValueError):
+            corrects_error_set(five_qubit_code(), [PauliString.from_label("X"),
+                                                   PauliString.from_label("XIIII")])
+
     def test_phase3_bit_error_witness(self):
         result = corrects_error_set(phase3_code(), [PauliString.from_label("XII")])
         assert not result.ok
@@ -349,6 +366,129 @@ class TestCorrectability:
                               (five_qubit_code(), 2, "colocated")):
             assert (burst_ability_measured(interleaved_code(base, m), kind)
                     == m * burst_ability_measured(base, kind))
+
+
+def scrambled_code(n, k, gates):
+    """[[n,k]] code whose generators, logical Xs and logical Zs are the images
+    of Z_0..Z_{n-k-1}, X_{n-k}..X_{n-1} and Z_{n-k}..Z_{n-1} under mask-level
+    Clifford gates, which preserve every commutation relation.  A gate is
+    ("H", a, _), ("S", a, _) or ("CNOT", a, b), on qubits a and b."""
+    ops = ([[0, 1 << q] for q in range(n - k)]
+           + [[1 << q, 0] for q in range(n - k, n)]
+           + [[0, 1 << q] for q in range(n - k, n)])
+    for gate, a, b in gates:
+        for op in ops:
+            x, z = op
+            if gate == "H":
+                swap = (x ^ z) & (1 << a)
+                x, z = x ^ swap, z ^ swap
+            elif gate == "S":
+                z ^= x & (1 << a)
+            elif a != b:
+                x ^= ((x >> a) & 1) << b
+                z ^= ((z >> b) & 1) << a
+            op[:] = x, z
+    paulis = [PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
+              for x, z in ops]
+    return StabilizerCode(n, k, paulis[:n - k], paulis[n - k:n],
+                          paulis[n:], burst_ability=0)
+
+
+def random_gates(n, count, rng):
+    return [(rng.choice(("H", "S", "CNOT")), rng.randrange(n), rng.randrange(n))
+            for _ in range(count)]
+
+
+def assert_matches_oracle(code, errors):
+    got = corrects_error_set(code, errors)
+    want = gf2_corrects_error_set(code, errors)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    return got
+
+
+class TestCorrectabilityOracle:
+    """The logical-class test against the pairwise GF(2) membership solve:
+    the same verdict and the same witness pair."""
+
+    def test_25_5_boundary(self):
+        code = interleaved_code(five_qubit_code(), 5)
+        assert assert_matches_oracle(code, enumerate_bursts(25, 5, "colocated")).ok
+        result = assert_matches_oracle(code, enumerate_bursts(25, 6, "colocated"))
+        assert [str(p) for p in result.witness] == [
+            "IIIIIIIIIIIIIIIIIIIXIIIIY", "IIIIIIIIIIIIIIYIIIIYIIIII"]
+
+    def test_10_2_witness(self):
+        code = interleaved_code(five_qubit_code(), 2)
+        result = assert_matches_oracle(code, enumerate_bursts(10, 3, "colocated"))
+        assert [str(p) for p in result.witness] == ["IIIIIIIXIY", "IIIIIYIYII"]
+
+    @pytest.mark.parametrize("base", [phase3_code, five_qubit_code])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["bit", "phase", "colocated", "independent"])
+    def test_interleaved_burst_sets(self, base, m, kind):
+        code = interleaved_code(base(), m)
+        verdicts = []
+        for l in range(1, code.n + 1):
+            errors = enumerate_bursts(code.n, l, kind)
+            if len(errors) > 3000:
+                break
+            verdicts.append(assert_matches_oracle(code, errors).ok)
+        # the sweep reaches a failure wherever one exists within the cap
+        assert verdicts and verdicts == sorted(verdicts, reverse=True)
+
+    def test_duplicates_and_identity(self):
+        code = interleaved_code(phase3_code(), 2)
+        bursts = enumerate_bursts(6, 3, "phase")
+        identity = PauliString.identity(6)
+        for errors in (bursts + bursts[::-1],
+                       [identity, identity] + bursts[:5],
+                       [identity],
+                       [bursts[3]] * 4,
+                       bursts[::-1] + [identity] + bursts,
+                       enumerate_bursts(6, 1, "colocated") * 2):
+            assert_matches_oracle(code, errors)
+
+    @pytest.mark.parametrize("n", [65, 66, 70])
+    def test_multi_word_random_sets(self, n):
+        rng = random.Random(n)
+        codes = [scrambled_code(n, k, random_gates(n, 4 * n, rng)) for k in (1, 5)]
+        if n % 5 == 0:
+            codes.append(interleaved_code(five_qubit_code(), n // 5))
+        if n % 3 == 0:
+            codes.append(interleaved_code(phase3_code(), n // 3))
+        verdicts = set()
+        for code in codes:
+            logicals = (*code.logical_xs, *code.logical_zs)
+            for trial in range(8):
+                errors = [PauliString(BinaryVector.from_int(n, rng.getrandbits(n)),
+                                      BinaryVector.from_int(n, rng.getrandbits(n)))
+                          for _ in range(6)]
+                errors += enumerate_bursts(n, 1, "colocated")[:trial * 20]
+                # a product with a generator keeps the class (no failure), a
+                # product with a logical changes it (a failure)
+                errors += [e * rng.choice(code.generators) for e in errors[:3]]
+                if trial % 2:
+                    errors += [errors[rng.randrange(len(errors))]
+                               * rng.choice(logicals)]
+                rng.shuffle(errors)
+                verdicts.add(assert_matches_oracle(code, errors).ok)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_small_codes(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        gates = data.draw(st.lists(st.tuples(st.sampled_from(("H", "S", "CNOT")),
+                                             st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=12), label="gates")
+        code = scrambled_code(n, k, gates)
+        masks = st.integers(0, (1 << n) - 1)
+        errors = [PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
+                  for x, z in data.draw(st.lists(st.tuples(masks, masks), max_size=12),
+                                        label="errors")]
+        assert_matches_oracle(code, errors)
 
 
 class TestTheorem2Equivalence:

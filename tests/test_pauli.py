@@ -9,6 +9,7 @@ from qinterleave import (
     BURST_KINDS,
     BinaryVector,
     PauliString,
+    burst_masks,
     enumerate_burst_vectors,
     enumerate_bursts,
     interleave_permutation,
@@ -258,6 +259,25 @@ class TestEnumerateBursts:
         for n in range(1, 7):
             for l in range(1, n + 1):
                 assert enumerate_bursts(n, l, kind) == label_bursts(n, l, kind)
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    def test_masks_match_enumeration_and_label_oracle(self, kind):
+        # element by element, so the mask path and the Pauli path share one order
+        cases = [(n, l) for n in range(1, 7) for l in range(1, n + 1)]
+        for n, l in cases + [(25, 3), (70, 2)]:
+            xs, zs = burst_masks(n, l, kind)
+            assert len(xs) == len(zs)
+            masks = list(zip(xs, zs))
+            assert masks == [p.sort_key for p in enumerate_bursts(n, l, kind)]
+            assert masks == [p.sort_key for p in label_bursts(n, l, kind)]
+
+    def test_masks_errors(self):
+        with pytest.raises(ValueError):
+            burst_masks(3, 4, "phase")
+        with pytest.raises(ValueError):
+            burst_masks(3, 0, "bit")
+        with pytest.raises(ValueError):
+            burst_masks(3, 1, "weird")
 
     def test_vector_order_matches_label_oracle(self):
         for n in range(1, 9):

@@ -1,10 +1,12 @@
-"""The statevector-sweep benchmark workload, run once through the CLI and
-checked against its pinned output (perfbench/expected/), so that a drift in
-block syndromes, corrected positions or fidelity fails here and not only in
-a benchmark run."""
+"""Every benchmark workload, run once through the CLI and checked against its
+pinned output (perfbench/expected/), so that a drift in the stabilizer
+witness, burst count, enumeration digest, circuit text, block syndromes,
+corrected positions or fidelity fails here and not only in a benchmark run."""
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from qinterleave.cli import main
 
@@ -20,9 +22,12 @@ def load_workloads():
     return module
 
 
-def test_statevector_sweep_matches_pinned_output(capsys):
-    workloads = load_workloads()
-    workload = workloads.WORKLOADS["statevector-sweep"]
+workloads = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_matches_pinned_output(name, capsys):
+    workload = workloads.WORKLOADS[name]
     argv = next(workload.op_argvs(seed=1, stream=0))
     exit_code = main(argv)
     stdout = capsys.readouterr().out
