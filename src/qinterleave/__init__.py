@@ -11,16 +11,12 @@ from .codes import (
     CorrectabilityResult,
     StabilizerCode,
     SyndromeCollisionError,
-    SyndromeTable,
-    UnknownSyndromeError,
     block_decode,
     build_syndrome_table,
     burst_ability_measured,
-    correct,
     corrects_error_set,
     encode_blocks,
     encode_phase3,
-    extract_syndrome,
     five_qubit_code,
     interleaved_code,
     logical_encoder,
@@ -67,21 +63,17 @@ __all__ = [
     "StabilizerCode",
     "StateVector",
     "SyndromeCollisionError",
-    "SyndromeTable",
-    "UnknownSyndromeError",
     "apply_branches",
     "basis_state",
     "block_decode",
     "build_syndrome_table",
     "burst_ability_measured",
     "burst_masks",
-    "correct",
     "corrects_error_set",
     "encode_blocks",
     "encode_phase3",
     "enumerate_burst_vectors",
     "enumerate_bursts",
-    "extract_syndrome",
     "five_qubit_code",
     "interleave_permutation",
     "interleaved_code",

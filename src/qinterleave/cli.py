@@ -220,7 +220,8 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
     The stabilizer method checks syndrome-level correctability of the whole
     burst set; the statevector method runs encode -> corrupt -> deinterleave
     -> block-decode -> fidelity for every burst.  Burst lengths beyond the
-    register size are clamped.
+    register size are clamped.  Every argument, the statevector size guard
+    included, is checked before any burst is enumerated.
     """
     start = time.perf_counter()
     if code_name not in CODES:
@@ -233,15 +234,11 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         raise ValueError("degree must be >= 1")
     code = CODES[code_name]()
     total = code.n * degree
+    if method == "statevector" and total > MAX_QUBITS:
+        raise ValueError(
+            f"statevector method needs n*m <= {MAX_QUBITS}, got {total}")
     requested = burst if burst is not None else code.burst_ability * degree
     effective = min(requested, total)
-    # The stabilizer method checks mask ints; only statevector needs Paulis.
-    if method == "stabilizer":
-        xs, zs = burst_masks(total, effective, kind)
-        count = len(xs)
-    else:
-        errors = enumerate_bursts(total, effective, kind)
-        count = len(errors)
     parameters = {
         "code": code_name,
         "degree": degree,
@@ -250,25 +247,27 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         "kind": kind,
         "method": method,
         "interleaved_code": f"[[{total},{code.k * degree}]]",
-        "burst_count": count,
+        "burst_count": 0,  # set below, once the bursts are enumerated
         "code_block": code.to_text(),
     }
 
+    # The stabilizer method checks mask ints; only statevector needs Paulis.
     if method == "stabilizer":
+        xs, zs = burst_masks(total, effective, kind)
         compound = interleaved_code(code, degree)
+        parameters["burst_count"] = len(xs)
         parameters["interleaved_code_block"] = compound.to_text()
         result = corrects_masks(compound, xs, zs)
         item = {
-            "label": f"{count} {kind} bursts of length <= {effective}",
+            "label": f"{len(xs)} {kind} bursts of length <= {effective}",
             "passed": result.ok,
         }
         if not result.ok:
             item["witness"] = [str(result.witness[0]), str(result.witness[1])]
         items = [item]
     else:
-        if total > MAX_QUBITS:
-            raise ValueError(
-                f"statevector method needs n*m <= {MAX_QUBITS}, got {total}")
+        errors = enumerate_bursts(total, effective, kind)
+        parameters["burst_count"] = len(errors)
         pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
         try:
             items = _statevector_items(code, kind, pairs,

@@ -15,6 +15,9 @@ commute or anticommute alike with every logical operator, i.e. lie in the
 same class of N(S)/S.  So a set is correctable iff every syndrome bucket
 holds a single class.  Both the syndromes and the classes are commutation
 bits, computed for all errors at once on masks packed into uint64 words.
+The same buckets build the decoder's syndrome table, a plain dict from
+syndrome tuples to corrections: each bucket's first error is its correction,
+and a bucket holding two classes has no correction.
 """
 from __future__ import annotations
 
@@ -40,10 +43,6 @@ _WORD_MASK = (1 << _WORD) - 1
 
 class SyndromeCollisionError(ValueError):
     """Two errors share a syndrome but do not differ by a stabilizer element."""
-
-
-class UnknownSyndromeError(KeyError):
-    """The measured syndrome has no entry in the decoding table."""
 
 
 class _Gf2Span:
@@ -238,50 +237,6 @@ def encode_blocks(coeffs: Sequence[tuple[complex, complex]],
     return reduce(lambda a, b: a.tensor(b), blocks)
 
 
-def extract_syndrome(code: StabilizerCode, s: StateVector) -> tuple[int, ...]:
-    """Measured syndrome: bit i is 0 for generator eigenvalue +1, else 1."""
-    return tuple(0 if s.stabilizer_eigenvalue(g) == 1 else 1 for g in code.generators)
-
-
-@dataclass(frozen=True)
-class SyndromeTable:
-    """Maps syndrome tuples to correction Paulis; zero syndrome maps to identity."""
-
-    corrections: dict[tuple[int, ...], PauliString]
-
-    def __len__(self) -> int:
-        return len(self.corrections)
-
-    def lookup(self, syndrome: tuple[int, ...]) -> PauliString:
-        try:
-            return self.corrections[syndrome]
-        except KeyError:
-            raise UnknownSyndromeError(syndrome) from None
-
-
-def build_syndrome_table(code: StabilizerCode,
-                         errors: Sequence[PauliString]) -> SyndromeTable:
-    """Syndrome -> correction map; raises SyndromeCollisionError when two
-    errors share a syndrome without differing by a stabilizer element."""
-    identity = PauliString.identity(code.n)
-    table: dict[tuple[int, ...], PauliString] = {(0,) * (code.n - code.k): identity}
-    for e in errors:
-        syn = code.syndrome_of(e)
-        existing = table.get(syn)
-        if existing is None:
-            table[syn] = e
-        elif not code.in_stabilizer_group(existing * e):
-            raise SyndromeCollisionError(
-                f"errors {existing} and {e} share syndrome {syn} but their "
-                "product is outside the stabilizer group")
-    return SyndromeTable(table)
-
-
-def correct(code: StabilizerCode, table: SyndromeTable, s: StateVector) -> StateVector:
-    """Apply the table's correction for the measured syndrome."""
-    return s.apply_pauli(table.lookup(extract_syndrome(code, s)))
-
-
 def interleaved_code(code: StabilizerCode, m: int) -> StabilizerCode:
     """[[nm,km]] code: every block operator embedded at its block, then pushed
     through the interleave permutation; burst ability scales to b*m."""
@@ -338,6 +293,41 @@ def _commutation_bits(ex: np.ndarray, ez: np.ndarray,
     return bits
 
 
+class _Buckets(NamedTuple):
+    """Errors X_xs[i] Z_zs[i], identity first, with their packed syndrome rows
+    and class bits.  bucket[i] ranks error i's syndrome in syndrome order,
+    first[b] is bucket b's first error in input order, and stray[i] marks an
+    error whose class differs from its bucket's first error's."""
+    xs: list[int]
+    zs: list[int]
+    syndromes: np.ndarray
+    classes: np.ndarray
+    first: np.ndarray
+    bucket: np.ndarray
+    stray: np.ndarray
+
+
+def _bucket_errors(code: StabilizerCode, xs: Sequence[int],
+                   zs: Sequence[int]) -> _Buckets:
+    xs, zs = [0, *xs], [0, *zs]
+    words = -(-code.n // _WORD)
+    ex, ez = _pack_masks(xs, words), _pack_masks(zs, words)
+    syndromes = np.packbits(_commutation_bits(ex, ez, code.generators), axis=1)
+    classes = _commutation_bits(ex, ez, (*code.logical_xs, *code.logical_zs))
+    # Packed big-endian, the bytes of a row compare like the syndrome tuple.
+    rows = syndromes.view(np.dtype((np.void, syndromes.shape[1]))).ravel()
+    _, first, bucket = np.unique(rows, return_index=True, return_inverse=True)
+    stray = (classes != classes[first[bucket]]).any(axis=1)
+    return _Buckets(xs, zs, syndromes, classes, first, bucket, stray)
+
+
+def _error_masks(code: StabilizerCode,
+                 errors: Sequence[PauliString]) -> tuple[list[int], list[int]]:
+    if any(e.n != code.n for e in errors):
+        raise ValueError("error length does not match code size")
+    return [e.x_mask.as_int for e in errors], [e.z_mask.as_int for e in errors]
+
+
 def corrects_masks(code: StabilizerCode, xs: Sequence[int],
                    zs: Sequence[int]) -> CorrectabilityResult:
     """corrects_error_set for the errors X_xs[i] Z_zs[i], given as mask ints
@@ -349,25 +339,17 @@ def corrects_masks(code: StabilizerCode, xs: Sequence[int],
     bucket in syndrome order: its smallest member by (x, z), and the first
     later member of another class, whose product with it is not in S.
     """
-    xs, zs = [0, *xs], [0, *zs]
-    words = -(-code.n // _WORD)
-    ex, ez = _pack_masks(xs, words), _pack_masks(zs, words)
-    syndromes = np.packbits(_commutation_bits(ex, ez, code.generators), axis=1)
-    classes = _commutation_bits(ex, ez, (*code.logical_xs, *code.logical_zs))
-    # Packed big-endian, the bytes of a row compare like the syndrome tuple.
-    rows = syndromes.view(np.dtype((np.void, syndromes.shape[1]))).ravel()
-    _, first, bucket = np.unique(rows, return_index=True, return_inverse=True)
-    stray = (classes != classes[first[bucket]]).any(axis=1)
-    if not stray.any():
+    b = _bucket_errors(code, xs, zs)
+    if not b.stray.any():
         return CorrectabilityResult(True, None)
-    members = sorted(np.flatnonzero(bucket == bucket[stray].min()).tolist(),
-                     key=lambda i: (xs[i], zs[i]))
+    members = sorted(np.flatnonzero(b.bucket == b.bucket[b.stray].min()).tolist(),
+                     key=lambda i: (b.xs[i], b.zs[i]))
     base = members[0]
     partner = next(i for i in members[1:]
-                   if (classes[i] != classes[base]).any())
+                   if (b.classes[i] != b.classes[base]).any())
     return CorrectabilityResult(False, tuple(
-        PauliString(BinaryVector.from_int(code.n, xs[i]),
-                    BinaryVector.from_int(code.n, zs[i]))
+        PauliString(BinaryVector.from_int(code.n, b.xs[i]),
+                    BinaryVector.from_int(code.n, b.zs[i]))
         for i in (base, partner)))
 
 
@@ -382,10 +364,28 @@ def corrects_error_set(code: StabilizerCode,
     lexicographically smallest member, and the first later member whose
     product with it is outside the stabilizer group.
     """
-    if any(e.n != code.n for e in errors):
-        raise ValueError("error length does not match code size")
-    return corrects_masks(code, [e.x_mask.as_int for e in errors],
-                          [e.z_mask.as_int for e in errors])
+    return corrects_masks(code, *_error_masks(code, errors))
+
+
+def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
+                         ) -> dict[tuple[int, ...], PauliString]:
+    """Syndrome -> correction map, the identity's zero syndrome included.
+
+    Each syndrome maps to its first error in input order (the identity for
+    the zero syndrome), keys in order of first appearance.  Raises
+    SyndromeCollisionError at the first error whose product with its
+    syndrome's correction is outside the stabilizer group, i.e. whose class
+    differs from the correction's.
+    """
+    b = _bucket_errors(code, *_error_masks(code, errors))
+    paulis = [PauliString.identity(code.n), *errors]
+    syndromes = np.unpackbits(b.syndromes, axis=1, count=len(code.generators)).tolist()
+    if b.stray.any():
+        i = int(np.argmax(b.stray))
+        raise SyndromeCollisionError(
+            f"errors {paulis[b.first[b.bucket[i]]]} and {paulis[i]} share syndrome "
+            f"{tuple(syndromes[i])} but their product is outside the stabilizer group")
+    return {tuple(syndromes[i]): paulis[i] for i in np.sort(b.first).tolist()}
 
 
 def burst_ability_measured(code: StabilizerCode, kind: str) -> int:
@@ -434,17 +434,18 @@ def _expectation(rho: np.ndarray, x: int, z: int) -> complex:
                        for b in range(len(rho))))
 
 
-def block_decode(code: StabilizerCode, table: SyndromeTable, s: StateVector,
-                 m: int) -> tuple[StateVector, list[BlockDecode]]:
+def block_decode(code: StabilizerCode, table: dict[tuple[int, ...], PauliString],
+                 s: StateVector, m: int) -> tuple[StateVector, list[BlockDecode]]:
     """Decode m consecutive blocks of a block-major (deinterleaved) state.
 
     Each block's syndrome is read from the amplitudes alone: the block's
     2^n x 2^n reduced density matrix is formed once, and every generator's
     +-1 eigenvalue is its expectation on that matrix (a state that is not an
     eigenstate raises IndeterminateEigenvalueError).  The corrections of all
-    blocks act on disjoint qubits, so they are applied as one Pauli.  Blocks
-    with an unknown syndrome are left uncorrected and flagged; the caller
-    decides whether that counts as failure.
+    blocks act on disjoint qubits, so they are applied as one Pauli.  The
+    table maps syndrome tuples to corrections (build_syndrome_table); blocks
+    with a syndrome outside it are left uncorrected and flagged, and the
+    caller decides whether that counts as failure.
     """
     if s.n != code.n * m:
         raise ValueError("state size must be n*m")
@@ -454,7 +455,7 @@ def block_decode(code: StabilizerCode, table: SyndromeTable, s: StateVector,
         syn = tuple(
             0 if eigenvalue_from_expectation(_expectation(rho, gx, gz)) == 1 else 1
             for gx, gz in code._generator_masks)
-        corr = table.corrections.get(syn)
+        corr = table.get(syn)
         if corr is not None:
             fix = fix * corr.embed(s.n, i * code.n)
         records.append(BlockDecode(i, syn, corr))

@@ -17,6 +17,7 @@ from qinterleave import (
     Permutation,
     StabilizerCode,
     StateVector,
+    SyndromeCollisionError,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -159,6 +160,25 @@ def gf2_corrects_error_set(code: StabilizerCode,
             if not code.in_stabilizer_group(base * e):
                 return CorrectabilityResult(False, (base, e))
     return CorrectabilityResult(True, None)
+
+
+def membership_syndrome_table(code: StabilizerCode,
+                              errors) -> dict[tuple[int, ...], PauliString]:
+    """Syndrome table by per-error membership: each error's syndrome from
+    syndrome_of, and every error colliding with an entry checked by a GF(2)
+    solve for its product with that entry in the stabilizer group."""
+    identity = PauliString.identity(code.n)
+    table: dict[tuple[int, ...], PauliString] = {(0,) * (code.n - code.k): identity}
+    for e in errors:
+        syn = code.syndrome_of(e)
+        existing = table.get(syn)
+        if existing is None:
+            table[syn] = e
+        elif not code.in_stabilizer_group(existing * e):
+            raise SyndromeCollisionError(
+                f"errors {existing} and {e} share syndrome {syn} but their "
+                "product is outside the stabilizer group")
+    return table
 
 
 def circuit_label_action(circuit: Circuit) -> np.ndarray:

@@ -153,6 +153,31 @@ class TestVerifyCommand:
                   "--method", "statevector"])
         assert exc.value.code == 2
 
+    def test_statevector_size_guard_before_enumeration(self, monkeypatch, capsys):
+        # 30 qubits at --burst 12 would enumerate tens of millions of bursts
+        def no_enumeration(*args):
+            raise AssertionError("bursts enumerated before the size guard")
+
+        monkeypatch.setattr(qinterleave.cli, "enumerate_bursts", no_enumeration)
+        monkeypatch.setattr(qinterleave.cli, "burst_masks", no_enumeration)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--code", "five", "--degree", "6", "--burst", "12",
+                  "--kind", "colocated", "--method", "statevector"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "qinterleave: error: statevector method needs n*m <= 26, got 30\n")
+
+    @pytest.mark.parametrize("method,extra", [
+        ("stabilizer", ["interleaved_code_block"]),
+        ("statevector", []),
+    ])
+    def test_parameter_order(self, capsys, method, extra):
+        _, out = run_main(capsys, "verify", "--degree", "2", "--method", method,
+                          "--output", "json")
+        assert list(json.loads(out)["parameters"]) == [
+            "code", "degree", "burst_requested", "burst_effective", "kind",
+            "method", "interleaved_code", "burst_count", "code_block", *extra]
+
     def test_methods_agree_on_shared_configs(self):
         # spot check here; the full sweep lives in the acceptance suite
         for m, l in ((1, 2), (2, 2), (2, 3)):

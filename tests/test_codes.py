@@ -14,16 +14,14 @@ from qinterleave import (
     StabilizerCode,
     StateVector,
     SyndromeCollisionError,
-    UnknownSyndromeError,
+    basis_state,
     block_decode,
     build_syndrome_table,
     burst_ability_measured,
-    correct,
     corrects_error_set,
     encode_blocks,
     encode_phase3,
     enumerate_bursts,
-    extract_syndrome,
     five_qubit_code,
     interleave_permutation,
     interleaved_code,
@@ -35,6 +33,7 @@ from oracles import (
     gf2_corrects_error_set,
     gf2_rank_of,
     in_gf2_span,
+    membership_syndrome_table,
     pauli_matrix,
     random_state,
 )
@@ -49,6 +48,17 @@ def random_pair(rng):
     raw = rng.normal(size=4)
     raw /= np.linalg.norm(raw)
     return complex(raw[0], raw[1]), complex(raw[2], raw[3])
+
+
+def single_burst_table(code, kind):
+    return build_syndrome_table(
+        code, [PauliString.identity(code.n)] + enumerate_bursts(code.n, 1, kind))
+
+
+def decode_one(code, table, s):
+    """block_decode of a single block: the corrected state and its record."""
+    fixed, records = block_decode(code, table, s, 1)
+    return fixed, records[0]
 
 
 class TestBuiltinCodes:
@@ -146,7 +156,8 @@ class TestEncoding:
         code = five_qubit_code()
         enc = logical_encoder(code)
         zero_l = enc(1, 0)
-        assert extract_syndrome(code, zero_l) == (0, 0, 0, 0)
+        table = single_burst_table(code, "colocated")
+        assert decode_one(code, table, zero_l)[1].syndrome == (0, 0, 0, 0)
         assert zero_l.stabilizer_eigenvalue(code.logical_zs[0]) == 1
         one_l = enc(0, 1)
         assert one_l.stabilizer_eigenvalue(code.logical_zs[0]) == -1
@@ -195,31 +206,36 @@ class TestEncoding:
 class TestSyndromes:
     def test_extract_examples(self):
         code = phase3_code()
+        table = single_burst_table(code, "phase")
         state = encode_phase3(0.6, 0.8)
-        assert extract_syndrome(code, state) == (0, 0)
-        assert extract_syndrome(
-            code, state.apply_pauli(PauliString.from_label("IZI"))) == (1, 1)
-        assert extract_syndrome(
-            code, state.apply_pauli(PauliString.from_label("ZII"))) == (1, 0)
+        assert decode_one(code, table, state)[1].syndrome == (0, 0)
+        assert decode_one(
+            code, table,
+            state.apply_pauli(PauliString.from_label("IZI")))[1].syndrome == (1, 1)
+        assert decode_one(
+            code, table,
+            state.apply_pauli(PauliString.from_label("ZII")))[1].syndrome == (1, 0)
 
     def test_extract_propagates_indeterminate(self):
-        from qinterleave import IndeterminateEigenvalueError, basis_state
+        code = phase3_code()
         with pytest.raises(IndeterminateEigenvalueError):
-            extract_syndrome(phase3_code(), basis_state(3, "001"))
+            decode_one(code, single_burst_table(code, "phase"), basis_state(3, "001"))
 
     def test_symplectic_and_state_syndromes_agree(self):
         code = five_qubit_code()
+        table = single_burst_table(code, "colocated")
         state = logical_encoder(code)(0.28, 0.96)
         for err in enumerate_bursts(5, 1, "colocated"):
-            assert extract_syndrome(code, state.apply_pauli(err)) == code.syndrome_of(err)
+            _, record = decode_one(code, table, state.apply_pauli(err))
+            assert record.syndrome == code.syndrome_of(err)
 
     def test_table_phase3(self):
         code = phase3_code()
         errors = [PauliString.identity(3)] + enumerate_bursts(3, 1, "phase")
         table = build_syndrome_table(code, errors)
         assert len(table) == 4
-        assert set(table.corrections) == {(0, 0), (1, 0), (1, 1), (0, 1)}
-        assert table.corrections[(0, 0)].is_identity
+        assert set(table) == {(0, 0), (1, 0), (1, 1), (0, 1)}
+        assert table[(0, 0)].is_identity
 
     def test_table_collision(self):
         code = phase3_code()
@@ -227,10 +243,14 @@ class TestSyndromes:
             build_syndrome_table(code, [PauliString.identity(3),
                                         PauliString.from_label("XII")])
 
+    def test_table_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="error length"):
+            build_syndrome_table(phase3_code(), [PauliString.from_label("ZIII")])
+
     def test_table_identity_only(self):
         table = build_syndrome_table(phase3_code(), [PauliString.identity(3)])
         assert len(table) == 1
-        assert table.corrections[(0, 0)].is_identity
+        assert table[(0, 0)].is_identity
 
     def test_degenerate_duplicate_allowed(self):
         # two errors with equal syndrome whose product is a stabilizer element
@@ -238,36 +258,36 @@ class TestSyndromes:
         z0 = PauliString.from_label("ZII")
         z0_stab = z0 * code.generators[0]  # differs by XXI
         table = build_syndrome_table(code, [z0, z0_stab])
-        assert table.corrections[code.syndrome_of(z0)] == z0
+        assert table[code.syndrome_of(z0)] == z0
 
 
 class TestCorrection:
+    """Whole-register correction of one block: block_decode with m = 1."""
+
     def test_correct_round_trip(self):
         code = phase3_code()
-        table = build_syndrome_table(
-            code, [PauliString.identity(3)] + enumerate_bursts(3, 1, "phase"))
+        table = single_burst_table(code, "phase")
         state = encode_phase3(0.6, 0.8)
         corrupted = state.apply_pauli(PauliString.from_label("IZI"))
-        fixed = correct(code, table, corrupted)
+        fixed, _ = decode_one(code, table, corrupted)
         assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
-        assert extract_syndrome(code, fixed) == (0, 0)
+        assert decode_one(code, table, fixed)[1].syndrome == (0, 0)
 
     def test_correct_uncorrupted(self):
         code = phase3_code()
-        table = build_syndrome_table(
-            code, [PauliString.identity(3)] + enumerate_bursts(3, 1, "phase"))
+        table = single_burst_table(code, "phase")
         state = encode_phase3(0.28, 0.96)
-        assert abs(correct(code, table, state).fidelity(state) - 1.0) < FID_TOL
+        fixed, _ = decode_one(code, table, state)
+        assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
 
     def test_correct_up_to_stabilizer(self):
         # corruption by Z_0 * XXI decodes to a correction differing by a
         # stabilizer element, which acts trivially on code states
         code = phase3_code()
-        table = build_syndrome_table(
-            code, [PauliString.identity(3)] + enumerate_bursts(3, 1, "phase"))
+        table = single_burst_table(code, "phase")
         state = encode_phase3(0.6, 0.8)
         err = PauliString.from_label("ZII") * code.generators[0]
-        fixed = correct(code, table, state.apply_pauli(err))
+        fixed, _ = decode_one(code, table, state.apply_pauli(err))
         assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
 
     def test_unknown_syndrome(self):
@@ -275,8 +295,10 @@ class TestCorrection:
         table = build_syndrome_table(code, [PauliString.identity(3),
                                             PauliString.from_label("ZII")])
         corrupted = encode_phase3(0.6, 0.8).apply_pauli(PauliString.from_label("IZI"))
-        with pytest.raises(UnknownSyndromeError):
-            correct(code, table, corrupted)
+        fixed, record = decode_one(code, table, corrupted)
+        assert record.ok is False and record.correction is None
+        assert record.syndrome == (1, 1)
+        assert fixed.amps.tobytes() == corrupted.amps.tobytes()
 
     def test_decoder_soundness_five(self):
         code = five_qubit_code()
@@ -287,7 +309,7 @@ class TestCorrection:
         enc = logical_encoder(code)
         state = enc(*random_pair(rng))
         for err in errors:
-            fixed = correct(code, table, state.apply_pauli(err))
+            fixed, _ = decode_one(code, table, state.apply_pauli(err))
             assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
 
 
@@ -477,18 +499,88 @@ class TestCorrectabilityOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_random_small_codes(self, data):
-        n = data.draw(st.integers(1, 5), label="n")
-        k = data.draw(st.integers(0, n), label="k")
-        gates = data.draw(st.lists(st.tuples(st.sampled_from(("H", "S", "CNOT")),
-                                             st.integers(0, n - 1),
-                                             st.integers(0, n - 1)),
-                                   max_size=12), label="gates")
-        code = scrambled_code(n, k, gates)
-        masks = st.integers(0, (1 << n) - 1)
-        errors = [PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
-                  for x, z in data.draw(st.lists(st.tuples(masks, masks), max_size=12),
-                                        label="errors")]
-        assert_matches_oracle(code, errors)
+        assert_matches_oracle(*draw_code_and_errors(data))
+
+
+def draw_code_and_errors(data):
+    """A random scrambled [[n,k]] code (n <= 5) and up to 12 random errors."""
+    n = data.draw(st.integers(1, 5), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    gates = data.draw(st.lists(st.tuples(st.sampled_from(("H", "S", "CNOT")),
+                                         st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=12), label="gates")
+    code = scrambled_code(n, k, gates)
+    masks = st.integers(0, (1 << n) - 1)
+    errors = [PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
+              for x, z in data.draw(st.lists(st.tuples(masks, masks), max_size=12),
+                                    label="errors")]
+    return code, errors
+
+
+def table_outcome(build, code, errors):
+    """The table's (syndrome, correction) items in order, or the collision
+    message."""
+    try:
+        return list(build(code, errors).items())
+    except SyndromeCollisionError as exc:
+        return str(exc)
+
+
+def assert_table_matches_oracle(code, errors):
+    got = table_outcome(build_syndrome_table, code, errors)
+    assert got == table_outcome(membership_syndrome_table, code, errors)
+    return got
+
+
+class TestSyndromeTableOracle:
+    """build_syndrome_table, built from the logical-class buckets, against the
+    per-error syndrome and membership loop: the same keys, corrections and
+    order, or the same collision message."""
+
+    def test_interleaved_burst_sweep(self):
+        identity = {n: PauliString.identity(n) for n in range(3, 16)}
+        cases, outcomes = 0, set()
+        for base in (phase3_code(), five_qubit_code()):
+            for m in (1, 2, 3):
+                code = interleaved_code(base, m)
+                for kind in ("bit", "phase", "colocated", "independent"):
+                    for l in range(1, code.n + 1):
+                        errors = enumerate_bursts(code.n, l, kind)
+                        if len(errors) > 3000:
+                            break
+                        for ordered in (errors, errors[::-1],
+                                        [identity[code.n]] + errors):
+                            got = assert_table_matches_oracle(code, ordered)
+                            outcomes.add(isinstance(got, str))
+                            cases += 1
+        assert cases == 390
+        # both tables and collisions are reached
+        assert outcomes == {True, False}
+
+    def test_collision_message(self):
+        # the table the statevector method builds for independent bursts
+        code = five_qubit_code()
+        errors = [PauliString.identity(5)] + enumerate_bursts(5, 1, "independent")
+        message = assert_table_matches_oracle(code, errors)
+        assert message.startswith("errors IIIIZ and XZIII share syndrome (0, 1, 0, 0) ")
+
+    def test_degenerate_pair(self):
+        code = phase3_code()
+        z0 = PauliString.from_label("ZII")
+        items = assert_table_matches_oracle(code, [z0, z0 * code.generators[0]])
+        assert items == [((0, 0), PauliString.identity(3)), ((1, 0), z0)]
+
+    def test_codes_without_generators(self):
+        code = scrambled_code(3, 3, [])
+        assert assert_table_matches_oracle(code, []) == [((), PauliString.identity(3))]
+        assert isinstance(
+            assert_table_matches_oracle(code, [PauliString.from_label("XII")]), str)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_small_codes(self, data):
+        assert_table_matches_oracle(*draw_code_and_errors(data))
 
 
 class TestTheorem2Equivalence:

@@ -1,0 +1,24 @@
+"""The package's export list: every exported name resolves, and names of
+removed API stay out of it."""
+import qinterleave
+
+
+def test_every_exported_name_resolves():
+    assert len(set(qinterleave.__all__)) == len(qinterleave.__all__)
+    for name in qinterleave.__all__:
+        assert getattr(qinterleave, name) is not None, name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from qinterleave import *", namespace)
+    assert set(qinterleave.__all__) <= set(namespace)
+
+
+def test_single_block_decoder_is_gone():
+    # block_decode is the one decoder, and its table is a plain dict
+    for name in ("extract_syndrome", "correct", "SyndromeTable",
+                 "UnknownSyndromeError"):
+        assert name not in qinterleave.__all__
+        assert not hasattr(qinterleave, name)
+        assert not hasattr(qinterleave.codes, name)
