@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .codes import (
     block_decode,
     build_syndrome_table,
     corrects_masks,
-    encode_blocks,
     five_qubit_code,
     interleaved_code,
     logical_encoder,
@@ -127,28 +127,28 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
 def _statevector_items(code: StabilizerCode, kind: str,
                        pairs: Sequence[tuple[complex, complex]],
                        errors: Iterable[tuple[str, PauliString]]) -> list[dict]:
-    """Encode one block per coefficient pair and interleave them; then, for
-    each (label, error), corrupt -> deinterleave -> block-decode -> fidelity.
+    """Encode one block per coefficient pair; for each (label, error) on the
+    interleaved register, deinterleave -> corrupt -> block-decode -> fidelity.
 
-    The block decoder corrects the kind's bursts up to the code's burst
-    ability; raises SyndromeCollisionError when no such decoder exists.
+    Deinterleaved, the register is a tensor product of blocks and the error a
+    tensor product of block Paulis, so each block is decoded on its own n
+    qubits and the fidelity is the product of the block fidelities.  The
+    block decoder corrects the kind's bursts up to the code's burst ability;
+    raises SyndromeCollisionError when no such decoder exists.
     """
     table = build_syndrome_table(
         code, [PauliString.identity(code.n)]
         + enumerate_bursts(code.n, code.burst_ability, kind))
-    m = len(pairs)
-    phi_in = encode_blocks(pairs, logical_encoder(code))
-    perm = interleave_permutation(code.n, m)
-    interleaved = phi_in.permute_qubits(perm)
-    inverse = perm.inverse()
+    encoder = logical_encoder(code)
+    blocks = [encoder(c0, c1) for c0, c1 in pairs]
+    inverse = interleave_permutation(code.n, len(blocks)).inverse()
     items = []
     for label, err in errors:
-        deint = interleaved.apply_pauli(err).permute_qubits(inverse)
-        fixed, records = block_decode(code, table, deint, m)
+        parts = err.permute(inverse.images).split(code.n)
+        fixed, records = block_decode(
+            code, table, [b.apply_pauli(p) for b, p in zip(blocks, parts)])
         decoded = all(r.ok for r in records)
-        fid = fixed.fidelity(phi_in)
-        # Holding the decoded state into the next burst adds a state to peak memory.
-        del fixed
+        fid = math.prod(f.fidelity(b) for f, b in zip(fixed, blocks))
         positions = sorted(
             code.n * r.block + q
             for r in records if r.correction is not None
@@ -218,10 +218,11 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
     """Exhaustive burst sweep against one interleaved code.
 
     The stabilizer method checks syndrome-level correctability of the whole
-    burst set; the statevector method runs encode -> corrupt -> deinterleave
-    -> block-decode -> fidelity for every burst.  Burst lengths beyond the
-    register size are clamped.  Every argument, the statevector size guard
-    included, is checked before any burst is enumerated.
+    burst set; the statevector method runs deinterleave -> corrupt ->
+    block-decode -> fidelity on the encoded blocks for every burst.  Burst
+    lengths beyond the register size are clamped.  Every argument, the
+    statevector size guard included, is checked before any burst is
+    enumerated.
     """
     start = time.perf_counter()
     if code_name not in CODES:
@@ -232,6 +233,8 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         raise ValueError(f"unknown method {method!r}")
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if burst is not None and burst < 1:
+        raise ValueError(f"--burst must be >= 1, got {burst}")
     code = CODES[code_name]()
     total = code.n * degree
     if method == "statevector" and total > MAX_QUBITS:
@@ -326,6 +329,10 @@ def run_synth(rows: int, cols: int, fmt: str = "plain",
 def run_enumerate(n: int, burst: int, kind: str) -> Report:
     """List every burst of the kind with length <= burst on n qubits."""
     start = time.perf_counter()
+    if n < 1:
+        raise ValueError(f"qubits must be >= 1, got {n}")
+    if burst < 1:
+        raise ValueError(f"--burst must be >= 1, got {burst}")
     effective = min(burst, n)
     errors = enumerate_bursts(n, effective, kind)
     items = [{"label": str(e), "passed": e.is_quantum_burst(effective),

@@ -23,18 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .interleaver import interleave_permutation
 from .pauli import BinaryVector, PauliString, burst_masks
-from .statevector import (
-    MAX_QUBITS,
-    StateVector,
-    basis_state,
-    eigenvalue_from_expectation,
-)
+from .statevector import MAX_QUBITS, StateVector, basis_state
 
 _NORM_TOL = 1e-10
 _WORD = 64
@@ -409,54 +404,26 @@ class BlockDecode:
         return self.correction is not None
 
 
-def _block_matrices(amps: np.ndarray, n: int, m: int) -> Iterator[np.ndarray]:
-    """Reduced density matrix of each n-qubit block i of an (n*m)-qubit state,
-    in block order: rho_i[b, b'] sums psi(r, b) conj(psi(r, b')) over the
-    labels r of the other blocks.
-
-    The amplitudes of block i are the middle axis of the (2^(i*n), 2^n, rest)
-    view; summing over the outer axes is one matrix product per leading index,
-    or a single product for the last block, where rest is 1.
-    """
-    conj = amps.conj()
-    for i in range(m):
-        a = amps.reshape(1 << (i * n), 1 << n, -1)
-        c = conj.reshape(a.shape)
-        if i == m - 1:
-            yield a[:, :, 0].T @ c[:, :, 0]
-        else:
-            yield np.matmul(a, c.transpose(0, 2, 1)).sum(axis=0)
-
-
-def _expectation(rho: np.ndarray, x: int, z: int) -> complex:
-    """Tr(rho X_x Z_z) = sum_b (-1)^popcount((b^x)&z) rho[b, b^x]."""
-    return complex(sum((-1) ** ((b ^ x) & z).bit_count() * rho[b, b ^ x]
-                       for b in range(len(rho))))
-
-
 def block_decode(code: StabilizerCode, table: dict[tuple[int, ...], PauliString],
-                 s: StateVector, m: int) -> tuple[StateVector, list[BlockDecode]]:
-    """Decode m consecutive blocks of a block-major (deinterleaved) state.
+                 blocks: Sequence[StateVector]
+                 ) -> tuple[list[StateVector], list[BlockDecode]]:
+    """Decode the blocks of a deinterleaved register, one n-qubit state each.
 
-    Each block's syndrome is read from the amplitudes alone: the block's
-    2^n x 2^n reduced density matrix is formed once, and every generator's
-    +-1 eigenvalue is its expectation on that matrix (a state that is not an
-    eigenstate raises IndeterminateEigenvalueError).  The corrections of all
-    blocks act on disjoint qubits, so they are applied as one Pauli.  The
+    Each block's syndrome is read from its amplitudes alone: every
+    generator's +-1 eigenvalue is StateVector.stabilizer_eigenvalue (a block
+    that is not an eigenstate raises IndeterminateEigenvalueError).  The
     table maps syndrome tuples to corrections (build_syndrome_table); blocks
     with a syndrome outside it are left uncorrected and flagged, and the
-    caller decides whether that counts as failure.
+    caller decides whether that counts as failure.  Returns the corrected
+    blocks and one record per block.
     """
-    if s.n != code.n * m:
-        raise ValueError("state size must be n*m")
-    fix = PauliString.identity(s.n)
-    records = []
-    for i, rho in enumerate(_block_matrices(s.amps, code.n, m)):
-        syn = tuple(
-            0 if eigenvalue_from_expectation(_expectation(rho, gx, gz)) == 1 else 1
-            for gx, gz in code._generator_masks)
+    fixed, records = [], []
+    for i, s in enumerate(blocks):
+        if s.n != code.n:
+            raise ValueError(f"block {i} has {s.n} qubits, the code has {code.n}")
+        syn = tuple(0 if s.stabilizer_eigenvalue(g) == 1 else 1
+                    for g in code.generators)
         corr = table.get(syn)
-        if corr is not None:
-            fix = fix * corr.embed(s.n, i * code.n)
+        fixed.append(s if corr is None else s.apply_pauli(corr))
         records.append(BlockDecode(i, syn, corr))
-    return (s if fix.is_identity else s.apply_pauli(fix)), records
+    return fixed, records

@@ -27,22 +27,6 @@ class IndeterminateEigenvalueError(ValueError):
     """The state is not a +-1 eigenstate of the requested Pauli operator."""
 
 
-def eigenvalue_from_expectation(value: complex) -> int:
-    """The +-1 eigenvalue that an expectation <s|P|s> reads out.
-
-    Raises IndeterminateEigenvalueError when the state is not an eigenstate
-    (expectation off the unit circle, or unit-modulus but not +-1).
-    """
-    if abs(abs(value) - 1.0) > _EIG_TOL:
-        raise IndeterminateEigenvalueError(
-            f"|<s|P|s>| = {abs(value):.8f}; state is not a Pauli eigenstate")
-    eig = 1 if value.real > 0 else -1
-    if abs(value - eig) > _EIG_TOL:
-        raise IndeterminateEigenvalueError(
-            f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
-    return eig
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized dense state of an n-qubit register."""
@@ -145,8 +129,15 @@ class StateVector:
         IndeterminateEigenvalueError when the state is not an eigenstate
         (expectation off the unit circle, or unit-modulus but not +-1).
         """
-        return eigenvalue_from_expectation(
-            complex(np.vdot(self.amps, self.apply_pauli(p).amps)))
+        value = complex(np.vdot(self.amps, self.apply_pauli(p).amps))
+        if abs(abs(value) - 1.0) > _EIG_TOL:
+            raise IndeterminateEigenvalueError(
+                f"|<s|P|s>| = {abs(value):.8f}; state is not a Pauli eigenstate")
+        eig = 1 if value.real > 0 else -1
+        if abs(value - eig) > _EIG_TOL:
+            raise IndeterminateEigenvalueError(
+                f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
+        return eig
 
     def amplitudes_table(self, tol: float = 1e-12) -> list[tuple[str, float, float]]:
         """(basis label, real, imaginary) triples for amplitudes above tol."""

@@ -18,7 +18,12 @@ from qinterleave import (
     StabilizerCode,
     StateVector,
     SyndromeCollisionError,
+    encode_blocks,
+    enumerate_bursts,
+    interleave_permutation,
+    logical_encoder,
 )
+from qinterleave.cli import FIDELITY_TOL
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -179,6 +184,49 @@ def membership_syndrome_table(code: StabilizerCode,
                 f"errors {existing} and {e} share syndrome {syn} but their "
                 "product is outside the stabilizer group")
     return table
+
+
+def dense_statevector_items(code: StabilizerCode, kind: str, pairs,
+                            errors) -> list[dict]:
+    """The CLI's state-vector items, computed on one dense register of all m
+    blocks: encode_blocks, interleave with permute_qubits, apply each burst
+    to the whole register and deinterleave it, read block i's syndrome from
+    the register-wide eigenvalues of its embedded generators, apply every
+    block's correction as one Pauli and take the fidelity with the encoded
+    register.  The table is membership_syndrome_table's, for the kind's
+    bursts up to the code's burst ability."""
+    table = membership_syndrome_table(
+        code, enumerate_bursts(code.n, code.burst_ability, kind))
+    m = len(pairs)
+    total = code.n * m
+    phi_in = encode_blocks(pairs, logical_encoder(code))
+    perm = interleave_permutation(code.n, m)
+    interleaved = phi_in.permute_qubits(perm)
+    items = []
+    for label, err in errors:
+        deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
+        fix = PauliString.identity(total)
+        syndromes = []
+        for i in range(m):
+            syn = tuple(
+                0 if deint.stabilizer_eigenvalue(g.embed(total, i * code.n)) == 1 else 1
+                for g in code.generators)
+            syndromes.append(syn)
+            if syn in table:
+                fix = fix * table[syn].embed(total, i * code.n)
+        decoded = all(syn in table for syn in syndromes)
+        fid = deint.apply_pauli(fix).fidelity(phi_in)
+        positions = sorted(fix.x_mask.support() | fix.z_mask.support())
+        items.append({
+            "label": label,
+            "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
+            "fidelity": fid,
+            "block_syndromes": [list(syn) for syn in syndromes],
+            "corrected_positions_0based": positions,
+            "corrected_positions_1based": [q + 1 for q in positions],
+            "decoded": decoded,
+        })
+    return items
 
 
 def circuit_label_action(circuit: Circuit) -> np.ndarray:

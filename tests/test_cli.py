@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 import qinterleave.cli
-import qinterleave.codes
+import qinterleave.statevector
 from qinterleave import (
+    BURST_KINDS,
     IndeterminateEigenvalueError,
     SyndromeCollisionError,
+    enumerate_bursts,
     parse_plain,
 )
 from qinterleave.cli import (
+    CODES,
     Report,
+    _cycled_pairs,
+    _random_pairs,
+    _statevector_items,
     main,
     report_schema,
     run_demo,
@@ -21,7 +27,11 @@ from qinterleave.cli import (
     run_synth,
     run_verify,
 )
-from oracles import circuit_label_action, permutation_label_action
+from oracles import (
+    circuit_label_action,
+    dense_statevector_items,
+    permutation_label_action,
+)
 from qinterleave import interleave_permutation
 
 
@@ -147,6 +157,20 @@ class TestVerifyCommand:
             main(["verify", "--code", "nosuch"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("method", ["stabilizer", "statevector"])
+    @pytest.mark.parametrize("burst", ["0", "-3"])
+    def test_burst_below_one_usage_error(self, monkeypatch, capsys, method, burst):
+        def no_enumeration(*args):
+            raise AssertionError("bursts enumerated before --burst was checked")
+
+        monkeypatch.setattr(qinterleave.cli, "enumerate_bursts", no_enumeration)
+        monkeypatch.setattr(qinterleave.cli, "burst_masks", no_enumeration)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--degree", "2", "--burst", burst, "--method", method])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"qinterleave: error: --burst must be >= 1, got {burst}\n")
+
     def test_statevector_size_guard(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--code", "five", "--degree", "6",
@@ -200,6 +224,39 @@ class TestVerifyCommand:
         assert "reason" in report.items[0]
 
 
+class TestDenseOracle:
+    """The block-by-block state-vector pipeline against the dense register of
+    all blocks (oracles.dense_statevector_items), on every configuration
+    with n*m <= 12."""
+
+    @pytest.mark.parametrize("code_name,m", [
+        ("phase3", 1), ("phase3", 2), ("phase3", 3), ("phase3", 4),
+        ("five", 1), ("five", 2)])
+    def test_block_pipeline_matches_dense_register(self, code_name, m):
+        code = CODES[code_name]()
+        outcomes = set()
+        for kind in BURST_KINDS:
+            for l in sorted({1, m, m + 1}):
+                if kind == "independent" and l > 2:
+                    continue
+                errors = [(str(e), e) for e in enumerate_bursts(code.n * m, l, kind)]
+                for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
+                    try:
+                        dense = dense_statevector_items(code, kind, pairs, errors)
+                    except SyndromeCollisionError as exc:
+                        with pytest.raises(SyndromeCollisionError) as got:
+                            _statevector_items(code, kind, pairs, errors)
+                        assert str(got.value) == str(exc)
+                        continue
+                    items = _statevector_items(code, kind, pairs, errors)
+                    assert len(items) == len(dense)
+                    for item, want in zip(items, dense):
+                        assert abs(item.pop("fidelity") - want.pop("fidelity")) <= 1e-12
+                        assert item == want
+                        outcomes.add(item["passed"])
+        assert outcomes == {True, False}
+
+
 class TestSynthCommand:
     def test_5x5(self, capsys):
         code, out = run_main(capsys, "synth", "5", "5")
@@ -243,11 +300,11 @@ class TestSynthCommand:
         assert "CNOT 1 2" in out and "SWAP" not in out.split("command")[0]
 
     def test_internal_fault_is_not_a_usage_error(self, monkeypatch, capsys):
-        def broken_readout(value):
+        def broken_readout(state, p):
             raise IndeterminateEigenvalueError("injected readout fault")
 
-        monkeypatch.setattr(qinterleave.codes, "eigenvalue_from_expectation",
-                            broken_readout)
+        monkeypatch.setattr(qinterleave.statevector.StateVector,
+                            "stabilizer_eigenvalue", broken_readout)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--degree", "2", "--burst", "1",
                   "--method", "statevector"])
@@ -287,13 +344,26 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.count("[pass]") == 9
 
-    def test_usage_errors(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "0", "--burst", "1"])
-        assert exc.value.code == 2
+    def test_usage_errors(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "5", "--burst", "2", "--kind", "odd"])
         assert exc.value.code == 2
+        capsys.readouterr()
+
+        def no_enumeration(*args):
+            raise AssertionError("bursts enumerated before the arguments were checked")
+
+        monkeypatch.setattr(qinterleave.cli, "enumerate_bursts", no_enumeration)
+        for argv, message in [
+            (["0", "--burst", "1"], "qubits must be >= 1, got 0"),
+            (["-2", "--burst", "1"], "qubits must be >= 1, got -2"),
+            (["5", "--burst", "0"], "--burst must be >= 1, got 0"),
+            (["5", "--burst", "-1"], "--burst must be >= 1, got -1"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate", *argv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == f"qinterleave: error: {message}\n"
 
 
 class TestReports:

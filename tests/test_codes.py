@@ -1,4 +1,5 @@
 """Tests for stabilizer codes, syndrome decoding, and interleaved construction."""
+import functools
 import itertools
 import random
 
@@ -57,8 +58,15 @@ def single_burst_table(code, kind):
 
 def decode_one(code, table, s):
     """block_decode of a single block: the corrected state and its record."""
-    fixed, records = block_decode(code, table, s, 1)
-    return fixed, records[0]
+    fixed, records = block_decode(code, table, [s])
+    return fixed[0], records[0]
+
+
+def corrupt_blocks(blocks, err, perm):
+    """The blocks of a deinterleaved register, each hit by its part of the
+    burst err on the interleaved register."""
+    parts = err.permute(perm.inverse().images).split(blocks[0].n)
+    return [b.apply_pauli(p) for b, p in zip(blocks, parts)]
 
 
 class TestBuiltinCodes:
@@ -262,7 +270,7 @@ class TestSyndromes:
 
 
 class TestCorrection:
-    """Whole-register correction of one block: block_decode with m = 1."""
+    """Correction of one block: block_decode of a one-block list."""
 
     def test_correct_round_trip(self):
         code = phase3_code()
@@ -590,19 +598,17 @@ class TestTheorem2Equivalence:
         table = build_syndrome_table(
             base, [PauliString.identity(3)] + enumerate_bursts(3, 1, "phase"))
         rng = np.random.default_rng(25)
-        coeffs = [random_pair(rng) for _ in range(m)]
-        phi_in = encode_blocks(coeffs, encode_phase3)
+        blocks = [encode_phase3(*random_pair(rng)) for _ in range(m)]
         perm = interleave_permutation(3, m)
-        interleaved_state = phi_in.permute_qubits(perm)
         compound = interleaved_code(base, m)
         for l in range(1, 3 * m + 1):
             bursts = enumerate_bursts(3 * m, l, "phase")
             failures = 0
             for err in bursts:
-                deint = interleaved_state.apply_pauli(err).permute_qubits(perm.inverse())
-                fixed, records = block_decode(base, table, deint, m)
-                ok = (all(r.ok for r in records)
-                      and fixed.fidelity(phi_in) >= 1.0 - FID_TOL)
+                fixed, records = block_decode(base, table,
+                                              corrupt_blocks(blocks, err, perm))
+                fid = np.prod([f.fidelity(b) for f, b in zip(fixed, blocks)])
+                ok = all(r.ok for r in records) and fid >= 1.0 - FID_TOL
                 failures += 0 if ok else 1
             stab_ok = corrects_error_set(compound, bursts).ok
             assert (failures == 0) == stab_ok
@@ -614,17 +620,20 @@ class TestBlockDecode:
         base = phase3_code()
         table = build_syndrome_table(base, [PauliString.identity(3),
                                             PauliString.from_label("ZII")])
-        state = encode_blocks([(0.6, 0.8), (0.28, 0.96)], encode_phase3)
-        corrupted = state.apply_pauli(PauliString.from_label("IZIIII"))
-        fixed, records = block_decode(base, table, corrupted, 2)
+        blocks = [encode_phase3(0.6, 0.8), encode_phase3(0.28, 0.96)]
+        corrupted = [b.apply_pauli(p) for b, p in
+                     zip(blocks, PauliString.from_label("IZIIII").split(3))]
+        fixed, records = block_decode(base, table, corrupted)
         assert not records[0].ok and records[0].syndrome == (1, 1)
+        assert fixed[0].amps.tobytes() == corrupted[0].amps.tobytes()
         assert records[1].ok and records[1].correction.is_identity
 
     def test_size_guard(self):
         base = phase3_code()
         table = build_syndrome_table(base, [PauliString.identity(3)])
-        with pytest.raises(ValueError):
-            block_decode(base, table, encode_phase3(1, 0), 2)
+        with pytest.raises(ValueError, match="block 1 has 6 qubits"):
+            block_decode(base, table, [encode_phase3(1, 0),
+                                       encode_blocks([(1, 0)] * 2, encode_phase3)])
 
 
 def whole_register_syndromes(code, s, m):
@@ -633,6 +642,10 @@ def whole_register_syndromes(code, s, m):
     return [tuple(0 if s.stabilizer_eigenvalue(g.embed(s.n, i * code.n)) == 1 else 1
                   for g in code.generators)
             for i in range(m)]
+
+
+def dense_register(blocks):
+    return functools.reduce(lambda a, b: a.tensor(b), blocks)
 
 
 def raises_indeterminate(fn) -> bool:
@@ -644,8 +657,9 @@ def raises_indeterminate(fn) -> bool:
 
 
 class TestBlockReadoutOracle:
-    """block_decode reads each block's syndrome from the block's reduced
-    density matrix; the whole-register readout is its oracle."""
+    """block_decode reads each block's syndrome from the block's own n-qubit
+    state; the whole-register readout on the dense tensor product of the
+    blocks is its oracle."""
 
     @pytest.mark.parametrize("base,m,table_kind", [
         (phase3_code(), 4, "phase"),
@@ -656,16 +670,18 @@ class TestBlockReadoutOracle:
             base, [PauliString.identity(base.n)]
             + enumerate_bursts(base.n, 1, table_kind))
         rng = np.random.default_rng(26)
-        phi_in = encode_blocks([random_pair(rng) for _ in range(m)],
-                               logical_encoder(base))
+        encoder = logical_encoder(base)
+        pairs = [random_pair(rng) for _ in range(m)]
+        blocks = [encoder(c0, c1) for c0, c1 in pairs]
+        phi_in = encode_blocks(pairs, encoder)
         perm = interleave_permutation(base.n, m)
         interleaved = phi_in.permute_qubits(perm)
         total = base.n * m
         seen = set()
         for err in enumerate_bursts(total, 3, "colocated"):
-            deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
-            _, records = block_decode(base, table, deint, m)
+            _, records = block_decode(base, table, corrupt_blocks(blocks, err, perm))
             got = [r.syndrome for r in records]
+            deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
             assert got == whole_register_syndromes(base, deint, m), err
             seen.update(got)
         # the bursts reach every syndrome of a block
@@ -674,24 +690,27 @@ class TestBlockReadoutOracle:
     def test_both_raise_on_the_same_non_eigenstates(self):
         base = phase3_code()
         table = build_syndrome_table(base, [PauliString.identity(3)])
-        state = encode_blocks([(0.6, 0.8), (0.28, 0.96)], encode_phase3)
+        b0, b1 = encode_phase3(0.6, 0.8), encode_phase3(0.28, 0.96)
 
-        def mixed(label):
+        def mixed(block, label):
             # equal superposition of two syndromes on the Z-hit block
-            amps = state.amps + state.apply_pauli(PauliString.from_label(label)).amps
-            return StateVector(6, amps / np.linalg.norm(amps))
+            amps = block.amps + block.apply_pauli(PauliString.from_label(label)).amps
+            return StateVector(3, amps / np.linalg.norm(amps))
 
+        rng = np.random.default_rng(27)
         cases = {
-            "codeword": state,
-            "corrupted": state.apply_pauli(PauliString.from_label("IZIIIZ")),
-            "block 0 mixed": mixed("ZIIIII"),
-            "block 1 mixed": mixed("IIIIZI"),
-            "random": random_state(6, np.random.default_rng(27)),
+            "codeword": [b0, b1],
+            "corrupted": [b0.apply_pauli(PauliString.from_label("IZI")),
+                          b1.apply_pauli(PauliString.from_label("IIZ"))],
+            "block 0 mixed": [mixed(b0, "ZII"), b1],
+            "block 1 mixed": [b0, mixed(b1, "IZI")],
+            "random": [random_state(3, rng), random_state(3, rng)],
         }
         outcomes = {}
-        for name, s in cases.items():
-            by_block = raises_indeterminate(lambda: block_decode(base, table, s, 2))
-            whole = raises_indeterminate(lambda: whole_register_syndromes(base, s, 2))
+        for name, blocks in cases.items():
+            by_block = raises_indeterminate(lambda: block_decode(base, table, blocks))
+            whole = raises_indeterminate(
+                lambda: whole_register_syndromes(base, dense_register(blocks), 2))
             assert by_block == whole, name
             outcomes[name] = by_block
         assert outcomes == {"codeword": False, "corrupted": False,
@@ -704,9 +723,8 @@ class TestBlockReadoutOracle:
         code = StabilizerCode(n=1, k=0, generators=(PauliString.from_label("Y"),),
                               logical_xs=(), logical_zs=(), burst_ability=0)
         table = build_syndrome_table(code, [PauliString.identity(1)])
-        plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        s = StateVector(2, np.kron(plus_i, plus_i))
+        plus_i = StateVector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
         with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
-            block_decode(code, table, s, 2)
+            block_decode(code, table, [plus_i, plus_i])
         with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
-            whole_register_syndromes(code, s, 2)
+            whole_register_syndromes(code, dense_register([plus_i, plus_i]), 2)

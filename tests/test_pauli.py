@@ -218,6 +218,27 @@ class TestPauliString:
         assert str(p.embed(5, 2)) == "IIXZI"
         with pytest.raises(ValueError):
             p.embed(3, 2)
+        # split(size) cuts an operator into its size-qubit parts: the inverse
+        # of embedding each part at its offset
+        p = PauliString.from_label("XZY")
+        for i in range(4):
+            parts = p.embed(12, 3 * i).split(3)
+            assert parts == [p if j == i else PauliString.identity(3)
+                             for j in range(4)]
+        rng = random.Random(31)
+        for _ in range(20):
+            q = PauliString.from_label("".join(rng.choice("IXZY") for _ in range(70)))
+            for size in (1, 2, 5, 7, 10, 14, 35, 70):
+                parts = q.split(size)
+                assert len(parts) == 70 // size
+                assert all(part.n == size for part in parts)
+                joined = PauliString.identity(70)
+                for i, part in enumerate(parts):
+                    joined = joined * part.embed(70, i * size)
+                assert joined == q
+        for size in (0, -1, 4, 71):
+            with pytest.raises(ValueError):
+                q.split(size)
 
 
 class TestEnumerateBursts:

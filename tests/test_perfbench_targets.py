@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qinterleave.cli
 from qinterleave import PauliString, basis_state
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -39,3 +40,23 @@ def test_apply_pauli_counter_reads_masks():
     # one phase pass and one flip pass over 8 amplitudes
     assert counts["statevector.apply_pauli.bytes_computed"] == (
         2 * 8 * (2 * spans.AMP_BYTES + spans.INDEX_BYTES))
+
+
+def test_tracer_counts_statevector_sweep_blocks(capsys):
+    # The traced benchmark counts decoded blocks from block_decode's
+    # (states, records) return: 67 bursts x 6 blocks in one sweep.
+    from test_perfbench_workloads import workloads
+
+    argv = next(workloads.WORKLOADS["statevector-sweep"].op_argvs(seed=1, stream=0))
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        assert qinterleave.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.op_metrics(0)
+    assert metrics["codes.blocks_decoded"] == 402
+    assert metrics["codes.block_decode.calls"] == 67
