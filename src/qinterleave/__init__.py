@@ -5,7 +5,6 @@ simulates Pauli burst errors on encoded multi-block registers, and verifies
 burst-correcting ability of interleaved stabilizer codes both by exhaustive
 state-vector decoding and by the symplectic correctability criterion.
 """
-from .channel import BranchSet, ErrorBranch, apply_branches, sample_burst
 from .codes import (
     BlockDecode,
     CorrectabilityResult,
@@ -35,7 +34,6 @@ from .pauli import (
     BinaryVector,
     PauliString,
     burst_masks,
-    enumerate_burst_vectors,
     enumerate_bursts,
 )
 from .statevector import (
@@ -51,10 +49,8 @@ __all__ = [
     "BURST_KINDS",
     "BinaryVector",
     "BlockDecode",
-    "BranchSet",
     "Circuit",
     "CorrectabilityResult",
-    "ErrorBranch",
     "Gate",
     "IndeterminateEigenvalueError",
     "MAX_QUBITS",
@@ -63,7 +59,6 @@ __all__ = [
     "StabilizerCode",
     "StateVector",
     "SyndromeCollisionError",
-    "apply_branches",
     "basis_state",
     "block_decode",
     "build_syndrome_table",
@@ -72,7 +67,6 @@ __all__ = [
     "corrects_error_set",
     "encode_blocks",
     "encode_phase3",
-    "enumerate_burst_vectors",
     "enumerate_bursts",
     "five_qubit_code",
     "interleave_permutation",
@@ -80,6 +74,5 @@ __all__ = [
     "logical_encoder",
     "parse_plain",
     "phase3_code",
-    "sample_burst",
     "synthesize_swap_network",
 ]

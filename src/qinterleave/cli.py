@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channel import BranchSet, ErrorBranch
 from .codes import (
     StabilizerCode,
     SyndromeCollisionError,
@@ -137,8 +136,7 @@ def _statevector_items(code: StabilizerCode, kind: str,
     raises SyndromeCollisionError when no such decoder exists.
     """
     table = build_syndrome_table(
-        code, [PauliString.identity(code.n)]
-        + enumerate_bursts(code.n, code.burst_ability, kind))
+        code, enumerate_bursts(code.n, code.burst_ability, kind))
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
     inverse = interleave_permutation(code.n, len(blocks)).inverse()
@@ -168,11 +166,12 @@ def _statevector_items(code: StabilizerCode, kind: str,
 def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
              seed: int | None = None,
              bursts: Sequence[str] | None = None) -> Report:
-    """Worked example: three phase-code blocks, interleave, the two-burst
-    channel, deinterleave, block-wise correction.
+    """Worked example: three phase-code blocks, interleave, the two default
+    bursts, deinterleave, block-wise correction.
 
-    `bursts` replaces the default branch set with arbitrary 9-qubit Pauli
-    strings (one branch per string).
+    `bursts` replaces the default bursts with 9-qubit Pauli strings, one
+    report item labelled e_<pauli> each; an empty list or a Pauli given twice
+    is refused.
     """
     start = time.perf_counter()
     if coeffs is None:
@@ -184,13 +183,15 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     paulis = [PauliString.from_label(label) for label in labels]
     if any(p.n != 9 for p in paulis):
         raise ValueError("demo bursts act on 9 qubits")
+    if not paulis:
+        raise ValueError("demo needs at least one burst")
+    if len(set(paulis)) != len(paulis):
+        raise ValueError("demo bursts must be pairwise distinct Paulis")
 
     code = phase3_code()
     encoder = logical_encoder(code)
-    branches = BranchSet(tuple(
-        ErrorBranch(p, f"e_{p}") for p in paulis))
     items = _statevector_items(code, "phase", coeffs,
-                               [(b.label, b.pauli) for b in branches.branches])
+                               [(f"e_{p}", p) for p in paulis])
 
     return Report(
         command="demo",
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=None,
                       help="randomize logical coefficients")
     demo.add_argument("--bursts", type=str, default=None,
-                      help="comma-separated 9-qubit Pauli strings replacing "
-                           "the default branch set (e.g. ZZZIIIIII,IIIIIZZZI)")
+                      help="comma-separated distinct 9-qubit Pauli strings "
+                           "replacing the default bursts (e.g. ZZZIIIIII,IIIIIZZZI)")
     demo.add_argument("--output", choices=("text", "json"), default="text",
                       help="report format")
 

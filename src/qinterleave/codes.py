@@ -181,7 +181,7 @@ def five_qubit_code() -> StabilizerCode:
 
 def encode_phase3(c0: complex, c1: complex) -> StateVector:
     """c0|C_0> + c1|C_1> with the even/odd-parity codewords of the phase code."""
-    if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > _NORM_TOL:
+    if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= _NORM_TOL:
         raise ValueError("logical coefficients must satisfy |c0|^2 + |c1|^2 = 1")
     amps = np.zeros(8, dtype=np.complex128)
     for label in ("000", "011", "101", "110"):
@@ -213,7 +213,7 @@ def logical_encoder(code: StabilizerCode) -> Callable[[complex, complex], StateV
     one_l = zero_l.apply_pauli(code.logical_xs[0])
 
     def encode(c0: complex, c1: complex) -> StateVector:
-        if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > _NORM_TOL:
+        if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= _NORM_TOL:
             raise ValueError("logical coefficients must satisfy |c0|^2 + |c1|^2 = 1")
         return StateVector(code.n, c0 * zero_l.amps + c1 * one_l.amps)
 

@@ -9,7 +9,6 @@ codes burst-tolerant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 GATE_KINDS = ("H", "CNOT", "SWAP")
 _GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2}
@@ -48,12 +47,6 @@ class Permutation:
         for i, v in enumerate(self.images):
             inv[v] = i
         return Permutation(tuple(inv))
-
-    def compose(self, first: "Permutation") -> "Permutation":
-        """Permutation equal to applying `first`, then self."""
-        if first.size != self.size:
-            raise ValueError("size mismatch in permutation composition")
-        return Permutation(tuple(self.images[first.images[i]] for i in range(self.size)))
 
 
 def interleave_permutation(n: int, m: int) -> Permutation:
@@ -192,14 +185,3 @@ def synthesize_swap_network(perm: Permutation) -> Circuit:
             gates.append(Gate.swap(start, cur))
             cur = perm(cur)
     return Circuit(n, tuple(gates))
-
-
-def deinterleave_blocks(v: Sequence[int], n: int, m: int) -> list[tuple[int, ...]]:
-    """Split a transmitted-layout length-n*m vector back into its m blocks."""
-    if len(v) != n * m:
-        raise ValueError("vector length must be n*m")
-    inv = interleave_permutation(n, m).inverse()
-    restored = [0] * (n * m)
-    for i, bit in enumerate(v):
-        restored[inv(i)] = bit
-    return [tuple(restored[i * n:(i + 1) * n]) for i in range(m)]

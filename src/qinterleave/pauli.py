@@ -279,12 +279,6 @@ def burst_masks(n: int, l: int, kind: str) -> tuple[list[int], list[int]]:
     return xs, zs
 
 
-def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
-    """All nonzero length-n vectors with burst length <= l, in (length, start,
-    interior pattern) order."""
-    return [BinaryVector.from_int(n, v) for v in burst_masks(n, l, "bit")[0]]
-
-
 def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:
     """All non-identity Pauli strings of the given burst kind on n qubits, in
     the order and with the kinds of burst_masks."""

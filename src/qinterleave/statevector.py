@@ -41,7 +41,8 @@ class StateVector:
         if amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        # Written so that a NaN norm fails too: every comparison with NaN is false.
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "amps", amps)
 

@@ -2,15 +2,20 @@
 
 Everything here recomputes results from first principles (dense matrices,
 explicit label arithmetic, brute-force scans) and deliberately avoids the
-code paths under test.
+code paths under test.  The last section holds helpers that only tests use:
+burst vectors, seeded burst sampling, deinterleaving a transmitted vector and
+permutation composition.
 """
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import numpy as np
 
 from qinterleave import (
+    BURST_KINDS,
+    BinaryVector,
     Circuit,
     CorrectabilityResult,
     PauliString,
@@ -18,6 +23,7 @@ from qinterleave import (
     StabilizerCode,
     StateVector,
     SyndromeCollisionError,
+    burst_masks,
     encode_blocks,
     enumerate_bursts,
     interleave_permutation,
@@ -346,3 +352,75 @@ def place_blocks(block_amps: list[np.ndarray], position_sets: list[tuple[int, ..
     fill(0, 0, 1.0)
     amps /= np.linalg.norm(amps)
     return StateVector(n, amps)
+
+
+# Test-only helpers.
+
+def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
+    """All nonzero length-n vectors with burst length <= l, in (length, start,
+    interior pattern) order."""
+    return [BinaryVector.from_int(n, v) for v in burst_masks(n, l, "bit")[0]]
+
+
+def sample_burst(seed: int, n: int, l: int, kind: str) -> PauliString:
+    """Deterministic random non-identity burst of the given kind.
+
+    Exact length is uniform in [1, l], the window start uniform over valid
+    positions, and the interior pattern uniform with nonzero endpoints
+    (letters uniform over {X,Z,Y} at the window ends for colocated bursts).
+    """
+    if kind not in BURST_KINDS:
+        raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
+    if not 1 <= l <= n:
+        raise ValueError(f"burst bound l={l} out of range for n={n}")
+    rng = random.Random(seed)
+
+    def burst_vector() -> BinaryVector:
+        length = rng.randint(1, l)
+        start = rng.randint(0, n - length)
+        bits = [0] * n
+        bits[start] = 1
+        bits[start + length - 1] = 1
+        for j in range(start + 1, start + length - 1):
+            bits[j] = rng.randint(0, 1)
+        return BinaryVector(tuple(bits))
+
+    zero = BinaryVector.zeros(n)
+    if kind == "bit":
+        return PauliString(burst_vector(), zero)
+    if kind == "phase":
+        return PauliString(zero, burst_vector())
+    if kind == "colocated":
+        span = rng.randint(1, l)
+        start = rng.randint(0, n - span)
+        letters = ["I"] * n
+        letters[start] = rng.choice("XZY")
+        if span > 1:
+            for j in range(start + 1, start + span - 1):
+                letters[j] = rng.choice("IXZY")
+            letters[start + span - 1] = rng.choice("XZY")
+        return PauliString.from_label("".join(letters))
+    # independent: each mask is empty with probability 1/4, but never both.
+    while True:
+        x = burst_vector() if rng.random() >= 0.25 else zero
+        z = burst_vector() if rng.random() >= 0.25 else zero
+        if not (x.is_zero and z.is_zero):
+            return PauliString(x, z)
+
+
+def deinterleave_blocks(v, n: int, m: int) -> list[tuple[int, ...]]:
+    """Split a transmitted-layout length-n*m vector back into its m blocks."""
+    if len(v) != n * m:
+        raise ValueError("vector length must be n*m")
+    inv = interleave_permutation(n, m).inverse()
+    restored = [0] * (n * m)
+    for i, bit in enumerate(v):
+        restored[inv(i)] = bit
+    return [tuple(restored[i * n:(i + 1) * n]) for i in range(m)]
+
+
+def compose(second: Permutation, first: Permutation) -> Permutation:
+    """Permutation equal to applying `first`, then `second`."""
+    if first.size != second.size:
+        raise ValueError("size mismatch in permutation composition")
+    return Permutation(tuple(second.images[first.images[i]] for i in range(second.size)))

@@ -18,8 +18,12 @@ from qinterleave import (
     synthesize_swap_network,
 )
 from qinterleave.cli import run_demo, run_verify
-from qinterleave.interleaver import deinterleave_blocks
-from oracles import circuit_label_action, permutation_label_action, random_state
+from oracles import (
+    circuit_label_action,
+    deinterleave_blocks,
+    permutation_label_action,
+    random_state,
+)
 
 FID_TOL = 1e-10
 

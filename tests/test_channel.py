@@ -1,52 +1,26 @@
-"""Tests for the branch-superposition channel and burst sampling."""
+"""Tests for the burst channel: Pauli bursts applied to an interleaved
+register, one branch per burst, and seeded burst sampling."""
 import numpy as np
 import pytest
 
 from qinterleave import (
     BURST_KINDS,
-    BranchSet,
-    ErrorBranch,
     PauliString,
-    apply_branches,
     enumerate_bursts,
     encode_blocks,
     encode_phase3,
     interleave_permutation,
-    sample_burst,
 )
-from oracles import pauli_matrix, place_blocks
+from oracles import pauli_matrix, place_blocks, sample_burst
 
-
-def demo_branch_set():
-    return BranchSet((
-        ErrorBranch(PauliString.from_masks("0" * 9, "111000000"), "e_111000000"),
-        ErrorBranch(PauliString.from_masks("0" * 9, "000001110"), "e_000001110"),
-    ))
-
-
-class TestBranchTypes:
-    def test_label_required(self):
-        with pytest.raises(ValueError):
-            ErrorBranch(PauliString.identity(2), "")
-
-    def test_branchset_validation(self):
-        with pytest.raises(ValueError):
-            BranchSet(())
-        b = ErrorBranch(PauliString.identity(2), "e")
-        with pytest.raises(ValueError):
-            BranchSet((b, b))
-
-    def test_amplitude_is_bookkeeping(self):
-        b = ErrorBranch(PauliString.identity(2), "e", amplitude=0.5j)
-        assert b.amplitude == 0.5j
+DEMO_BURSTS = (PauliString.from_masks("0" * 9, "111000000"),
+               PauliString.from_masks("0" * 9, "000001110"))
 
 
 class TestApplyBranches:
     def test_identity_branch(self):
         state = encode_phase3(0.6, 0.8)
-        bs = BranchSet((ErrorBranch(PauliString.identity(3), "e0"),))
-        [(branch, out)] = apply_branches(bs, state)
-        assert branch.label == "e0"
+        out = state.apply_pauli(PauliString.identity(3))
         assert np.allclose(out.amps, state.amps)
 
     def test_two_branch_worked_example(self):
@@ -57,36 +31,31 @@ class TestApplyBranches:
         coeffs = [(0.6, 0.8), (0.28, 0.96), (0.96, -0.28)]
         phi_in = encode_blocks(coeffs, encode_phase3)
         interleaved = phi_in.permute_qubits(interleave_permutation(3, 3))
-        outputs = apply_branches(demo_branch_set(), interleaved)
-        assert [b.label for b, _ in outputs] == ["e_111000000", "e_000001110"]
+        outputs = [interleaved.apply_pauli(p) for p in DEMO_BURSTS]
 
         z_at = [pauli_matrix(PauliString.from_label(lab))
                 for lab in ("ZII", "IZI", "IIZ")]
         blocks = [encode_phase3(*c).amps for c in coeffs]
         positions = [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
         oracle1 = place_blocks([z_at[0] @ b for b in blocks], positions, 9)
-        assert np.allclose(outputs[0][1].amps, oracle1.amps)
+        assert np.allclose(outputs[0].amps, oracle1.amps)
         oracle2 = place_blocks(
             [z_at[2] @ blocks[0], z_at[2] @ blocks[1], z_at[1] @ blocks[2]],
             positions, 9)
-        assert np.allclose(outputs[1][1].amps, oracle2.amps)
+        assert np.allclose(outputs[1].amps, oracle2.amps)
 
     def test_branch_count_and_norm(self):
         coeffs = [(0.6, 0.8)] * 3
         state = encode_blocks(coeffs, encode_phase3).permute_qubits(
             interleave_permutation(3, 3))
-        bs = BranchSet(tuple(
-            ErrorBranch(p, f"e{i}")
-            for i, p in enumerate(enumerate_bursts(9, 3, "phase"))))
-        outputs = apply_branches(bs, state)
+        outputs = [state.apply_pauli(p) for p in enumerate_bursts(9, 3, "phase")]
         assert len(outputs) == 31
-        for _, out in outputs:
+        for out in outputs:
             assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
 
     def test_size_mismatch(self):
-        bs = BranchSet((ErrorBranch(PauliString.identity(4), "e"),))
         with pytest.raises(ValueError):
-            apply_branches(bs, encode_phase3(1, 0))
+            encode_phase3(1, 0).apply_pauli(PauliString.identity(4))
 
 
 class TestSampleBurst:

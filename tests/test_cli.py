@@ -70,7 +70,7 @@ class TestDemoCommand:
         assert report["items"][0]["corrected_positions_1based"] == [5]
 
     def test_uncorrectable_burst_fails_honestly(self, capsys):
-        # a bit error is invisible to the phase-code decoder, so the branch
+        # a bit error is invisible to the phase-code decoder, so the burst
         # must be reported as failed
         code, out = run_main(capsys, "demo", "--bursts", "XIIIIIIII",
                              "--output", "json")
@@ -83,6 +83,26 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "--bursts", "ZZZ"])
         assert exc.value.code == 2
+
+    def test_duplicate_bursts_usage_error(self, capsys):
+        # letters are read case-blind, so these are the same Pauli twice
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--bursts", "ZZZIIIIII,zzziiiiii"])
+        assert exc.value.code == 2
+        assert "distinct" in capsys.readouterr().err
+
+    def test_empty_bursts_rejected(self):
+        with pytest.raises(ValueError):
+            run_demo(bursts=[])
+
+    def test_custom_burst_labels(self, capsys):
+        code, out = run_main(capsys, "demo", "--bursts", "IIIIZIIII,xxiiiiiii",
+                             "--output", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert [item["label"] for item in report["items"]] == [
+            "e_IIIIZIIII", "e_XXIIIIIII"]
+        assert report["parameters"]["bursts"] == ["IIIIZIIII", "XXIIIIIII"]
 
     def test_basis_coefficients(self, capsys):
         code, out = run_main(capsys, "demo", "--coeffs", "1,0,1,0,1,0",
@@ -100,6 +120,10 @@ class TestDemoCommand:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["demo", "--coeffs", "1,1,1,0,1,0"])
+        assert exc.value.code == 2
+        # NaN is not normalized: a usage error, never a failed verification
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--coeffs", "nan,0,1,0,1,0"])
         assert exc.value.code == 2
 
 

@@ -146,8 +146,12 @@ class TestEncoding:
         assert np.allclose(s.amps, np.full(8, 1 / (2 * np.sqrt(2))))
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            encode_phase3(1, 1)
+        enc = logical_encoder(phase3_code())
+        for c0, c1 in ((1, 1), (np.nan, 0), (0, complex(np.nan, 0))):
+            with pytest.raises(ValueError):
+                encode_phase3(c0, c1)
+            with pytest.raises(ValueError):
+                enc(c0, c1)
 
     def test_projector_encoder_matches_phase3(self):
         enc = logical_encoder(phase3_code())

@@ -1,5 +1,9 @@
 """The package's export list: every exported name resolves, and names of
 removed API stay out of it."""
+import importlib
+
+import pytest
+
 import qinterleave
 
 
@@ -22,3 +26,16 @@ def test_single_block_decoder_is_gone():
         assert name not in qinterleave.__all__
         assert not hasattr(qinterleave, name)
         assert not hasattr(qinterleave.codes, name)
+
+
+def test_channel_module_is_gone():
+    # the demo checks its own bursts; the other helpers live in tests/oracles.py
+    for name in ("BranchSet", "ErrorBranch", "apply_branches", "sample_burst",
+                 "enumerate_burst_vectors", "deinterleave_blocks"):
+        assert name not in qinterleave.__all__
+        assert not hasattr(qinterleave, name)
+    assert not hasattr(qinterleave.pauli, "enumerate_burst_vectors")
+    assert not hasattr(qinterleave.interleaver, "deinterleave_blocks")
+    assert not hasattr(qinterleave.Permutation, "compose")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qinterleave.channel")

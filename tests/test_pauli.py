@@ -10,11 +10,16 @@ from qinterleave import (
     BinaryVector,
     PauliString,
     burst_masks,
-    enumerate_burst_vectors,
     enumerate_bursts,
     interleave_permutation,
 )
-from oracles import label_burst_vectors, label_bursts, pauli_matrix, scan_burst_length
+from oracles import (
+    enumerate_burst_vectors,
+    label_burst_vectors,
+    label_bursts,
+    pauli_matrix,
+    scan_burst_length,
+)
 
 
 def all_paulis(n):

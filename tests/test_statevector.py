@@ -59,6 +59,10 @@ class TestBasisAndTensor:
     def test_normalization_guard(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
+        # every comparison with NaN is false, so the check must fail on it
+        for amps in ([np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                StateVector(1, np.array(amps))
 
 
 class TestApplyPauli:
