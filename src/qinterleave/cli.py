@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,7 +32,8 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import BURST_KINDS, PauliString, burst_masks, enumerate_bursts
+from .pauli import (BURST_KINDS, PauliString, burst_labels, burst_length,
+                    burst_masks, enumerate_bursts)
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -75,7 +77,20 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """json.dumps(self.to_dict(), indent=2), byte for byte."""
+        report = self.to_dict()
+        values = chain.from_iterable(map(dict.values, self.items))
+        if not (self.items and all(self.items)
+                and {str, int, float, bool, type(None)}.issuperset(map(type, values))):
+            return json.dumps(report, indent=2)
+        # indent turns off the C encoder: flat items, free of cycles, take one C
+        # call, and as no encoded string holds a raw newline, "},\n" ends an item.
+        envelope = json.dumps({**report, "items": None}, indent=2)
+        head, tail = envelope.split('\n  "items": null', 1)
+        body = json.dumps(self.items, separators=(",\n      ", ": "),
+                          check_circular=False)[2:-2]
+        body = body.replace("},\n      {", "\n    },\n    {\n      ")
+        return f'{head}\n  "items": [\n    {{\n      {body}\n    }}\n  ]{tail}'
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -335,24 +350,26 @@ def run_enumerate(n: int, burst: int, kind: str) -> Report:
     if burst < 1:
         raise ValueError(f"--burst must be >= 1, got {burst}")
     effective = min(burst, n)
-    errors = enumerate_bursts(n, effective, kind)
-    items = [{"label": str(e), "passed": e.is_quantum_burst(effective),
-              "weight": e.weight()} for e in errors]
+    xs, zs = burst_masks(n, effective, kind)
+    items = [{"label": label,
+              "passed": burst_length(x) <= effective and burst_length(z) <= effective,
+              "weight": (x | z).bit_count()}
+             for label, x, z in zip(burst_labels(n, xs, zs), xs, zs)]
     return Report(
         command="enumerate",
         parameters={"qubits": n, "burst_requested": burst,
                     "burst_effective": effective, "kind": kind,
-                    "count": len(errors)},
+                    "count": len(xs)},
         items=items,
         elapsed_seconds=time.perf_counter() - start,
     )
 
 
 def _parse_coeffs(text: str) -> list[tuple[complex, complex]]:
-    values = [float(v) for v in text.split(",")]
-    if len(values) != 6:
+    fields = text.split(",")
+    if len(fields) != 6:
         raise ValueError("--coeffs takes 6 comma-separated reals (c0,c1 per block)")
-    return [(values[2 * i], values[2 * i + 1]) for i in range(3)]
+    return [(float(fields[2 * i]), float(fields[2 * i + 1])) for i in range(3)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,8 +428,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "demo":
-            coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
-            bursts = args.bursts.split(",") if args.bursts else None
+            coeffs = _parse_coeffs(args.coeffs) if args.coeffs is not None else None
+            bursts = args.bursts.split(",") if args.bursts is not None else None
             report = run_demo(coeffs=coeffs, seed=args.seed, bursts=bursts)
         elif args.command == "verify":
             report = run_verify(args.code, args.degree, burst=args.burst,

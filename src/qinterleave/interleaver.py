@@ -135,12 +135,13 @@ class Circuit:
             'include "qelib1.inc";',
             f"qreg q[{self.width}];",
         ]
-        for g in self.expand_swaps().gates:
-            if g.kind == "CNOT":
-                c, t = g.qubits
-                lines.append(f"cx q[{c}],q[{t}];")
-            else:
+        for g in self.gates:
+            if g.kind == "H":
                 lines.append(f"h q[{g.qubits[0]}];")
+            else:
+                a, b = g.qubits
+                ab = f"cx q[{a}],q[{b}];"
+                lines += (ab, f"cx q[{b}],q[{a}];", ab) if g.kind == "SWAP" else (ab,)
         return "\n".join(lines) + "\n"
 
     def export(self, fmt: str) -> str:

@@ -107,10 +107,7 @@ class BinaryVector:
 
     def burst_length(self) -> int:
         """Span from the first to the last nonzero position; 0 for the zero vector."""
-        v = self.as_int
-        if v == 0:
-            return 0
-        return v.bit_length() - (v & -v).bit_length() + 1
+        return burst_length(self.as_int)
 
     def dot(self, other: "BinaryVector") -> int:
         """Inner product mod 2."""
@@ -162,14 +159,9 @@ class PauliString:
         return self.x_mask.is_zero and self.z_mask.is_zero
 
     def label(self) -> str:
-        # Reading a mask's binary digits as hex digits gives every qubit its
-        # own nibble, so x + 2z per nibble is the index into "IXZY".
-        x = int(format(self.x_mask.as_int, "b"), 16)
-        z = int(format(self.z_mask.as_int, "b"), 16)
-        return format(x | (z << 1), f"0{self.n}x").translate(_HEX_DIGIT_LETTER)
+        return burst_labels(self.n, [self.x_mask.as_int], [self.z_mask.as_int])[0]
 
-    def __str__(self) -> str:
-        return self.label()
+    __str__ = label
 
     def weight(self) -> int:
         """Number of qubits touched: |supp(x) union supp(z)|."""
@@ -226,6 +218,25 @@ class PauliString:
         """(x int, z int); for equal lengths this orders like the bit tuples
         (x bits, z bits) lexicographically.  Used for deterministic tie-breaks."""
         return (self.x_mask.as_int, self.z_mask.as_int)
+
+
+def burst_length(mask: int) -> int:
+    """Span from the highest to the lowest set bit of a mask int; 0 for 0."""
+    return mask.bit_length() - (mask & -mask).bit_length() + 1 if mask else 0
+
+
+def burst_labels(n: int, xs: Sequence[int], zs: Sequence[int]) -> list[str]:
+    """The labels of the n-qubit Paulis with x masks xs and z masks zs, in
+    order, without building the Paulis; any masks, not only bursts."""
+    if not xs:
+        return []
+    # Read as hex, the masks' binary digits give each qubit its own nibble, so
+    # x + 2z per nibble indexes "IXZY"; hex converts in linear time.
+    digits = ("{:0%db}" % n) * len(xs)
+    x = int(digits.format(*xs), 16)
+    z = int(digits.format(*zs), 16)
+    text = format(x | (z << 1), f"0{n * len(xs)}x").translate(_HEX_DIGIT_LETTER)
+    return [text[i:i + n] for i in range(0, len(text), n)]
 
 
 def _pauli(n: int, x: int, z: int) -> PauliString:

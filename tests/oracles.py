@@ -99,6 +99,20 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps)
 
 
+def letter_label(p: PauliString) -> str:
+    """Label read letter by letter from the two bit tuples."""
+    return "".join("IXZY"[bx + 2 * bz]
+                   for bx, bz in zip(p.x_mask.bits, p.z_mask.bits))
+
+
+def enumerate_items(n: int, burst: int, kind: str) -> list[dict]:
+    """run_enumerate's items, from one PauliString per burst."""
+    effective = min(burst, n)
+    return [{"label": letter_label(p), "passed": p.is_quantum_burst(effective),
+             "weight": p.weight()}
+            for p in enumerate_bursts(n, effective, kind)]
+
+
 def scan_burst_length(bits) -> int:
     """Smallest window covering the support, found by scanning all windows."""
     support = [i for i, b in enumerate(bits) if b]
@@ -233,6 +247,17 @@ def dense_statevector_items(code: StabilizerCode, kind: str, pairs,
             "decoded": decoded,
         })
     return items
+
+
+def expanded_qasm(circuit: Circuit) -> str:
+    """QASM listing of the circuit lowered through expand_swaps, gate by gate."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
+    for g in circuit.expand_swaps().gates:
+        if g.kind == "CNOT":
+            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
+        else:
+            lines.append(f"h q[{g.qubits[0]}];")
+    return "\n".join(lines) + "\n"
 
 
 def circuit_label_action(circuit: Circuit) -> np.ndarray:

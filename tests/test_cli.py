@@ -10,7 +10,9 @@ import qinterleave.statevector
 from qinterleave import (
     BURST_KINDS,
     IndeterminateEigenvalueError,
+    PauliString,
     SyndromeCollisionError,
+    burst_masks,
     enumerate_bursts,
     parse_plain,
 )
@@ -30,6 +32,7 @@ from qinterleave.cli import (
 from oracles import (
     circuit_label_action,
     dense_statevector_items,
+    enumerate_items,
     permutation_label_action,
 )
 from qinterleave import interleave_permutation
@@ -94,6 +97,10 @@ class TestDemoCommand:
     def test_empty_bursts_rejected(self):
         with pytest.raises(ValueError):
             run_demo(bursts=[])
+        # an empty argument is an empty burst, never the default bursts
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--bursts", ""])
+        assert exc.value.code == 2
 
     def test_custom_burst_labels(self, capsys):
         code, out = run_main(capsys, "demo", "--bursts", "IIIIZIIII,xxiiiiiii",
@@ -125,6 +132,11 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "--coeffs", "nan,0,1,0,1,0"])
         assert exc.value.code == 2
+        # an empty argument is not the default coefficients
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--coeffs", ""])
+        assert exc.value.code == 2
+        assert "6 comma-separated reals" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -378,6 +390,7 @@ class TestEnumerateCommand:
             raise AssertionError("bursts enumerated before the arguments were checked")
 
         monkeypatch.setattr(qinterleave.cli, "enumerate_bursts", no_enumeration)
+        monkeypatch.setattr(qinterleave.cli, "burst_masks", no_enumeration)
         for argv, message in [
             (["0", "--burst", "1"], "qubits must be >= 1, got 0"),
             (["-2", "--burst", "1"], "qubits must be >= 1, got -2"),
@@ -388,6 +401,66 @@ class TestEnumerateCommand:
                 main(["enumerate", *argv])
             assert exc.value.code == 2
             assert capsys.readouterr().err == f"qinterleave: error: {message}\n"
+
+
+class TestRendering:
+    """Reports render exactly as json.dumps(..., indent=2) would, and
+    enumerate renders exactly what one PauliString per burst gives."""
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    @pytest.mark.parametrize("n", [1, 64, 65, 70])
+    def test_enumerate_matches_pauli_oracle(self, capsys, kind, n):
+        burst = 2 if kind == "independent" else 3
+        argv = ["enumerate", str(n), "--burst", str(burst), "--kind", kind]
+        code, out = run_main(capsys, *argv, "--output", "json")
+        report = json.loads(out)
+        oracle = Report("enumerate", report["parameters"],
+                        enumerate_items(n, burst, kind), report["elapsed_seconds"])
+        assert code == 0
+        assert out == json.dumps(oracle.to_dict(), indent=2) + "\n"
+        code, out = run_main(capsys, *argv, "--output", "text")
+        oracle.elapsed_seconds = float(out.rsplit(" ", 1)[1])
+        assert code == 0
+        assert out == oracle.to_text()
+
+    def test_passed_is_checked_on_the_masks(self, monkeypatch):
+        # burst_masks yields only bursts, so feed it two that are too long
+        def with_long_bursts(n, l, kind):
+            xs, zs = burst_masks(n, l, kind)
+            return xs + [0b10001, 0], zs + [0, 0b10100]
+
+        monkeypatch.setattr(qinterleave.cli, "burst_masks", with_long_bursts)
+        report = run_enumerate(5, 2, "colocated")
+        paulis = enumerate_bursts(5, 2, "colocated") + [
+            PauliString.from_label("XIIIX"), PauliString.from_label("ZIZII")]
+        assert [item["label"] for item in report.items] == [str(p) for p in paulis]
+        assert [item["passed"] for item in report.items] == [
+            p.is_quantum_burst(2) for p in paulis]
+        assert [item["weight"] for item in report.items] == [p.weight() for p in paulis]
+        assert [item["passed"] for item in report.items[-2:]] == [False, False]
+        assert report.verdict == "fail"
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_verify("phase3", 2, method="stabilizer"),
+        lambda: run_verify("five", 2, burst=3, kind="colocated", method="stabilizer"),
+        lambda: run_verify("phase3", 2, burst=2, method="statevector"),
+        lambda: run_verify("phase3", 3, burst=4, method="statevector"),
+        lambda: run_demo(),
+        lambda: run_synth(4, 4)[1],
+        lambda: run_synth(3, 5, fmt="qasm")[1],
+        lambda: run_enumerate(6, 2, "independent"),
+        lambda: Report("verify", {}),
+        lambda: Report("x", {"items": None, "nested": {"items": [], "k": "v"}}, [
+            {"label": 'a},\n      {"b', "passed": True, "none": None},
+            {"label": "\u00e9\u2028\\", "passed": False, "f": 1.5e-300,
+             "inf": float("inf"), "i": -3},
+        ]),
+        # the verdict stops reading items at the first failure
+        lambda: Report("x", {}, [{"label": "x", "passed": False}, {}]),
+    ])
+    def test_to_json_equals_indent_encoder(self, make):
+        report = make()
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 
 class TestReports:

@@ -16,6 +16,7 @@ from oracles import (
     compose,
     deinterleave_blocks,
     enumerate_burst_vectors,
+    expanded_qasm,
     permutation_label_action,
 )
 
@@ -177,6 +178,14 @@ class TestExport:
         assert lines[2] == "qreg q[3];"
         assert lines[3:6] == ["cx q[0],q[2];", "cx q[2],q[0];", "cx q[0],q[2];"]
         assert lines[6] == "h q[1];"
+
+    def test_qasm_matches_expanded_oracle(self):
+        mixed = Circuit(5, (Gate.h(0), Gate.swap(0, 3), Gate.cnot(2, 4),
+                            Gate.swap(4, 1), Gate.h(3), Gate.cnot(1, 0),
+                            Gate.swap(2, 0)))
+        network = synthesize_swap_network(interleave_permutation(4, 6))
+        for circuit in (mixed, network, Circuit(2, ())):
+            assert circuit.to_qasm() == expanded_qasm(circuit)
 
     def test_export_dispatch(self):
         circuit = Circuit(1, ())

@@ -13,10 +13,12 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
+from qinterleave.pauli import burst_labels, burst_length
 from oracles import (
     enumerate_burst_vectors,
     label_burst_vectors,
     label_bursts,
+    letter_label,
     pauli_matrix,
     scan_burst_length,
 )
@@ -43,7 +45,8 @@ class TestBinaryVector:
             for value in range(1 << n):
                 bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
                 v = BinaryVector(bits)
-                assert v.burst_length() == scan_burst_length(bits)
+                assert v.burst_length() == burst_length(value) == scan_burst_length(bits)
+        assert burst_length(1 << 69 | 1) == 70
 
     @pytest.mark.parametrize("bits,expected", [
         ("111000000", {0, 1, 2}),
@@ -296,6 +299,18 @@ class TestEnumerateBursts:
             masks = list(zip(xs, zs))
             assert masks == [p.sort_key for p in enumerate_bursts(n, l, kind)]
             assert masks == [p.sort_key for p in label_bursts(n, l, kind)]
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    def test_burst_labels_match_paulis(self, kind):
+        # past 64 qubits a mask takes more than one machine word
+        for n in (1, 6, 25, 64, 65, 70):
+            l = min(n, 2 if kind == "independent" else 3)
+            xs, zs = burst_masks(n, l, kind)
+            paulis = enumerate_bursts(n, l, kind)
+            labels = burst_labels(n, xs, zs)
+            assert labels == [str(p) for p in paulis]
+            assert labels == [letter_label(p) for p in paulis]
+        assert burst_labels(4, [], []) == []
 
     def test_masks_errors(self):
         with pytest.raises(ValueError):
