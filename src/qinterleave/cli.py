@@ -32,8 +32,8 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, PauliString, burst_labels, burst_length,
-                    burst_masks, enumerate_bursts)
+from .pauli import (BURST_KINDS, BinaryVector, PauliString, burst_labels,
+                    burst_length, burst_masks, enumerate_bursts)
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -140,37 +140,63 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
 
 def _statevector_items(code: StabilizerCode, kind: str,
                        pairs: Sequence[tuple[complex, complex]],
-                       errors: Iterable[tuple[str, PauliString]]) -> list[dict]:
-    """Encode one block per coefficient pair; for each (label, error) on the
-    interleaved register, deinterleave -> corrupt -> block-decode -> fidelity.
+                       errors: Iterable[tuple[str, int, int]]) -> list[dict]:
+    """Encode one block per coefficient pair; for each (label, x mask, z mask)
+    of an error on the interleaved register, deinterleave -> corrupt ->
+    block-decode -> fidelity.
 
     Deinterleaved, the register is a tensor product of blocks and the error a
     tensor product of block Paulis, so each block is decoded on its own n
-    qubits and the fidelity is the product of the block fidelities.  The
-    block decoder corrects the kind's bursts up to the code's burst ability;
-    raises SyndromeCollisionError when no such decoder exists.
+    qubits and the fidelity is the product of the block fidelities, in block
+    order.  The error's set bits are moved straight into m block-part mask
+    pairs, and each distinct (block, x part, z part) is corrupted and decoded
+    once per call.  The block decoder corrects the kind's bursts up to the
+    code's burst ability; raises SyndromeCollisionError when no such decoder
+    exists.
     """
     table = build_syndrome_table(
         code, enumerate_bursts(code.n, code.burst_ability, kind))
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
-    inverse = interleave_permutation(code.n, len(blocks)).inverse()
+    n, m = code.n, len(blocks)
+    # Register bit b (bit 0 is the last qubit) is bit `bit` of block `block`.
+    inverse = interleave_permutation(n, m).inverse().images
+    slots = [(p // n, 1 << (n - 1 - p % n))
+             for p in (inverse[n * m - 1 - b] for b in range(n * m))]
+    decoded_blocks: dict[tuple[int, int, int], tuple] = {}
+
+    def decode(i: int, x: int, z: int) -> tuple:
+        part = PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
+        (fixed,), (record,) = block_decode(code, table, [blocks[i].apply_pauli(part)])
+        fix = record.correction
+        return (record.ok, fixed.fidelity(blocks[i]), record.syndrome,
+                sorted(fix.x_mask.support() | fix.z_mask.support())
+                if fix is not None else [])
+
     items = []
-    for label, err in errors:
-        parts = err.permute(inverse.images).split(code.n)
-        fixed, records = block_decode(
-            code, table, [b.apply_pauli(p) for b, p in zip(blocks, parts)])
-        decoded = all(r.ok for r in records)
-        fid = math.prod(f.fidelity(b) for f, b in zip(fixed, blocks))
-        positions = sorted(
-            code.n * r.block + q
-            for r in records if r.correction is not None
-            for q in (r.correction.x_mask.support() | r.correction.z_mask.support()))
+    for label, x, z in errors:
+        x_parts, z_parts = [0] * m, [0] * m
+        for mask, parts in ((x, x_parts), (z, z_parts)):
+            while mask:
+                low = mask & -mask
+                i, bit = slots[low.bit_length() - 1]
+                parts[i] |= bit
+                mask ^= low
+        records = []
+        for key in zip(range(m), x_parts, z_parts):
+            record = decoded_blocks.get(key)
+            if record is None:
+                record = decoded_blocks[key] = decode(*key)
+            records.append(record)
+        oks, fids, syndromes, fixes = zip(*records)
+        decoded = all(oks)
+        fid = math.prod(fids)
+        positions = [n * i + q for i, fix in enumerate(fixes) for q in fix]
         items.append({
             "label": label,
             "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
             "fidelity": fid,
-            "block_syndromes": [list(r.syndrome) for r in records],
+            "block_syndromes": [list(syn) for syn in syndromes],
             "corrected_positions_0based": positions,
             "corrected_positions_1based": [q + 1 for q in positions],
             "decoded": decoded,
@@ -182,7 +208,8 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
              seed: int | None = None,
              bursts: Sequence[str] | None = None) -> Report:
     """Worked example: three phase-code blocks, interleave, the two default
-    bursts, deinterleave, block-wise correction.
+    bursts, deinterleave, block-wise correction, through the same mask-level
+    pipeline as verify --method statevector.
 
     `bursts` replaces the default bursts with 9-qubit Pauli strings, one
     report item labelled e_<pauli> each; an empty list or a Pauli given twice
@@ -205,8 +232,9 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
 
     code = phase3_code()
     encoder = logical_encoder(code)
-    items = _statevector_items(code, "phase", coeffs,
-                               [(f"e_{p}", p) for p in paulis])
+    items = _statevector_items(
+        code, "phase", coeffs,
+        [(f"e_{p}", p.x_mask.as_int, p.z_mask.as_int) for p in paulis])
 
     return Report(
         command="demo",
@@ -233,12 +261,13 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                seed: int | None = None) -> Report:
     """Exhaustive burst sweep against one interleaved code.
 
-    The stabilizer method checks syndrome-level correctability of the whole
-    burst set; the statevector method runs deinterleave -> corrupt ->
-    block-decode -> fidelity on the encoded blocks for every burst.  Burst
-    lengths beyond the register size are clamped.  Every argument, the
-    statevector size guard included, is checked before any burst is
-    enumerated.
+    Both methods take the bursts as the mask ints of burst_masks.  The
+    stabilizer method checks syndrome-level correctability of the whole burst
+    set; the statevector method runs deinterleave -> corrupt -> block-decode
+    -> fidelity on the encoded blocks for every burst, decoding each distinct
+    (block, block Pauli) once.  Burst lengths beyond the register size are
+    clamped.  Every argument, the statevector size guard included, is
+    checked before any burst is enumerated.
     """
     start = time.perf_counter()
     if code_name not in CODES:
@@ -270,11 +299,10 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         "code_block": code.to_text(),
     }
 
-    # The stabilizer method checks mask ints; only statevector needs Paulis.
+    xs, zs = burst_masks(total, effective, kind)
+    parameters["burst_count"] = len(xs)
     if method == "stabilizer":
-        xs, zs = burst_masks(total, effective, kind)
         compound = interleaved_code(code, degree)
-        parameters["burst_count"] = len(xs)
         parameters["interleaved_code_block"] = compound.to_text()
         result = corrects_masks(compound, xs, zs)
         item = {
@@ -285,12 +313,10 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
             item["witness"] = [str(result.witness[0]), str(result.witness[1])]
         items = [item]
     else:
-        errors = enumerate_bursts(total, effective, kind)
-        parameters["burst_count"] = len(errors)
         pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
         try:
             items = _statevector_items(code, kind, pairs,
-                                       ((str(e), e) for e in errors))
+                                       zip(burst_labels(total, xs, zs), xs, zs))
         except SyndromeCollisionError as exc:
             items = [{
                 "label": f"block decoder for {kind} bursts of length <= "

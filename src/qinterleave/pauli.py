@@ -204,15 +204,6 @@ class PauliString:
         return _pauli(n_total, self.x_mask.as_int << shift,
                       self.z_mask.as_int << shift)
 
-    def split(self, size: int) -> list["PauliString"]:
-        """The consecutive size-qubit parts, position 0's part first: part i
-        embedded at offset i*size gives back this operator's letters there."""
-        if size < 1 or self.n % size:
-            raise ValueError(f"part size {size} does not divide {self.n} qubits")
-        x, z, low = self.x_mask.as_int, self.z_mask.as_int, (1 << size) - 1
-        return [_pauli(size, (x >> shift) & low, (z >> shift) & low)
-                for shift in range(self.n - size, -1, -size)]
-
     @property
     def sort_key(self) -> tuple[int, int]:
         """(x int, z int); for equal lengths this orders like the bit tuples

@@ -8,6 +8,7 @@ permutation composition.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
@@ -23,6 +24,8 @@ from qinterleave import (
     StabilizerCode,
     StateVector,
     SyndromeCollisionError,
+    block_decode,
+    build_syndrome_table,
     burst_masks,
     encode_blocks,
     enumerate_bursts,
@@ -242,6 +245,52 @@ def dense_statevector_items(code: StabilizerCode, kind: str, pairs,
             "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
             "fidelity": fid,
             "block_syndromes": [list(syn) for syn in syndromes],
+            "corrected_positions_0based": positions,
+            "corrected_positions_1based": [q + 1 for q in positions],
+            "decoded": decoded,
+        })
+    return items
+
+
+def split_pauli(p: PauliString, size: int) -> list[PauliString]:
+    """The consecutive size-qubit parts of p, position 0's part first: part i
+    embedded at offset i*size gives back p's letters there."""
+    if size < 1 or p.n % size:
+        raise ValueError(f"part size {size} does not divide {p.n} qubits")
+    x, z, low = p.x_mask.as_int, p.z_mask.as_int, (1 << size) - 1
+    return [PauliString(BinaryVector.from_int(size, (x >> shift) & low),
+                        BinaryVector.from_int(size, (z >> shift) & low))
+            for shift in range(p.n - size, -1, -size)]
+
+
+def per_burst_statevector_items(code: StabilizerCode, kind: str, pairs,
+                                errors) -> list[dict]:
+    """The CLI's state-vector items with every block of every burst decoded:
+    for each (label, error) on the interleaved register, the error is moved
+    through the inverse interleave permutation and split into block Paulis,
+    and every block is corrupted, decoded by block_decode and compared with
+    its encoded state."""
+    table = build_syndrome_table(
+        code, enumerate_bursts(code.n, code.burst_ability, kind))
+    encoder = logical_encoder(code)
+    blocks = [encoder(c0, c1) for c0, c1 in pairs]
+    inverse = interleave_permutation(code.n, len(blocks)).inverse()
+    items = []
+    for label, err in errors:
+        parts = split_pauli(err.permute(inverse.images), code.n)
+        fixed, records = block_decode(
+            code, table, [b.apply_pauli(p) for b, p in zip(blocks, parts)])
+        decoded = all(r.ok for r in records)
+        fid = math.prod(f.fidelity(b) for f, b in zip(fixed, blocks))
+        positions = sorted(
+            code.n * r.block + q
+            for r in records if r.correction is not None
+            for q in (r.correction.x_mask.support() | r.correction.z_mask.support()))
+        items.append({
+            "label": label,
+            "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
+            "fidelity": fid,
+            "block_syndromes": [list(r.syndrome) for r in records],
             "corrected_positions_0based": positions,
             "corrected_positions_1based": [q + 1 for q in positions],
             "decoded": decoded,

@@ -4,11 +4,14 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qinterleave.cli
 import qinterleave.statevector
 from qinterleave import (
     BURST_KINDS,
+    BinaryVector,
     IndeterminateEigenvalueError,
     PauliString,
     SyndromeCollisionError,
@@ -16,6 +19,7 @@ from qinterleave import (
     enumerate_bursts,
     parse_plain,
 )
+from qinterleave.pauli import burst_labels
 from qinterleave.cli import (
     CODES,
     Report,
@@ -33,7 +37,9 @@ from oracles import (
     circuit_label_action,
     dense_statevector_items,
     enumerate_items,
+    per_burst_statevector_items,
     permutation_label_action,
+    split_pauli,
 )
 from qinterleave import interleave_permutation
 
@@ -276,21 +282,102 @@ class TestDenseOracle:
                 if kind == "independent" and l > 2:
                     continue
                 errors = [(str(e), e) for e in enumerate_bursts(code.n * m, l, kind)]
+                masks = [(label, e.x_mask.as_int, e.z_mask.as_int)
+                         for label, e in errors]
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     try:
                         dense = dense_statevector_items(code, kind, pairs, errors)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, kind, pairs, errors)
+                            _statevector_items(code, kind, pairs, masks)
                         assert str(got.value) == str(exc)
                         continue
-                    items = _statevector_items(code, kind, pairs, errors)
+                    items = _statevector_items(code, kind, pairs, masks)
                     assert len(items) == len(dense)
                     for item, want in zip(items, dense):
                         assert abs(item.pop("fidelity") - want.pop("fidelity")) <= 1e-12
                         assert item == want
                         outcomes.add(item["passed"])
         assert outcomes == {True, False}
+
+
+class TestPerBurstOracle:
+    """The state-vector items, each distinct (block, block Pauli) decoded
+    once from the burst masks, against the pipeline that decodes every block
+    of every burst (oracles.per_burst_statevector_items): equal item lists,
+    fidelity floats included."""
+
+    @pytest.mark.parametrize("code_name,m", [("phase3", m) for m in range(1, 7)]
+                             + [("five", m) for m in range(1, 5)])
+    def test_items_equal_per_burst_oracle(self, code_name, m):
+        code = CODES[code_name]()
+        total = code.n * m
+        outcomes = set()
+        for kind in BURST_KINDS:
+            for l in sorted({1, m, m + 1}):
+                xs, zs = burst_masks(total, l, kind)
+                labels = burst_labels(total, xs, zs)
+                for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
+                    # generators: the table is built before the first burst,
+                    # so a collision costs no Pauli per burst
+                    paulis = ((label, PauliString(BinaryVector.from_int(total, x),
+                                                  BinaryVector.from_int(total, z)))
+                              for label, x, z in zip(labels, xs, zs))
+                    try:
+                        want = per_burst_statevector_items(code, kind, pairs, paulis)
+                    except SyndromeCollisionError as exc:
+                        with pytest.raises(SyndromeCollisionError) as got:
+                            _statevector_items(code, kind, pairs, zip(labels, xs, zs))
+                        assert str(got.value) == str(exc)
+                        outcomes.add("collision")
+                        continue
+                    items = _statevector_items(code, kind, pairs, zip(labels, xs, zs))
+                    assert items == want
+                    outcomes.update(item["passed"] for item in items)
+        assert outcomes == {True, False, "collision"}
+
+    def test_each_distinct_block_pauli_decoded_once(self, monkeypatch):
+        # phase3 at m = 6: bursts of length 3 and of length 6 both leave at
+        # most one Z per block, so both sweeps decode the same blocks
+        decoded = []
+        original = qinterleave.cli.block_decode
+
+        def counting(code, table, blocks):
+            decoded[-1] += len(blocks)
+            return original(code, table, blocks)
+
+        monkeypatch.setattr(qinterleave.cli, "block_decode", counting)
+        inverse = interleave_permutation(3, 6).inverse().images
+        for l, count in ((3, 67), (6, 447)):
+            decoded.append(0)
+            report = run_verify("phase3", 6, burst=l, kind="phase",
+                                method="statevector", seed=3)
+            assert report.parameters["burst_count"] == count
+            assert report.verdict == "pass"
+            keys = {(i, part) for e in enumerate_bursts(18, l, "phase")
+                    for i, part in enumerate(split_pauli(e.permute(inverse), 3))}
+            assert decoded[-1] == len(keys)
+        assert decoded == [24, 24]
+
+
+class TestMethodProperty:
+    """A burst set the stabilizer method rejects is rejected by the
+    state-vector method too; a decoder table that cannot be built counts as
+    a state-vector failure."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), code_name=st.sampled_from(sorted(CODES)),
+           degree=st.integers(1, 4), kind=st.sampled_from(BURST_KINDS),
+           seed=st.integers(0, 2**31 - 1))
+    def test_stabilizer_fail_implies_statevector_fail(self, data, code_name,
+                                                      degree, kind, seed):
+        total = CODES[code_name]().n * degree
+        l = data.draw(st.integers(1, degree + 2), label="l")
+        assume(len(burst_masks(total, min(l, total), kind)[0]) <= 20000)
+        stabilizer = run_verify(code_name, degree, burst=l, kind=kind)
+        statevector = run_verify(code_name, degree, burst=l, kind=kind,
+                                 method="statevector", seed=seed)
+        assert stabilizer.verdict == "pass" or statevector.verdict == "fail"
 
 
 class TestSynthCommand:

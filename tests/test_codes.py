@@ -37,6 +37,7 @@ from oracles import (
     membership_syndrome_table,
     pauli_matrix,
     random_state,
+    split_pauli,
 )
 
 FID_TOL = 1e-10
@@ -65,7 +66,7 @@ def decode_one(code, table, s):
 def corrupt_blocks(blocks, err, perm):
     """The blocks of a deinterleaved register, each hit by its part of the
     burst err on the interleaved register."""
-    parts = err.permute(perm.inverse().images).split(blocks[0].n)
+    parts = split_pauli(err.permute(perm.inverse().images), blocks[0].n)
     return [b.apply_pauli(p) for b, p in zip(blocks, parts)]
 
 
@@ -626,7 +627,7 @@ class TestBlockDecode:
                                             PauliString.from_label("ZII")])
         blocks = [encode_phase3(0.6, 0.8), encode_phase3(0.28, 0.96)]
         corrupted = [b.apply_pauli(p) for b, p in
-                     zip(blocks, PauliString.from_label("IZIIII").split(3))]
+                     zip(blocks, split_pauli(PauliString.from_label("IZIIII"), 3))]
         fixed, records = block_decode(base, table, corrupted)
         assert not records[0].ok and records[0].syndrome == (1, 1)
         assert fixed[0].amps.tobytes() == corrupted[0].amps.tobytes()

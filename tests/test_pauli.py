@@ -21,6 +21,7 @@ from oracles import (
     letter_label,
     pauli_matrix,
     scan_burst_length,
+    split_pauli,
 )
 
 
@@ -226,18 +227,18 @@ class TestPauliString:
         assert str(p.embed(5, 2)) == "IIXZI"
         with pytest.raises(ValueError):
             p.embed(3, 2)
-        # split(size) cuts an operator into its size-qubit parts: the inverse
+        # split_pauli(p, size) cuts an operator into its size-qubit parts: the inverse
         # of embedding each part at its offset
         p = PauliString.from_label("XZY")
         for i in range(4):
-            parts = p.embed(12, 3 * i).split(3)
+            parts = split_pauli(p.embed(12, 3 * i), 3)
             assert parts == [p if j == i else PauliString.identity(3)
                              for j in range(4)]
         rng = random.Random(31)
         for _ in range(20):
             q = PauliString.from_label("".join(rng.choice("IXZY") for _ in range(70)))
             for size in (1, 2, 5, 7, 10, 14, 35, 70):
-                parts = q.split(size)
+                parts = split_pauli(q, size)
                 assert len(parts) == 70 // size
                 assert all(part.n == size for part in parts)
                 joined = PauliString.identity(70)
@@ -246,7 +247,7 @@ class TestPauliString:
                 assert joined == q
         for size in (0, -1, 4, 71):
             with pytest.raises(ValueError):
-                q.split(size)
+                split_pauli(q, size)
 
 
 class TestEnumerateBursts:

@@ -44,7 +44,9 @@ def test_apply_pauli_counter_reads_masks():
 
 def test_tracer_counts_statevector_sweep_blocks(capsys):
     # The traced benchmark counts decoded blocks from block_decode's
-    # (states, records) return: 67 bursts x 6 blocks in one sweep.
+    # (states, records) return.  The 67 bursts leave each of the 6 blocks
+    # with one of III, ZII, IZI, IIZ, and each distinct block Pauli is
+    # decoded once, in a call of its own: 24 blocks in 24 calls.
     from test_perfbench_workloads import workloads
 
     argv = next(workloads.WORKLOADS["statevector-sweep"].op_argvs(seed=1, stream=0))
@@ -58,5 +60,5 @@ def test_tracer_counts_statevector_sweep_blocks(capsys):
         tracer.uninstall()
     capsys.readouterr()
     metrics = tracer.op_metrics(0)
-    assert metrics["codes.blocks_decoded"] == 402
-    assert metrics["codes.block_decode.calls"] == 67
+    assert metrics["codes.blocks_decoded"] == 24
+    assert metrics["codes.block_decode.calls"] == 24
