@@ -32,8 +32,8 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, BinaryVector, PauliString, burst_labels,
-                    burst_length, burst_masks, enumerate_bursts)
+from .pauli import (BURST_KINDS, PauliString, burst_labels, burst_length,
+                    burst_masks, enumerate_bursts)
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -166,12 +166,11 @@ def _statevector_items(code: StabilizerCode, kind: str,
     decoded_blocks: dict[tuple[int, int, int], tuple] = {}
 
     def decode(i: int, x: int, z: int) -> tuple:
-        part = PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
-        (fixed,), (record,) = block_decode(code, table, [blocks[i].apply_pauli(part)])
-        fix = record.correction
+        corrupted = blocks[i].apply_pauli(PauliString(n, x, z))
+        (fixed,), (record,) = block_decode(code, table, [corrupted])
+        touched = record.correction.x | record.correction.z if record.ok else 0
         return (record.ok, fixed.fidelity(blocks[i]), record.syndrome,
-                sorted(fix.x_mask.support() | fix.z_mask.support())
-                if fix is not None else [])
+                [q for q in range(n) if touched >> (n - 1 - q) & 1])
 
     items = []
     for label, x, z in errors:
@@ -216,6 +215,8 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     is refused.
     """
     start = time.perf_counter()
+    if coeffs is not None and seed is not None:
+        raise ValueError("demo takes --coeffs or --seed, not both")
     if coeffs is None:
         coeffs = _random_pairs(seed, 3) if seed is not None else _cycled_pairs(3)
     coeffs = [(complex(a), complex(b)) for a, b in coeffs]
@@ -234,7 +235,7 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     encoder = logical_encoder(code)
     items = _statevector_items(
         code, "phase", coeffs,
-        [(f"e_{p}", p.x_mask.as_int, p.z_mask.as_int) for p in paulis])
+        [(f"e_{p}", p.x, p.z) for p in paulis])
 
     return Report(
         command="demo",

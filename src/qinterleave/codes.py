@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import BinaryVector, PauliString, burst_masks
+from .pauli import PauliString, burst_masks
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
 _NORM_TOL = 1e-10
@@ -73,7 +73,7 @@ class _Gf2Span:
 
 
 def _symplectic_int(p: PauliString) -> int:
-    return (p.x_mask.as_int << p.n) | p.z_mask.as_int
+    return (p.x << p.n) | p.z
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,12 @@ class StabilizerCode:
     def _stabilizer_span(self) -> _Gf2Span:
         return _Gf2Span([_symplectic_int(g) for g in self.generators])
 
-    @cached_property
-    def _generator_masks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((g.x_mask.as_int, g.z_mask.as_int) for g in self.generators)
-
     def syndrome_of(self, error: PauliString) -> tuple[int, ...]:
         """Commutation bits of the error against each generator (symplectic)."""
         if error.n != self.n:
             raise ValueError("error length does not match code size")
-        ex = error.x_mask.as_int
-        ez = error.z_mask.as_int
-        return tuple(((gx & ez).bit_count() + (gz & ex).bit_count()) & 1
-                     for gx, gz in self._generator_masks)
+        return tuple(((g.x & error.z).bit_count() + (g.z & error.x).bit_count()) & 1
+                     for g in self.generators)
 
     def in_stabilizer_group(self, p: PauliString) -> bool:
         """Mask-level membership of p in the group generated by the stabilizers."""
@@ -200,7 +194,7 @@ def logical_encoder(code: StabilizerCode) -> Callable[[complex, complex], StateV
     """
     if code.k != 1:
         raise ValueError("logical_encoder supports k=1 codes only")
-    if not code.logical_zs[0].x_mask.is_zero:
+    if code.logical_zs[0].x:
         raise ValueError("logical Z must be Z-type for the projector construction")
     amps = basis_state(code.n, [0] * code.n).amps
     for g in code.generators:
@@ -279,8 +273,8 @@ def _commutation_bits(ex: np.ndarray, ez: np.ndarray,
     at a time over the packed error masks.  The matrix has at least one
     column, so a code without generators still has one all-zero syndrome."""
     words = ex.shape[1]
-    op_xs = _pack_masks([op.x_mask.as_int for op in ops], words)
-    op_zs = _pack_masks([op.z_mask.as_int for op in ops], words)
+    op_xs = _pack_masks([op.x for op in ops], words)
+    op_zs = _pack_masks([op.z for op in ops], words)
     bits = np.zeros((len(ex), max(1, len(ops))), dtype=np.uint8)
     for j, (ox, oz) in enumerate(zip(op_xs, op_zs)):
         # The XOR of the two overlaps has the parity of their summed counts.
@@ -320,7 +314,7 @@ def _error_masks(code: StabilizerCode,
                  errors: Sequence[PauliString]) -> tuple[list[int], list[int]]:
     if any(e.n != code.n for e in errors):
         raise ValueError("error length does not match code size")
-    return [e.x_mask.as_int for e in errors], [e.z_mask.as_int for e in errors]
+    return [e.x for e in errors], [e.z for e in errors]
 
 
 def corrects_masks(code: StabilizerCode, xs: Sequence[int],
@@ -343,9 +337,7 @@ def corrects_masks(code: StabilizerCode, xs: Sequence[int],
     partner = next(i for i in members[1:]
                    if (b.classes[i] != b.classes[base]).any())
     return CorrectabilityResult(False, tuple(
-        PauliString(BinaryVector.from_int(code.n, b.xs[i]),
-                    BinaryVector.from_int(code.n, b.zs[i]))
-        for i in (base, partner)))
+        PauliString(code.n, b.xs[i], b.zs[i]) for i in (base, partner)))
 
 
 def corrects_error_set(code: StabilizerCode,

@@ -3,7 +3,7 @@
 A binary vector of length n is stored only as (n, as_int), with position 0
 (the leftmost symbol of a mask string such as "111000000") as the most
 significant bit; bit tuples and strings are views derived from the int.  An
-n-qubit Pauli operator is a pair of such masks (x_mask, z_mask), read as the
+n-qubit Pauli operator is PauliString(n, x, z), two such mask ints read as the
 operator X_x Z_z with the global phase deliberately untracked.
 
 A burst of length l is a vector whose nonzero entries fit in l consecutive
@@ -57,10 +57,6 @@ class BinaryVector:
         return v
 
     @classmethod
-    def zeros(cls, n: int) -> "BinaryVector":
-        return cls((0,) * n)
-
-    @classmethod
     def from_string(cls, s: str) -> "BinaryVector":
         return cls(int(c) for c in s)
 
@@ -88,11 +84,6 @@ class BinaryVector:
     def __str__(self) -> str:
         return format(self.as_int, f"0{self.n}b")
 
-    def __xor__(self, other: "BinaryVector") -> "BinaryVector":
-        if self.n != other.n:
-            raise ValueError("length mismatch in binary-vector xor")
-        return BinaryVector.from_int(self.n, self.as_int ^ other.as_int)
-
     @property
     def is_zero(self) -> bool:
         return self.as_int == 0
@@ -102,40 +93,36 @@ class BinaryVector:
         return frozenset(i for i in range(self.n)
                          if (self.as_int >> (self.n - 1 - i)) & 1)
 
-    def weight(self) -> int:
-        return self.as_int.bit_count()
-
     def burst_length(self) -> int:
         """Span from the first to the last nonzero position; 0 for the zero vector."""
         return burst_length(self.as_int)
 
-    def dot(self, other: "BinaryVector") -> int:
-        """Inner product mod 2."""
-        if self.n != other.n:
-            raise ValueError("length mismatch in binary-vector dot product")
-        return (self.as_int & other.as_int).bit_count() & 1
-
 
 @dataclass(frozen=True, slots=True)
 class PauliString:
-    """Phase-free n-qubit Pauli operator X_x Z_z encoded as two masks."""
+    """Phase-free n-qubit Pauli operator X_x Z_z, its two masks as ints of n
+    bits with qubit 0 the most significant; x_mask and z_mask are views."""
 
-    x_mask: BinaryVector
-    z_mask: BinaryVector
+    n: int
+    x: int
+    z: int
 
     def __post_init__(self) -> None:
-        if self.x_mask.n != self.z_mask.n:
-            raise ValueError("x and z masks must have equal length")
+        if not (self.n >= 1 and 0 <= self.x < 1 << self.n
+                and 0 <= self.z < 1 << self.n):
+            raise ValueError(f"need n >= 1 and masks in [0, 2**n), got n={self.n}")
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls(BinaryVector.zeros(n), BinaryVector.zeros(n))
+        return cls(n, 0, 0)
 
     @classmethod
     def from_masks(cls, x: str | Sequence[int], z: str | Sequence[int]) -> "PauliString":
         xv = BinaryVector.from_string(x) if isinstance(x, str) else BinaryVector(x)
         zv = BinaryVector.from_string(z) if isinstance(z, str) else BinaryVector(z)
-        return cls(xv, zv)
+        if xv.n != zv.n:
+            raise ValueError("x and z masks must have equal length")
+        return cls(xv.n, xv.as_int, zv.as_int)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -146,69 +133,70 @@ class PauliString:
             raise ValueError(f"invalid Pauli letter {invalid[0]!r}")
         if not label:
             raise ValueError("Pauli label must have length >= 1")
-        n = len(label)
-        return cls(BinaryVector.from_int(n, int(label.translate(_LETTER_X_DIGIT), 2)),
-                   BinaryVector.from_int(n, int(label.translate(_LETTER_Z_DIGIT), 2)))
+        return cls(len(label), int(label.translate(_LETTER_X_DIGIT), 2),
+                   int(label.translate(_LETTER_Z_DIGIT), 2))
 
     @property
-    def n(self) -> int:
-        return self.x_mask.n
+    def x_mask(self) -> BinaryVector:
+        return BinaryVector.from_int(self.n, self.x)
+
+    @property
+    def z_mask(self) -> BinaryVector:
+        return BinaryVector.from_int(self.n, self.z)
 
     @property
     def is_identity(self) -> bool:
-        return self.x_mask.is_zero and self.z_mask.is_zero
+        return not (self.x or self.z)
 
     def label(self) -> str:
-        return burst_labels(self.n, [self.x_mask.as_int], [self.z_mask.as_int])[0]
+        return burst_labels(self.n, [self.x], [self.z])[0]
 
     __str__ = label
 
     def weight(self) -> int:
         """Number of qubits touched: |supp(x) union supp(z)|."""
-        return (self.x_mask.as_int | self.z_mask.as_int).bit_count()
+        return (self.x | self.z).bit_count()
 
     def is_quantum_burst(self, l: int) -> bool:
         """True when the bit mask and the phase mask are each bursts of length <= l."""
-        return self.x_mask.burst_length() <= l and self.z_mask.burst_length() <= l
+        return burst_length(self.x) <= l and burst_length(self.z) <= l
 
     def symplectic_product(self, other: "PauliString") -> int:
         """0 when the two operators commute, 1 when they anticommute."""
         if self.n != other.n:
             raise ValueError("Pauli strings act on different register sizes")
-        return self.x_mask.dot(other.z_mask) ^ self.z_mask.dot(other.x_mask)
+        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Mask-level product: XOR both masks, phase discarded."""
         if self.n != other.n:
             raise ValueError("Pauli strings act on different register sizes")
-        return PauliString(self.x_mask ^ other.x_mask, self.z_mask ^ other.z_mask)
+        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z)
 
     def permute(self, images: Sequence[int]) -> "PauliString":
         """Move the letter at position i to position images[i], in both masks."""
         n = self.n
         if sorted(images) != list(range(n)):
             raise ValueError(f"images must be a permutation of 0..{n - 1}")
-        x_in, z_in = self.x_mask.as_int, self.z_mask.as_int
         x = z = 0
         for i, dest in enumerate(images):
             src, to = n - 1 - i, n - 1 - dest
-            x |= ((x_in >> src) & 1) << to
-            z |= ((z_in >> src) & 1) << to
-        return _pauli(n, x, z)
+            x |= ((self.x >> src) & 1) << to
+            z |= ((self.z >> src) & 1) << to
+        return PauliString(n, x, z)
 
     def embed(self, n_total: int, offset: int) -> "PauliString":
         """Place this operator at [offset, offset+n) of a larger identity register."""
         if offset < 0 or offset + self.n > n_total:
             raise ValueError("embedding window out of range")
         shift = n_total - offset - self.n
-        return _pauli(n_total, self.x_mask.as_int << shift,
-                      self.z_mask.as_int << shift)
+        return PauliString(n_total, self.x << shift, self.z << shift)
 
     @property
     def sort_key(self) -> tuple[int, int]:
-        """(x int, z int); for equal lengths this orders like the bit tuples
+        """(x, z); for equal lengths this orders like the bit tuples
         (x bits, z bits) lexicographically.  Used for deterministic tie-breaks."""
-        return (self.x_mask.as_int, self.z_mask.as_int)
+        return (self.x, self.z)
 
 
 def burst_length(mask: int) -> int:
@@ -228,10 +216,6 @@ def burst_labels(n: int, xs: Sequence[int], zs: Sequence[int]) -> list[str]:
     z = int(digits.format(*zs), 16)
     text = format(x | (z << 1), f"0{n * len(xs)}x").translate(_HEX_DIGIT_LETTER)
     return [text[i:i + n] for i in range(0, len(text), n)]
-
-
-def _pauli(n: int, x: int, z: int) -> PauliString:
-    return PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
 
 
 def _window_bursts(n: int, l: int, ends: Sequence[tuple[int, int]],
@@ -285,4 +269,4 @@ def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:
     """All non-identity Pauli strings of the given burst kind on n qubits, in
     the order and with the kinds of burst_masks."""
     xs, zs = burst_masks(n, l, kind)
-    return [_pauli(n, x, z) for x, z in zip(xs, zs)]
+    return [PauliString(n, x, z) for x, z in zip(xs, zs)]

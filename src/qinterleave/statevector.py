@@ -64,17 +64,13 @@ class StateVector:
         """
         if p.n != self.n:
             raise ValueError("Pauli length does not match register size")
-        n = self.n
-        x_bits = p.x_mask.bits
-        if p.x_mask.is_zero:
-            amps = self.amps.copy()
-        else:
-            flipped = tuple(q for q in range(n) if x_bits[q])
-            amps = np.ascontiguousarray(
-                np.flip(self.amps.reshape((2,) * n), flipped)).reshape(-1)
-        for q in p.z_mask.support():
-            half = amps.reshape(1 << q, 2, -1)[:, 1 - x_bits[q], :]
-            np.negative(half, out=half)
+        n, x, z = self.n, p.x, p.z
+        flipped = tuple(q for q in range(n) if x >> (n - 1 - q) & 1)
+        amps = np.flip(self.amps.reshape((2,) * n), flipped).copy().reshape(-1)
+        for q in range(n):
+            if z >> (n - 1 - q) & 1:
+                half = amps.reshape(1 << q, 2, -1)[:, 1 - (x >> (n - 1 - q) & 1), :]
+                np.negative(half, out=half)
         return StateVector(n, amps)
 
     def apply_gate(self, gate: Gate) -> "StateVector":

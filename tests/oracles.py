@@ -3,19 +3,17 @@
 Everything here recomputes results from first principles (dense matrices,
 explicit label arithmetic, brute-force scans) and deliberately avoids the
 code paths under test.  The last section holds helpers that only tests use:
-burst vectors, seeded burst sampling, deinterleaving a transmitted vector and
-permutation composition.
+burst vectors, deinterleaving a transmitted vector and permutation
+composition.
 """
 from __future__ import annotations
 
 import math
-import random
 from itertools import product
 
 import numpy as np
 
 from qinterleave import (
-    BURST_KINDS,
     BinaryVector,
     Circuit,
     CorrectabilityResult,
@@ -258,8 +256,7 @@ def split_pauli(p: PauliString, size: int) -> list[PauliString]:
     if size < 1 or p.n % size:
         raise ValueError(f"part size {size} does not divide {p.n} qubits")
     x, z, low = p.x_mask.as_int, p.z_mask.as_int, (1 << size) - 1
-    return [PauliString(BinaryVector.from_int(size, (x >> shift) & low),
-                        BinaryVector.from_int(size, (z >> shift) & low))
+    return [PauliString(size, (x >> shift) & low, (z >> shift) & low)
             for shift in range(p.n - size, -1, -size)]
 
 
@@ -434,52 +431,6 @@ def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
     """All nonzero length-n vectors with burst length <= l, in (length, start,
     interior pattern) order."""
     return [BinaryVector.from_int(n, v) for v in burst_masks(n, l, "bit")[0]]
-
-
-def sample_burst(seed: int, n: int, l: int, kind: str) -> PauliString:
-    """Deterministic random non-identity burst of the given kind.
-
-    Exact length is uniform in [1, l], the window start uniform over valid
-    positions, and the interior pattern uniform with nonzero endpoints
-    (letters uniform over {X,Z,Y} at the window ends for colocated bursts).
-    """
-    if kind not in BURST_KINDS:
-        raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
-    if not 1 <= l <= n:
-        raise ValueError(f"burst bound l={l} out of range for n={n}")
-    rng = random.Random(seed)
-
-    def burst_vector() -> BinaryVector:
-        length = rng.randint(1, l)
-        start = rng.randint(0, n - length)
-        bits = [0] * n
-        bits[start] = 1
-        bits[start + length - 1] = 1
-        for j in range(start + 1, start + length - 1):
-            bits[j] = rng.randint(0, 1)
-        return BinaryVector(tuple(bits))
-
-    zero = BinaryVector.zeros(n)
-    if kind == "bit":
-        return PauliString(burst_vector(), zero)
-    if kind == "phase":
-        return PauliString(zero, burst_vector())
-    if kind == "colocated":
-        span = rng.randint(1, l)
-        start = rng.randint(0, n - span)
-        letters = ["I"] * n
-        letters[start] = rng.choice("XZY")
-        if span > 1:
-            for j in range(start + 1, start + span - 1):
-                letters[j] = rng.choice("IXZY")
-            letters[start + span - 1] = rng.choice("XZY")
-        return PauliString.from_label("".join(letters))
-    # independent: each mask is empty with probability 1/4, but never both.
-    while True:
-        x = burst_vector() if rng.random() >= 0.25 else zero
-        z = burst_vector() if rng.random() >= 0.25 else zero
-        if not (x.is_zero and z.is_zero):
-            return PauliString(x, z)
 
 
 def deinterleave_blocks(v, n: int, m: int) -> list[tuple[int, ...]]:

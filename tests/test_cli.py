@@ -11,7 +11,6 @@ import qinterleave.cli
 import qinterleave.statevector
 from qinterleave import (
     BURST_KINDS,
-    BinaryVector,
     IndeterminateEigenvalueError,
     PauliString,
     SyndromeCollisionError,
@@ -144,6 +143,19 @@ class TestDemoCommand:
         assert exc.value.code == 2
         assert "6 comma-separated reals" in capsys.readouterr().err
 
+    def test_coeffs_with_seed_usage_error(self, capsys):
+        # the seed only draws coefficients, so with --coeffs it would be dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--coeffs", "1,0,1,0,1,0", "--seed", "7"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qinterleave: error: demo takes --coeffs or --seed, not both\n")
+        for seed in (0, 7):
+            with pytest.raises(ValueError, match="--coeffs or --seed, not both"):
+                run_demo(coeffs=[(1, 0)] * 3, seed=seed)
+
 
 class TestVerifyCommand:
     def test_statevector_pass(self, capsys):
@@ -251,6 +263,19 @@ class TestVerifyCommand:
             st = run_verify("phase3", m, burst=l, kind="phase", method="stabilizer")
             assert sv.verdict == st.verdict
 
+    @pytest.mark.parametrize("degree,burst,kind", [
+        (1, 2, "bit"), (2, 3, "bit"), (3, 4, "bit"), (2, 3, "phase"),
+    ])
+    def test_methods_disagree_above_declared_ability(self, capsys, degree, burst,
+                                                     kind):
+        # five declares burst ability 1 but measures 2 for bit and phase: the
+        # stabilizer method checks the swept set itself, while the statevector
+        # decoder is built for the declared ability only (see README)
+        argv = ["verify", "--code", "five", "--degree", str(degree),
+                "--burst", str(burst), "--kind", kind]
+        assert run_main(capsys, *argv, "--method", "stabilizer")[0] == 0
+        assert run_main(capsys, *argv, "--method", "statevector")[0] == 1
+
     def test_statevector_five_single_errors(self):
         report = run_verify("five", 1, burst=1, kind="colocated",
                             method="statevector")
@@ -320,8 +345,7 @@ class TestPerBurstOracle:
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     # generators: the table is built before the first burst,
                     # so a collision costs no Pauli per burst
-                    paulis = ((label, PauliString(BinaryVector.from_int(total, x),
-                                                  BinaryVector.from_int(total, z)))
+                    paulis = ((label, PauliString(total, x, z))
                               for label, x, z in zip(labels, xs, zs))
                     try:
                         want = per_burst_statevector_items(code, kind, pairs, paulis)

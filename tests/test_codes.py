@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinterleave import (
-    BinaryVector,
     IndeterminateEigenvalueError,
     PauliString,
     StabilizerCode,
@@ -119,6 +118,26 @@ class TestBuiltinCodes:
                             PauliString.from_label("XXI")),
                            (PauliString.from_label("XXX"),),
                            (PauliString.from_label("ZZZ"),), 1)
+
+    @pytest.mark.parametrize("n,k,gens,lxs,lzs,message", [
+        (3, 1, ["XXI"], ["XXX"], ["ZZZ"], "expected 2 generators"),
+        (3, 1, ["XXI", "IXX"], ["XXX"], [], "expected 1 logical X/Z pairs"),
+        (3, 1, ["XXI", "IXX"], ["XXXX"], ["ZZZ"], "operator length"),
+        (3, 1, ["XXI", "ZII"], ["XXX"], ["ZZZ"], "generators XXI and ZII anticommute"),
+        (3, 1, ["XXI", "XXI"], ["XXX"], ["ZZZ"], r"not GF\(2\)-independent"),
+        (3, 1, ["XXI", "IXX"], ["XXX"], ["ZII"],
+         "logical ZII anticommutes with generator XXI"),
+        (3, 1, ["XXI", "IXX"], ["XXX"], ["III"], "pairing is wrong"),
+        (2, 2, [], ["XI", "ZI"], ["ZI", "XI"], "same-type logicals must commute"),
+    ], ids=["generator-count", "logical-count", "operator-length",
+            "anticommuting-generators", "dependent-generators",
+            "logical-anticommutes-with-generator", "xz-pairing",
+            "anticommuting-same-type-logicals"])
+    def test_code_validation_names_the_broken_rule(self, n, k, gens, lxs, lzs, message):
+        ops = [tuple(PauliString.from_label(label) for label in labels)
+               for labels in (gens, lxs, lzs)]
+        with pytest.raises(ValueError, match=message):
+            StabilizerCode(n, k, *ops, burst_ability=1)
 
     def test_to_text(self):
         text = phase3_code().to_text()
@@ -423,8 +442,7 @@ def scrambled_code(n, k, gates):
                 x ^= ((x >> a) & 1) << b
                 z ^= ((z >> b) & 1) << a
             op[:] = x, z
-    paulis = [PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
-              for x, z in ops]
+    paulis = [PauliString(n, x, z) for x, z in ops]
     return StabilizerCode(n, k, paulis[:n - k], paulis[n - k:n],
                           paulis[n:], burst_ability=0)
 
@@ -495,8 +513,7 @@ class TestCorrectabilityOracle:
         for code in codes:
             logicals = (*code.logical_xs, *code.logical_zs)
             for trial in range(8):
-                errors = [PauliString(BinaryVector.from_int(n, rng.getrandbits(n)),
-                                      BinaryVector.from_int(n, rng.getrandbits(n)))
+                errors = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n))
                           for _ in range(6)]
                 errors += enumerate_bursts(n, 1, "colocated")[:trial * 20]
                 # a product with a generator keeps the class (no failure), a
@@ -525,7 +542,7 @@ def draw_code_and_errors(data):
                                max_size=12), label="gates")
     code = scrambled_code(n, k, gates)
     masks = st.integers(0, (1 << n) - 1)
-    errors = [PauliString(BinaryVector.from_int(n, x), BinaryVector.from_int(n, z))
+    errors = [PauliString(n, x, z)
               for x, z in data.draw(st.lists(st.tuples(masks, masks), max_size=12),
                                     label="errors")]
     return code, errors

@@ -1,9 +1,12 @@
 """Tests for binary-vector metrics, Pauli-mask algebra, and burst enumeration."""
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterleave import (
     BURST_KINDS,
@@ -248,6 +251,117 @@ class TestPauliString:
         for size in (0, -1, 4, 71):
             with pytest.raises(ValueError):
                 split_pauli(q, size)
+
+
+class TestPauliValue:
+    """PauliString(n, x, z) holds its two mask ints; x_mask and z_mask are views."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(PauliString)] == ["n", "x", "z"]
+        p = PauliString(3, 0b101, 0b011)
+        assert (p.n, p.x, p.z) == (3, 5, 3)
+        assert str(p) == "XZY"
+        assert p == PauliString.from_label("XZY")
+        assert hash(p) == hash(PauliString.from_label("XZY"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 0
+
+    @pytest.mark.parametrize("n,x,z", [
+        (0, 0, 0), (-1, 0, 0),       # no qubits
+        (3, -1, 0), (3, 0, -1),      # negative masks
+        (3, 8, 0), (3, 0, 8),        # masks >= 2**n
+        (1, 2, 0), (70, 1 << 70, 0),
+    ])
+    def test_rejects_out_of_range(self, n, x, z):
+        with pytest.raises(ValueError):
+            PauliString(n, x, z)
+
+    def test_accepts_the_range_ends(self):
+        for n in (1, 3, 64, 70):
+            top = (1 << n) - 1
+            assert str(PauliString(n, top, top)) == "Y" * n
+            assert PauliString(n, 0, 0) == PauliString.identity(n)
+        with pytest.raises(ValueError):
+            PauliString.identity(0)
+
+    def test_no_binary_vector_pair_constructor(self):
+        v = BinaryVector.from_string("010")
+        with pytest.raises(TypeError):
+            PauliString(v, v)
+
+    @pytest.mark.parametrize("x,z", [
+        ("010", "01"), ("1", "00"), ([0, 1], [1]), ((1, 0, 0), (0, 1)),
+    ])
+    def test_from_masks_unequal_lengths(self, x, z):
+        with pytest.raises(ValueError):
+            PauliString.from_masks(x, z)
+
+    def test_views_round_trip(self):
+        rng = random.Random(21)
+        paulis = all_paulis(3) + [
+            PauliString(n, rng.getrandbits(n), rng.getrandbits(n))
+            for n in (1, 8, 63, 64, 65, 130) for _ in range(5)]
+        for p in paulis:
+            assert PauliString(p.n, p.x_mask.as_int, p.z_mask.as_int) == p
+            assert p.x_mask.n == p.z_mask.n == p.n
+            assert str(p.x_mask) == format(p.x, f"0{p.n}b")
+            assert p.z_mask.bits == tuple(int(c) for c in format(p.z, f"0{p.n}b"))
+
+    @pytest.mark.parametrize("label", ["x", "iZy", "IXZY", "yyyyyyyyyyyyyyyyyyyy",
+                                       "Z" * 64, "xiz" * 30])
+    def test_label_upper_round_trip(self, label):
+        assert str(PauliString.from_label(label)) == label.upper()
+
+
+@st.composite
+def pauli_case(draw, max_n=6):
+    """Two n-qubit Paulis (n <= max_n), a permutation of the qubits and an
+    embedding window of a register of up to max_n + 2 qubits."""
+    n = draw(st.integers(1, max_n))
+    mask = st.integers(0, (1 << n) - 1)
+    p = PauliString(n, draw(mask), draw(mask))
+    q = PauliString(n, draw(mask), draw(mask))
+    images = draw(st.permutations(range(n)))
+    total = draw(st.integers(n, max_n + 2))
+    offset = draw(st.integers(0, total - n))
+    return p, q, images, total, offset
+
+
+class TestPauliMatrixProperty:
+    """The mask arithmetic against dense matrices and letter-by-letter labels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_case())
+    def test_symplectic_product_is_matrix_commutation(self, case):
+        p, q = case[:2]
+        a, b = pauli_matrix(p), pauli_matrix(q)
+        sign = -1 if p.symplectic_product(q) else 1
+        assert np.array_equal(a @ b, sign * (b @ a))
+        assert p.symplectic_product(q) == q.symplectic_product(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_case())
+    def test_product_is_matrix_product_up_to_phase(self, case):
+        p, q = case[:2]
+        want = pauli_matrix(p) @ pauli_matrix(q)
+        got = pauli_matrix(p * q)
+        phase = np.vdot(got, want) / (1 << p.n)
+        assert abs(abs(phase) - 1) < 1e-12
+        assert np.allclose(want, phase * got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_case())
+    def test_permute_and_embed_move_letters(self, case):
+        p, _, images, total, offset = case
+        letters = letter_label(p)
+        moved = [""] * p.n
+        for i, dest in enumerate(images):
+            moved[dest] = letters[i]
+        assert letter_label(p.permute(images)) == "".join(moved)
+        placed = p.embed(total, offset)
+        assert placed.n == total
+        assert letter_label(placed) == (
+            "I" * offset + letters + "I" * (total - offset - p.n))
 
 
 class TestEnumerateBursts:

@@ -1,4 +1,5 @@
-"""Tests for the dense simulator: endianness, gates, Pauli action, readout."""
+"""Tests for the dense simulator: endianness, gates, Pauli action (burst
+branches on an interleaved register included), readout."""
 import itertools
 
 import numpy as np
@@ -11,7 +12,9 @@ from qinterleave import (
     Permutation,
     StateVector,
     basis_state,
+    encode_blocks,
     encode_phase3,
+    enumerate_bursts,
     interleave_permutation,
 )
 from oracles import (
@@ -19,6 +22,7 @@ from oracles import (
     index_apply_pauli,
     pauli_matrix,
     permutation_label_action,
+    place_blocks,
     random_state,
 )
 
@@ -123,9 +127,54 @@ class TestApplyPauli:
         rng = np.random.default_rng(14)
         s = random_state(3, rng)
         before = s.amps.copy()
-        for label in ("XXX", "YYY", "ZZZ", "XIZ"):
+        for label in ("III", "XXX", "YYY", "ZZZ", "XIZ"):
             s.apply_pauli(PauliString.from_label(label))
         assert s.amps.tobytes() == before.tobytes()
+
+
+DEMO_BURSTS = (PauliString.from_masks("0" * 9, "111000000"),
+               PauliString.from_masks("0" * 9, "000001110"))
+
+
+class TestApplyBranches:
+    def test_identity_branch(self):
+        state = encode_phase3(0.6, 0.8)
+        out = state.apply_pauli(PauliString.identity(3))
+        assert np.allclose(out.amps, state.amps)
+
+    def test_two_branch_worked_example(self):
+        # both corrupted 9-qubit states match a direct per-block construction:
+        # the first mask puts one Z on the first qubit of every interleaved
+        # block, the second puts Z on local qubit 2 of blocks 0 and 1 and on
+        # local qubit 1 of block 2
+        coeffs = [(0.6, 0.8), (0.28, 0.96), (0.96, -0.28)]
+        phi_in = encode_blocks(coeffs, encode_phase3)
+        interleaved = phi_in.permute_qubits(interleave_permutation(3, 3))
+        outputs = [interleaved.apply_pauli(p) for p in DEMO_BURSTS]
+
+        z_at = [pauli_matrix(PauliString.from_label(lab))
+                for lab in ("ZII", "IZI", "IIZ")]
+        blocks = [encode_phase3(*c).amps for c in coeffs]
+        positions = [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
+        oracle1 = place_blocks([z_at[0] @ b for b in blocks], positions, 9)
+        assert np.allclose(outputs[0].amps, oracle1.amps)
+        oracle2 = place_blocks(
+            [z_at[2] @ blocks[0], z_at[2] @ blocks[1], z_at[1] @ blocks[2]],
+            positions, 9)
+        assert np.allclose(outputs[1].amps, oracle2.amps)
+
+    def test_branch_count_and_norm(self):
+        coeffs = [(0.6, 0.8)] * 3
+        state = encode_blocks(coeffs, encode_phase3).permute_qubits(
+            interleave_permutation(3, 3))
+        outputs = [state.apply_pauli(p) for p in enumerate_bursts(9, 3, "phase")]
+        assert len(outputs) == 31
+        for out in outputs:
+            assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            encode_phase3(1, 0).apply_pauli(PauliString.identity(4))
 
 
 class TestApplyGate:
