@@ -138,7 +138,7 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
     return [DEFAULT_COEFFS[i % len(DEFAULT_COEFFS)] for i in range(m)]
 
 
-def _statevector_items(code: StabilizerCode, kind: str,
+def _statevector_items(code: StabilizerCode, kind: str, length: int,
                        pairs: Sequence[tuple[complex, complex]],
                        errors: Iterable[tuple[str, int, int]]) -> list[dict]:
     """Encode one block per coefficient pair; for each (label, x mask, z mask)
@@ -150,12 +150,11 @@ def _statevector_items(code: StabilizerCode, kind: str,
     qubits and the fidelity is the product of the block fidelities, in block
     order.  The error's set bits are moved straight into m block-part mask
     pairs, and each distinct (block, x part, z part) is corrupted and decoded
-    once per call.  The block decoder corrects the kind's bursts up to the
-    code's burst ability; raises SyndromeCollisionError when no such decoder
-    exists.
+    once per call.  The block decoder corrects the kind's bursts of length
+    <= `length` on one block; raises SyndromeCollisionError when no such
+    decoder exists.
     """
-    table = build_syndrome_table(
-        code, enumerate_bursts(code.n, code.burst_ability, kind))
+    table = build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
     n, m = code.n, len(blocks)
@@ -234,7 +233,7 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     code = phase3_code()
     encoder = logical_encoder(code)
     items = _statevector_items(
-        code, "phase", coeffs,
+        code, "phase", code.burst_ability, coeffs,
         [(f"e_{p}", p.x, p.z) for p in paulis])
 
     return Report(
@@ -315,13 +314,14 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         items = [item]
     else:
         pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
+        # The swept set restricted to a block: block bursts of length <= length.
+        length = min(code.n, (effective - 1) // degree + 1)
         try:
-            items = _statevector_items(code, kind, pairs,
+            items = _statevector_items(code, kind, length, pairs,
                                        zip(burst_labels(total, xs, zs), xs, zs))
         except SyndromeCollisionError as exc:
             items = [{
-                "label": f"block decoder for {kind} bursts of length <= "
-                         f"{code.burst_ability}",
+                "label": f"block decoder for {kind} bursts of length <= {length}",
                 "passed": False,
                 "reason": str(exc),
             }]

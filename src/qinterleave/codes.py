@@ -10,19 +10,20 @@ multiplying the declared burst-correcting ability by m.
 Correctability of an error set is the standard stabilizer criterion: any two
 errors with equal syndromes must differ by a stabilizer element (degenerate
 errors are allowed).  Two errors with equal syndromes differ by an element of
-the normalizer N(S), and that element lies in S exactly when both errors
-commute or anticommute alike with every logical operator, i.e. lie in the
-same class of N(S)/S.  So a set is correctable iff every syndrome bucket
-holds a single class.  Both the syndromes and the classes are commutation
-bits, computed for all errors at once on masks packed into uint64 words.
-The same buckets build the decoder's syndrome table, a plain dict from
-syndrome tuples to corrections: each bucket's first error is its correction,
-and a bucket holding two classes has no correction.
+N(S), and that element lies in S exactly when both errors commute or
+anticommute alike with every logical operator, i.e. lie in the same class of
+N(S)/S.  So a set is correctable iff every syndrome holds a single class.
+Syndrome and class bits are commutation bits, linear over GF(2) in the error
+masks: an error's bits are the XOR of one 256-row table entry per mask byte
+(the Method of Four Russians), folded into uint64 words, syndrome on top, and
+one sort of the words puts each syndrome's classes side by side.  The words
+also build the decoder's table, a dict from syndrome tuples to corrections.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -32,8 +33,6 @@ from .pauli import PauliString, burst_masks
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
 _NORM_TOL = 1e-10
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
 
 
 class SyndromeCollisionError(ValueError):
@@ -256,58 +255,51 @@ class CorrectabilityResult(NamedTuple):
         return self.ok
 
 
-def _pack_masks(masks: Sequence[int], words: int) -> np.ndarray:
-    """(len(masks), words) uint64 array of the masks, word 0 most significant."""
-    if words == 1:
+def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
+    """(len(masks), width) uint8 array of the masks as big-endian bytes."""
+    if width <= 8:
         # numpy converts ints below 2**64 itself, several times faster.
-        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    return np.stack([
-        np.array([(m >> (_WORD * (words - 1 - w))) & _WORD_MASK for m in masks],
-                 dtype=np.uint64)
-        for w in range(words)], axis=1)
+        return np.fromiter(masks, ">u8", len(masks))[:, None].view(np.uint8)[:, 8 - width:]
+    return np.frombuffer(b"".join(map(int.to_bytes, masks, repeat(width), repeat("big"))),
+                         dtype=np.uint8).reshape(-1, width)
 
 
-def _commutation_bits(ex: np.ndarray, ez: np.ndarray,
-                      ops: Sequence[PauliString]) -> np.ndarray:
-    """Bit j of row i is 1 when error i anticommutes with ops[j], one operator
-    at a time over the packed error masks.  The matrix has at least one
-    column, so a code without generators still has one all-zero syndrome."""
-    words = ex.shape[1]
-    op_xs = _pack_masks([op.x for op in ops], words)
-    op_zs = _pack_masks([op.z for op in ops], words)
-    bits = np.zeros((len(ex), max(1, len(ops))), dtype=np.uint8)
-    for j, (ox, oz) in enumerate(zip(op_xs, op_zs)):
-        # The XOR of the two overlaps has the parity of their summed counts.
-        bits[:, j] = np.bitwise_count((ex & oz) ^ (ez & ox)).sum(axis=1) & 1
-    return bits
+def _commutation_words(n: int, ops: Sequence[PauliString], xs: Sequence[int],
+                       zs: Sequence[int]) -> np.ndarray:
+    """(ceil(len(ops)/64), len(xs)) uint64 array: column i, read as one
+    integer with word 0 most significant, has bit len(ops)-1-j set when the
+    error X_xs[i] Z_zs[i] anticommutes with ops[j] (n qubits, ops not empty).
+    An error's x byte indexes the table built from the operators' z bytes at
+    its position, and its z byte the one built from their x bytes."""
+    width, words = -(-n // 8), -(-len(ops) // 64)
+    op_bytes = np.concatenate([_mask_bytes([op.z for op in ops], width),
+                               _mask_bytes([op.x for op in ops], width)], axis=1).T
+    # parity[p, v, j]: the overlap of byte value v with operator j's byte p.
+    parity = np.bitwise_count(np.arange(256, dtype=np.uint8)[:, None]
+                              & op_bytes[:, None, :]) & 1
+    parity = np.pad(parity, ((0, 0), (0, 0), (64 * words - len(ops), 0)))
+    tables = np.packbits(parity, axis=2).view(">u8").astype(np.uint64)
+    folded = np.zeros((words, len(xs)), dtype=np.uint64)
+    for table, column in zip(tables, chain(_mask_bytes(xs, width).T,
+                                           _mask_bytes(zs, width).T)):
+        column = column.astype(np.intp)
+        for word, entries in zip(folded, table.T):
+            word ^= entries[column]
+    return folded
 
 
-class _Buckets(NamedTuple):
-    """Errors X_xs[i] Z_zs[i], identity first, with their packed syndrome rows
-    and class bits.  bucket[i] ranks error i's syndrome in syndrome order,
-    first[b] is bucket b's first error in input order, and stray[i] marks an
-    error whose class differs from its bucket's first error's."""
-    xs: list[int]
-    zs: list[int]
-    syndromes: np.ndarray
-    classes: np.ndarray
-    first: np.ndarray
-    bucket: np.ndarray
-    stray: np.ndarray
-
-
-def _bucket_errors(code: StabilizerCode, xs: Sequence[int],
-                   zs: Sequence[int]) -> _Buckets:
+def _fold(code: StabilizerCode, xs: Sequence[int], zs: Sequence[int]
+          ) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """The errors X_xs[i] Z_zs[i], identity first, their commutation words
+    against the generators, then the logical Xs and Zs, and the (words, 1)
+    mask of the generator bits: columns sort in syndrome order, and two with
+    one syndrome differ exactly when their errors lie in different classes."""
     xs, zs = [0, *xs], [0, *zs]
-    words = -(-code.n // _WORD)
-    ex, ez = _pack_masks(xs, words), _pack_masks(zs, words)
-    syndromes = np.packbits(_commutation_bits(ex, ez, code.generators), axis=1)
-    classes = _commutation_bits(ex, ez, (*code.logical_xs, *code.logical_zs))
-    # Packed big-endian, the bytes of a row compare like the syndrome tuple.
-    rows = syndromes.view(np.dtype((np.void, syndromes.shape[1]))).ravel()
-    _, first, bucket = np.unique(rows, return_index=True, return_inverse=True)
-    stray = (classes != classes[first[bucket]]).any(axis=1)
-    return _Buckets(xs, zs, syndromes, classes, first, bucket, stray)
+    ops = (*code.generators, *code.logical_xs, *code.logical_zs)
+    words = _commutation_words(code.n, ops, xs, zs)
+    mask = ((1 << len(code.generators)) - 1) << (2 * code.k)
+    return xs, zs, words, np.frombuffer(
+        mask.to_bytes(8 * len(words), "big"), dtype=">u8").astype(np.uint64)[:, None]
 
 
 def _error_masks(code: StabilizerCode,
@@ -322,22 +314,24 @@ def corrects_masks(code: StabilizerCode, xs: Sequence[int],
     """corrects_error_set for the errors X_xs[i] Z_zs[i], given as mask ints
     of code.n bits (not checked).
 
-    Each error's syndrome (generator bits) and class (logical bits) are
-    computed on packed masks, the identity included.  The set fails iff some
-    syndrome bucket holds two classes; the witness comes from the first such
-    bucket in syndrome order: its smallest member by (x, z), and the first
-    later member of another class, whose product with it is not in S.
+    The set fails iff two distinct folded words, the identity's included,
+    share a syndrome; the witness comes from the first such syndrome: its
+    smallest member by (x, z), and the first later member of another class.
     """
-    b = _bucket_errors(code, xs, zs)
-    if not b.stray.any():
+    xs, zs, words, mask = _fold(code, xs, zs)
+    ordered = (np.sort(words, axis=1) if len(words) == 1
+               else words[:, np.lexsort(words[::-1])])
+    distinct = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
+    syndromes = ordered[:, distinct] & mask
+    clash = np.flatnonzero((syndromes[:, 1:] == syndromes[:, :-1]).all(axis=0))
+    if not len(clash):
         return CorrectabilityResult(True, None)
-    members = sorted(np.flatnonzero(b.bucket == b.bucket[b.stray].min()).tolist(),
-                     key=lambda i: (b.xs[i], b.zs[i]))
+    in_bucket = ((words & mask) == syndromes[:, clash[:1]]).all(axis=0)
+    members = sorted(np.flatnonzero(in_bucket).tolist(), key=lambda i: (xs[i], zs[i]))
     base = members[0]
-    partner = next(i for i in members[1:]
-                   if (b.classes[i] != b.classes[base]).any())
+    partner = next(i for i in members[1:] if (words[:, i] != words[:, base]).any())
     return CorrectabilityResult(False, tuple(
-        PauliString(code.n, b.xs[i], b.zs[i]) for i in (base, partner)))
+        PauliString(code.n, xs[i], zs[i]) for i in (base, partner)))
 
 
 def corrects_error_set(code: StabilizerCode,
@@ -364,15 +358,21 @@ def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
     syndrome's correction is outside the stabilizer group, i.e. whose class
     differs from the correction's.
     """
-    b = _bucket_errors(code, *_error_masks(code, errors))
+    _, _, words, mask = _fold(code, *_error_masks(code, errors))
+    _, first, bucket = np.unique(words & mask, axis=1, return_index=True,
+                                 return_inverse=True)
+    start = 64 * len(words) - code.n - code.k
+    syndromes = np.unpackbits(words.T.astype(">u8", order="C").view(np.uint8), axis=1)[
+        :, start:start + len(code.generators)].tolist()
     paulis = [PauliString.identity(code.n), *errors]
-    syndromes = np.unpackbits(b.syndromes, axis=1, count=len(code.generators)).tolist()
-    if b.stray.any():
-        i = int(np.argmax(b.stray))
+    # An error whose word differs from its bucket's first differs in class.
+    stray = (words != words[:, first[bucket]]).any(axis=0)
+    if stray.any():
+        i = int(np.argmax(stray))
         raise SyndromeCollisionError(
-            f"errors {paulis[b.first[b.bucket[i]]]} and {paulis[i]} share syndrome "
+            f"errors {paulis[first[bucket[i]]]} and {paulis[i]} share syndrome "
             f"{tuple(syndromes[i])} but their product is outside the stabilizer group")
-    return {tuple(syndromes[i]): paulis[i] for i in np.sort(b.first).tolist()}
+    return {tuple(syndromes[i]): paulis[i] for i in np.sort(first).tolist()}
 
 
 def burst_ability_measured(code: StabilizerCode, kind: str) -> int:

@@ -169,6 +169,31 @@ def label_bursts(n: int, l: int, kind: str) -> list[PauliString]:
     return out
 
 
+WORD = 64
+
+
+def pack_masks(masks, words: int) -> np.ndarray:
+    """(len(masks), words) uint64 array of the masks, word 0 most significant."""
+    low = (1 << WORD) - 1
+    return np.array([[(m >> (WORD * (words - 1 - w))) & low for w in range(words)]
+                     for m in masks], dtype=np.uint64).reshape(-1, words)
+
+
+def commutation_bits(n: int, ops, xs, zs) -> np.ndarray:
+    """(len(xs), len(ops)) uint8 matrix: bit j of row i is 1 when the error
+    X_xs[i] Z_zs[i] anticommutes with ops[j], one operator at a time, by the
+    parity of the two mask overlaps over the errors packed into words."""
+    words = -(-n // WORD)
+    ex, ez = pack_masks(xs, words), pack_masks(zs, words)
+    op_xs = pack_masks([op.x for op in ops], words)
+    op_zs = pack_masks([op.z for op in ops], words)
+    bits = np.zeros((len(ex), len(ops)), dtype=np.uint8)
+    for j, (ox, oz) in enumerate(zip(op_xs, op_zs)):
+        # The XOR of the two overlaps has the parity of their summed counts.
+        bits[:, j] = np.bitwise_count((ex & oz) ^ (ez & ox)).sum(axis=1) & 1
+    return bits
+
+
 def gf2_corrects_error_set(code: StabilizerCode,
                            errors) -> CorrectabilityResult:
     """Stabilizer correctability by pairwise membership: errors are bucketed
@@ -207,7 +232,7 @@ def membership_syndrome_table(code: StabilizerCode,
     return table
 
 
-def dense_statevector_items(code: StabilizerCode, kind: str, pairs,
+def dense_statevector_items(code: StabilizerCode, kind: str, length: int, pairs,
                             errors) -> list[dict]:
     """The CLI's state-vector items, computed on one dense register of all m
     blocks: encode_blocks, interleave with permute_qubits, apply each burst
@@ -215,9 +240,8 @@ def dense_statevector_items(code: StabilizerCode, kind: str, pairs,
     the register-wide eigenvalues of its embedded generators, apply every
     block's correction as one Pauli and take the fidelity with the encoded
     register.  The table is membership_syndrome_table's, for the kind's
-    bursts up to the code's burst ability."""
-    table = membership_syndrome_table(
-        code, enumerate_bursts(code.n, code.burst_ability, kind))
+    bursts of length <= length on one block."""
+    table = membership_syndrome_table(code, enumerate_bursts(code.n, length, kind))
     m = len(pairs)
     total = code.n * m
     phi_in = encode_blocks(pairs, logical_encoder(code))
@@ -260,15 +284,15 @@ def split_pauli(p: PauliString, size: int) -> list[PauliString]:
             for shift in range(p.n - size, -1, -size)]
 
 
-def per_burst_statevector_items(code: StabilizerCode, kind: str, pairs,
-                                errors) -> list[dict]:
+def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
+                                pairs, errors) -> list[dict]:
     """The CLI's state-vector items with every block of every burst decoded:
     for each (label, error) on the interleaved register, the error is moved
     through the inverse interleave permutation and split into block Paulis,
     and every block is corrupted, decoded by block_decode and compared with
-    its encoded state."""
-    table = build_syndrome_table(
-        code, enumerate_bursts(code.n, code.burst_ability, kind))
+    its encoded state.  The table is built for the kind's bursts of length
+    <= length on one block."""
+    table = build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
     inverse = interleave_permutation(code.n, len(blocks)).inverse()

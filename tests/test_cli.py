@@ -193,6 +193,23 @@ class TestVerifyCommand:
         assert report["verdict"] == "fail"
         assert report["items"][0]["witness"] == ["IIIIIIIXIY", "IIIIIYIYII"]
 
+    @pytest.mark.parametrize("kind,burst,exit_code,count,witness", [
+        ("independent", 1, 1, 4355,
+         ["IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIZIIIIIIIIIIIIIIIIIIIIIIIIIX",
+          "IIIIIIIIIIIIXIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII"]),
+        ("colocated", 2, 0, 771, None),
+    ])
+    def test_stabilizer_two_words(self, capsys, kind, burst, exit_code, count,
+                                  witness):
+        # 65 qubits: 52 generator and 26 class bits fold into two words
+        code, out = run_main(capsys, "verify", "--code", "five", "--degree", "13",
+                             "--kind", kind, "--burst", str(burst),
+                             "--output", "json")
+        assert code == exit_code
+        report = json.loads(out)
+        assert report["parameters"]["burst_count"] == count
+        assert report["items"][0].get("witness") == witness
+
     def test_burst_clamped(self, capsys):
         code, out = run_main(capsys, "verify", "--degree", "1", "--burst", "4",
                              "--method", "statevector", "--output", "json")
@@ -263,18 +280,20 @@ class TestVerifyCommand:
             st = run_verify("phase3", m, burst=l, kind="phase", method="stabilizer")
             assert sv.verdict == st.verdict
 
-    @pytest.mark.parametrize("degree,burst,kind", [
-        (1, 2, "bit"), (2, 3, "bit"), (3, 4, "bit"), (2, 3, "phase"),
+    @pytest.mark.parametrize("degree,burst,kind,exit_code", [
+        (1, 2, "bit", 0), (2, 3, "bit", 0), (3, 4, "bit", 0), (2, 3, "phase", 0),
+        (1, 3, "bit", 1), (3, 7, "bit", 1), (2, 5, "phase", 1),
+        (1, 2, "colocated", 1), (3, 4, "colocated", 1),
     ])
-    def test_methods_disagree_above_declared_ability(self, capsys, degree, burst,
-                                                     kind):
-        # five declares burst ability 1 but measures 2 for bit and phase: the
-        # stabilizer method checks the swept set itself, while the statevector
-        # decoder is built for the declared ability only (see README)
+    def test_methods_agree_above_declared_ability(self, capsys, degree, burst,
+                                                  kind, exit_code):
+        # five declares burst ability 1 but measures 2 for bit and phase and 1
+        # for colocated; the block decoder is built for the block restriction
+        # of the swept set, so both methods decide the measured ability
         argv = ["verify", "--code", "five", "--degree", str(degree),
                 "--burst", str(burst), "--kind", kind]
-        assert run_main(capsys, *argv, "--method", "stabilizer")[0] == 0
-        assert run_main(capsys, *argv, "--method", "statevector")[0] == 1
+        assert run_main(capsys, *argv, "--method", "stabilizer")[0] == exit_code
+        assert run_main(capsys, *argv, "--method", "statevector")[0] == exit_code
 
     def test_statevector_five_single_errors(self):
         report = run_verify("five", 1, burst=1, kind="colocated",
@@ -301,6 +320,9 @@ class TestDenseOracle:
         ("five", 1), ("five", 2)])
     def test_block_pipeline_matches_dense_register(self, code_name, m):
         code = CODES[code_name]()
+        # a decoder for the declared ability only, so that sweeps past it
+        # reach failing items
+        length = code.burst_ability
         outcomes = set()
         for kind in BURST_KINDS:
             for l in sorted({1, m, m + 1}):
@@ -311,13 +333,14 @@ class TestDenseOracle:
                          for label, e in errors]
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     try:
-                        dense = dense_statevector_items(code, kind, pairs, errors)
+                        dense = dense_statevector_items(code, kind, length, pairs,
+                                                        errors)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, kind, pairs, masks)
+                            _statevector_items(code, kind, length, pairs, masks)
                         assert str(got.value) == str(exc)
                         continue
-                    items = _statevector_items(code, kind, pairs, masks)
+                    items = _statevector_items(code, kind, length, pairs, masks)
                     assert len(items) == len(dense)
                     for item, want in zip(items, dense):
                         assert abs(item.pop("fidelity") - want.pop("fidelity")) <= 1e-12
@@ -336,6 +359,7 @@ class TestPerBurstOracle:
                              + [("five", m) for m in range(1, 5)])
     def test_items_equal_per_burst_oracle(self, code_name, m):
         code = CODES[code_name]()
+        length = code.burst_ability
         total = code.n * m
         outcomes = set()
         for kind in BURST_KINDS:
@@ -348,14 +372,17 @@ class TestPerBurstOracle:
                     paulis = ((label, PauliString(total, x, z))
                               for label, x, z in zip(labels, xs, zs))
                     try:
-                        want = per_burst_statevector_items(code, kind, pairs, paulis)
+                        want = per_burst_statevector_items(code, kind, length,
+                                                           pairs, paulis)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, kind, pairs, zip(labels, xs, zs))
+                            _statevector_items(code, kind, length, pairs,
+                                               zip(labels, xs, zs))
                         assert str(got.value) == str(exc)
                         outcomes.add("collision")
                         continue
-                    items = _statevector_items(code, kind, pairs, zip(labels, xs, zs))
+                    items = _statevector_items(code, kind, length, pairs,
+                                               zip(labels, xs, zs))
                     assert items == want
                     outcomes.update(item["passed"] for item in items)
         assert outcomes == {True, False, "collision"}

@@ -29,7 +29,9 @@ from qinterleave import (
     phase3_code,
 )
 from qinterleave.cli import DEFAULT_COEFFS
+from qinterleave.codes import _commutation_words
 from oracles import (
+    commutation_bits,
     gf2_corrects_error_set,
     gf2_rank_of,
     in_gf2_span,
@@ -530,6 +532,85 @@ class TestCorrectabilityOracle:
     @given(st.data())
     def test_random_small_codes(self, data):
         assert_matches_oracle(*draw_code_and_errors(data))
+
+
+def unfold(words, count):
+    """The (columns, count) bit matrix of the count low bits of each column
+    of a (words, columns) uint64 array, most significant first; every bit
+    above them is zero."""
+    bits = np.unpackbits(words.T.astype(">u8", order="C").view(np.uint8), axis=1)
+    assert not bits[:, :bits.shape[1] - count].any()
+    return bits[:, bits.shape[1] - count:]
+
+
+def random_masks(n, count, rng):
+    """count masks of n bits: single-bit, sparse and uniform ones, and the
+    two extremes, so every byte and word position sees set and clear bits."""
+    full = (1 << n) - 1
+    pool = (lambda: 0, lambda: full, lambda: rng.getrandbits(n),
+            lambda: 1 << rng.randrange(n),
+            lambda: rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n))
+    return [rng.choice(pool)() for _ in range(count)]
+
+
+def assert_words_match_oracle(n, ops, rng, errors=12):
+    xs, zs = random_masks(n, errors, rng), random_masks(n, errors, rng)
+    words = _commutation_words(n, ops, xs, zs)
+    assert words.shape == (-(-len(ops) // 64), errors)
+    assert (unfold(words, len(ops)) == commutation_bits(n, ops, xs, zs)).all()
+
+
+class TestCommutationWords:
+    """The byte-table commutation words against the per-operator oracle,
+    bit for bit: widths around byte and word boundaries, and operator
+    counts whose bits fill one, two and three words."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 128, 129])
+    def test_boundary_widths(self, n):
+        rng = random.Random(n)
+        for count in (1, 63, 64, 65, 128, 129):
+            ops = [PauliString(n, x, z) for x, z in zip(random_masks(n, count, rng),
+                                                      random_masks(n, count, rng))]
+            assert_words_match_oracle(n, ops, rng)
+        # a code without generators (k = n) and one without logicals (k = 0)
+        for k in (n, 0):
+            code = scrambled_code(n, k, random_gates(n, n, rng))
+            assert_words_match_oracle(
+                n, (*code.generators, *code.logical_xs, *code.logical_zs), rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), count=st.integers(1, 140),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_operators(self, n, count, seed):
+        rng = random.Random(seed)
+        ops = [PauliString(n, x, z) for x, z in zip(random_masks(n, count, rng),
+                                                  random_masks(n, count, rng))]
+        assert_words_match_oracle(n, ops, rng, errors=rng.randrange(30))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.one_of(st.integers(65, 140), st.integers(1, 64)),
+           k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_wide_code_verdicts(self, n, k, seed):
+        # errors seeded to collide: a product with a generator keeps the
+        # class, a product with a logical changes it
+        rng = random.Random(seed)
+        k = min(k, n)
+        code = scrambled_code(n, k, random_gates(n, 2 * n, rng))
+        errors = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n))
+                  for _ in range(6)]
+        same = errors + [e * rng.choice(code.generators)
+                         for e in errors[:3] if code.generators]
+        other = same + [errors[0] * rng.choice((*code.logical_xs, *code.logical_zs))
+                        for _ in range(min(k, 1))]
+        verdicts = []
+        for chosen in (same, other):
+            rng.shuffle(chosen)
+            verdicts.append(assert_matches_oracle(code, chosen).ok)
+            assert_table_matches_oracle(code, chosen)
+        # six uniform errors share a syndrome with odds below 2**-34; with
+        # k = 0 there is no logical, and the second set is the first
+        if n - k >= 40:
+            assert verdicts == [True, k == 0]
 
 
 def draw_code_and_errors(data):
