@@ -32,8 +32,8 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, PauliString, burst_labels, burst_length,
-                    burst_masks, enumerate_bursts)
+from .pauli import (BURST_KINDS, PauliString, burst_labels, burst_lengths,
+                    burst_masks, enumerate_bursts, row_masks)
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -261,7 +261,7 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                seed: int | None = None) -> Report:
     """Exhaustive burst sweep against one interleaved code.
 
-    Both methods take the bursts as the mask ints of burst_masks.  The
+    Both methods take the bursts as the byte rows of burst_masks.  The
     stabilizer method checks syndrome-level correctability of the whole burst
     set; the statevector method runs deinterleave -> corrupt -> block-decode
     -> fidelity on the encoded blocks for every burst, decoding each distinct
@@ -287,6 +287,7 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
             f"statevector method needs n*m <= {MAX_QUBITS}, got {total}")
     requested = burst if burst is not None else code.burst_ability * degree
     effective = min(requested, total)
+    xs, zs = burst_masks(total, effective, kind)
     parameters = {
         "code": code_name,
         "degree": degree,
@@ -295,12 +296,9 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         "kind": kind,
         "method": method,
         "interleaved_code": f"[[{total},{code.k * degree}]]",
-        "burst_count": 0,  # set below, once the bursts are enumerated
+        "burst_count": len(xs),
         "code_block": code.to_text(),
     }
-
-    xs, zs = burst_masks(total, effective, kind)
-    parameters["burst_count"] = len(xs)
     if method == "stabilizer":
         compound = interleaved_code(code, degree)
         parameters["interleaved_code_block"] = compound.to_text()
@@ -317,8 +315,8 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         # The swept set restricted to a block: block bursts of length <= length.
         length = min(code.n, (effective - 1) // degree + 1)
         try:
-            items = _statevector_items(code, kind, length, pairs,
-                                       zip(burst_labels(total, xs, zs), xs, zs))
+            items = _statevector_items(code, kind, length, pairs, zip(
+                burst_labels(total, xs, zs), row_masks(xs), row_masks(zs)))
         except SyndromeCollisionError as exc:
             items = [{
                 "label": f"block decoder for {kind} bursts of length <= {length}",
@@ -378,10 +376,9 @@ def run_enumerate(n: int, burst: int, kind: str) -> Report:
         raise ValueError(f"--burst must be >= 1, got {burst}")
     effective = min(burst, n)
     xs, zs = burst_masks(n, effective, kind)
-    items = [{"label": label,
-              "passed": burst_length(x) <= effective and burst_length(z) <= effective,
-              "weight": (x | z).bit_count()}
-             for label, x, z in zip(burst_labels(n, xs, zs), xs, zs)]
+    passed = (np.maximum(burst_lengths(xs), burst_lengths(zs)) <= effective).tolist()
+    items = [{"label": label, "passed": ok, "weight": weight} for label, ok, weight in zip(
+        burst_labels(n, xs, zs), passed, np.bitwise_count(xs | zs).sum(axis=1).tolist())]
     return Report(
         command="enumerate",
         parameters={"qubits": n, "burst_requested": burst,

@@ -13,23 +13,23 @@ errors are allowed).  Two errors with equal syndromes differ by an element of
 N(S), and that element lies in S exactly when both errors commute or
 anticommute alike with every logical operator, i.e. lie in the same class of
 N(S)/S.  So a set is correctable iff every syndrome holds a single class.
-Syndrome and class bits are commutation bits, linear over GF(2) in the error
-masks: an error's bits are the XOR of one 256-row table entry per mask byte
-(the Method of Four Russians), folded into uint64 words, syndrome on top, and
-one sort of the words puts each syndrome's classes side by side.  The words
-also build the decoder's table, a dict from syndrome tuples to corrections.
+Syndrome and class bits are commutation bits, linear over GF(2) in the masks:
+an error's bits are the XOR of one 256-row table entry per byte of its mask
+rows, as burst_masks makes them (the Method of Four Russians), folded into
+uint64 words, syndrome on top.  One sort of the words puts each syndrome's
+classes side by side; the words also build the decoder's syndrome dict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import PauliString, burst_masks
+from .pauli import PauliString, burst_labels, burst_masks, mask_rows, row_masks
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
 _NORM_TOL = 1e-10
@@ -138,10 +138,11 @@ class StabilizerCode:
         return self._stabilizer_span.contains(_symplectic_int(p))
 
     def to_text(self) -> str:
+        ops = (*self.generators, *self.logical_xs, *self.logical_zs)
+        tags = (["stabilizer"] * len(self.generators) + ["logical_x"] * self.k
+                + ["logical_z"] * self.k)
         lines = [f"[[{self.n},{self.k}]] burst_ability={self.burst_ability}"]
-        lines += [f"stabilizer {g}" for g in self.generators]
-        lines += [f"logical_x {p}" for p in self.logical_xs]
-        lines += [f"logical_z {p}" for p in self.logical_zs]
+        lines += map(" ".join, zip(tags, burst_labels(self.n, *_pauli_rows(self.n, ops))))
         return "\n".join(lines) + "\n"
 
 
@@ -255,46 +256,42 @@ class CorrectabilityResult(NamedTuple):
         return self.ok
 
 
-def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
-    """(len(masks), width) uint8 array of the masks as big-endian bytes."""
-    if width <= 8:
-        # numpy converts ints below 2**64 itself, several times faster.
-        return np.fromiter(masks, ">u8", len(masks))[:, None].view(np.uint8)[:, 8 - width:]
-    return np.frombuffer(b"".join(map(int.to_bytes, masks, repeat(width), repeat("big"))),
-                         dtype=np.uint8).reshape(-1, width)
+def _pauli_rows(n: int, paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
+    """The x masks and the z masks of n-qubit Paulis as byte rows (mask_rows)."""
+    if any(p.n != n for p in paulis):
+        raise ValueError("error length does not match code size")
+    return mask_rows(n, [p.x for p in paulis]), mask_rows(n, [p.z for p in paulis])
 
 
-def _commutation_words(n: int, ops: Sequence[PauliString], xs: Sequence[int],
-                       zs: Sequence[int]) -> np.ndarray:
+def _commutation_words(n: int, ops: Sequence[PauliString], xs: np.ndarray,
+                       zs: np.ndarray) -> np.ndarray:
     """(ceil(len(ops)/64), len(xs)) uint64 array: column i, read as one
     integer with word 0 most significant, has bit len(ops)-1-j set when the
-    error X_xs[i] Z_zs[i] anticommutes with ops[j] (n qubits, ops not empty).
-    An error's x byte indexes the table built from the operators' z bytes at
-    its position, and its z byte the one built from their x bytes."""
-    width, words = -(-n // 8), -(-len(ops) // 64)
-    op_bytes = np.concatenate([_mask_bytes([op.z for op in ops], width),
-                               _mask_bytes([op.x for op in ops], width)], axis=1).T
+    error with mask rows xs[i] and zs[i] anticommutes with ops[j] (n qubits,
+    ops not empty).  An error's x byte indexes the table built from the
+    operators' z bytes at its position, and its z byte the one of their x."""
+    words = -(-len(ops) // 64)
+    op_bytes = np.concatenate(_pauli_rows(n, ops)[::-1], axis=1).T
     # parity[p, v, j]: the overlap of byte value v with operator j's byte p.
     parity = np.bitwise_count(np.arange(256, dtype=np.uint8)[:, None]
                               & op_bytes[:, None, :]) & 1
     parity = np.pad(parity, ((0, 0), (0, 0), (64 * words - len(ops), 0)))
     tables = np.packbits(parity, axis=2).view(">u8").astype(np.uint64)
     folded = np.zeros((words, len(xs)), dtype=np.uint64)
-    for table, column in zip(tables, chain(_mask_bytes(xs, width).T,
-                                           _mask_bytes(zs, width).T)):
+    for table, column in zip(tables, chain(xs.T, zs.T)):
         column = column.astype(np.intp)
         for word, entries in zip(folded, table.T):
             word ^= entries[column]
     return folded
 
 
-def _fold(code: StabilizerCode, xs: Sequence[int], zs: Sequence[int]
-          ) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-    """The errors X_xs[i] Z_zs[i], identity first, their commutation words
-    against the generators, then the logical Xs and Zs, and the (words, 1)
-    mask of the generator bits: columns sort in syndrome order, and two with
-    one syndrome differ exactly when their errors lie in different classes."""
-    xs, zs = [0, *xs], [0, *zs]
+def _fold(code: StabilizerCode, xs: np.ndarray, zs: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The errors' rows, the identity's zero row first, their commutation words
+    against the generators, then the logical Xs and Zs, and the (words, 1) mask
+    of the generator bits: columns sort in syndrome order, and two with one
+    syndrome differ exactly when their errors lie in different classes."""
+    xs, zs = (np.vstack([np.zeros(rows.shape[1], np.uint8), rows]) for rows in (xs, zs))
     ops = (*code.generators, *code.logical_xs, *code.logical_zs)
     words = _commutation_words(code.n, ops, xs, zs)
     mask = ((1 << len(code.generators)) - 1) << (2 * code.k)
@@ -302,21 +299,15 @@ def _fold(code: StabilizerCode, xs: Sequence[int], zs: Sequence[int]
         mask.to_bytes(8 * len(words), "big"), dtype=">u8").astype(np.uint64)[:, None]
 
 
-def _error_masks(code: StabilizerCode,
-                 errors: Sequence[PauliString]) -> tuple[list[int], list[int]]:
-    if any(e.n != code.n for e in errors):
-        raise ValueError("error length does not match code size")
-    return [e.x for e in errors], [e.z for e in errors]
-
-
-def corrects_masks(code: StabilizerCode, xs: Sequence[int],
-                   zs: Sequence[int]) -> CorrectabilityResult:
-    """corrects_error_set for the errors X_xs[i] Z_zs[i], given as mask ints
-    of code.n bits (not checked).
+def corrects_masks(code: StabilizerCode, xs: np.ndarray,
+                   zs: np.ndarray) -> CorrectabilityResult:
+    """corrects_error_set for the errors with x mask rows xs and z mask rows
+    zs, the layout of burst_masks and mask_rows for code.n bits (not checked).
 
     The set fails iff two distinct folded words, the identity's included,
     share a syndrome; the witness comes from the first such syndrome: its
-    smallest member by (x, z), and the first later member of another class.
+    smallest member by (x, z), a lexsort of its rows, and the first later
+    member of another class.
     """
     xs, zs, words, mask = _fold(code, xs, zs)
     ordered = (np.sort(words, axis=1) if len(words) == 1
@@ -326,12 +317,12 @@ def corrects_masks(code: StabilizerCode, xs: Sequence[int],
     clash = np.flatnonzero((syndromes[:, 1:] == syndromes[:, :-1]).all(axis=0))
     if not len(clash):
         return CorrectabilityResult(True, None)
-    in_bucket = ((words & mask) == syndromes[:, clash[:1]]).all(axis=0)
-    members = sorted(np.flatnonzero(in_bucket).tolist(), key=lambda i: (xs[i], zs[i]))
+    members = np.flatnonzero(((words & mask) == syndromes[:, clash[:1]]).all(axis=0))
+    members = members[np.lexsort(np.c_[xs[members], zs[members]].T[::-1])]
     base = members[0]
     partner = next(i for i in members[1:] if (words[:, i] != words[:, base]).any())
-    return CorrectabilityResult(False, tuple(
-        PauliString(code.n, xs[i], zs[i]) for i in (base, partner)))
+    return CorrectabilityResult(False, tuple(PauliString(code.n, *row_masks(
+        np.stack([xs[i], zs[i]]))) for i in (base, partner)))
 
 
 def corrects_error_set(code: StabilizerCode,
@@ -345,7 +336,7 @@ def corrects_error_set(code: StabilizerCode,
     lexicographically smallest member, and the first later member whose
     product with it is outside the stabilizer group.
     """
-    return corrects_masks(code, *_error_masks(code, errors))
+    return corrects_masks(code, *_pauli_rows(code.n, errors))
 
 
 def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
@@ -358,7 +349,7 @@ def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
     syndrome's correction is outside the stabilizer group, i.e. whose class
     differs from the correction's.
     """
-    _, _, words, mask = _fold(code, *_error_masks(code, errors))
+    _, _, words, mask = _fold(code, *_pauli_rows(code.n, errors))
     _, first, bucket = np.unique(words & mask, axis=1, return_index=True,
                                  return_inverse=True)
     start = 64 * len(words) - code.n - code.k

@@ -1,26 +1,36 @@
-"""Binary-vector and Pauli-mask algebra on packed integer masks.
+"""Binary-vector and Pauli-mask algebra on packed masks, and burst sets.
 
 A binary vector of length n is stored only as (n, as_int), with position 0
 (the leftmost symbol of a mask string such as "111000000") as the most
 significant bit; bit tuples and strings are views derived from the int.  An
 n-qubit Pauli operator is PauliString(n, x, z), two such mask ints read as the
-operator X_x Z_z with the global phase deliberately untracked.
+operator X_x Z_z with the global phase deliberately untracked.  A set of masks
+is one (N, ceil(n/8)) uint8 array of rows, each a mask's big-endian bytes.
 
 A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
-when both of its masks are bursts of length l or less.
+when both of its masks are bursts of length l or less.  burst_masks builds a
+kind's bursts as rows with numpy, refusing a set over BURST_BYTES_BUDGET before
+allocating it; labels, burst lengths and syndromes are read from the rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 BURST_KINDS = ("bit", "phase", "colocated", "independent")
+
+# The peak bytes burst_masks admits, at 600 + 4n a burst on n qubits.  That rate
+# bounds enumerate --output json, which peaked at 0.55, 1.1 and 3.7 kB a burst
+# on 25, 200 and 1000 qubits; 3 GiB at that rate stays well under 7 GB.
+BURST_BYTES_BUDGET = 3 << 30
 
 _LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
 _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
-_HEX_DIGIT_LETTER = str.maketrans("0123", "IXZY")
 
 # Window letters of the burst kinds as (x bit, z bit) in "IXZY" order: the
 # letters allowed at the two ends of a window, and inside it.
@@ -95,7 +105,8 @@ class BinaryVector:
 
     def burst_length(self) -> int:
         """Span from the first to the last nonzero position; 0 for the zero vector."""
-        return burst_length(self.as_int)
+        mask = self.as_int
+        return mask.bit_length() - (mask & -mask).bit_length() + 1 if mask else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +160,8 @@ class PauliString:
         return not (self.x or self.z)
 
     def label(self) -> str:
-        return burst_labels(self.n, [self.x], [self.z])[0]
+        return burst_labels(self.n, mask_rows(self.n, [self.x]),
+                            mask_rows(self.n, [self.z]))[0]
 
     __str__ = label
 
@@ -159,7 +171,7 @@ class PauliString:
 
     def is_quantum_burst(self, l: int) -> bool:
         """True when the bit mask and the phase mask are each bursts of length <= l."""
-        return burst_length(self.x) <= l and burst_length(self.z) <= l
+        return self.x_mask.burst_length() <= l and self.z_mask.burst_length() <= l
 
     def symplectic_product(self, other: "PauliString") -> int:
         """0 when the two operators commute, 1 when they anticommute."""
@@ -192,57 +204,73 @@ class PauliString:
         shift = n_total - offset - self.n
         return PauliString(n_total, self.x << shift, self.z << shift)
 
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        """(x, z); for equal lengths this orders like the bit tuples
-        (x bits, z bits) lexicographically.  Used for deterministic tie-breaks."""
-        return (self.x, self.z)
+
+def mask_rows(n: int, masks: Sequence[int]) -> np.ndarray:
+    """n-bit mask ints as burst_masks' (N, ceil(n/8)) uint8 big-endian rows."""
+    width = -(-n // 8)
+    return np.frombuffer(b"".join(m.to_bytes(width, "big") for m in masks),
+                         dtype=np.uint8).reshape(-1, width)
 
 
-def burst_length(mask: int) -> int:
-    """Span from the highest to the lowest set bit of a mask int; 0 for 0."""
-    return mask.bit_length() - (mask & -mask).bit_length() + 1 if mask else 0
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The mask ints of big-endian byte rows; the inverse of mask_rows."""
+    padded = np.zeros((len(rows), -(-rows.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, padded.shape[1] - rows.shape[1]:] = rows
+    return reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)],
+                  padded.view(">u8").T.tolist())
 
 
-def burst_labels(n: int, xs: Sequence[int], zs: Sequence[int]) -> list[str]:
-    """The labels of the n-qubit Paulis with x masks xs and z masks zs, in
-    order, without building the Paulis; any masks, not only bursts."""
-    if not xs:
-        return []
-    # Read as hex, the masks' binary digits give each qubit its own nibble, so
-    # x + 2z per nibble indexes "IXZY"; hex converts in linear time.
-    digits = ("{:0%db}" % n) * len(xs)
-    x = int(digits.format(*xs), 16)
-    z = int(digits.format(*zs), 16)
-    text = format(x | (z << 1), f"0{n * len(xs)}x").translate(_HEX_DIGIT_LETTER)
+def burst_lengths(rows: np.ndarray) -> np.ndarray:
+    """Span from the first to the last set bit of each row; 0 for a zero row."""
+    bits = np.unpackbits(rows, axis=1)
+    first, last = bits.argmax(axis=1), bits[:, ::-1].argmax(axis=1)
+    return np.where(bits.any(axis=1), bits.shape[1] - last - first, 0)
+
+
+def burst_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> list[str]:
+    """The labels of the n-qubit Paulis with x mask rows xs and z mask rows zs
+    (mask_rows), in order; each qubit's bits x + 2z index "IXZY"."""
+    letters = np.unpackbits(xs, axis=1)[:, -n:] | np.unpackbits(zs, axis=1)[:, -n:] << 1
+    text = np.frombuffer(b"IXZY", dtype=np.uint8)[letters].tobytes().decode("ascii")
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 
-def _window_bursts(n: int, l: int, ends: Sequence[tuple[int, int]],
-                   inner: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    # The minimal window holding the support spans at most l positions, so its
-    # endpoints carry an end letter and each string is produced exactly once.
-    # Order: span, start, then the window letters, leftmost letter slowest.
-    xs: list[int] = []
-    zs: list[int] = []
+def burst_count(n: int, l: int, kind: str) -> int:
+    """len(burst_masks(n, l, kind)[0]): sum_{s=1..l} (n-s+1) e^min(s,2) i^max(s-2,0)
+    windows for e end and i inner letters, and (B+1)^2 - 1 for B bit bursts."""
+    if kind not in BURST_KINDS:
+        raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
+    if not 1 <= l <= n:
+        raise ValueError(f"burst bound l={l} out of range for n={n}")
+    ends, inner = map(len, _WINDOW_LETTERS["bit" if kind == "independent" else kind])
+    windows = sum((n - s + 1) * ends ** min(s, 2) * inner ** max(s - 2, 0)
+                  for s in range(1, l + 1))
+    return (windows + 1) ** 2 - 1 if kind == "independent" else windows
+
+
+def _window_rows(n: int, l: int, ends: Sequence, inner: Sequence) -> np.ndarray:
+    # Minimal windows span <= l positions with end letters at both ends, ordered
+    # by span, start, letters (leftmost slowest).  A window, a uint64 per mask, is
+    # the low and high word of a row of big-endian words; word 0 spills, all zero.
+    width, words = -(-n // 8), -(-n // 64)
+    end_bits, inner_bits = (np.array(ls, np.uint64).T[:, None] for ls in (ends, inner))
+    head, spans, shifts = end_bits[:, 0], [], np.arange(n - 1, -1, -1)
+    lows, offsets = words - shifts // 64, (shifts % 64).astype(np.uint64)[:, None, None]
     for span in range(1, l + 1):
-        windows = [(0, 0)]
-        for i in range(span):
-            letters = ends if i in (0, span - 1) else inner
-            windows = [((x << 1) | bx, (z << 1) | bz)
-                       for x, z in windows for bx, bz in letters]
-        wx = [x for x, _ in windows]
-        wz = [z for _, z in windows]
-        for start in range(n - span + 1):
-            shift = n - start - span
-            xs.extend([x << shift for x in wx])
-            zs.extend([z << shift for z in wz])
-    return xs, zs
+        windows = ((head[:, :, None] << 1) | end_bits).reshape(2, -1) if span > 1 else head
+        low, offset, starts = lows[span - 1:], offsets[span - 1:], np.arange(n - span + 1)
+        rows = np.zeros((2, len(starts), windows.shape[1], words + 1), dtype=">u8")
+        rows[:, starts, :, low] = windows << offset
+        rows[:, starts, :, low - 1] = (windows >> 1) >> (63 - offset)
+        spans.append(rows.view(np.uint8)[..., -width:].reshape(2, -1, width))
+        if span > 1:
+            head = ((head[:, :, None] << 1) | inner_bits).reshape(2, -1)
+    return np.concatenate(spans, axis=1)
 
 
-def burst_masks(n: int, l: int, kind: str) -> tuple[list[int], list[int]]:
-    """The x masks and the z masks, as ints, of every non-identity Pauli
-    string of the given burst kind on n qubits.
+def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The x masks and the z masks of every non-identity Pauli string of the
+    given burst kind on n qubits, as two arrays of rows (mask_rows).
 
     bit: x mask is a burst of length <= l, z mask zero.
     phase: mirror image of bit.
@@ -250,23 +278,23 @@ def burst_masks(n: int, l: int, kind: str) -> tuple[list[int], list[int]]:
     These three are ordered by (span, start, window letters in "IXZY" order).
     independent: each mask is separately a (possibly empty) burst of length
     <= l; every x mask (outer) with every z mask (inner).
+    A set predicted past BURST_BYTES_BUDGET raises ValueError before allocation.
     """
-    if kind not in BURST_KINDS:
-        raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
-    if not 1 <= l <= n:
-        raise ValueError(f"burst bound l={l} out of range for n={n}")
+    # Span s adds 2**(s-2) windows or more: a valid l past 64 is over budget.
+    count, per_burst = burst_count(n, l if l > n else min(l, 64), kind), 600 + 4 * n
+    if count * per_burst > BURST_BYTES_BUDGET:
+        raise ValueError(
+            f"{count:,}{' or more' if l > 64 else ''} {kind} bursts of length <= {l} on "
+            f"{n} qubits exceed the budget of {BURST_BYTES_BUDGET // per_burst:,} bursts")
     if kind != "independent":
-        return _window_bursts(n, l, *_WINDOW_LETTERS[kind])
-    vectors = [0] + _window_bursts(n, l, *_WINDOW_LETTERS["bit"])[0]
-    count = len(vectors)
+        return tuple(_window_rows(n, l, *_WINDOW_LETTERS[kind]))
     # The identity pair comes first and is dropped.
-    xs = [x for x in vectors for _ in range(count)][1:]
-    zs = (vectors * count)[1:]
-    return xs, zs
+    vectors = np.pad(_window_rows(n, l, *_WINDOW_LETTERS["bit"])[0], ((1, 0), (0, 0)))
+    return (np.repeat(vectors, len(vectors), axis=0)[1:],
+            np.tile(vectors, (len(vectors), 1))[1:])
 
 
 def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:
     """All non-identity Pauli strings of the given burst kind on n qubits, in
     the order and with the kinds of burst_masks."""
-    xs, zs = burst_masks(n, l, kind)
-    return [PauliString(n, x, z) for x, z in zip(xs, zs)]
+    return [PauliString(n, x, z) for x, z in zip(*map(row_masks, burst_masks(n, l, kind)))]

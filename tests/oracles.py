@@ -31,6 +31,7 @@ from qinterleave import (
     logical_encoder,
 )
 from qinterleave.cli import FIDELITY_TOL
+from qinterleave.pauli import row_masks
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,7 +206,7 @@ def gf2_corrects_error_set(code: StabilizerCode,
     for e in dict.fromkeys((PauliString.identity(code.n), *errors)):
         buckets.setdefault(code.syndrome_of(e), []).append(e)
     for syn in sorted(buckets):
-        bucket = sorted(buckets[syn], key=lambda p: p.sort_key)
+        bucket = sorted(buckets[syn], key=lambda p: (p.x, p.z))
         base = bucket[0]
         for e in bucket[1:]:
             if not code.in_stabilizer_group(base * e):
@@ -449,12 +450,63 @@ def place_blocks(block_amps: list[np.ndarray], position_sets: list[tuple[int, ..
     return StateVector(n, amps)
 
 
+# The int enumerator and hex labels that the byte-row burst_masks and
+# burst_labels replaced, kept as their oracles.
+
+WINDOW_LETTERS = {
+    "bit": (((1, 0),), ((0, 0), (1, 0))),
+    "phase": (((0, 1),), ((0, 0), (0, 1))),
+    "colocated": (((1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (0, 1), (1, 1))),
+}
+
+
+def window_bursts(n: int, l: int, ends, inner) -> tuple[list[int], list[int]]:
+    """x and z mask ints of the window bursts, one window at a time, in
+    (span, start, window letters) order, leftmost letter slowest."""
+    xs: list[int] = []
+    zs: list[int] = []
+    for span in range(1, l + 1):
+        windows = [(0, 0)]
+        for i in range(span):
+            letters = ends if i in (0, span - 1) else inner
+            windows = [((x << 1) | bx, (z << 1) | bz)
+                       for x, z in windows for bx, bz in letters]
+        for start in range(n - span + 1):
+            shift = n - start - span
+            xs.extend(x << shift for x, _ in windows)
+            zs.extend(z << shift for _, z in windows)
+    return xs, zs
+
+
+def int_burst_masks(n: int, l: int, kind: str) -> tuple[list[int], list[int]]:
+    """burst_masks as two lists of mask ints, built in pure Python."""
+    if kind != "independent":
+        return window_bursts(n, l, *WINDOW_LETTERS[kind])
+    vectors = [0] + window_bursts(n, l, *WINDOW_LETTERS["bit"])[0]
+    count = len(vectors)
+    return ([x for x in vectors for _ in range(count)][1:],
+            (vectors * count)[1:])
+
+
+def hex_burst_labels(n: int, xs, zs) -> list[str]:
+    """Labels of the Paulis with mask ints xs and zs: read as hex, the masks'
+    binary digits give each qubit its own nibble, and x + 2z indexes "IXZY"."""
+    if not xs:
+        return []
+    digits = ("{:0%db}" % n) * len(xs)
+    x = int(digits.format(*xs), 16)
+    z = int(digits.format(*zs), 16)
+    text = format(x | (z << 1), f"0{n * len(xs)}x").translate(
+        str.maketrans("0123", "IXZY"))
+    return [text[i:i + n] for i in range(0, len(text), n)]
+
+
 # Test-only helpers.
 
 def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
     """All nonzero length-n vectors with burst length <= l, in (length, start,
     interior pattern) order."""
-    return [BinaryVector.from_int(n, v) for v in burst_masks(n, l, "bit")[0]]
+    return [BinaryVector.from_int(n, v) for v in row_masks(burst_masks(n, l, "bit")[0])]
 
 
 def deinterleave_blocks(v, n: int, m: int) -> list[tuple[int, ...]]:

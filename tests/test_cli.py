@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, report formats, and the JSON schema."""
 import json
+import time
 
 import jsonschema
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qinterleave.cli
+import qinterleave.pauli
 import qinterleave.statevector
 from qinterleave import (
     BURST_KINDS,
@@ -18,7 +20,7 @@ from qinterleave import (
     enumerate_bursts,
     parse_plain,
 )
-from qinterleave.pauli import burst_labels
+from qinterleave.pauli import burst_labels, mask_rows, row_masks
 from qinterleave.cli import (
     CODES,
     Report,
@@ -242,6 +244,27 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             f"qinterleave: error: --burst must be >= 1, got {burst}\n")
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--code", "five", "--degree", "13", "--kind", "colocated",
+         "--burst", "14"],
+        ["enumerate", "65", "--burst", "14", "--kind", "colocated"],
+    ])
+    def test_burst_budget_refusal(self, monkeypatch, capsys, command):
+        # refused by the predicted count, before any row or code is built
+        def no_build(*args):
+            raise AssertionError("built before the burst budget was checked")
+
+        monkeypatch.setattr(qinterleave.cli, "interleaved_code", no_build)
+        monkeypatch.setattr(qinterleave.pauli, "_window_rows", no_build)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "qinterleave: error: 10,536,091,647 colocated bursts of length <= 14 "
+            "on 65 qubits exceed the budget of ")
+
     def test_statevector_size_guard(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--code", "five", "--degree", "6",
@@ -364,8 +387,9 @@ class TestPerBurstOracle:
         outcomes = set()
         for kind in BURST_KINDS:
             for l in sorted({1, m, m + 1}):
-                xs, zs = burst_masks(total, l, kind)
-                labels = burst_labels(total, xs, zs)
+                rows = burst_masks(total, l, kind)
+                labels = burst_labels(total, *rows)
+                xs, zs = map(row_masks, rows)
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     # generators: the table is built before the first burst,
                     # so a collision costs no Pauli per burst
@@ -562,10 +586,12 @@ class TestRendering:
         assert out == oracle.to_text()
 
     def test_passed_is_checked_on_the_masks(self, monkeypatch):
-        # burst_masks yields only bursts, so feed it two that are too long
+        # burst_masks yields only bursts, so append the rows of two that are
+        # too long
         def with_long_bursts(n, l, kind):
             xs, zs = burst_masks(n, l, kind)
-            return xs + [0b10001, 0], zs + [0, 0b10100]
+            return (np.concatenate([xs, mask_rows(n, [0b10001, 0])]),
+                    np.concatenate([zs, mask_rows(n, [0, 0b10100])]))
 
         monkeypatch.setattr(qinterleave.cli, "burst_masks", with_long_bursts)
         report = run_enumerate(5, 2, "colocated")

@@ -30,6 +30,7 @@ from qinterleave import (
 )
 from qinterleave.cli import DEFAULT_COEFFS
 from qinterleave.codes import _commutation_words
+from qinterleave.pauli import mask_rows
 from oracles import (
     commutation_bits,
     gf2_corrects_error_set,
@@ -555,7 +556,7 @@ def random_masks(n, count, rng):
 
 def assert_words_match_oracle(n, ops, rng, errors=12):
     xs, zs = random_masks(n, errors, rng), random_masks(n, errors, rng)
-    words = _commutation_words(n, ops, xs, zs)
+    words = _commutation_words(n, ops, mask_rows(n, xs), mask_rows(n, zs))
     assert words.shape == (-(-len(ops) // 64), errors)
     assert (unfold(words, len(ops)) == commutation_bits(n, ops, xs, zs)).all()
 

@@ -16,9 +16,12 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
-from qinterleave.pauli import burst_labels, burst_length
+from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_labels,
+                               burst_lengths, mask_rows, row_masks)
 from oracles import (
     enumerate_burst_vectors,
+    hex_burst_labels,
+    int_burst_masks,
     label_burst_vectors,
     label_bursts,
     letter_label,
@@ -45,12 +48,14 @@ class TestBinaryVector:
         assert BinaryVector.from_string(bits).burst_length() == expected
 
     def test_burst_length_matches_scan_oracle(self):
+        # one row per vector, and every row of the set at once
         for n in range(1, 13):
+            lengths = burst_lengths(mask_rows(n, range(1 << n))).tolist()
             for value in range(1 << n):
                 bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
                 v = BinaryVector(bits)
-                assert v.burst_length() == burst_length(value) == scan_burst_length(bits)
-        assert burst_length(1 << 69 | 1) == 70
+                assert v.burst_length() == lengths[value] == scan_burst_length(bits)
+        assert burst_lengths(mask_rows(70, [1 << 69 | 1]))[0] == 70
 
     @pytest.mark.parametrize("bits,expected", [
         ("111000000", {0, 1, 2}),
@@ -212,18 +217,21 @@ class TestPauliString:
         assert str(p) == long_label
         assert str(p.x_mask) == "".join("1" if c in "XY" else "0" for c in long_label)
 
-    def test_sort_key_orders_like_bit_tuples(self):
-        # the witness rule sorts by sort_key; it must order exactly like the
-        # lexicographic (x bits, z bits) tuples, here built from the labels
-        keys = []
-        for letters in itertools.product("IXZY", repeat=4):
-            p = PauliString.from_label("".join(letters))
-            bits = (tuple(int(c in "XY") for c in letters),
-                    tuple(int(c in "ZY") for c in letters))
-            keys.append((p.sort_key, bits))
-        for key_a, bits_a in keys:
-            for key_b, bits_b in keys:
-                assert (key_a < key_b) == (bits_a < bits_b)
+    def test_row_lexsort_orders_like_bit_tuples(self):
+        # the witness rule sorts a bucket by a lexsort of its x rows, then its
+        # z rows; it must order exactly like the lexicographic (x bits, z bits)
+        # tuples, here built from the labels, across byte boundaries too
+        rng = random.Random(8)
+        for n in (4, 9, 70):
+            labels = (["".join(ls) for ls in itertools.product("IXZY", repeat=n)] if n == 4
+                      else ["".join(rng.choices("IIXZY", k=n)) for _ in range(300)])
+            paulis = [PauliString.from_label(label) for label in labels]
+            rows = np.c_[mask_rows(n, [p.x for p in paulis]),
+                         mask_rows(n, [p.z for p in paulis])]
+            bits = [tuple(tuple(int(c in ls) for c in label) for ls in ("XY", "ZY"))
+                    for label in labels]
+            order = np.lexsort(rows.T[::-1]).tolist()
+            assert [bits[i] for i in order] == sorted(bits)
 
     def test_embed(self):
         p = PauliString.from_label("XZ")
@@ -411,9 +419,9 @@ class TestEnumerateBursts:
         for n, l in cases + [(25, 3), (70, 2)]:
             xs, zs = burst_masks(n, l, kind)
             assert len(xs) == len(zs)
-            masks = list(zip(xs, zs))
-            assert masks == [p.sort_key for p in enumerate_bursts(n, l, kind)]
-            assert masks == [p.sort_key for p in label_bursts(n, l, kind)]
+            masks = list(zip(row_masks(xs), row_masks(zs)))
+            assert masks == [(p.x, p.z) for p in enumerate_bursts(n, l, kind)]
+            assert masks == [(p.x, p.z) for p in label_bursts(n, l, kind)]
 
     @pytest.mark.parametrize("kind", BURST_KINDS)
     def test_burst_labels_match_paulis(self, kind):
@@ -425,9 +433,11 @@ class TestEnumerateBursts:
             labels = burst_labels(n, xs, zs)
             assert labels == [str(p) for p in paulis]
             assert labels == [letter_label(p) for p in paulis]
-        assert burst_labels(4, [], []) == []
+        assert burst_labels(4, mask_rows(4, []), mask_rows(4, [])) == []
 
     def test_masks_errors(self):
+        with pytest.raises(ValueError, match="l=100 out of range for n=10"):
+            burst_masks(10, 100, "bit")
         with pytest.raises(ValueError):
             burst_masks(3, 4, "phase")
         with pytest.raises(ValueError):
@@ -492,3 +502,99 @@ class TestEnumerateBursts:
             colocated = {str(p) for p in enumerate_bursts(n, l, "colocated")}
             independent = {str(p) for p in enumerate_bursts(n, l, "independent")}
             assert colocated <= independent
+
+
+ROW_SIZES = list(range(1, 13)) + [63, 64, 65, 127, 128, 129, 200]
+
+
+def assert_rows_match_oracle(n, l, kind):
+    xs, zs = burst_masks(n, l, kind)
+    assert xs.dtype == zs.dtype == np.uint8
+    assert xs.shape == zs.shape == (burst_count(n, l, kind), -(-n // 8))
+    oracle_xs, oracle_zs = int_burst_masks(n, l, kind)
+    assert row_masks(xs) == oracle_xs
+    assert row_masks(zs) == oracle_zs
+
+
+class TestBurstRows:
+    """burst_masks' big-endian byte rows against the pure-Python int
+    enumerator, element by element, with windows starting on both sides of
+    every byte and 64-bit boundary; and the row readers against their int
+    counterparts."""
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    @pytest.mark.parametrize("n", ROW_SIZES)
+    def test_rows_equal_int_oracle(self, kind, n):
+        for l in range(1, n + 1):
+            if burst_count(n, l, kind) > 40000:
+                break
+            assert_rows_match_oracle(n, l, kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 200), kind=st.sampled_from(BURST_KINDS))
+    def test_random_rows_equal_int_oracle(self, data, n, kind):
+        longest = sum(1 for _ in itertools.takewhile(
+            lambda l: burst_count(n, l, kind) <= 50000, range(1, n + 1)))
+        assert_rows_match_oracle(n, data.draw(st.integers(1, longest), label="l"), kind)
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    def test_count_equals_enumerated_length(self, kind):
+        # sets past the budget (600 + 4n bytes a burst) are refused, naming
+        # the predicted count
+        for n in range(1, 13):
+            for l in range(1, n + 1):
+                count = burst_count(n, l, kind)
+                if count * (600 + 4 * n) > BURST_BYTES_BUDGET:
+                    with pytest.raises(ValueError, match=f"^{count:,} {kind} bursts"):
+                        burst_masks(n, l, kind)
+                else:
+                    assert count == len(burst_masks(n, l, kind)[0])
+
+    def test_count_closed_forms(self):
+        assert burst_count(25, 6, "colocated") == 62463
+        assert burst_count(25, 5, "colocated") == 16383
+        assert burst_count(65, 7, "colocated") == 729087
+        assert burst_count(65, 14, "colocated") == 10536091647
+        assert burst_count(9, 3, "independent") == 32 * 32 - 1
+        with pytest.raises(ValueError):
+            burst_count(3, 4, "phase")
+        with pytest.raises(ValueError):
+            burst_count(3, 1, "weird")
+
+    @pytest.mark.parametrize("n,l,kind,message", [
+        (65, 14, "colocated", "10,536,091,647 colocated bursts of length <= 14"
+                              " on 65 qubits exceed the budget of "),
+        (200, 100, "bit", " or more bit bursts of length <= 100 on 200 qubits"),
+        (10**6, 1, "phase", "1,000,000 phase bursts of length <= 1"),
+        (40, 20, "independent", " independent bursts of length <= 20 on 40"),
+    ])
+    def test_refused_before_allocation(self, monkeypatch, n, l, kind, message):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("rows allocated before the budget check")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=message):
+            burst_masks(n, l, kind)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
+    def test_labels_equal_hex_oracle(self, n):
+        rng = random.Random(n)
+        xs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(40)]
+        zs = [(1 << n) - 1, 0] + [rng.getrandbits(n) for _ in range(40)]
+        assert (burst_labels(n, mask_rows(n, xs), mask_rows(n, zs))
+                == hex_burst_labels(n, xs, zs))
+        for kind in BURST_KINDS:
+            rows = burst_masks(n, min(n, 2), kind)
+            assert burst_labels(n, *rows) == hex_burst_labels(n, *map(row_masks, rows))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
+    def test_row_readers_equal_int_readers(self, n):
+        rng = random.Random(n)
+        masks = [0, 1, 1 << (n - 1), (1 << n) - 1] + [
+            rng.getrandbits(n) & rng.getrandbits(n) for _ in range(60)]
+        rows = mask_rows(n, masks)
+        assert rows.shape == (len(masks), -(-n // 8))
+        assert row_masks(rows) == masks
+        assert burst_lengths(rows).tolist() == [
+            scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
+        assert row_masks(mask_rows(n, [])) == []
