@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,8 +32,8 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, PauliString, burst_labels, burst_lengths,
-                    burst_masks, enumerate_bursts, row_masks)
+from .pauli import (BURST_KINDS, LETTERS, PauliString, burst_labels, burst_lengths,
+                    burst_letters, burst_masks, enumerate_bursts, row_masks)
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -52,45 +52,115 @@ DEMO_BURSTS = ("ZZZIIIIII", "IIIIIZZZI")
 FIDELITY_TOL = 1e-10
 
 
+# The true/false cells, NUL-padded.
+_BOOL_CELLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
+# Rows are rendered this many grid bytes at a time: a whole-table grid and its
+# NUL mask would push enumerate past the 600 + 4n bytes a burst of pauli's budget.
+_GRID_BYTES = 8 << 20
+
+
+class ItemTable:
+    """Report items held as columns: 1-d bool, 1-d non-negative int, or (N, w)
+    uint8 text of printable ASCII without '"' or '\\'.  Rows read as dicts of
+    str, bool and int; json_rows renders them through NUL-padded byte grids."""
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        for name, col in columns.items():
+            number = col.ndim == 1 and (col.dtype == bool or col.dtype.kind in "iu"
+                                        and not (col < 0).any())
+            text = col.ndim == 2 and col.dtype == np.uint8 and col.shape[1] > 0 and not (
+                col.size and (col.min() < 0x20 or col.max() > 0x7E
+                              or (col == ord('"')).any() or (col == ord("\\")).any()))
+            if not (number or text):
+                raise ValueError(f"column {name!r} is not bool, non-negative int or text")
+        if len(sizes := {len(col) for col in columns.values()}) > 1:
+            raise ValueError(f"ragged columns of lengths {sorted(sizes)}")
+        self.columns, self._len = columns, sizes.pop() if sizes else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        rows = list(ItemTable(**{name: col[i if isinstance(i, slice) else [i]]
+                                 for name, col in self.columns.items()}))
+        return rows if isinstance(i, slice) else rows[0]
+
+    def __iter__(self):
+        def values(col):
+            if col.ndim == 1:
+                return col.tolist()
+            text, w = col.tobytes().decode(), col.shape[1]
+            return [text[i:i + w] for i in range(0, len(text), w)]
+        cells = map(values, self.columns.values())
+        return map(dict, zip(*map(zip, map(repeat, self.columns), cells)))
+
+    def json_rows(self) -> str:
+        """The rows of a non-empty table as json.dumps(indent=2) writes them
+        inside a report's items list: constant bytes, text, true/false and
+        right-aligned digit cells in NUL-padded grids of about _GRID_BYTES,
+        NULs dropped."""
+        parts = []
+        for j, (name, col) in enumerate(self.columns.items()):
+            key = (("    {\n" if j == 0 else ",\n") + f"      {json.dumps(name)}: ").encode()
+            if col.ndim == 2:
+                parts += [key + b'"', col, b'"']
+            elif col.dtype == bool:
+                parts += [key, _BOOL_CELLS[col.view(np.uint8)]]
+            else:
+                values = col.astype(np.uint64)[:, None]
+                width = len(str(values.max()))
+                powers = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+                digits = values // powers % 10 + 48
+                parts += [key, np.where(np.maximum(values, 1) >= powers, digits, 0)
+                          .astype(np.uint8)]
+        parts.append(b"\n    },\n")
+        width = sum(len(p) if isinstance(p, bytes) else p.shape[1] for p in parts)
+        step, text = max(1, _GRID_BYTES // width), []
+        for start in range(0, len(self), step):
+            rows = min(step, len(self) - start)
+            grid = np.concatenate([
+                np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+                if isinstance(p, bytes) else p[start:start + rows] for p in parts],
+                axis=1).ravel()
+            text.append(str(grid[grid != 0].data, "ascii"))
+        text[-1] = text[-1][:-2]
+        return "".join(text)
+
+
 @dataclass
 class Report:
     """Per-item results plus an aggregate verdict; renders as text or JSON."""
 
     command: str
     parameters: dict
-    items: list[dict] = field(default_factory=list)
+    items: list[dict] | ItemTable = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     @property
     def verdict(self) -> str:
         """Pass only when there are items and every one of them passed."""
-        passed = self.items and all(item["passed"] for item in self.items)
+        items = self.items
+        if isinstance(items, ItemTable):
+            return "pass" if len(items) and items.columns["passed"].all() else "fail"
+        passed = items and all(item["passed"] for item in items)
         return "pass" if passed else "fail"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, items: list | None = None) -> dict:
         return {
             "command": self.command,
             "parameters": self.parameters,
-            "items": self.items,
+            "items": list(self.items) if items is None else items,
             "verdict": self.verdict,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2), byte for byte."""
-        report = self.to_dict()
-        values = chain.from_iterable(map(dict.values, self.items))
-        if not (self.items and all(self.items)
-                and {str, int, float, bool, type(None)}.issuperset(map(type, values))):
-            return json.dumps(report, indent=2)
-        # indent turns off the C encoder: flat items, free of cycles, take one C
-        # call, and as no encoded string holds a raw newline, "},\n" ends an item.
-        envelope = json.dumps({**report, "items": None}, indent=2)
-        head, tail = envelope.split('\n  "items": null', 1)
-        body = json.dumps(self.items, separators=(",\n      ", ": "),
-                          check_circular=False)[2:-2]
-        body = body.replace("},\n      {", "\n    },\n    {\n      ")
-        return f'{head}\n  "items": [\n    {{\n      {body}\n    }}\n  ]{tail}'
+        if not (isinstance(self.items, ItemTable) and len(self.items)):
+            return json.dumps(self.to_dict(), indent=2)
+        envelope = json.dumps(self.to_dict(items=[]), indent=2)
+        head, tail = envelope.split('\n  "items": []', 1)
+        return f'{head}\n  "items": [\n{self.items.json_rows()}\n  ]{tail}'
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -138,7 +208,7 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
     return [DEFAULT_COEFFS[i % len(DEFAULT_COEFFS)] for i in range(m)]
 
 
-def _statevector_items(code: StabilizerCode, kind: str, length: int,
+def _statevector_items(code: StabilizerCode, table: dict,
                        pairs: Sequence[tuple[complex, complex]],
                        errors: Iterable[tuple[str, int, int]]) -> list[dict]:
     """Encode one block per coefficient pair; for each (label, x mask, z mask)
@@ -150,11 +220,9 @@ def _statevector_items(code: StabilizerCode, kind: str, length: int,
     qubits and the fidelity is the product of the block fidelities, in block
     order.  The error's set bits are moved straight into m block-part mask
     pairs, and each distinct (block, x part, z part) is corrupted and decoded
-    once per call.  The block decoder corrects the kind's bursts of length
-    <= `length` on one block; raises SyndromeCollisionError when no such
-    decoder exists.
+    once per call.  `table` is the block decoder's syndrome table
+    (build_syndrome_table).
     """
-    table = build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
     n, m = code.n, len(blocks)
@@ -232,9 +300,10 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
 
     code = phase3_code()
     encoder = logical_encoder(code)
-    items = _statevector_items(
-        code, "phase", code.burst_ability, coeffs,
-        [(f"e_{p}", p.x, p.z) for p in paulis])
+    table = build_syndrome_table(code, enumerate_bursts(code.n, code.burst_ability,
+                                                        "phase"))
+    items = _statevector_items(code, table, coeffs,
+                               [(f"e_{p}", p.x, p.z) for p in paulis])
 
     return Report(
         command="demo",
@@ -265,9 +334,10 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
     stabilizer method checks syndrome-level correctability of the whole burst
     set; the statevector method runs deinterleave -> corrupt -> block-decode
     -> fidelity on the encoded blocks for every burst, decoding each distinct
-    (block, block Pauli) once.  Burst lengths beyond the register size are
-    clamped.  Every argument, the statevector size guard included, is
-    checked before any burst is enumerated.
+    (block, block Pauli) once, and labels the bursts only once the block
+    decoder exists.  Burst lengths beyond the register size are clamped.
+    Every argument, the statevector size guard included, is checked before
+    any burst is enumerated.
     """
     start = time.perf_counter()
     if code_name not in CODES:
@@ -315,14 +385,17 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         # The swept set restricted to a block: block bursts of length <= length.
         length = min(code.n, (effective - 1) // degree + 1)
         try:
-            items = _statevector_items(code, kind, length, pairs, zip(
-                burst_labels(total, xs, zs), row_masks(xs), row_masks(zs)))
+            table = build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
         except SyndromeCollisionError as exc:
             items = [{
                 "label": f"block decoder for {kind} bursts of length <= {length}",
                 "passed": False,
                 "reason": str(exc),
             }]
+        else:
+            labels = burst_labels(burst_letters(total, xs, zs))
+            items = _statevector_items(code, table, pairs,
+                                       zip(labels, row_masks(xs), row_masks(zs)))
 
     return Report("verify", parameters, items, time.perf_counter() - start)
 
@@ -375,15 +448,15 @@ def run_enumerate(n: int, burst: int, kind: str) -> Report:
     if burst < 1:
         raise ValueError(f"--burst must be >= 1, got {burst}")
     effective = min(burst, n)
-    xs, zs = burst_masks(n, effective, kind)
-    passed = (np.maximum(burst_lengths(xs), burst_lengths(zs)) <= effective).tolist()
-    items = [{"label": label, "passed": ok, "weight": weight} for label, ok, weight in zip(
-        burst_labels(n, xs, zs), passed, np.bitwise_count(xs | zs).sum(axis=1).tolist())]
+    letters = burst_letters(n, *burst_masks(n, effective, kind))
+    lengths = np.maximum(burst_lengths(letters & 1), burst_lengths(letters >> 1))
+    items = ItemTable(label=LETTERS[letters], passed=lengths <= effective,
+                      weight=np.count_nonzero(letters, axis=1))
     return Report(
         command="enumerate",
         parameters={"qubits": n, "burst_requested": burst,
                     "burst_effective": effective, "kind": kind,
-                    "count": len(xs)},
+                    "count": len(items)},
         items=items,
         elapsed_seconds=time.perf_counter() - start,
     )

@@ -29,7 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import PauliString, burst_labels, burst_masks, mask_rows, row_masks
+from .pauli import (PauliString, burst_labels, burst_letters, burst_masks, mask_rows,
+                    row_masks)
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
 _NORM_TOL = 1e-10
@@ -142,7 +143,8 @@ class StabilizerCode:
         tags = (["stabilizer"] * len(self.generators) + ["logical_x"] * self.k
                 + ["logical_z"] * self.k)
         lines = [f"[[{self.n},{self.k}]] burst_ability={self.burst_ability}"]
-        lines += map(" ".join, zip(tags, burst_labels(self.n, *_pauli_rows(self.n, ops))))
+        letters = burst_letters(self.n, *_pauli_rows(self.n, ops))
+        lines += map(" ".join, zip(tags, burst_labels(letters)))
         return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,8 @@ A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
 when both of its masks are bursts of length l or less.  burst_masks builds a
 kind's bursts as rows with numpy, refusing a set over BURST_BYTES_BUDGET before
-allocating it; labels, burst lengths and syndromes are read from the rows.
+allocating it.  Syndromes are read from the rows; labels, weights and burst
+lengths from the (N, n) grid of letter codes x + 2z that burst_letters unpacks.
 """
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ import numpy as np
 BURST_KINDS = ("bit", "phase", "colocated", "independent")
 
 # The peak bytes burst_masks admits, at 600 + 4n a burst on n qubits.  That rate
-# bounds enumerate --output json, which peaked at 0.55, 1.1 and 3.7 kB a burst
+# bounds enumerate --output json, which peaked at 0.40, 0.80 and 3.3 kB a burst
 # on 25, 200 and 1000 qubits; 3 GiB at that rate stays well under 7 GB.
 BURST_BYTES_BUDGET = 3 << 30
 
+# The ASCII letter of each letter code x + 2z.
+LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
 _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
@@ -160,8 +163,8 @@ class PauliString:
         return not (self.x or self.z)
 
     def label(self) -> str:
-        return burst_labels(self.n, mask_rows(self.n, [self.x]),
-                            mask_rows(self.n, [self.z]))[0]
+        return burst_labels(burst_letters(self.n, mask_rows(self.n, [self.x]),
+                                          mask_rows(self.n, [self.z])))[0]
 
     __str__ = label
 
@@ -220,18 +223,26 @@ def row_masks(rows: np.ndarray) -> list[int]:
                   padded.view(">u8").T.tolist())
 
 
-def burst_lengths(rows: np.ndarray) -> np.ndarray:
-    """Span from the first to the last set bit of each row; 0 for a zero row."""
-    bits = np.unpackbits(rows, axis=1)
+def burst_lengths(bits: np.ndarray) -> np.ndarray:
+    """Span from the first to the last 1 of each row of a uint8 0/1 grid; 0 for a
+    zero row."""
+    bits = bits.view(bool)
     first, last = bits.argmax(axis=1), bits[:, ::-1].argmax(axis=1)
     return np.where(bits.any(axis=1), bits.shape[1] - last - first, 0)
 
 
-def burst_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> list[str]:
-    """The labels of the n-qubit Paulis with x mask rows xs and z mask rows zs
-    (mask_rows), in order; each qubit's bits x + 2z index "IXZY"."""
-    letters = np.unpackbits(xs, axis=1)[:, -n:] | np.unpackbits(zs, axis=1)[:, -n:] << 1
-    text = np.frombuffer(b"IXZY", dtype=np.uint8)[letters].tobytes().decode("ascii")
+def burst_letters(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The (N, n) uint8 grid of the n-qubit Paulis with x mask rows xs and z
+    mask rows zs (mask_rows): row i holds each qubit's letter code x + 2z."""
+    letters = np.unpackbits(zs, axis=1)[:, -n:]
+    letters <<= 1
+    letters |= np.unpackbits(xs, axis=1)[:, -n:]
+    return letters
+
+
+def burst_labels(letters: np.ndarray) -> list[str]:
+    """The labels of the rows of a letter grid (burst_letters), in order."""
+    n, text = letters.shape[1], LETTERS[letters].tobytes().decode("ascii")
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, report formats, and the JSON schema."""
 import json
 import time
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -16,13 +17,15 @@ from qinterleave import (
     IndeterminateEigenvalueError,
     PauliString,
     SyndromeCollisionError,
+    build_syndrome_table,
     burst_masks,
     enumerate_bursts,
     parse_plain,
 )
-from qinterleave.pauli import burst_labels, mask_rows, row_masks
+from qinterleave.pauli import burst_labels, burst_letters, mask_rows, row_masks
 from qinterleave.cli import (
     CODES,
+    ItemTable,
     Report,
     _cycled_pairs,
     _random_pairs,
@@ -43,6 +46,11 @@ from oracles import (
     split_pauli,
 )
 from qinterleave import interleave_permutation
+
+
+def block_table(code, kind, length):
+    """The block decoder's table as run_verify builds it for _statevector_items."""
+    return build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
 
 
 def run_main(capsys, *argv):
@@ -332,6 +340,22 @@ class TestVerifyCommand:
         assert report.verdict == "fail"
         assert "reason" in report.items[0]
 
+    def test_no_block_decoder_labels_no_burst(self, monkeypatch):
+        # 237,567 bursts whose block restriction (length 2) has no decoder:
+        # the table is built first, so no burst is labelled or unpacked
+        def no_labels(*args):
+            raise AssertionError("bursts labelled without a block decoder")
+
+        monkeypatch.setattr(qinterleave.cli, "burst_labels", no_labels)
+        monkeypatch.setattr(qinterleave.cli, "row_masks", no_labels)
+        report = run_verify("five", 5, burst=7, kind="colocated", method="statevector")
+        assert report.parameters["burst_count"] == 237567
+        assert len(report.items) == 1
+        assert report.items[0]["label"] == (
+            "block decoder for colocated bursts of length <= 2")
+        assert report.items[0]["passed"] is False
+        assert report.verdict == "fail"
+
 
 class TestDenseOracle:
     """The block-by-block state-vector pipeline against the dense register of
@@ -360,10 +384,12 @@ class TestDenseOracle:
                                                         errors)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, kind, length, pairs, masks)
+                            _statevector_items(code, block_table(code, kind, length),
+                                               pairs, masks)
                         assert str(got.value) == str(exc)
                         continue
-                    items = _statevector_items(code, kind, length, pairs, masks)
+                    items = _statevector_items(code, block_table(code, kind, length),
+                                               pairs, masks)
                     assert len(items) == len(dense)
                     for item, want in zip(items, dense):
                         assert abs(item.pop("fidelity") - want.pop("fidelity")) <= 1e-12
@@ -388,7 +414,7 @@ class TestPerBurstOracle:
         for kind in BURST_KINDS:
             for l in sorted({1, m, m + 1}):
                 rows = burst_masks(total, l, kind)
-                labels = burst_labels(total, *rows)
+                labels = burst_labels(burst_letters(total, *rows))
                 xs, zs = map(row_masks, rows)
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     # generators: the table is built before the first burst,
@@ -400,13 +426,13 @@ class TestPerBurstOracle:
                                                            pairs, paulis)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, kind, length, pairs,
-                                               zip(labels, xs, zs))
+                            _statevector_items(code, block_table(code, kind, length),
+                                               pairs, zip(labels, xs, zs))
                         assert str(got.value) == str(exc)
                         outcomes.add("collision")
                         continue
-                    items = _statevector_items(code, kind, length, pairs,
-                                               zip(labels, xs, zs))
+                    items = _statevector_items(code, block_table(code, kind, length),
+                                               pairs, zip(labels, xs, zs))
                     assert items == want
                     outcomes.update(item["passed"] for item in items)
         assert outcomes == {True, False, "collision"}
@@ -572,7 +598,16 @@ class TestRendering:
     @pytest.mark.parametrize("kind", BURST_KINDS)
     @pytest.mark.parametrize("n", [1, 64, 65, 70])
     def test_enumerate_matches_pauli_oracle(self, capsys, kind, n):
-        burst = 2 if kind == "independent" else 3
+        self.assert_enumerate_matches_oracle(capsys, n, 2 if kind == "independent" else 3,
+                                             kind)
+
+    @pytest.mark.parametrize("kind", ["bit", "phase"])
+    def test_enumerate_weights_of_two_digits(self, capsys, kind):
+        # weights 1..12 give digit cells of one and two digits
+        self.assert_enumerate_matches_oracle(capsys, 12, 12, kind)
+
+    @staticmethod
+    def assert_enumerate_matches_oracle(capsys, n, burst, kind):
         argv = ["enumerate", str(n), "--burst", str(burst), "--kind", kind]
         code, out = run_main(capsys, *argv, "--output", "json")
         report = json.loads(out)
@@ -625,6 +660,92 @@ class TestRendering:
     def test_to_json_equals_indent_encoder(self, make):
         report = make()
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+SAFE_TEXT = [b for b in range(0x20, 0x7F) if b not in b'"\\']
+INTS = st.one_of(st.integers(0, 10**12),
+                 st.sampled_from([0] + [10**k for k in range(13)]))
+
+
+@st.composite
+def item_columns(draw):
+    """Named columns of one length: text of width 1-80, ints, bools; a text
+    "label" and a bool "passed" always among them, in a random order."""
+    size = draw(st.integers(0, 50), label="N")
+    names = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True)
+                 .filter(lambda names: not {"label", "passed"} & set(names)))
+    columns = {}
+    for name in ["label", "passed", *names]:
+        kind = {"label": "text", "passed": "bool"}.get(name) or draw(
+            st.sampled_from(["text", "int", "bool"]))
+        if kind == "text":
+            width = draw(st.integers(1, 80))
+            cells = draw(st.lists(st.lists(st.sampled_from(SAFE_TEXT), min_size=width,
+                                           max_size=width), min_size=size, max_size=size))
+            columns[name] = np.array(cells, dtype=np.uint8).reshape(size, width)
+        else:
+            cells = draw(st.lists(INTS if kind == "int" else st.booleans(),
+                                  min_size=size, max_size=size))
+            columns[name] = np.array(cells, dtype=np.int64 if kind == "int" else bool)
+    order = draw(st.permutations(list(columns)))
+    return {name: columns[name] for name in order}
+
+
+class TestItemTable:
+    """A column table of report items renders as json.dumps(indent=2) of its
+    rows, byte for byte, and its rows read as the dicts they stand for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=item_columns(), grid_bytes=st.integers(1, 3000))
+    def test_to_json_equals_indent_encoder(self, columns, grid_bytes):
+        table = ItemTable(**columns)
+        rows = [{name: col[i].tobytes().decode() if col.ndim == 2 else col[i].item()
+                 for name, col in columns.items()} for i in range(len(table))]
+        assert list(table) == rows
+        assert len(table) == len(rows)
+        for i in range(-len(rows), len(rows)):
+            assert table[i] == rows[i]
+        assert table[1:-1] == rows[1:-1] and table[::-2] == rows[::-2]
+        report = Report("x", {"n": len(rows), "nested": {"items": []}}, table, 0.25)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        # rows rendered a few (or one) at a time join to the same text
+        with mock.patch.object(qinterleave.cli, "_GRID_BYTES", grid_bytes):
+            assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        assert report.to_dict()["items"] == rows
+        assert report.verdict == Report("x", {}, rows).verdict
+        assert report.to_text() == Report("x", report.parameters, rows, 0.25).to_text()
+        if not rows:
+            assert '"items": []' in report.to_json()
+
+    @pytest.mark.parametrize("dtype,top", [(np.int64, 2**63 - 1), (np.uint64, 2**64 - 1),
+                                           (np.uint8, 255)])
+    def test_digit_cells(self, dtype, top):
+        values = [v for v in (0, 1, 9, 10, 99, 100, 10**12 - 1, 10**12, 10**19) if v < top]
+        values.append(top)
+        table = ItemTable(label=np.full((len(values), 1), 65, np.uint8),
+                          passed=np.ones(len(values), bool), v=np.array(values, dtype))
+        report = Report("x", {}, table)
+        assert [item["v"] for item in json.loads(report.to_json())["items"]] == values
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    @pytest.mark.parametrize("columns,message", [
+        ({"a": np.zeros(3, bool), "b": np.zeros(2, int)}, "ragged"),
+        ({"a": np.zeros((3, 4), np.uint8) + 65, "b": np.zeros(4, bool)}, "ragged"),
+        ({"a": np.array([1, -1, 2])}, "'a'"),
+        ({"a": np.array([0.5, 1.5])}, "'a'"),
+        ({"a": np.zeros((2, 2, 2), np.uint8) + 65}, "'a'"),
+        ({"a": np.zeros((2, 0), np.uint8)}, "'a'"),
+        ({"a": np.full((2, 3), 65, np.int64)}, "'a'"),
+    ] + [({"t": np.array([[65, bad, 66]], np.uint8)}, "'t'")
+         for bad in (ord('"'), ord("\\"), 0, 0x0A, 0x1F, 0x7F, 0x80, 0xFF)])
+    def test_refuses_bad_columns(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            ItemTable(**columns)
+
+    def test_enumerate_items_are_a_table(self):
+        report = run_enumerate(5, 2, "colocated")
+        assert isinstance(report.items, ItemTable)
+        assert list(report.items) == enumerate_items(5, 2, "colocated")
 
 
 class TestReports:

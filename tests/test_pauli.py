@@ -17,7 +17,7 @@ from qinterleave import (
     interleave_permutation,
 )
 from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_labels,
-                               burst_lengths, mask_rows, row_masks)
+                               burst_lengths, burst_letters, mask_rows, row_masks)
 from oracles import (
     enumerate_burst_vectors,
     hex_burst_labels,
@@ -29,6 +29,15 @@ from oracles import (
     scan_burst_length,
     split_pauli,
 )
+
+
+def mask_bits(n, masks):
+    """The 0/1 grid of n-bit masks as run_enumerate reads it: the x bits of
+    burst_letters, checked against the z bits of the same masks."""
+    rows, zero = mask_rows(n, masks), mask_rows(n, [0] * len(masks))
+    bits = burst_letters(n, rows, zero) & 1
+    assert np.array_equal(bits, burst_letters(n, zero, rows) >> 1)
+    return bits
 
 
 def all_paulis(n):
@@ -50,12 +59,12 @@ class TestBinaryVector:
     def test_burst_length_matches_scan_oracle(self):
         # one row per vector, and every row of the set at once
         for n in range(1, 13):
-            lengths = burst_lengths(mask_rows(n, range(1 << n))).tolist()
+            lengths = burst_lengths(mask_bits(n, range(1 << n))).tolist()
             for value in range(1 << n):
                 bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
                 v = BinaryVector(bits)
                 assert v.burst_length() == lengths[value] == scan_burst_length(bits)
-        assert burst_lengths(mask_rows(70, [1 << 69 | 1]))[0] == 70
+        assert burst_lengths(mask_bits(70, [1 << 69 | 1]))[0] == 70
 
     @pytest.mark.parametrize("bits,expected", [
         ("111000000", {0, 1, 2}),
@@ -430,10 +439,10 @@ class TestEnumerateBursts:
             l = min(n, 2 if kind == "independent" else 3)
             xs, zs = burst_masks(n, l, kind)
             paulis = enumerate_bursts(n, l, kind)
-            labels = burst_labels(n, xs, zs)
+            labels = burst_labels(burst_letters(n, xs, zs))
             assert labels == [str(p) for p in paulis]
             assert labels == [letter_label(p) for p in paulis]
-        assert burst_labels(4, mask_rows(4, []), mask_rows(4, [])) == []
+        assert burst_labels(burst_letters(4, mask_rows(4, []), mask_rows(4, []))) == []
 
     def test_masks_errors(self):
         with pytest.raises(ValueError, match="l=100 out of range for n=10"):
@@ -581,11 +590,12 @@ class TestBurstRows:
         rng = random.Random(n)
         xs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(40)]
         zs = [(1 << n) - 1, 0] + [rng.getrandbits(n) for _ in range(40)]
-        assert (burst_labels(n, mask_rows(n, xs), mask_rows(n, zs))
+        assert (burst_labels(burst_letters(n, mask_rows(n, xs), mask_rows(n, zs)))
                 == hex_burst_labels(n, xs, zs))
         for kind in BURST_KINDS:
             rows = burst_masks(n, min(n, 2), kind)
-            assert burst_labels(n, *rows) == hex_burst_labels(n, *map(row_masks, rows))
+            assert (burst_labels(burst_letters(n, *rows))
+                    == hex_burst_labels(n, *map(row_masks, rows)))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
     def test_row_readers_equal_int_readers(self, n):
@@ -595,6 +605,6 @@ class TestBurstRows:
         rows = mask_rows(n, masks)
         assert rows.shape == (len(masks), -(-n // 8))
         assert row_masks(rows) == masks
-        assert burst_lengths(rows).tolist() == [
+        assert burst_lengths(mask_bits(n, masks)).tolist() == [
             scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
         assert row_masks(mask_rows(n, [])) == []
