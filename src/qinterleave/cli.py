@@ -31,6 +31,7 @@ from .codes import (
     logical_encoder,
     phase3_code,
 )
+from .grid import cells, digit_cells, grid_text
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import (BURST_KINDS, LETTERS, PauliString, burst_labels, burst_lengths,
                     burst_letters, burst_masks, enumerate_bursts, row_masks)
@@ -52,17 +53,25 @@ DEMO_BURSTS = ("ZZZIIIIII", "IIIIIZZZI")
 FIDELITY_TOL = 1e-10
 
 
-# The true/false cells, NUL-padded.
-_BOOL_CELLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
-# Rows are rendered this many grid bytes at a time: a whole-table grid and its
-# NUL mask would push enumerate past the 600 + 4n bytes a burst of pauli's budget.
-_GRID_BYTES = 8 << 20
+# Cells of a bool column in JSON and in text, and of the text status.
+_JSON_BOOLS = cells(b"false", b"true")
+_TEXT_BOOLS = cells(b"False", b"True")
+_STATUS = cells(b"FAIL", b"pass")
+# Ends of a JSON item: all but the last are followed by a comma.
+_JSON_ENDS = cells(b"\n    },\n", b"\n    }")
+
+
+def _cells(col: np.ndarray, bools: np.ndarray) -> np.ndarray:
+    """A column's padded cells: text as it is, bools from `bools`, ints in digits."""
+    if col.ndim == 2:
+        return col
+    return np.take(bools, col.view(np.uint8), axis=0) if col.dtype == bool else digit_cells(col)
 
 
 class ItemTable:
     """Report items held as columns: 1-d bool, 1-d non-negative int, or (N, w)
     uint8 text of printable ASCII without '"' or '\\'.  Rows read as dicts of
-    str, bool and int; json_rows renders them through NUL-padded byte grids."""
+    str, bool and int; json_rows and text_rows render them through byte grids."""
 
     def __init__(self, **columns: np.ndarray) -> None:
         for name, col in columns.items():
@@ -91,40 +100,38 @@ class ItemTable:
                 return col.tolist()
             text, w = col.tobytes().decode(), col.shape[1]
             return [text[i:i + w] for i in range(0, len(text), w)]
-        cells = map(values, self.columns.values())
-        return map(dict, zip(*map(zip, map(repeat, self.columns), cells)))
+        rows = map(values, self.columns.values())
+        return map(dict, zip(*map(zip, map(repeat, self.columns), rows)))
 
-    def json_rows(self) -> str:
-        """The rows of a non-empty table as json.dumps(indent=2) writes them
-        inside a report's items list: constant bytes, text, true/false and
-        right-aligned digit cells in NUL-padded grids of about _GRID_BYTES,
-        NULs dropped."""
+    def json_rows(self, head: str = "", tail: str = "") -> str:
+        """head, the rows of a non-empty table as json.dumps(indent=2) writes
+        them inside a report's items list, then tail."""
         parts = []
         for j, (name, col) in enumerate(self.columns.items()):
             key = (("    {\n" if j == 0 else ",\n") + f"      {json.dumps(name)}: ").encode()
-            if col.ndim == 2:
-                parts += [key + b'"', col, b'"']
-            elif col.dtype == bool:
-                parts += [key, _BOOL_CELLS[col.view(np.uint8)]]
-            else:
-                values = col.astype(np.uint64)[:, None]
-                width = len(str(values.max()))
-                powers = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
-                digits = values // powers % 10 + 48
-                parts += [key, np.where(np.maximum(values, 1) >= powers, digits, 0)
-                          .astype(np.uint8)]
-        parts.append(b"\n    },\n")
-        width = sum(len(p) if isinstance(p, bytes) else p.shape[1] for p in parts)
-        step, text = max(1, _GRID_BYTES // width), []
-        for start in range(0, len(self), step):
-            rows = min(step, len(self) - start)
-            grid = np.concatenate([
-                np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-                if isinstance(p, bytes) else p[start:start + rows] for p in parts],
-                axis=1).ravel()
-            text.append(str(grid[grid != 0].data, "ascii"))
-        text[-1] = text[-1][:-2]
-        return "".join(text)
+            quote = b'"' if col.ndim == 2 else b""
+            parts += [key + quote, _cells(col, _JSON_BOOLS), quote]
+        last = np.arange(len(self)) == len(self) - 1
+        ends = np.take(_JSON_ENDS, last.view(np.uint8), axis=0)
+        return grid_text(parts + [ends], len(self), head, tail)
+
+    def text_rows(self, head: str = "", tail: str = "") -> str:
+        """head, the rows as Report.to_text lists items, then tail."""
+        passed = self.columns["passed"].astype(bool).view(np.uint8)
+        parts = [b"  [", np.take(_STATUS, passed, axis=0), b"] ",
+                 _cells(self.columns["label"], _TEXT_BOOLS)]
+        sep = b" | "
+        for name, col in self.columns.items():
+            if name not in ("label", "passed"):
+                parts += [sep + f"{name}=".encode(), _cells(col, _TEXT_BOOLS)]
+                sep = b" "
+        return grid_text(parts + [b"\n"], len(self), head, tail)
+
+
+def _text_row(item: dict) -> str:
+    status = "pass" if item["passed"] else "FAIL"
+    extras = " ".join(f"{k}={v}" for k, v in item.items() if k not in ("label", "passed"))
+    return f"  [{status}] {item['label']}" + (f" | {extras}" if extras else "") + "\n"
 
 
 @dataclass
@@ -154,13 +161,13 @@ class Report:
             "elapsed_seconds": self.elapsed_seconds,
         }
 
-    def to_json(self) -> str:
-        """json.dumps(self.to_dict(), indent=2), byte for byte."""
+    def to_json(self, end: str = "") -> str:
+        """json.dumps(self.to_dict(), indent=2) + end, byte for byte."""
         if not (isinstance(self.items, ItemTable) and len(self.items)):
-            return json.dumps(self.to_dict(), indent=2)
+            return json.dumps(self.to_dict(), indent=2) + end
         envelope = json.dumps(self.to_dict(items=[]), indent=2)
         head, tail = envelope.split('\n  "items": []', 1)
-        return f'{head}\n  "items": [\n{self.items.json_rows()}\n  ]{tail}'
+        return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}{end}")
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -174,18 +181,15 @@ class Report:
                 lines.extend(f"    {ln}" for ln in value.rstrip().splitlines())
                 continue
             lines.append(f"  {key} = {value}")
-        lines.append(f"items: {len(self.items)}")
-        for item in self.items:
-            status = "pass" if item["passed"] else "FAIL"
-            extras = " ".join(f"{k}={v}" for k, v in item.items()
-                              if k not in ("label", "passed"))
-            lines.append(f"  [{status}] {item['label']}" + (f" | {extras}" if extras else ""))
-        lines.append(f"verdict: {self.verdict}")
-        lines.append(f"elapsed_seconds: {self.elapsed_seconds:.3f}")
-        return "\n".join(lines) + "\n"
+        lines.append(f"items: {len(self.items)}\n")
+        head = "\n".join(lines)
+        tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"
+        if isinstance(self.items, ItemTable):
+            return self.items.text_rows(head, tail)
+        return head + "".join(map(_text_row, self.items)) + tail
 
     def render(self, fmt: str) -> str:
-        return self.to_json() + "\n" if fmt == "json" else self.to_text()
+        return self.to_json("\n") if fmt == "json" else self.to_text()
 
 
 def report_schema() -> dict:

@@ -1,0 +1,51 @@
+"""Text rendered from byte grids: row i joins one cell from each part, bytes
+shared by every row or row i of an (N, w) uint8 array.  Cells are padded with
+PAD, a byte no UTF-8 text holds, which is dropped when the grid is read."""
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+PAD = 0xFF
+# Rows are rendered this many grid bytes at a time: a whole-table grid and its
+# mask would push enumerate past the 600 + 4n bytes a burst of pauli's budget.
+GRID_BYTES = 8 << 20
+
+
+def cells(*texts: bytes) -> np.ndarray:
+    """One padded cell per text, as rows of a uint8 array to index by code."""
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, bytes([PAD])) for t in texts),
+                         np.uint8).reshape(len(texts), width)
+
+
+def digit_cells(values: np.ndarray) -> np.ndarray:
+    """Right-aligned decimal digits of non-negative ints, padded to the widest."""
+    rest = np.asarray(values).astype(np.uint64)
+    top = int(rest.max(initial=0))
+    if top + 1 < len(rest):
+        # a table of 0..top is shorter than the values: look them up in it
+        return np.take(digit_cells(np.arange(top + 1)), rest, axis=0)
+    width, ten = len(str(top)), np.uint64(10)
+    digits = np.empty((len(rest), width), np.uint8)
+    for k in range(width - 1, -1, -1):
+        # numpy divides by a scalar quickly, but not so its remainder
+        quotient = rest // ten
+        digits[:, k] = np.where((rest > 0) | (k == width - 1), rest - quotient * ten + 48, PAD)
+        rest = quotient
+    return digits
+
+
+def grid_text(parts: Sequence[bytes | np.ndarray], rows: int,
+              head: str = "", tail: str = "") -> str:
+    """head, the rows' cells in order, then tail, as one str."""
+    parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+             if isinstance(p, bytes) else p for p in parts]
+    step = max(1, GRID_BYTES // max(1, sum(p.shape[1] for p in parts)))
+    blocks = [head]
+    for start in range(0, rows, step):
+        grid = np.concatenate([p[start:start + step] for p in parts], axis=1).ravel()
+        blocks.append(str(grid[grid != PAD].data, "utf-8"))
+    blocks.append(tail)
+    return "".join(blocks)

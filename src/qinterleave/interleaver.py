@@ -9,8 +9,14 @@ codes burst-tolerant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from .grid import PAD, cells, digit_cells, grid_text
 
 GATE_KINDS = ("H", "CNOT", "SWAP")
+_H, _CNOT, _SWAP = range(len(GATE_KINDS))
 _GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2}
 
 
@@ -22,8 +28,11 @@ class Permutation:
 
     def __post_init__(self) -> None:
         images = tuple(self.images)
-        n = len(images)
-        if sorted(images) != list(range(n)):
+        array = np.array(images)
+        # n images in [0, n) that fill every one of the n bins
+        if images and not (array.dtype.kind in "iu" and array.ndim == 1
+                           and 0 <= array.min() and array.max() < len(images)
+                           and np.bincount(array.astype(np.intp), minlength=len(images)).all()):
             raise ValueError("images must be a permutation of 0..N-1")
         object.__setattr__(self, "images", images)
 
@@ -43,21 +52,16 @@ class Permutation:
         return all(v == i for i, v in enumerate(self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
+        inverse = np.empty(self.size, np.intp)
+        inverse[np.array(self.images, np.intp)] = np.arange(self.size)
+        return Permutation(tuple(inverse.tolist()))
 
 
 def interleave_permutation(n: int, m: int) -> Permutation:
     """Permutation on n*m positions sending symbol j of block i to slot j*m + i."""
     if n < 1 or m < 1:
         raise ValueError("block length and degree must both be >= 1")
-    images = [0] * (n * m)
-    for i in range(m):
-        for j in range(n):
-            images[i * n + j] = j * m + i
-    return Permutation(tuple(images))
+    return Permutation(tuple(np.arange(n * m).reshape(n, m).T.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -90,59 +94,81 @@ class Gate:
         return cls("SWAP", (a, b))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    width: int
-    gates: tuple[Gate, ...]
+# Listing cells per gate kind: its name, and what comes between the operands.
+_PLAIN = cells(b"H ", b"CNOT ", b"SWAP "), cells(b"", b" ", b" ")
+_QASM = cells(b"h q[", b"cx q["), cells(b"", b"],q[")
 
-    def __post_init__(self) -> None:
-        gates = tuple(self.gates)
-        for g in gates:
-            if max(g.qubits) >= self.width:
-                raise ValueError(f"gate {g.kind}{g.qubits} exceeds width {self.width}")
-        object.__setattr__(self, "gates", gates)
+
+class Circuit:
+    """Gates on `width` qubits, held as a read-only (3, G) int64 array of
+    columns: the kind (an index into GATE_KINDS), operand 0 and operand 1 (-1
+    for H).  Built from Gates or from columns, which are checked at once and
+    refused with the errors of Gate; `gates` is derived from them."""
+
+    def __init__(self, width: int, gates: Iterable[Gate] = (), *, columns=None) -> None:
+        if columns is None:
+            # (kind, operand 0, operand 1 or -1) per gate; Gate checked the arity
+            columns = np.array([(GATE_KINDS.index(g.kind), *g.qubits, -1)[:3]
+                                for g in gates], np.int64).reshape(-1, 3).T
+        columns = np.array(columns)
+        if columns.size and columns.dtype.kind not in "iu":
+            raise ValueError("gate kinds and qubit indices must be integers")
+        kind, a, b = columns = columns.astype(np.int64).reshape(3, -1)
+        bad = ((kind < 0) | (kind >= len(GATE_KINDS)) | ((kind > _H) == (b == -1)) | (a == b)
+               | (a < 0) | (b < -1) | (a >= width) | (b >= width))
+        if bad.any():
+            # the first bad gate, as a Gate, raises what Gate refuses in it
+            g = int(bad.argmax())
+            k, qubits = int(kind[g]), tuple(columns[1:2 + (b[g] != -1), g].tolist())
+            gate = Gate(GATE_KINDS[k] if 0 <= k < len(GATE_KINDS) else k, qubits)
+            raise ValueError(f"gate {gate.kind}{gate.qubits} exceeds width {width}")
+        columns.setflags(write=False)
+        self.width, self.columns = width, columns
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Circuit) and self.width == other.width
+                and np.array_equal(self.columns, other.columns))
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(Gate(GATE_KINDS[k], (a, b) if k != _H else (a,))
+                     for k, a, b in self.columns.T.tolist())
 
     @property
     def swap_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == "SWAP")
+        return int(np.count_nonzero(self.columns[0] == _SWAP))
 
     def cnot_count(self) -> int:
         """CNOTs after lowering: 3 per SWAP plus every raw CNOT (H excluded)."""
-        return sum(3 if g.kind == "SWAP" else 1 if g.kind == "CNOT" else 0
-                   for g in self.gates)
+        return int(np.take((0, 1, 3), self.columns[0]).sum())
 
     def expand_swaps(self) -> "Circuit":
         """Lower every SWAP(a,b) to CNOT(a,b) CNOT(b,a) CNOT(a,b)."""
-        gates: list[Gate] = []
-        for g in self.gates:
-            if g.kind == "SWAP":
-                a, b = g.qubits
-                gates += [Gate.cnot(a, b), Gate.cnot(b, a), Gate.cnot(a, b)]
-            else:
-                gates.append(g)
-        return Circuit(self.width, tuple(gates))
+        kind = self.columns[0]
+        repeats = np.where(kind == _SWAP, 3, 1)
+        gate = np.repeat(np.arange(len(kind)), repeats)
+        # a row's offset in its gate's lowering; offset 1 is the reversed CNOT
+        middle = np.arange(len(gate)) - np.repeat(np.cumsum(repeats) - repeats, repeats) == 1
+        kind, a, b = self.columns[:, gate]
+        return Circuit(self.width, columns=(np.minimum(kind, _CNOT), np.where(middle, b, a),
+                                            np.where(middle, a, b)))
+
+    def _listing(self, head: str, names: np.ndarray, between: np.ndarray,
+                 end: bytes) -> str:
+        kind = self.columns[0]
+        first, second = np.split(digit_cells(np.maximum(self.columns[1:], 0).ravel()), 2)
+        second = np.where((kind > _H)[:, None], second, np.uint8(PAD))
+        return grid_text([np.take(names, kind, axis=0), first, np.take(between, kind, axis=0),
+                          second, end], len(kind), head)
 
     def to_plain(self) -> str:
         """One gate per line after a "qubits N" header; 0-based operands."""
-        lines = [f"qubits {self.width}"]
-        lines += [f"{g.kind} {' '.join(str(q) for q in g.qubits)}" for g in self.gates]
-        return "\n".join(lines) + "\n"
+        return self._listing(f"qubits {self.width}\n", *_PLAIN, b"\n")
 
     def to_qasm(self) -> str:
         """QASM-2 style listing; SWAPs are always lowered to cx triples."""
-        lines = [
-            "OPENQASM 2.0;",
-            'include "qelib1.inc";',
-            f"qreg q[{self.width}];",
-        ]
-        for g in self.gates:
-            if g.kind == "H":
-                lines.append(f"h q[{g.qubits[0]}];")
-            else:
-                a, b = g.qubits
-                ab = f"cx q[{a}],q[{b}];"
-                lines += (ab, f"cx q[{b}],q[{a}];", ab) if g.kind == "SWAP" else (ab,)
-        return "\n".join(lines) + "\n"
+        head = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{self.width}];\n'
+        return self.expand_swaps()._listing(head, *_QASM, b"];\n")
 
     def export(self, fmt: str) -> str:
         if fmt == "plain":
@@ -173,16 +199,17 @@ def synthesize_swap_network(perm: Permutation) -> Circuit:
     fixed points contribute nothing.  For an involution (the n = m
     interleaver) this is exactly the disjoint transposition set.
     """
-    n = perm.size
-    seen = [False] * n
-    gates: list[Gate] = []
-    for start in range(n):
+    images = perm.images
+    seen = bytearray(perm.size)
+    starts, ends = [], []
+    for start in range(perm.size):
         if seen[start]:
             continue
-        seen[start] = True
-        cur = perm(start)
+        seen[start] = 1
+        cur = images[start]
         while cur != start:
-            seen[cur] = True
-            gates.append(Gate.swap(start, cur))
-            cur = perm(cur)
-    return Circuit(n, tuple(gates))
+            seen[cur] = 1
+            starts.append(start)
+            ends.append(cur)
+            cur = images[cur]
+    return Circuit(perm.size, columns=(np.full(len(starts), _SWAP), starts, ends))

@@ -17,6 +17,7 @@ from qinterleave import (
     BinaryVector,
     Circuit,
     CorrectabilityResult,
+    Gate,
     PauliString,
     Permutation,
     StabilizerCode,
@@ -328,6 +329,59 @@ def expanded_qasm(circuit: Circuit) -> str:
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
         else:
             lines.append(f"h q[{g.qubits[0]}];")
+    return "\n".join(lines) + "\n"
+
+
+# The per-gate synthesis, lowering and listings that the gate columns of
+# Circuit replaced, kept as their oracles.
+
+def swap_network_gates(perm: Permutation) -> tuple[Gate, ...]:
+    """SWAP gates of the cycle decomposition, entering each cycle at its
+    smallest element: SWAP(c0,c1), SWAP(c0,c2), ... per cycle."""
+    n = perm.size
+    seen = [False] * n
+    gates = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        cur = perm(start)
+        while cur != start:
+            seen[cur] = True
+            gates.append(Gate.swap(start, cur))
+            cur = perm(cur)
+    return tuple(gates)
+
+
+def expand_swap_gates(gates) -> tuple[Gate, ...]:
+    """Every SWAP(a,b) lowered to CNOT(a,b) CNOT(b,a) CNOT(a,b)."""
+    out = []
+    for g in gates:
+        if g.kind == "SWAP":
+            a, b = g.qubits
+            out += [Gate.cnot(a, b), Gate.cnot(b, a), Gate.cnot(a, b)]
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def plain_listing(width: int, gates) -> str:
+    """Circuit.to_plain, one f-string per gate."""
+    lines = [f"qubits {width}"]
+    lines += [f"{g.kind} {' '.join(str(q) for q in g.qubits)}" for g in gates]
+    return "\n".join(lines) + "\n"
+
+
+def qasm_listing(width: int, gates) -> str:
+    """Circuit.to_qasm, one f-string per line, each SWAP as three cx lines."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{width}];"]
+    for g in gates:
+        if g.kind == "H":
+            lines.append(f"h q[{g.qubits[0]}];")
+        else:
+            a, b = g.qubits
+            ab = f"cx q[{a}],q[{b}];"
+            lines += (ab, f"cx q[{b}],q[{a}];", ab) if g.kind == "SWAP" else (ab,)
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qinterleave.cli
+import qinterleave.grid
 import qinterleave.pauli
 import qinterleave.statevector
 from qinterleave import (
@@ -596,7 +597,7 @@ class TestRendering:
     enumerate renders exactly what one PauliString per burst gives."""
 
     @pytest.mark.parametrize("kind", BURST_KINDS)
-    @pytest.mark.parametrize("n", [1, 64, 65, 70])
+    @pytest.mark.parametrize("n", [1, 12, 25, 64, 65, 70])
     def test_enumerate_matches_pauli_oracle(self, capsys, kind, n):
         self.assert_enumerate_matches_oracle(capsys, n, 2 if kind == "independent" else 3,
                                              kind)
@@ -709,7 +710,7 @@ class TestItemTable:
         report = Report("x", {"n": len(rows), "nested": {"items": []}}, table, 0.25)
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
         # rows rendered a few (or one) at a time join to the same text
-        with mock.patch.object(qinterleave.cli, "_GRID_BYTES", grid_bytes):
+        with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
             assert report.to_json() == json.dumps(report.to_dict(), indent=2)
         assert report.to_dict()["items"] == rows
         assert report.verdict == Report("x", {}, rows).verdict

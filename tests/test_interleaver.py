@@ -1,6 +1,8 @@
 """Tests for interleave permutations, SWAP synthesis, gate counts, and export."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterleave import (
     BinaryVector,
@@ -16,8 +18,12 @@ from oracles import (
     compose,
     deinterleave_blocks,
     enumerate_burst_vectors,
+    expand_swap_gates,
     expanded_qasm,
     permutation_label_action,
+    plain_listing,
+    qasm_listing,
+    swap_network_gates,
 )
 
 
@@ -77,6 +83,29 @@ class TestPermutation:
     def test_bijection_guard(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+
+    @pytest.mark.parametrize("images", [
+        (0, 0, 1),      # a repeat
+        (0, 2),         # a gap
+        (-1, 0),        # a negative image
+        (0, 1, 3),      # an image out of range
+        (0.5, 1),       # not integers, though they sort below 2
+        (1.0, 0),
+        (True, False),
+        ("0", "1"),
+        ((0, 1), (1, 0)),
+    ])
+    def test_refuses_non_permutations(self, images):
+        with pytest.raises(ValueError, match=r"^images must be a permutation of 0\.\.N-1$"):
+            Permutation(images)
+
+    def test_inverse_of_random_permutations(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 7, 300):
+            perm = Permutation(tuple(rng.permutation(n).tolist()))
+            inverse = perm.inverse()
+            assert all(inverse(perm(i)) == i for i in range(n))
+            assert all(type(v) is int for v in inverse.images)
 
 
 class TestSynthesis:
@@ -201,6 +230,92 @@ class TestExport:
     def test_circuit_width_guard(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate.swap(0, 2),))
+
+
+class TestGateColumns:
+    """A Circuit holds its gates as (kind, operand 0, operand 1) columns; every
+    output derived from them equals the per-gate oracle, and the columns are
+    refused with the messages of the per-gate checks."""
+
+    @pytest.mark.parametrize("width,columns,message", [
+        (2, ([2], [0], [2]), "gate SWAP(0, 2) exceeds width 2"),
+        (3, ([0], [3], [-1]), "gate H(3,) exceeds width 3"),
+        # the first gate out of width is named
+        (4, ([0, 1, 2, 2], [3, 0, 1, 7], [-1, 3, 4, 0]), "gate SWAP(1, 4) exceeds width 4"),
+        (3, ([1], [-2], [1]), "negative qubit index"),
+        (3, ([2], [0], [-3]), "negative qubit index"),
+        (3, ([0], [-1], [-1]), "negative qubit index"),
+        (3, ([2], [1], [1]), "SWAP operands must be distinct"),
+        (3, ([1, 1], [0, 2], [1, 2]), "CNOT operands must be distinct"),
+        (3, ([0], [0], [1]), "H takes 1 operand(s)"),
+        (3, ([1], [0], [-1]), "CNOT takes 2 operand(s)"),
+        (3, ([3], [0], [1]), "unknown gate kind 3"),
+        (3, ([-1], [0], [1]), "unknown gate kind -1"),
+        (3, ([2], [0.5], [1]), "gate kinds and qubit indices must be integers"),
+    ])
+    def test_refuses_bad_columns(self, width, columns, message):
+        with pytest.raises(ValueError) as caught:
+            Circuit(width, columns=columns)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("width,gates,message", [
+        (2, [Gate.swap(0, 2)], "gate SWAP(0, 2) exceeds width 2"),
+        (5, [Gate.h(4), Gate.cnot(5, 0)], "gate CNOT(5, 0) exceeds width 5"),
+        (1, [Gate.h(1)], "gate H(1,) exceeds width 1"),
+    ])
+    def test_refuses_gates_out_of_width(self, width, gates, message):
+        with pytest.raises(ValueError) as caught:
+            Circuit(width, gates)
+        assert str(caught.value) == message
+
+    def test_columns_are_read_only(self):
+        circuit = synthesize_swap_network(interleave_permutation(3, 3))
+        with pytest.raises(ValueError):
+            circuit.columns[1, 0] = 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(perm=st.integers(0, 300).flatmap(lambda n: st.tuples(
+        st.just(n), st.sampled_from(["identity", "random", "involution", "cycle"]),
+        st.permutations(range(n)), st.integers(0, n // 2))))
+    def test_synthesis_equals_cycle_walk(self, perm):
+        n, shape, order, pairs = perm
+        images = list(range(n))
+        if shape == "random":
+            images = list(order)
+        elif shape == "involution":
+            for a, b in zip(order[:pairs], order[pairs:2 * pairs]):
+                images[a], images[b] = b, a
+        elif shape == "cycle":
+            for a, b in zip(order, order[1:] + order[:1]):
+                images[a] = b
+        perm = Permutation(tuple(images))
+        circuit = synthesize_swap_network(perm)
+        assert circuit.width == n
+        assert circuit.gates == swap_network_gates(perm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]))
+    def test_outputs_equal_gate_oracles(self, data, width):
+        # operands at the digit-count edges are drawn often
+        edges = [q for q in (0, 1, 9, 10, 99, 100, 999, 1000, width - 1) if q < width]
+        qubit = st.one_of(st.integers(0, width - 1), st.sampled_from(edges))
+        gates = []
+        kinds = ["H"] if width == 1 else ["H", "CNOT", "SWAP"]
+        for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=40), label="kinds"):
+            a = data.draw(qubit)
+            gates.append(Gate.h(a) if kind == "H" else
+                         Gate(kind, (a, data.draw(qubit.filter(lambda q: q != a)))))
+        circuit = Circuit(width, gates)
+        assert circuit.gates == tuple(gates)
+        assert circuit.to_plain() == plain_listing(width, gates)
+        assert circuit.to_qasm() == qasm_listing(width, gates)
+        assert circuit.expand_swaps().gates == expand_swap_gates(gates)
+        assert circuit.expand_swaps().width == width
+        assert circuit.swap_count == sum(g.kind == "SWAP" for g in gates)
+        assert circuit.cnot_count() == sum(g.kind == "CNOT" for g in expand_swap_gates(gates))
+        assert parse_plain(circuit.to_plain()) == circuit
+        assert parse_plain(circuit.to_plain()).gates == tuple(gates)
+        assert Circuit(width, columns=circuit.columns.tolist()) == circuit
 
 
 class TestBurstSpreading:

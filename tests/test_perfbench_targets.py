@@ -62,3 +62,28 @@ def test_tracer_counts_statevector_sweep_blocks(capsys):
     metrics = tracer.op_metrics(0)
     assert metrics["codes.blocks_decoded"] == 24
     assert metrics["codes.block_decode.calls"] == 24
+
+
+def test_tracer_counts_synth_circuit_swaps(capsys):
+    # The traced benchmark reads the SWAP count from the circuit that
+    # synthesize_swap_network returns and the export size from the text of
+    # Circuit.export: a 64 x 64 interleaver is 2016 SWAPs, 6048 cx lines.
+    from test_perfbench_workloads import workloads
+
+    argv = next(workloads.WORKLOADS["synth-circuit"].op_argvs(seed=1, stream=0))
+    assert list(argv[:5]) == ["synth", "64", "64", "--format", "qasm"]
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        assert qinterleave.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    text = capsys.readouterr().out
+    metrics = tracer.op_metrics(0)
+    assert metrics["interleaver.swaps"] == 2016
+    assert metrics["interleaver.synthesize_swap_network.calls"] == 1
+    assert metrics["interleaver.interleave_permutation.calls"] == 1
+    assert metrics["interleaver.export.calls"] == 1
+    assert 0 < metrics["interleaver.export.bytes"] < len(text)
