@@ -9,13 +9,9 @@ exist does not).
 from __future__ import annotations
 
 import argparse
-import json
-import math
+import functools
 import sys
 import time
-from dataclasses import dataclass, field
-from importlib import resources
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,11 +27,11 @@ from .codes import (
     logical_encoder,
     phase3_code,
 )
-from .grid import cells, digit_cells, grid_text
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, LETTERS, PauliString, burst_labels, burst_lengths,
-                    burst_letters, burst_masks, enumerate_bursts, row_masks)
-from .statevector import MAX_QUBITS, IndeterminateEigenvalueError
+from .pauli import (BURST_KINDS, LETTERS, PauliString, burst_lengths, burst_letters,
+                    burst_masks, enumerate_bursts, mask_rows)
+from .report import ItemTable, Report, report_schema  # noqa: F401 (report_schema)
+from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, StateVector, apply_paulis
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
     "phase3": phase3_code,
@@ -51,151 +47,6 @@ DEFAULT_COEFFS = ((0.6, 0.8), (0.28, 0.96), (0.96, -0.28))
 DEMO_BURSTS = ("ZZZIIIIII", "IIIIIZZZI")
 
 FIDELITY_TOL = 1e-10
-
-
-# Cells of a bool column in JSON and in text, and of the text status.
-_JSON_BOOLS = cells(b"false", b"true")
-_TEXT_BOOLS = cells(b"False", b"True")
-_STATUS = cells(b"FAIL", b"pass")
-# Ends of a JSON item: all but the last are followed by a comma.
-_JSON_ENDS = cells(b"\n    },\n", b"\n    }")
-
-
-def _cells(col: np.ndarray, bools: np.ndarray) -> np.ndarray:
-    """A column's padded cells: text as it is, bools from `bools`, ints in digits."""
-    if col.ndim == 2:
-        return col
-    return np.take(bools, col.view(np.uint8), axis=0) if col.dtype == bool else digit_cells(col)
-
-
-class ItemTable:
-    """Report items held as columns: 1-d bool, 1-d non-negative int, or (N, w)
-    uint8 text of printable ASCII without '"' or '\\'.  Rows read as dicts of
-    str, bool and int; json_rows and text_rows render them through byte grids."""
-
-    def __init__(self, **columns: np.ndarray) -> None:
-        for name, col in columns.items():
-            number = col.ndim == 1 and (col.dtype == bool or col.dtype.kind in "iu"
-                                        and not (col < 0).any())
-            text = col.ndim == 2 and col.dtype == np.uint8 and col.shape[1] > 0 and not (
-                col.size and (col.min() < 0x20 or col.max() > 0x7E
-                              or (col == ord('"')).any() or (col == ord("\\")).any()))
-            if not (number or text):
-                raise ValueError(f"column {name!r} is not bool, non-negative int or text")
-        if len(sizes := {len(col) for col in columns.values()}) > 1:
-            raise ValueError(f"ragged columns of lengths {sorted(sizes)}")
-        self.columns, self._len = columns, sizes.pop() if sizes else 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        rows = list(ItemTable(**{name: col[i if isinstance(i, slice) else [i]]
-                                 for name, col in self.columns.items()}))
-        return rows if isinstance(i, slice) else rows[0]
-
-    def __iter__(self):
-        def values(col):
-            if col.ndim == 1:
-                return col.tolist()
-            text, w = col.tobytes().decode(), col.shape[1]
-            return [text[i:i + w] for i in range(0, len(text), w)]
-        rows = map(values, self.columns.values())
-        return map(dict, zip(*map(zip, map(repeat, self.columns), rows)))
-
-    def json_rows(self, head: str = "", tail: str = "") -> str:
-        """head, the rows of a non-empty table as json.dumps(indent=2) writes
-        them inside a report's items list, then tail."""
-        parts = []
-        for j, (name, col) in enumerate(self.columns.items()):
-            key = (("    {\n" if j == 0 else ",\n") + f"      {json.dumps(name)}: ").encode()
-            quote = b'"' if col.ndim == 2 else b""
-            parts += [key + quote, _cells(col, _JSON_BOOLS), quote]
-        last = np.arange(len(self)) == len(self) - 1
-        ends = np.take(_JSON_ENDS, last.view(np.uint8), axis=0)
-        return grid_text(parts + [ends], len(self), head, tail)
-
-    def text_rows(self, head: str = "", tail: str = "") -> str:
-        """head, the rows as Report.to_text lists items, then tail."""
-        passed = self.columns["passed"].astype(bool).view(np.uint8)
-        parts = [b"  [", np.take(_STATUS, passed, axis=0), b"] ",
-                 _cells(self.columns["label"], _TEXT_BOOLS)]
-        sep = b" | "
-        for name, col in self.columns.items():
-            if name not in ("label", "passed"):
-                parts += [sep + f"{name}=".encode(), _cells(col, _TEXT_BOOLS)]
-                sep = b" "
-        return grid_text(parts + [b"\n"], len(self), head, tail)
-
-
-def _text_row(item: dict) -> str:
-    status = "pass" if item["passed"] else "FAIL"
-    extras = " ".join(f"{k}={v}" for k, v in item.items() if k not in ("label", "passed"))
-    return f"  [{status}] {item['label']}" + (f" | {extras}" if extras else "") + "\n"
-
-
-@dataclass
-class Report:
-    """Per-item results plus an aggregate verdict; renders as text or JSON."""
-
-    command: str
-    parameters: dict
-    items: list[dict] | ItemTable = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def verdict(self) -> str:
-        """Pass only when there are items and every one of them passed."""
-        items = self.items
-        if isinstance(items, ItemTable):
-            return "pass" if len(items) and items.columns["passed"].all() else "fail"
-        passed = items and all(item["passed"] for item in items)
-        return "pass" if passed else "fail"
-
-    def to_dict(self, items: list | None = None) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "items": list(self.items) if items is None else items,
-            "verdict": self.verdict,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    def to_json(self, end: str = "") -> str:
-        """json.dumps(self.to_dict(), indent=2) + end, byte for byte."""
-        if not (isinstance(self.items, ItemTable) and len(self.items)):
-            return json.dumps(self.to_dict(), indent=2) + end
-        envelope = json.dumps(self.to_dict(items=[]), indent=2)
-        head, tail = envelope.split('\n  "items": []', 1)
-        return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}{end}")
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for key, value in self.parameters.items():
-            if isinstance(value, list) and len(str(value)) > 80:
-                lines.append(f"  {key} =")
-                lines.extend(f"    {element}" for element in value)
-                continue
-            if isinstance(value, str) and "\n" in value:
-                lines.append(f"  {key} =")
-                lines.extend(f"    {ln}" for ln in value.rstrip().splitlines())
-                continue
-            lines.append(f"  {key} = {value}")
-        lines.append(f"items: {len(self.items)}\n")
-        head = "\n".join(lines)
-        tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"
-        if isinstance(self.items, ItemTable):
-            return self.items.text_rows(head, tail)
-        return head + "".join(map(_text_row, self.items)) + tail
-
-    def render(self, fmt: str) -> str:
-        return self.to_json("\n") if fmt == "json" else self.to_text()
-
-
-def report_schema() -> dict:
-    """The published JSON schema for CLI reports."""
-    text = resources.files("qinterleave").joinpath("report_schema.json").read_text()
-    return json.loads(text)
 
 
 def _random_pairs(seed: int, m: int) -> list[tuple[complex, complex]]:
@@ -214,64 +65,71 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
 
 def _statevector_items(code: StabilizerCode, table: dict,
                        pairs: Sequence[tuple[complex, complex]],
-                       errors: Iterable[tuple[str, int, int]]) -> list[dict]:
-    """Encode one block per coefficient pair; for each (label, x mask, z mask)
-    of an error on the interleaved register, deinterleave -> corrupt ->
-    block-decode -> fidelity.
+                       errors: Iterable[tuple[str, int, int]]) -> ItemTable:
+    """_statevector_table for (label, x mask, z mask) triples of errors on the
+    interleaved register, labels of one length."""
+    rows = list(errors)
+    labels, xs, zs = ([row[k] for row in rows] for k in range(3))
+    total = code.n * len(pairs)
+    text = np.frombuffer("".join(labels).encode("ascii"), np.uint8)
+    return _statevector_table(code, table, pairs, text.reshape(len(rows), -1 if rows else 1),
+                              burst_letters(total, mask_rows(total, xs), mask_rows(total, zs)))
+
+
+def _statevector_table(code: StabilizerCode, table: dict,
+                       pairs: Sequence[tuple[complex, complex]],
+                       labels: np.ndarray, letters: np.ndarray) -> ItemTable:
+    """Encode one block per coefficient pair; for each error on the
+    interleaved register, a row of the letter grid `letters` (burst_letters)
+    labelled by the same row of the text column `labels`, deinterleave ->
+    corrupt -> block-decode -> fidelity.
 
     Deinterleaved, the register is a tensor product of blocks and the error a
     tensor product of block Paulis, so each block is decoded on its own n
     qubits and the fidelity is the product of the block fidelities, in block
-    order.  The error's set bits are moved straight into m block-part mask
-    pairs, and each distinct (block, x part, z part) is corrupted and decoded
-    once per call.  `table` is the block decoder's syndrome table
+    order.  One gather of the grid's columns by the interleave permutation
+    puts every error's block parts side by side; each distinct (block, block
+    Pauli) is corrupted once, and all of them are decoded in one block_decode
+    call.  `table` is the block decoder's syndrome table
     (build_syndrome_table).
     """
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
     n, m = code.n, len(blocks)
-    # Register bit b (bit 0 is the last qubit) is bit `bit` of block `block`.
-    inverse = interleave_permutation(n, m).inverse().images
-    slots = [(p // n, 1 << (n - 1 - p % n))
-             for p in (inverse[n * m - 1 - b] for b in range(n * m))]
-    decoded_blocks: dict[tuple[int, int, int], tuple] = {}
-
-    def decode(i: int, x: int, z: int) -> tuple:
-        corrupted = blocks[i].apply_pauli(PauliString(n, x, z))
-        (fixed,), (record,) = block_decode(code, table, [corrupted])
-        touched = record.correction.x | record.correction.z if record.ok else 0
-        return (record.ok, fixed.fidelity(blocks[i]), record.syndrome,
-                [q for q in range(n) if touched >> (n - 1 - q) & 1])
-
-    items = []
-    for label, x, z in errors:
-        x_parts, z_parts = [0] * m, [0] * m
-        for mask, parts in ((x, x_parts), (z, z_parts)):
-            while mask:
-                low = mask & -mask
-                i, bit = slots[low.bit_length() - 1]
-                parts[i] |= bit
-                mask ^= low
-        records = []
-        for key in zip(range(m), x_parts, z_parts):
-            record = decoded_blocks.get(key)
-            if record is None:
-                record = decoded_blocks[key] = decode(*key)
-            records.append(record)
-        oks, fids, syndromes, fixes = zip(*records)
-        decoded = all(oks)
-        fid = math.prod(fids)
-        positions = [n * i + q for i, fix in enumerate(fixes) for q in fix]
-        items.append({
-            "label": label,
-            "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
-            "fidelity": fid,
-            "block_syndromes": [list(syn) for syn in syndromes],
-            "corrected_positions_0based": positions,
-            "corrected_positions_1based": [q + 1 for q in positions],
-            "decoded": decoded,
-        })
-    return items
+    # Qubit j of block i is register qubit images[i*n + j].
+    parts = letters[:, interleave_permutation(n, m).images].reshape(-1, m, n)
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = (np.arange(m) << 2 * n) | ((parts & 1) @ weights << n) | ((parts >> 1) @ weights)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.reshape(-1, m)
+    block, low = keys >> 2 * n, (1 << n) - 1
+    corrupted = apply_paulis(np.stack([b.amps for b in blocks])[block],
+                             keys >> n & low, keys & low)
+    fixed, records = block_decode(code, table, [StateVector.trusted(n, a) for a in corrupted])
+    fidelities = np.array([f.fidelity(blocks[i]) for f, i in zip(fixed, block.tolist())])
+    ok = np.array([r.ok for r in records], bool)
+    syndromes = np.array([r.syndrome for r in records], np.int64).reshape(
+        len(records), len(code.generators))
+    touched = np.array([r.correction.x | r.correction.z if r.ok else 0 for r in records],
+                       np.int64)
+    # Left to right over the blocks, as math.prod multiplies.
+    fidelity = fidelities[inverse[:, 0]]
+    for i in range(1, m):
+        fidelity = fidelity * fidelities[inverse[:, i]]
+    decoded = ok[inverse].all(axis=1)
+    hits = ((touched[:, None] & weights) != 0)[inverse].reshape(len(inverse), m * n)
+    count = hits.sum(axis=1)
+    order = np.argsort(~hits, axis=1, kind="stable")[:, :count.max(initial=0)]
+    positions = np.where(np.arange(order.shape[1]) < count[:, None], order, -1)
+    return ItemTable(
+        label=labels,
+        passed=decoded & (fidelity >= 1.0 - FIDELITY_TOL),
+        fidelity=fidelity,
+        block_syndromes=syndromes[inverse],
+        corrected_positions_0based=positions,
+        corrected_positions_1based=np.where(positions < 0, -1, positions + 1),
+        decoded=decoded,
+    )
 
 
 def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
@@ -340,8 +198,9 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
     -> fidelity on the encoded blocks for every burst, decoding each distinct
     (block, block Pauli) once, and labels the bursts only once the block
     decoder exists.  Burst lengths beyond the register size are clamped.
-    Every argument, the statevector size guard included, is checked before
-    any burst is enumerated.
+    `seed` draws the statevector method's logical coefficients; the
+    stabilizer method refuses it.  Every argument, the statevector size guard
+    included, is checked before any burst is enumerated.
     """
     start = time.perf_counter()
     if code_name not in CODES:
@@ -350,6 +209,9 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         raise ValueError(f"unknown burst kind {kind!r}")
     if method not in ("statevector", "stabilizer"):
         raise ValueError(f"unknown method {method!r}")
+    if seed is not None and method == "stabilizer":
+        raise ValueError("verify takes --seed with --method statevector only: "
+                         "--method stabilizer draws no logical state")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if burst is not None and burst < 1:
@@ -397,9 +259,8 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                 "reason": str(exc),
             }]
         else:
-            labels = burst_labels(burst_letters(total, xs, zs))
-            items = _statevector_items(code, table, pairs,
-                                       zip(labels, row_masks(xs), row_masks(zs)))
+            letters = burst_letters(total, xs, zs)
+            items = _statevector_table(code, table, pairs, LETTERS[letters], letters)
 
     return Report("verify", parameters, items, time.perf_counter() - start)
 
@@ -500,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--method", choices=("statevector", "stabilizer"),
                         default="stabilizer")
     verify.add_argument("--seed", type=int, default=None,
-                        help="randomize logical coefficients (statevector)")
+                        help="randomize logical coefficients (statevector only)")
     verify.add_argument("--output", choices=("text", "json"), default="text")
 
     synth = sub.add_parser("synth", help="synthesize an interleaver circuit")
@@ -524,8 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use: parse_args leaves it as it is.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "demo":

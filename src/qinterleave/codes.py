@@ -31,7 +31,7 @@ import numpy as np
 from .interleaver import interleave_permutation
 from .pauli import (PauliString, burst_labels, burst_letters, burst_masks, mask_rows,
                     row_masks)
-from .statevector import MAX_QUBITS, StateVector, basis_state
+from .statevector import MAX_QUBITS, StateVector, apply_paulis, basis_state, eigenvalue_signs
 
 _NORM_TOL = 1e-10
 
@@ -394,21 +394,29 @@ def block_decode(code: StabilizerCode, table: dict[tuple[int, ...], PauliString]
                  ) -> tuple[list[StateVector], list[BlockDecode]]:
     """Decode the blocks of a deinterleaved register, one n-qubit state each.
 
-    Each block's syndrome is read from its amplitudes alone: every
-    generator's +-1 eigenvalue is StateVector.stabilizer_eigenvalue (a block
-    that is not an eigenstate raises IndeterminateEigenvalueError).  The
-    table maps syndrome tuples to corrections (build_syndrome_table); blocks
-    with a syndrome outside it are left uncorrected and flagged, and the
-    caller decides whether that counts as failure.  Returns the corrected
-    blocks and one record per block.
+    The blocks are decoded together, their amplitudes stacked.  Each block's
+    syndrome is read from its amplitudes alone: every generator's +-1
+    eigenvalue, <s|g|s> for all blocks at once, with the tolerance checks of
+    StateVector.stabilizer_eigenvalue (the first block, then generator, that
+    is not an eigenstate raises IndeterminateEigenvalueError).  The table
+    maps syndrome tuples to corrections (build_syndrome_table); blocks with a
+    syndrome outside it are left uncorrected and flagged, and the caller
+    decides whether that counts as failure.  Corrections are exact gathers
+    and negations (apply_paulis).  Returns the corrected blocks and one
+    record per block.
     """
-    fixed, records = [], []
     for i, s in enumerate(blocks):
         if s.n != code.n:
             raise ValueError(f"block {i} has {s.n} qubits, the code has {code.n}")
-        syn = tuple(0 if s.stabilizer_eigenvalue(g) == 1 else 1
-                    for g in code.generators)
-        corr = table.get(syn)
-        fixed.append(s if corr is None else s.apply_pauli(corr))
-        records.append(BlockDecode(i, syn, corr))
+    amps = np.array([s.amps for s in blocks], np.complex128).reshape(len(blocks), 1 << code.n)
+    values = np.empty((len(blocks), len(code.generators)), np.complex128)
+    for j, g in enumerate(code.generators):
+        values[:, j] = np.vecdot(amps, apply_paulis(amps, g.x, g.z))
+    syndromes = list(map(tuple, (eigenvalue_signs(values) < 0).astype(int).tolist()))
+    corrections = [table.get(syn) for syn in syndromes]
+    fixed_amps = apply_paulis(amps, [0 if c is None else c.x for c in corrections],
+                              [0 if c is None else c.z for c in corrections])
+    fixed = [s if c is None else StateVector.trusted(code.n, a)
+             for s, c, a in zip(blocks, corrections, fixed_amps)]
+    records = [BlockDecode(i, syn, c) for i, (syn, c) in enumerate(zip(syndromes, corrections))]
     return fixed, records

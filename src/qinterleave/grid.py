@@ -15,7 +15,7 @@ GRID_BYTES = 8 << 20
 
 def cells(*texts: bytes) -> np.ndarray:
     """One padded cell per text, as rows of a uint8 array to index by code."""
-    width = max(map(len, texts))
+    width = max(map(len, texts), default=0)
     return np.frombuffer(b"".join(t.ljust(width, bytes([PAD])) for t in texts),
                          np.uint8).reshape(len(texts), width)
 
@@ -37,11 +37,27 @@ def digit_cells(values: np.ndarray) -> np.ndarray:
     return digits
 
 
+def float_cells(values: np.ndarray) -> np.ndarray:
+    """repr of finite floats, as json.dumps and str write them, padded to the
+    widest; each distinct value (by its bits) is written once."""
+    distinct, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64),
+                                  return_inverse=True)
+    texts = map(repr, distinct.view(np.float64).tolist())
+    return np.take(cells(*(t.encode() for t in texts)), inverse, axis=0)
+
+
 def grid_text(parts: Sequence[bytes | np.ndarray], rows: int,
               head: str = "", tail: str = "") -> str:
     """head, the rows' cells in order, then tail, as one str."""
+    merged = []
+    for p in parts:
+        # runs of shared bytes become one part
+        if isinstance(p, bytes) and merged and isinstance(merged[-1], bytes):
+            merged[-1] += p
+        else:
+            merged.append(p)
     parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-             if isinstance(p, bytes) else p for p in parts]
+             if isinstance(p, bytes) else p for p in merged]
     step = max(1, GRID_BYTES // max(1, sum(p.shape[1] for p in parts)))
     blocks = [head]
     for start in range(0, rows, step):

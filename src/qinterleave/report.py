@@ -1,0 +1,237 @@
+"""Reports: per-item results, an aggregate verdict, and their JSON and text.
+
+A report's items are a list of dicts, or an ItemTable of columns that renders
+the same bytes through the byte grids of grid.py.  JSON is json.dumps(report,
+indent=2) either way, text one line per item.
+"""
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from importlib import resources
+from itertools import repeat
+
+import numpy as np
+
+from .grid import PAD, cells, digit_cells, float_cells, grid_text
+
+# Cells of a bool column in JSON and in text, and of the text status.
+_JSON_BOOLS = cells(b"false", b"true")
+_TEXT_BOOLS = cells(b"False", b"True")
+_STATUS = cells(b"FAIL", b"pass")
+# Ends of a JSON item: all but the last are followed by a comma.
+_JSON_ENDS = cells(b"\n    },\n", b"\n    }")
+# The indent level of an item's keys in a report's JSON.
+_KEY_LEVEL = 3
+
+
+def _column_kind(col: np.ndarray) -> str | None:
+    """The kind of a valid item column, else None."""
+    if col.ndim == 1:
+        if col.dtype == bool:
+            return "bool"
+        if col.dtype.kind in "iu" and not (col < 0).any():
+            return "int"
+        if col.dtype.kind == "f" and np.isfinite(col).all():
+            return "float"
+    elif col.dtype == np.uint8:
+        if col.ndim == 2 and col.shape[1] > 0 and not (
+                col.size and (col.min() < 0x20 or col.max() > 0x7E
+                              or (col == ord('"')).any() or (col == ord("\\")).any())):
+            return "text"
+    elif col.ndim >= 2 and col.dtype.kind == "i":
+        pad = col < 0
+        # -1 pads the lists of the last axis, after their entries
+        if not ((col < -1).any() or (pad[..., :-1] & ~pad[..., 1:]).any()):
+            return "lists"
+    return None
+
+
+def _list_parts(col: np.ndarray, level: int | None) -> list:
+    """Parts rendering the lists of an int-list column as json.dumps(indent=2)
+    writes them at indent level `level`, or as str when `level` is None."""
+    present = (col >= 0).reshape(len(col), math.prod(col.shape[1:]))
+    digits = digit_cells(np.maximum(col, 0).ravel())
+    digits = digits.reshape(*present.shape, digits.shape[1])
+    padded = not present.all()
+
+    def lists(shape: tuple, level: int | None, base: int) -> list:
+        # the lists of the given shape whose entries start at slot `base`
+        if level is None:
+            first, later, close = b"[", b", ", b"]"
+        else:
+            inner = "\n" + "  " * (level + 1)
+            first, later = f"[{inner}".encode(), f",{inner}".encode()
+            close = f"\n{'  ' * level}]".encode()
+        if shape[0] == 0:
+            return [b"[]"]
+        deeper, size, parts = None if level is None else level + 1, math.prod(shape[1:]), []
+        for s in range(shape[0]):
+            sep = first if s == 0 else later
+            if len(shape) > 1:
+                parts += [sep, *lists(shape[1:], deeper, base + s * size)]
+            elif padded:
+                here = present[:, base + s, None]
+                parts += [np.where(here, np.frombuffer(sep, np.uint8), PAD),
+                          np.where(here, digits[:, base + s], PAD)]
+            else:
+                parts += [sep, digits[:, base + s]]
+        if len(shape) == 1 and padded:
+            close = np.take(cells(b"[]", close), present[:, base].view(np.uint8), axis=0)
+        return parts + [close]
+
+    return lists(col.shape[1:], level, 0)
+
+
+def _value_parts(col: np.ndarray, kind: str, level: int | None) -> list:
+    """Parts rendering a column's values as JSON at indent level `level`, or
+    as str when `level` is None; text without its JSON quotes."""
+    if kind == "bool":
+        bools = _TEXT_BOOLS if level is None else _JSON_BOOLS
+        return [np.take(bools, col.view(np.uint8), axis=0)]
+    if kind == "lists":
+        return _list_parts(col, level)
+    if kind == "int":
+        return [digit_cells(col)]
+    return [float_cells(col)] if kind == "float" else [col]
+
+
+class ItemTable:
+    """Report items held as columns of one length N: 1-d bool, 1-d
+    non-negative int, 1-d finite float, (N, w) uint8 text of printable ASCII
+    without '"' or '\\', or int lists: an int array (N, d1, ..., dk) of
+    lists of length dk and entries >= 0, each padded after its entries with
+    -1 to dk.  Rows read as dicts of str, bool, int, float and nested lists of
+    int; json_rows and text_rows render them through byte grids."""
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        self._kinds = {}
+        for name, col in columns.items():
+            self._kinds[name] = _column_kind(col)
+            if self._kinds[name] is None:
+                raise ValueError(f"column {name!r} is not bool, non-negative int, "
+                                 "finite float, text or padded int lists")
+        if len(sizes := {len(col) for col in columns.values()}) > 1:
+            raise ValueError(f"ragged columns of lengths {sorted(sizes)}")
+        self.columns, self._len = columns, sizes.pop() if sizes else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        rows = list(ItemTable(**{name: col[i if isinstance(i, slice) else [i]]
+                                 for name, col in self.columns.items()}))
+        return rows if isinstance(i, slice) else rows[0]
+
+    def __iter__(self):
+        def values(col, kind):
+            if kind == "text":
+                text, w = col.tobytes().decode(), col.shape[1]
+                return [text[i:i + w] for i in range(0, len(text), w)]
+            rows = col.tolist()
+            return _unpadded(rows, col.ndim - 1) if kind == "lists" and (col < 0).any() else rows
+        rows = map(values, self.columns.values(), self._kinds.values())
+        return map(dict, zip(*map(zip, map(repeat, self.columns), rows)))
+
+    def json_rows(self, head: str = "", tail: str = "") -> str:
+        """head, the rows of a non-empty table as json.dumps(indent=2) writes
+        them inside a report's items list, then tail."""
+        parts = []
+        for j, (name, col) in enumerate(self.columns.items()):
+            kind = self._kinds[name]
+            key = (("    {\n" if j == 0 else ",\n") + f"      {json.dumps(name)}: ").encode()
+            quote = b'"' if kind == "text" else b""
+            parts += [key + quote, *_value_parts(col, kind, _KEY_LEVEL), quote]
+        last = np.arange(len(self)) == len(self) - 1
+        ends = np.take(_JSON_ENDS, last.view(np.uint8), axis=0)
+        return grid_text(parts + [ends], len(self), head, tail)
+
+    def text_rows(self, head: str = "", tail: str = "") -> str:
+        """head, the rows as Report.to_text lists items, then tail."""
+        passed = self.columns["passed"].astype(bool).view(np.uint8)
+        parts = [b"  [", np.take(_STATUS, passed, axis=0), b"] ",
+                 *_value_parts(self.columns["label"], self._kinds["label"], None)]
+        sep = b" | "
+        for name, col in self.columns.items():
+            if name not in ("label", "passed"):
+                parts += [sep + f"{name}=".encode(), *_value_parts(col, self._kinds[name], None)]
+                sep = b" "
+        return grid_text(parts + [b"\n"], len(self), head, tail)
+
+
+def _unpadded(rows: list, depth: int) -> list:
+    """Nested lists `depth` deep with the -1 padding of the innermost dropped."""
+    if depth == 1:
+        return [[v for v in row if v >= 0] for row in rows]
+    return [_unpadded(row, depth - 1) for row in rows]
+
+
+def _text_row(item: dict) -> str:
+    status = "pass" if item["passed"] else "FAIL"
+    extras = " ".join(f"{k}={v}" for k, v in item.items() if k not in ("label", "passed"))
+    return f"  [{status}] {item['label']}" + (f" | {extras}" if extras else "") + "\n"
+
+
+@dataclass
+class Report:
+    """Per-item results plus an aggregate verdict; renders as text or JSON."""
+
+    command: str
+    parameters: dict
+    items: list[dict] | ItemTable = field(default_factory=list)
+    elapsed_seconds: float = 0.0
+
+    @property
+    def verdict(self) -> str:
+        """Pass only when there are items and every one of them passed."""
+        items = self.items
+        if isinstance(items, ItemTable):
+            return "pass" if len(items) and items.columns["passed"].all() else "fail"
+        passed = items and all(item["passed"] for item in items)
+        return "pass" if passed else "fail"
+
+    def to_dict(self, items: list | None = None) -> dict:
+        return {
+            "command": self.command,
+            "parameters": self.parameters,
+            "items": list(self.items) if items is None else items,
+            "verdict": self.verdict,
+            "elapsed_seconds": self.elapsed_seconds,
+        }
+
+    def to_json(self, end: str = "") -> str:
+        """json.dumps(self.to_dict(), indent=2) + end, byte for byte."""
+        if not (isinstance(self.items, ItemTable) and len(self.items)):
+            return json.dumps(self.to_dict(), indent=2) + end
+        envelope = json.dumps(self.to_dict(items=[]), indent=2)
+        head, tail = envelope.split('\n  "items": []', 1)
+        return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}{end}")
+
+    def to_text(self) -> str:
+        lines = [f"command: {self.command}"]
+        for key, value in self.parameters.items():
+            if isinstance(value, list) and len(str(value)) > 80:
+                lines.append(f"  {key} =")
+                lines.extend(f"    {element}" for element in value)
+                continue
+            if isinstance(value, str) and "\n" in value:
+                lines.append(f"  {key} =")
+                lines.extend(f"    {ln}" for ln in value.rstrip().splitlines())
+                continue
+            lines.append(f"  {key} = {value}")
+        lines.append(f"items: {len(self.items)}\n")
+        head = "\n".join(lines)
+        tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"
+        if isinstance(self.items, ItemTable):
+            return self.items.text_rows(head, tail)
+        return head + "".join(map(_text_row, self.items)) + tail
+
+    def render(self, fmt: str) -> str:
+        return self.to_json("\n") if fmt == "json" else self.to_text()
+
+
+def report_schema() -> dict:
+    """The published JSON schema for CLI reports."""
+    text = resources.files("qinterleave").joinpath("report_schema.json").read_text()
+    return json.loads(text)

@@ -5,7 +5,9 @@ b_0 ... b_{n-1} lives at amplitude index sum(b_q * 2^(n-1-q)).  All
 operations return new states; a state's amplitudes are never mutated.
 Pauli action works on axis views of the amplitudes rather than on index
 arrays: bit flips reverse the X qubits' axes of the (2,)*n view, and phases
-negate the half of the copied amplitudes where a Z qubit reads 1.
+negate the half of the copied amplitudes where a Z qubit reads 1.  A stack of
+small states (blocks of a few qubits) takes one Pauli per state through
+apply_paulis, a gather and a negation over the whole stack.
 """
 from __future__ import annotations
 
@@ -46,6 +48,16 @@ class StateVector:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def trusted(cls, n: int, amps: np.ndarray) -> "StateVector":
+        """Trusted constructor for 2**n complex128 amplitudes moved and negated
+        exactly from a checked state's, as a Pauli moves them: they keep its
+        norm, so neither the norm nor the shape is checked again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     def __repr__(self) -> str:
         return f"StateVector(n={self.n})"
 
@@ -71,7 +83,7 @@ class StateVector:
             if z >> (n - 1 - q) & 1:
                 half = amps.reshape(1 << q, 2, -1)[:, 1 - (x >> (n - 1 - q) & 1), :]
                 np.negative(half, out=half)
-        return StateVector(n, amps)
+        return StateVector.trusted(n, amps)
 
     def apply_gate(self, gate: Gate) -> "StateVector":
         if max(gate.qubits) >= self.n:
@@ -126,15 +138,7 @@ class StateVector:
         IndeterminateEigenvalueError when the state is not an eigenstate
         (expectation off the unit circle, or unit-modulus but not +-1).
         """
-        value = complex(np.vdot(self.amps, self.apply_pauli(p).amps))
-        if abs(abs(value) - 1.0) > _EIG_TOL:
-            raise IndeterminateEigenvalueError(
-                f"|<s|P|s>| = {abs(value):.8f}; state is not a Pauli eigenstate")
-        eig = 1 if value.real > 0 else -1
-        if abs(value - eig) > _EIG_TOL:
-            raise IndeterminateEigenvalueError(
-                f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
-        return eig
+        return int(eigenvalue_signs(np.vdot(self.amps, self.apply_pauli(p).amps)))
 
     def amplitudes_table(self, tol: float = 1e-12) -> list[tuple[str, float, float]]:
         """(basis label, real, imaginary) triples for amplitudes above tol."""
@@ -144,6 +148,40 @@ class StateVector:
                 label = format(idx, f"0{self.n}b")
                 out.append((label, float(amp.real), float(amp.imag)))
         return out
+
+
+def apply_paulis(amps: np.ndarray, x, z) -> np.ndarray:
+    """The rows of amps, (B, 2**n) states, each hit by X_x Z_z: x and z are
+    mask ints, one pair per row or one pair for every row.  Amplitude j of a
+    row's image is amplitude j ^ x of the row, negated when (j ^ x) & z has
+    odd weight: an exact gather and negation, the amplitudes apply_pauli gives."""
+    x, z = np.asarray(x, np.int64)[..., None], np.asarray(z, np.int64)[..., None]
+    source = np.arange(amps.shape[-1]) ^ x
+    out = np.take_along_axis(amps, np.broadcast_to(source, amps.shape), axis=-1)
+    np.negative(out, out=out, where=np.bitwise_count(source & z) & 1 == 1)
+    return out
+
+
+def eigenvalue_signs(values) -> np.ndarray:
+    """The +-1 readouts of expectations <s|P|s>, one per entry of values.
+
+    Raises IndeterminateEigenvalueError at the first entry, in C order, that
+    is off the unit circle, or on it but not +-1: its state is not an
+    eigenstate of its Pauli.
+    """
+    values = np.asarray(values, np.complex128)
+    signs = np.where(values.real > 0, 1, -1)
+    off_circle = np.abs(np.abs(values) - 1.0) > _EIG_TOL
+    bad = off_circle | (np.abs(values - signs) > _EIG_TOL)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        value = complex(values[first])
+        if off_circle[first]:
+            raise IndeterminateEigenvalueError(
+                f"|<s|P|s>| = {abs(value):.8f}; state is not a Pauli eigenstate")
+        raise IndeterminateEigenvalueError(
+            f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
+    return signs
 
 
 def basis_state(n: int, label: BinaryVector | str | Sequence[int]) -> StateVector:

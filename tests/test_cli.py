@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qinterleave.cli
+import qinterleave.codes
 import qinterleave.grid
 import qinterleave.pauli
-import qinterleave.statevector
 from qinterleave import (
     BURST_KINDS,
     IndeterminateEigenvalueError,
@@ -29,6 +29,7 @@ from qinterleave.cli import (
     ItemTable,
     Report,
     _cycled_pairs,
+    _parser,
     _random_pairs,
     _statevector_items,
     main,
@@ -38,6 +39,7 @@ from qinterleave.cli import (
     run_synth,
     run_verify,
 )
+from qinterleave.report import _text_row
 from oracles import (
     circuit_label_action,
     dense_statevector_items,
@@ -274,6 +276,25 @@ class TestVerifyCommand:
             "qinterleave: error: 10,536,091,647 colocated bursts of length <= 14 "
             "on 65 qubits exceed the budget of ")
 
+    def test_seed_with_stabilizer_usage_error(self, monkeypatch, capsys):
+        # the seed only draws the statevector blocks' logical states, so the
+        # stabilizer method would drop it; refused before any burst is made
+        def no_bursts(*args):
+            raise AssertionError("bursts enumerated for a refused request")
+
+        monkeypatch.setattr(qinterleave.cli, "burst_masks", no_bursts)
+        for seed in ("0", "7"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--method", "stabilizer", "--seed", seed])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "qinterleave: error: verify takes --seed with --method statevector only: "
+                "--method stabilizer draws no logical state\n")
+        with pytest.raises(ValueError, match="--seed .* --method stabilizer"):
+            run_verify("phase3", 2, method="stabilizer", seed=0)
+
     def test_statevector_size_guard(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--code", "five", "--degree", "6",
@@ -343,12 +364,13 @@ class TestVerifyCommand:
 
     def test_no_block_decoder_labels_no_burst(self, monkeypatch):
         # 237,567 bursts whose block restriction (length 2) has no decoder:
-        # the table is built first, so no burst is labelled or unpacked
+        # the table is built first, so no burst is unpacked into the letter
+        # grid that labels and deinterleaves it, and none is decoded
         def no_labels(*args):
             raise AssertionError("bursts labelled without a block decoder")
 
-        monkeypatch.setattr(qinterleave.cli, "burst_labels", no_labels)
-        monkeypatch.setattr(qinterleave.cli, "row_masks", no_labels)
+        monkeypatch.setattr(qinterleave.cli, "burst_letters", no_labels)
+        monkeypatch.setattr(qinterleave.cli, "_statevector_table", no_labels)
         report = run_verify("five", 5, burst=7, kind="colocated", method="statevector")
         assert report.parameters["burst_count"] == 237567
         assert len(report.items) == 1
@@ -434,7 +456,7 @@ class TestPerBurstOracle:
                         continue
                     items = _statevector_items(code, block_table(code, kind, length),
                                                pairs, zip(labels, xs, zs))
-                    assert items == want
+                    assert list(items) == want
                     outcomes.update(item["passed"] for item in items)
         assert outcomes == {True, False, "collision"}
 
@@ -460,6 +482,82 @@ class TestPerBurstOracle:
                     for i, part in enumerate(split_pauli(e.permute(inverse), 3))}
             assert decoded[-1] == len(keys)
         assert decoded == [24, 24]
+
+
+def assert_renders_as_dicts(report):
+    """A report renders as the same report with its items as a list of dicts,
+    in JSON and in text, and its JSON validates against the schema."""
+    oracle = Report(report.command, report.parameters, list(report.items),
+                    report.elapsed_seconds)
+    assert report.to_json() == json.dumps(oracle.to_dict(), indent=2)
+    assert report.render("json") == oracle.to_json() + "\n"
+    assert report.to_text() == oracle.to_text()
+    jsonschema.validate(json.loads(report.to_json()), report_schema())
+
+
+class TestStatevectorRendering:
+    """The state-vector items, a table of float and int-list columns, render
+    byte for byte as their rows do through json.dumps(indent=2) and one text
+    line per dict: sweeps, failing items and demo."""
+
+    def test_sweeps_render_as_dicts(self):
+        seen = set()
+        for code_name, m in ((name, m) for name in sorted(CODES) for m in range(1, 5)):
+            code = CODES[code_name]()
+            total = code.n * m
+            for kind in BURST_KINDS:
+                for l in sorted({1, m, m + 1}):
+                    rows = burst_masks(total, l, kind)
+                    errors = list(zip(burst_labels(burst_letters(total, *rows)),
+                                      *map(row_masks, rows)))
+                    reports = [run_verify(code_name, m, burst=l, kind=kind,
+                                          method="statevector", seed=m)]
+                    # a decoder for the declared ability only, so that sweeps
+                    # past it reach failing items
+                    try:
+                        table = block_table(code, kind, code.burst_ability)
+                    except SyndromeCollisionError:
+                        table = None
+                    if table is not None:
+                        items = _statevector_items(code, table, _cycled_pairs(m), errors)
+                        reports.append(Report("verify", {"m": m}, items, 0.125))
+                    for report in reports:
+                        assert_renders_as_dicts(report)
+                        if isinstance(report.items, ItemTable):
+                            for item in report.items:
+                                seen.add((item["passed"],
+                                          min(len(item["corrected_positions_0based"]), 2),
+                                          item["fidelity"] < 0.5))
+        # passing items with one and several corrected positions; failing
+        # items with none (an unknown block syndrome), one and several, with
+        # fidelities below 0.5 and between 0.5 and the threshold
+        assert {(True, 1, False), (True, 2, False), (False, 0, True), (False, 1, True),
+                (False, 2, True), (False, 2, False)} <= seen
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--seed", "7"], ["--coeffs", "1,0,0.6,0.8,0,1"],
+        ["--bursts", "ZZZIIIIII,IIIIIZZZI,ZZZZIIIII,XIIIIIIII,YYIIIIIII,IIIIIIIII"],
+    ])
+    def test_demo_renders_as_dicts(self, capsys, argv):
+        code, out = run_main(capsys, "demo", *argv, "--output", "json")
+        report = json.loads(out)
+        assert code == (1 if "--bursts" in argv else 0)
+        assert report["verdict"] == ("fail" if "--bursts" in argv else "pass")
+        oracle = Report("demo", report["parameters"], report["items"],
+                        report["elapsed_seconds"])
+        assert out == oracle.to_json() + "\n"
+        code, out = run_main(capsys, "demo", *argv, "--output", "text")
+        oracle.elapsed_seconds = float(out.rsplit(" ", 1)[1])
+        assert out == oracle.to_text()
+        if "--bursts" in argv:
+            # the identity passes with no corrected position; ZZZZIIIII fails
+            by_label = {item["label"]: item for item in report["items"]}
+            assert by_label["e_IIIIIIIII"]["passed"] is True
+            assert by_label["e_IIIIIIIII"]["corrected_positions_0based"] == []
+            assert by_label["e_ZZZZIIIII"]["passed"] is False
+        kwargs = {"seed": 7} if "--seed" in argv else {}
+        assert_renders_as_dicts(run_demo(**kwargs, bursts=argv[1].split(",")
+                                         if "--bursts" in argv else None))
 
 
 class TestMethodProperty:
@@ -525,11 +623,11 @@ class TestSynthCommand:
         assert "CNOT 1 2" in out and "SWAP" not in out.split("command")[0]
 
     def test_internal_fault_is_not_a_usage_error(self, monkeypatch, capsys):
-        def broken_readout(state, p):
+        def broken_readout(values):
             raise IndeterminateEigenvalueError("injected readout fault")
 
-        monkeypatch.setattr(qinterleave.statevector.StateVector,
-                            "stabilizer_eigenvalue", broken_readout)
+        # block_decode reads every block's eigenvalues through eigenvalue_signs
+        monkeypatch.setattr(qinterleave.codes, "eigenvalue_signs", broken_readout)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--degree", "2", "--burst", "1",
                   "--method", "statevector"])
@@ -692,6 +790,53 @@ def item_columns(draw):
     return {name: columns[name] for name in order}
 
 
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 1.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def padded_lists(value, depth, width):
+    """Nested lists `depth` deep above their innermost lists, each innermost
+    list padded with -1 to `width` entries."""
+    if depth == 0:
+        return value + [-1] * (width - len(value))
+    return [padded_lists(v, depth - 1, width) for v in value]
+
+
+@st.composite
+def float_and_list_columns(draw):
+    """A text "label", a bool "passed", then finite float columns and int-list
+    columns (nested lists of fixed shape above a last axis of lists, ragged or
+    not, empty ones included), 1-8 rows, in a random order; and the row dicts
+    they stand for."""
+    size = draw(st.integers(1, 8), label="N")
+    labels = [chr(65 + i) * 3 for i in range(size)]
+    values = {"label": labels,
+              "passed": draw(st.lists(st.booleans(), min_size=size, max_size=size))}
+    columns = {"label": np.frombuffer("".join(labels).encode(), np.uint8).reshape(size, 3),
+               "passed": np.array(values["passed"], bool)}
+    for name in draw(st.lists(st.sampled_from(["fidelity", "f", "lists", "syn", "pos"]),
+                              min_size=1, max_size=5, unique=True)):
+        if name in ("fidelity", "f"):
+            values[name] = draw(st.lists(FLOATS, min_size=size, max_size=size))
+            columns[name] = np.array(values[name], np.float64)
+            continue
+        shape = draw(st.lists(st.integers(0, 3), max_size=2), label="fixed axes")
+        width = draw(st.integers(0, 4), label="list width")
+        ragged = draw(st.booleans(), label="ragged")
+
+        def lists(shape):
+            if not shape:
+                return draw(st.lists(INTS, min_size=0 if ragged else width, max_size=width))
+            return [lists(shape[1:]) for _ in range(shape[0])]
+
+        values[name] = [lists(shape) for _ in range(size)]
+        columns[name] = np.array([padded_lists(v, len(shape), width) for v in values[name]],
+                                 np.int64).reshape(size, *shape, width)
+    order = draw(st.permutations(list(columns)))
+    rows = [{name: values[name][i] for name in order} for i in range(size)]
+    return {name: columns[name] for name in order}, rows
+
+
 class TestItemTable:
     """A column table of report items renders as json.dumps(indent=2) of its
     rows, byte for byte, and its rows read as the dicts they stand for."""
@@ -718,6 +863,22 @@ class TestItemTable:
         if not rows:
             assert '"items": []' in report.to_json()
 
+    @settings(max_examples=200, deadline=None)
+    @given(table_rows=float_and_list_columns(), grid_bytes=st.integers(1, 3000))
+    def test_float_and_list_columns_render_as_dicts(self, table_rows, grid_bytes):
+        columns, rows = table_rows
+        table = ItemTable(**columns)
+        assert list(table) == rows
+        assert [table[i] for i in range(len(rows))] == rows
+        report = Report("x", {"n": len(rows)}, table, 0.5)
+        oracle = Report("x", {"n": len(rows)}, rows, 0.5)
+        assert table.text_rows() == "".join(map(_text_row, rows))
+        assert report.to_text() == oracle.to_text()
+        assert report.to_json() == json.dumps(oracle.to_dict(), indent=2)
+        with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
+            assert report.to_json() == json.dumps(oracle.to_dict(), indent=2)
+            assert report.to_text() == oracle.to_text()
+
     @pytest.mark.parametrize("dtype,top", [(np.int64, 2**63 - 1), (np.uint64, 2**64 - 1),
                                            (np.uint8, 255)])
     def test_digit_cells(self, dtype, top):
@@ -733,12 +894,20 @@ class TestItemTable:
         ({"a": np.zeros(3, bool), "b": np.zeros(2, int)}, "ragged"),
         ({"a": np.zeros((3, 4), np.uint8) + 65, "b": np.zeros(4, bool)}, "ragged"),
         ({"a": np.array([1, -1, 2])}, "'a'"),
-        ({"a": np.array([0.5, 1.5])}, "'a'"),
+        ({"a": np.array([0.5, np.nan])}, "'a'"),
         ({"a": np.zeros((2, 2, 2), np.uint8) + 65}, "'a'"),
         ({"a": np.zeros((2, 0), np.uint8)}, "'a'"),
-        ({"a": np.full((2, 3), 65, np.int64)}, "'a'"),
+        ({"a": np.full((2, 3), 65.0)}, "'a'"),
     ] + [({"t": np.array([[65, bad, 66]], np.uint8)}, "'t'")
-         for bad in (ord('"'), ord("\\"), 0, 0x0A, 0x1F, 0x7F, 0x80, 0xFF)])
+         for bad in (ord('"'), ord("\\"), 0, 0x0A, 0x1F, 0x7F, 0x80, 0xFF)] + [
+        # floats must be finite; int lists signed, >= -1, padded after entries
+        ({"a": np.array([-np.inf])}, "'a'"),
+        ({"a": np.full((2, 3), 65, np.uint16)}, "'a'"),
+        ({"a": np.full((2, 3), -2, np.int64)}, "'a'"),
+        ({"a": np.array([[65, -1, 65]])}, "'a'"),
+        ({"a": np.array([[[1, 2], [-1, 0]]])}, "'a'"),
+        ({"a": np.ones((2, 3), bool)}, "'a'"),
+    ])
     def test_refuses_bad_columns(self, columns, message):
         with pytest.raises(ValueError, match=message):
             ItemTable(**columns)
@@ -747,6 +916,33 @@ class TestItemTable:
         report = run_enumerate(5, 2, "colocated")
         assert isinstance(report.items, ItemTable)
         assert list(report.items) == enumerate_items(5, 2, "colocated")
+
+
+class TestMainInProcess:
+    def test_repeated_calls_keep_exit_codes_and_output(self, capsys):
+        # one parser serves every call in the process; a usage error in one
+        # call leaves nothing behind for the next
+        def call(*argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out.rsplit("elapsed_seconds", 1)[0], captured.err
+
+        good = ("verify", "--degree", "2", "--method", "statevector", "--seed", "4")
+        first = call(*good)
+        assert first[0] == 0 and first[1].startswith("command: verify") and not first[2]
+        code, out, err = call("verify", "--kind", "nope")
+        assert code == 2 and out == "" and "invalid choice: 'nope'" in err
+        code, out, err = call("verify", "--method", "stabilizer", "--seed", "4")
+        assert code == 2 and out == "" and "--method stabilizer" in err
+        assert call("enumerate", "3", "--burst", "1")[0] == 0
+        assert call(*good) == first
+        assert call("verify", "--degree", "2", "--burst", "3", "--method", "statevector",
+                    "--seed", "4")[0] == 1
+        assert call(*good) == first
+        assert _parser() is _parser()
 
 
 class TestReports:

@@ -832,3 +832,18 @@ class TestBlockReadoutOracle:
             block_decode(code, table, [plus_i, plus_i])
         with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
             whole_register_syndromes(code, dense_register([plus_i, plus_i]), 2)
+
+    def test_batch_raises_for_the_first_offending_block(self):
+        # |+i> reads Y as +-1: unit modulus, not +-1; |0> reads 0, off the
+        # unit circle.  The batch raises the message of the first block.
+        code = StabilizerCode(n=1, k=0, generators=(PauliString.from_label("Y"),),
+                              logical_xs=(), logical_zs=(), burst_ability=0)
+        table = build_syndrome_table(code, [PauliString.identity(1)])
+        plus_i = StateVector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
+        zero = basis_state(1, "0")
+        for blocks, message in (([plus_i, zero], r"<s\|P\|s> = .* is not \+-1"),
+                                ([zero, plus_i], r"\|<s\|P\|s>\| = 0\.00000000; state is not")):
+            with pytest.raises(IndeterminateEigenvalueError, match=message):
+                block_decode(code, table, blocks)
+            with pytest.raises(IndeterminateEigenvalueError, match=message):
+                decode_one(code, table, blocks[0])

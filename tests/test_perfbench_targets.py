@@ -46,7 +46,7 @@ def test_tracer_counts_statevector_sweep_blocks(capsys):
     # The traced benchmark counts decoded blocks from block_decode's
     # (states, records) return.  The 67 bursts leave each of the 6 blocks
     # with one of III, ZII, IZI, IIZ, and each distinct block Pauli is
-    # decoded once, in a call of its own: 24 blocks in 24 calls.
+    # decoded once, all of them in one batched call: 24 blocks in 1 call.
     from test_perfbench_workloads import workloads
 
     argv = next(workloads.WORKLOADS["statevector-sweep"].op_argvs(seed=1, stream=0))
@@ -61,7 +61,7 @@ def test_tracer_counts_statevector_sweep_blocks(capsys):
     capsys.readouterr()
     metrics = tracer.op_metrics(0)
     assert metrics["codes.blocks_decoded"] == 24
-    assert metrics["codes.block_decode.calls"] == 24
+    assert metrics["codes.block_decode.calls"] == 1
 
 
 def test_tracer_counts_synth_circuit_swaps(capsys):

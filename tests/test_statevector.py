@@ -17,6 +17,7 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
+from qinterleave.statevector import apply_paulis
 from oracles import (
     gate_unitary,
     index_apply_pauli,
@@ -122,6 +123,25 @@ class TestApplyPauli:
                 list(rng.integers(0, 2, size=12)), list(rng.integers(0, 2, size=12)))
             got = s.apply_pauli(p).amps
             assert got.tobytes() == index_apply_pauli(s, p).tobytes(), p
+
+    def test_batched_byte_identical_to_apply_pauli(self):
+        # a stack of states, one Pauli per row or one for every row, through
+        # apply_paulis gives the amplitudes of apply_pauli, byte for byte
+        rng = np.random.default_rng(15)
+        states = [random_state(4, rng) for _ in range(3)]
+        stack = np.stack([s.amps for s in states])
+        paulis = [PauliString.from_label("".join(letters))
+                  for letters in itertools.product("IXZY", repeat=4)]
+        for i, s in enumerate(states):
+            got = apply_paulis(stack[[i] * len(paulis)], [p.x for p in paulis],
+                               [p.z for p in paulis])
+            for row, p in zip(got, paulis):
+                assert row.tobytes() == s.apply_pauli(p).amps.tobytes(), p
+        for p in paulis:
+            got = apply_paulis(stack, p.x, p.z)
+            assert got.tobytes() == np.stack([s.apply_pauli(p).amps
+                                              for s in states]).tobytes(), p
+        assert stack.tobytes() == np.stack([s.amps for s in states]).tobytes()
 
     def test_input_state_untouched(self):
         rng = np.random.default_rng(14)
