@@ -12,7 +12,6 @@ from .codes import (
     SyndromeCollisionError,
     block_decode,
     build_syndrome_table,
-    burst_ability_measured,
     corrects_error_set,
     encode_blocks,
     encode_phase3,
@@ -26,7 +25,6 @@ from .interleaver import (
     Gate,
     Permutation,
     interleave_permutation,
-    parse_plain,
     synthesize_swap_network,
 )
 from .pauli import (
@@ -40,7 +38,6 @@ from .statevector import (
     MAX_QUBITS,
     IndeterminateEigenvalueError,
     StateVector,
-    basis_state,
 )
 
 __version__ = "0.1.0"
@@ -59,10 +56,8 @@ __all__ = [
     "StabilizerCode",
     "StateVector",
     "SyndromeCollisionError",
-    "basis_state",
     "block_decode",
     "build_syndrome_table",
-    "burst_ability_measured",
     "burst_masks",
     "corrects_error_set",
     "encode_blocks",
@@ -72,7 +67,6 @@ __all__ = [
     "interleave_permutation",
     "interleaved_code",
     "logical_encoder",
-    "parse_plain",
     "phase3_code",
     "synthesize_swap_network",
 ]

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when the report verdict is "pass", 1 on a verification failure
 (an empty report counts as one), 2 on a usage error, 3 on an I/O error (a
-file or stream that cannot be written) or an internal error (a state that
-should be a stabilizer eigenstate is not one, or a syndrome table that should
-exist does not).
+file or stream that cannot be written), on an allocation that fails (out of
+memory) or on an internal error (a state that should be a stabilizer
+eigenstate is not one, or a syndrome table that should exist does not).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .codes import (
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import (BURST_KINDS, LETTERS, PauliString, burst_lengths, burst_letters,
                     burst_masks, enumerate_bursts, mask_rows)
-from .report import ItemTable, Report, report_schema  # noqa: F401 (report_schema)
+from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, StateVector, apply_paulis
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
@@ -61,19 +61,6 @@ def _random_pairs(seed: int, m: int) -> list[tuple[complex, complex]]:
 
 def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
     return [DEFAULT_COEFFS[i % len(DEFAULT_COEFFS)] for i in range(m)]
-
-
-def _statevector_items(code: StabilizerCode, table: dict,
-                       pairs: Sequence[tuple[complex, complex]],
-                       errors: Iterable[tuple[str, int, int]]) -> ItemTable:
-    """_statevector_table for (label, x mask, z mask) triples of errors on the
-    interleaved register, labels of one length."""
-    rows = list(errors)
-    labels, xs, zs = ([row[k] for row in rows] for k in range(3))
-    total = code.n * len(pairs)
-    text = np.frombuffer("".join(labels).encode("ascii"), np.uint8)
-    return _statevector_table(code, table, pairs, text.reshape(len(rows), -1 if rows else 1),
-                              burst_letters(total, mask_rows(total, xs), mask_rows(total, zs)))
 
 
 def _statevector_table(code: StabilizerCode, table: dict,
@@ -164,8 +151,11 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     encoder = logical_encoder(code)
     table = build_syndrome_table(code, enumerate_bursts(code.n, code.burst_ability,
                                                         "phase"))
-    items = _statevector_items(code, table, coeffs,
-                               [(f"e_{p}", p.x, p.z) for p in paulis])
+    letters = burst_letters(9, mask_rows(9, [p.x for p in paulis]),
+                            mask_rows(9, [p.z for p in paulis]))
+    labels = np.hstack([np.tile(np.frombuffer(b"e_", np.uint8), (len(paulis), 1)),
+                        LETTERS[letters]])
+    items = _statevector_table(code, table, coeffs, labels, letters)
 
     return Report(
         command="demo",
@@ -421,6 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except OSError as exc:
         parser.exit(3, f"{parser.prog}: I/O error: {exc}\n")
+    except MemoryError as exc:
+        parser.exit(3, f"{parser.prog}: out of memory: {str(exc) or 'allocation failed'}\n")
     return 0 if report.verdict == "pass" else 1
 
 

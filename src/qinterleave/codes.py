@@ -29,9 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import (PauliString, burst_labels, burst_letters, burst_masks, mask_rows,
-                    row_masks)
-from .statevector import MAX_QUBITS, StateVector, apply_paulis, basis_state, eigenvalue_signs
+from .pauli import PauliString, burst_labels, burst_letters, mask_rows, row_masks
+from .statevector import MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
 
 _NORM_TOL = 1e-10
 
@@ -198,7 +197,8 @@ def logical_encoder(code: StabilizerCode) -> Callable[[complex, complex], StateV
         raise ValueError("logical_encoder supports k=1 codes only")
     if code.logical_zs[0].x:
         raise ValueError("logical Z must be Z-type for the projector construction")
-    amps = basis_state(code.n, [0] * code.n).amps
+    amps = np.zeros(1 << code.n, np.complex128)
+    amps[0] = 1
     for g in code.generators:
         combined = amps + StateVector(code.n, amps).apply_pauli(g).amps
         norm = np.linalg.norm(combined)
@@ -225,7 +225,7 @@ def encode_blocks(coeffs: Sequence[tuple[complex, complex]],
     total = sum(b.n for b in blocks)
     if total > MAX_QUBITS:
         raise ValueError(f"{total} qubits exceeds the {MAX_QUBITS}-qubit guard")
-    return reduce(lambda a, b: a.tensor(b), blocks)
+    return StateVector(total, reduce(np.kron, [b.amps for b in blocks]))
 
 
 def interleaved_code(code: StabilizerCode, m: int) -> StabilizerCode:
@@ -366,14 +366,6 @@ def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
             f"errors {paulis[first[bucket[i]]]} and {paulis[i]} share syndrome "
             f"{tuple(syndromes[i])} but their product is outside the stabilizer group")
     return {tuple(syndromes[i]): paulis[i] for i in np.sort(first).tolist()}
-
-
-def burst_ability_measured(code: StabilizerCode, kind: str) -> int:
-    """Largest l for which every burst of the kind with length <= l is correctable."""
-    for l in range(1, code.n + 1):
-        if not corrects_masks(code, *burst_masks(code.n, l, kind)):
-            return l - 1
-    return code.n
 
 
 @dataclass(frozen=True)

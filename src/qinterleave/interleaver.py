@@ -178,19 +178,6 @@ class Circuit:
         raise ValueError(f"unknown circuit format {fmt!r}")
 
 
-def parse_plain(text: str) -> Circuit:
-    """Inverse of Circuit.to_plain."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits "):
-        raise ValueError('plain circuit must start with a "qubits N" header')
-    width = int(lines[0].split()[1])
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        gates.append(Gate(parts[0], tuple(int(p) for p in parts[1:])))
-    return Circuit(width, tuple(gates))
-
-
 def synthesize_swap_network(perm: Permutation) -> Circuit:
     """SWAP circuit realizing the permutation, by cycle decomposition.
 

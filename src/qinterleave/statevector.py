@@ -16,13 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .interleaver import Circuit, Gate, Permutation
-from .pauli import BinaryVector, PauliString
+from .interleaver import Permutation
+from .pauli import PauliString
 
 MAX_QUBITS = 26
 _NORM_TOL = 1e-10
 _EIG_TOL = 1e-6
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class IndeterminateEigenvalueError(ValueError):
@@ -61,12 +60,6 @@ class StateVector:
     def __repr__(self) -> str:
         return f"StateVector(n={self.n})"
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Kronecker product; this state's qubits take the lower-numbered positions."""
-        if self.n + other.n > MAX_QUBITS:
-            raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
-        return StateVector(self.n + other.n, np.kron(self.amps, other.amps))
-
     def apply_pauli(self, p: PauliString) -> "StateVector":
         """Apply X_x Z_z: phase (-1)^(label . z) first, then the bit flips.
 
@@ -84,37 +77,6 @@ class StateVector:
                 half = amps.reshape(1 << q, 2, -1)[:, 1 - (x >> (n - 1 - q) & 1), :]
                 np.negative(half, out=half)
         return StateVector.trusted(n, amps)
-
-    def apply_gate(self, gate: Gate) -> "StateVector":
-        if max(gate.qubits) >= self.n:
-            raise ValueError(f"gate operand out of range for {self.n} qubits")
-        if gate.kind == "H":
-            q = gate.qubits[0]
-            t = self.amps.reshape(1 << q, 2, -1)
-            out = np.empty_like(t)
-            out[:, 0, :] = (t[:, 0, :] + t[:, 1, :]) * _INV_SQRT2
-            out[:, 1, :] = (t[:, 0, :] - t[:, 1, :]) * _INV_SQRT2
-            return StateVector(self.n, out.reshape(-1))
-        if gate.kind == "CNOT":
-            c, t = gate.qubits
-            a = self.amps.reshape((2,) * self.n).copy()
-            sel = [slice(None)] * self.n
-            sel[c] = 1
-            t_axis = t - 1 if t > c else t
-            a[tuple(sel)] = np.flip(a[tuple(sel)], axis=t_axis).copy()
-            return StateVector(self.n, a.reshape(-1))
-        # SWAP: relabel the two axes (equals the three-CNOT network).
-        a, b = gate.qubits
-        out = np.swapaxes(self.amps.reshape((2,) * self.n), a, b)
-        return StateVector(self.n, np.ascontiguousarray(out).reshape(-1))
-
-    def apply_circuit(self, circuit: Circuit) -> "StateVector":
-        if circuit.width != self.n:
-            raise ValueError("circuit width does not match register size")
-        state = self
-        for gate in circuit.gates:
-            state = state.apply_gate(gate)
-        return state
 
     def permute_qubits(self, perm: Permutation | Sequence[int]) -> "StateVector":
         """Relabel qubits: the qubit at position i moves to position images[i]."""
@@ -182,18 +144,3 @@ def eigenvalue_signs(values) -> np.ndarray:
         raise IndeterminateEigenvalueError(
             f"<s|P|s> = {value:.8f} is not +-1; state is not a +-1 eigenstate")
     return signs
-
-
-def basis_state(n: int, label: BinaryVector | str | Sequence[int]) -> StateVector:
-    """Computational basis state |label> with qubit 0 leftmost."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-    if isinstance(label, str):
-        label = BinaryVector.from_string(label)
-    elif not isinstance(label, BinaryVector):
-        label = BinaryVector(tuple(label))
-    if len(label) != n:
-        raise ValueError("label length does not match qubit count")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[label.as_int] = 1.0
-    return StateVector(n, amps)

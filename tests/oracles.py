@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles (dense matrices,
 explicit label arithmetic, brute-force scans) and deliberately avoids the
 code paths under test.  The last section holds helpers that only tests use:
-burst vectors, deinterleaving a transmitted vector and permutation
-composition.
+burst vectors, deinterleaving a transmitted vector, permutation composition,
+basis states, tensor products, dense gate simulation, reading a plain circuit
+listing back, and the measured burst ability of a code.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from qinterleave import (
+    MAX_QUBITS,
     BinaryVector,
     Circuit,
     CorrectabilityResult,
@@ -32,6 +34,7 @@ from qinterleave import (
     logical_encoder,
 )
 from qinterleave.cli import FIDELITY_TOL
+from qinterleave.codes import corrects_masks
 from qinterleave.pauli import row_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -579,3 +582,84 @@ def compose(second: Permutation, first: Permutation) -> Permutation:
     if first.size != second.size:
         raise ValueError("size mismatch in permutation composition")
     return Permutation(tuple(second.images[first.images[i]] for i in range(second.size)))
+
+
+def basis_state(n: int, label) -> StateVector:
+    """Computational basis state |label> with qubit 0 leftmost; label is a
+    BinaryVector, a 0/1 string or a sequence of bits."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
+    if isinstance(label, str):
+        label = BinaryVector.from_string(label)
+    elif not isinstance(label, BinaryVector):
+        label = BinaryVector(tuple(label))
+    if len(label) != n:
+        raise ValueError("label length does not match qubit count")
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[label.as_int] = 1.0
+    return StateVector(n, amps)
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product; a's qubits take the lower-numbered positions."""
+    if a.n + b.n > MAX_QUBITS:
+        raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
+    return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def apply_gate(s: StateVector, gate: Gate) -> StateVector:
+    """The state after one H, CNOT or SWAP, computed on axis views."""
+    if max(gate.qubits) >= s.n:
+        raise ValueError(f"gate operand out of range for {s.n} qubits")
+    if gate.kind == "H":
+        q = gate.qubits[0]
+        t = s.amps.reshape(1 << q, 2, -1)
+        out = np.empty_like(t)
+        out[:, 0, :] = (t[:, 0, :] + t[:, 1, :]) * _INV_SQRT2
+        out[:, 1, :] = (t[:, 0, :] - t[:, 1, :]) * _INV_SQRT2
+        return StateVector(s.n, out.reshape(-1))
+    if gate.kind == "CNOT":
+        c, t = gate.qubits
+        a = s.amps.reshape((2,) * s.n).copy()
+        sel = [slice(None)] * s.n
+        sel[c] = 1
+        t_axis = t - 1 if t > c else t
+        a[tuple(sel)] = np.flip(a[tuple(sel)], axis=t_axis).copy()
+        return StateVector(s.n, a.reshape(-1))
+    # SWAP: relabel the two axes (equals the three-CNOT network).
+    a, b = gate.qubits
+    out = np.swapaxes(s.amps.reshape((2,) * s.n), a, b)
+    return StateVector(s.n, np.ascontiguousarray(out).reshape(-1))
+
+
+def apply_circuit(s: StateVector, circuit: Circuit) -> StateVector:
+    """The state after every gate of the circuit, in order."""
+    if circuit.width != s.n:
+        raise ValueError("circuit width does not match register size")
+    for gate in circuit.gates:
+        s = apply_gate(s, gate)
+    return s
+
+
+def parse_plain(text: str) -> Circuit:
+    """Inverse of Circuit.to_plain."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("qubits "):
+        raise ValueError('plain circuit must start with a "qubits N" header')
+    width = int(lines[0].split()[1])
+    gates = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        gates.append(Gate(parts[0], tuple(int(p) for p in parts[1:])))
+    return Circuit(width, tuple(gates))
+
+
+def burst_ability_measured(code: StabilizerCode, kind: str) -> int:
+    """Largest l for which every burst of the kind with length <= l is correctable."""
+    for l in range(1, code.n + 1):
+        if not corrects_masks(code, *burst_masks(code.n, l, kind)):
+            return l - 1
+    return code.n

@@ -21,7 +21,6 @@ from qinterleave import (
     build_syndrome_table,
     burst_masks,
     enumerate_bursts,
-    parse_plain,
 )
 from qinterleave.pauli import burst_labels, burst_letters, mask_rows, row_masks
 from qinterleave.cli import (
@@ -31,19 +30,19 @@ from qinterleave.cli import (
     _cycled_pairs,
     _parser,
     _random_pairs,
-    _statevector_items,
+    _statevector_table,
     main,
-    report_schema,
     run_demo,
     run_enumerate,
     run_synth,
     run_verify,
 )
-from qinterleave.report import _text_row
+from qinterleave.report import _text_row, report_schema
 from oracles import (
     circuit_label_action,
     dense_statevector_items,
     enumerate_items,
+    parse_plain,
     per_burst_statevector_items,
     permutation_label_action,
     split_pauli,
@@ -52,8 +51,19 @@ from qinterleave import interleave_permutation
 
 
 def block_table(code, kind, length):
-    """The block decoder's table as run_verify builds it for _statevector_items."""
+    """The block decoder's table as run_verify builds it for statevector_items."""
     return build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
+
+
+def statevector_items(code, table, pairs, errors):
+    """_statevector_table for (label, x mask, z mask) triples of errors on the
+    interleaved register, labels of one length."""
+    rows = list(errors)
+    labels, xs, zs = ([row[k] for row in rows] for k in range(3))
+    total = code.n * len(pairs)
+    text = np.frombuffer("".join(labels).encode("ascii"), np.uint8)
+    return _statevector_table(code, table, pairs, text.reshape(len(rows), -1 if rows else 1),
+                              burst_letters(total, mask_rows(total, xs), mask_rows(total, zs)))
 
 
 def run_main(capsys, *argv):
@@ -407,12 +417,12 @@ class TestDenseOracle:
                                                         errors)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, block_table(code, kind, length),
-                                               pairs, masks)
+                            statevector_items(code, block_table(code, kind, length),
+                                              pairs, masks)
                         assert str(got.value) == str(exc)
                         continue
-                    items = _statevector_items(code, block_table(code, kind, length),
-                                               pairs, masks)
+                    items = statevector_items(code, block_table(code, kind, length),
+                                              pairs, masks)
                     assert len(items) == len(dense)
                     for item, want in zip(items, dense):
                         assert abs(item.pop("fidelity") - want.pop("fidelity")) <= 1e-12
@@ -449,13 +459,13 @@ class TestPerBurstOracle:
                                                            pairs, paulis)
                     except SyndromeCollisionError as exc:
                         with pytest.raises(SyndromeCollisionError) as got:
-                            _statevector_items(code, block_table(code, kind, length),
-                                               pairs, zip(labels, xs, zs))
+                            statevector_items(code, block_table(code, kind, length),
+                                              pairs, zip(labels, xs, zs))
                         assert str(got.value) == str(exc)
                         outcomes.add("collision")
                         continue
-                    items = _statevector_items(code, block_table(code, kind, length),
-                                               pairs, zip(labels, xs, zs))
+                    items = statevector_items(code, block_table(code, kind, length),
+                                              pairs, zip(labels, xs, zs))
                     assert list(items) == want
                     outcomes.update(item["passed"] for item in items)
         assert outcomes == {True, False, "collision"}
@@ -519,7 +529,7 @@ class TestStatevectorRendering:
                     except SyndromeCollisionError:
                         table = None
                     if table is not None:
-                        items = _statevector_items(code, table, _cycled_pairs(m), errors)
+                        items = statevector_items(code, table, _cycled_pairs(m), errors)
                         reports.append(Report("verify", {"m": m}, items, 0.125))
                     for report in reports:
                         assert_renders_as_dicts(report)
@@ -645,6 +655,18 @@ class TestSynthCommand:
         assert exc.value.code == 3
         err = capsys.readouterr().err
         assert err == "qinterleave: internal error: injected table fault\n"
+
+    def test_out_of_memory_is_not_a_verification_failure(self, monkeypatch, capsys):
+        def exhausted(perm):
+            raise MemoryError
+
+        monkeypatch.setattr(qinterleave.cli, "synthesize_swap_network", exhausted)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "3", "3"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qinterleave: out of memory: allocation failed\n"
 
     def test_zero_size_usage_error(self):
         with pytest.raises(SystemExit) as exc:

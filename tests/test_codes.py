@@ -14,10 +14,8 @@ from qinterleave import (
     StabilizerCode,
     StateVector,
     SyndromeCollisionError,
-    basis_state,
     block_decode,
     build_syndrome_table,
-    burst_ability_measured,
     corrects_error_set,
     encode_blocks,
     encode_phase3,
@@ -32,6 +30,8 @@ from qinterleave.cli import DEFAULT_COEFFS
 from qinterleave.codes import _commutation_words
 from qinterleave.pauli import mask_rows
 from oracles import (
+    basis_state,
+    burst_ability_measured,
     commutation_bits,
     gf2_corrects_error_set,
     gf2_rank_of,
@@ -40,6 +40,7 @@ from oracles import (
     pauli_matrix,
     random_state,
     split_pauli,
+    tensor,
 )
 
 FID_TOL = 1e-10
@@ -201,7 +202,7 @@ class TestEncoding:
     def test_encode_blocks_basis(self):
         s = encode_blocks([(1, 0)] * 3, encode_phase3)
         single = encode_phase3(1, 0)
-        expected = single.tensor(single).tensor(single)
+        expected = tensor(tensor(single, single), single)
         assert np.allclose(s.amps, expected.amps)
 
     def test_encode_blocks_gamma_expansion(self):
@@ -749,7 +750,7 @@ def whole_register_syndromes(code, s, m):
 
 
 def dense_register(blocks):
-    return functools.reduce(lambda a, b: a.tensor(b), blocks)
+    return functools.reduce(tensor, blocks)
 
 
 def raises_indeterminate(fn) -> bool:

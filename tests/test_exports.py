@@ -39,3 +39,19 @@ def test_channel_module_is_gone():
     assert not hasattr(qinterleave.Permutation, "compose")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("qinterleave.channel")
+
+
+def test_test_only_helpers_are_gone():
+    # no command runs them; the references live in tests/oracles.py
+    for name in ("basis_state", "parse_plain", "burst_ability_measured"):
+        assert name not in qinterleave.__all__
+        assert not hasattr(qinterleave, name)
+    assert not hasattr(qinterleave.statevector, "basis_state")
+    assert not hasattr(qinterleave.interleaver, "parse_plain")
+    assert not hasattr(qinterleave.codes, "burst_ability_measured")
+    for method in ("apply_gate", "apply_circuit", "tensor"):
+        assert not hasattr(qinterleave.StateVector, method)
+    # demo and verify share _statevector_table; the label-triple form is gone
+    cli = importlib.import_module("qinterleave.cli")
+    assert not hasattr(cli, "_statevector_items")
+    assert not hasattr(cli, "report_schema")

@@ -10,16 +10,17 @@ from qinterleave import (
     Gate,
     Permutation,
     interleave_permutation,
-    parse_plain,
     synthesize_swap_network,
 )
 from oracles import (
+    apply_circuit,
     circuit_label_action,
     compose,
     deinterleave_blocks,
     enumerate_burst_vectors,
     expand_swap_gates,
     expanded_qasm,
+    parse_plain,
     permutation_label_action,
     plain_listing,
     qasm_listing,
@@ -161,7 +162,7 @@ class TestSynthesis:
                                       permutation_label_action(perm))
 
     def test_apply_circuit_equals_permute_qubits_exhaustive_basis(self):
-        from qinterleave import basis_state
+        from oracles import basis_state
         for n, m in ((2, 2), (3, 2), (2, 3), (3, 3)):
             perm = interleave_permutation(n, m)
             circuit = synthesize_swap_network(perm)
@@ -169,7 +170,7 @@ class TestSynthesis:
             for value in range(1 << total):
                 s = basis_state(total,
                                 [(value >> (total - 1 - q)) & 1 for q in range(total)])
-                assert np.allclose(s.apply_circuit(circuit).amps,
+                assert np.allclose(apply_circuit(s, circuit).amps,
                                    s.permute_qubits(perm).amps)
 
     def test_circuit_equals_permutation_above_12_randomized(self):

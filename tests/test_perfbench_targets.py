@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import qinterleave.cli
-from qinterleave import PauliString, basis_state
+from qinterleave import PauliString
+from oracles import basis_state
+from test_perfbench_workloads import workloads
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,24 +44,28 @@ def test_apply_pauli_counter_reads_masks():
         2 * 8 * (2 * spans.AMP_BYTES + spans.INDEX_BYTES))
 
 
+def traced_op(argv, capsys):
+    """One traced cli.main(argv): its exit code, its stdout and op_metrics(0),
+    which raises unless the op's spans form one tree under cli.main whose
+    self times add up."""
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        exit_code = qinterleave.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    return exit_code, capsys.readouterr().out, tracer.op_metrics(0)
+
+
 def test_tracer_counts_statevector_sweep_blocks(capsys):
     # The traced benchmark counts decoded blocks from block_decode's
     # (states, records) return.  The 67 bursts leave each of the 6 blocks
     # with one of III, ZII, IZI, IIZ, and each distinct block Pauli is
     # decoded once, all of them in one batched call: 24 blocks in 1 call.
-    from test_perfbench_workloads import workloads
-
     argv = next(workloads.WORKLOADS["statevector-sweep"].op_argvs(seed=1, stream=0))
-
-    tracer = load_spans().Tracer()
-    tracer.install()
-    try:
-        tracer.begin_op()
-        assert qinterleave.cli.main(argv) == 0
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    metrics = tracer.op_metrics(0)
+    exit_code, _, metrics = traced_op(argv, capsys)
+    assert exit_code == 0
     assert metrics["codes.blocks_decoded"] == 24
     assert metrics["codes.block_decode.calls"] == 1
 
@@ -68,22 +74,24 @@ def test_tracer_counts_synth_circuit_swaps(capsys):
     # The traced benchmark reads the SWAP count from the circuit that
     # synthesize_swap_network returns and the export size from the text of
     # Circuit.export: a 64 x 64 interleaver is 2016 SWAPs, 6048 cx lines.
-    from test_perfbench_workloads import workloads
-
     argv = next(workloads.WORKLOADS["synth-circuit"].op_argvs(seed=1, stream=0))
     assert list(argv[:5]) == ["synth", "64", "64", "--format", "qasm"]
-
-    tracer = load_spans().Tracer()
-    tracer.install()
-    try:
-        tracer.begin_op()
-        assert qinterleave.cli.main(argv) == 0
-    finally:
-        tracer.uninstall()
-    text = capsys.readouterr().out
-    metrics = tracer.op_metrics(0)
+    exit_code, text, metrics = traced_op(argv, capsys)
+    assert exit_code == 0
     assert metrics["interleaver.swaps"] == 2016
     assert metrics["interleaver.synthesize_swap_network.calls"] == 1
     assert metrics["interleaver.interleave_permutation.calls"] == 1
     assert metrics["interleaver.export.calls"] == 1
     assert 0 < metrics["interleaver.export.bytes"] < len(text)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_workload_is_one_tree_and_passes_its_check(name, capsys):
+    # Every target is wrapped (install raises AttributeError when one is
+    # gone), and the traced output still matches the workload's pin.
+    workload = workloads.WORKLOADS[name]
+    exit_code, stdout, metrics = traced_op(next(workload.op_argvs(seed=1, stream=0)),
+                                           capsys)
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["trace.root_s"] > 0
+    assert workloads.check_output(workload.expected(), exit_code, stdout) == []

