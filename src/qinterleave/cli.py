@@ -21,15 +21,15 @@ from .codes import (
     SyndromeCollisionError,
     block_decode,
     build_syndrome_table,
-    corrects_masks,
+    corrects_bursts,
     five_qubit_code,
     interleaved_code,
     logical_encoder,
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, LETTERS, PauliString, burst_lengths, burst_letters,
-                    burst_masks, enumerate_bursts, mask_rows)
+from .pauli import (BURST_KINDS, LETTERS, PauliString, admitted_burst_count, burst_lengths,
+                    burst_letters, burst_masks, enumerate_bursts, mask_rows)
 from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, StateVector, apply_paulis
 
@@ -182,15 +182,17 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                seed: int | None = None) -> Report:
     """Exhaustive burst sweep against one interleaved code.
 
-    Both methods take the bursts as the byte rows of burst_masks.  The
-    stabilizer method checks syndrome-level correctability of the whole burst
-    set; the statevector method runs deinterleave -> corrupt -> block-decode
+    The stabilizer method checks syndrome-level correctability of the whole
+    burst set from words folded down the burst-window tree (corrects_bursts),
+    building no mask row; the statevector method reads the byte rows of
+    burst_masks and runs deinterleave -> corrupt -> block-decode
     -> fidelity on the encoded blocks for every burst, decoding each distinct
     (block, block Pauli) once, and labels the bursts only once the block
     decoder exists.  Burst lengths beyond the register size are clamped.
     `seed` draws the statevector method's logical coefficients; the
     stabilizer method refuses it.  Every argument, the statevector size guard
-    included, is checked before any burst is enumerated.
+    included, and the burst budget are checked before any burst or
+    interleaved code is built.
     """
     start = time.perf_counter()
     if code_name not in CODES:
@@ -213,7 +215,7 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
             f"statevector method needs n*m <= {MAX_QUBITS}, got {total}")
     requested = burst if burst is not None else code.burst_ability * degree
     effective = min(requested, total)
-    xs, zs = burst_masks(total, effective, kind)
+    count = admitted_burst_count(total, effective, kind)
     parameters = {
         "code": code_name,
         "degree": degree,
@@ -222,15 +224,15 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         "kind": kind,
         "method": method,
         "interleaved_code": f"[[{total},{code.k * degree}]]",
-        "burst_count": len(xs),
+        "burst_count": count,
         "code_block": code.to_text(),
     }
     if method == "stabilizer":
         compound = interleaved_code(code, degree)
         parameters["interleaved_code_block"] = compound.to_text()
-        result = corrects_masks(compound, xs, zs)
+        result = corrects_bursts(compound, effective, kind)
         item = {
-            "label": f"{len(xs)} {kind} bursts of length <= {effective}",
+            "label": f"{count} {kind} bursts of length <= {effective}",
             "passed": result.ok,
         }
         if not result.ok:
@@ -249,7 +251,7 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                 "reason": str(exc),
             }]
         else:
-            letters = burst_letters(total, xs, zs)
+            letters = burst_letters(total, *burst_masks(total, effective, kind))
             items = _statevector_table(code, table, pairs, LETTERS[letters], letters)
 
     return Report("verify", parameters, items, time.perf_counter() - start)

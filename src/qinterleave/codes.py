@@ -13,11 +13,15 @@ errors are allowed).  Two errors with equal syndromes differ by an element of
 N(S), and that element lies in S exactly when both errors commute or
 anticommute alike with every logical operator, i.e. lie in the same class of
 N(S)/S.  So a set is correctable iff every syndrome holds a single class.
-Syndrome and class bits are commutation bits, linear over GF(2) in the masks:
-an error's bits are the XOR of one 256-row table entry per byte of its mask
-rows, as burst_masks makes them (the Method of Four Russians), folded into
-uint64 words, syndrome on top.  One sort of the words puts each syndrome's
-classes side by side; the words also build the decoder's syndrome dict.
+Syndrome and class bits are commutation bits, linear over GF(2) in the masks,
+folded into uint64 words, syndrome on top.  A burst sweep (corrects_bursts)
+folds them down the burst-window tree: a window's word is its prefix's word
+XOR the word of its last single-letter operator, so no mask row is built, and
+only the failing syndrome's members get rows, for the witness.  An
+explicit error list's words are the XOR of one 256-row table entry per byte of
+its mask rows (the Method of Four Russians).  One sort of the words puts each
+syndrome's classes side by side; the words also build the decoder's syndrome
+dict.
 """
 from __future__ import annotations
 
@@ -29,8 +33,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import PauliString, burst_labels, burst_letters, mask_rows, row_masks
+from .pauli import PauliString, burst_labels, burst_letters, letter_rows, mask_rows, row_masks
 from .statevector import MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
+from .windows import burst_rows, burst_words
 
 _NORM_TOL = 1e-10
 
@@ -230,22 +235,27 @@ def encode_blocks(coeffs: Sequence[tuple[complex, complex]],
 
 def interleaved_code(code: StabilizerCode, m: int) -> StabilizerCode:
     """[[nm,km]] code: every block operator embedded at its block, then pushed
-    through the interleave permutation; burst ability scales to b*m."""
+    through the interleave permutation; burst ability scales to b*m.  All of
+    them are placed by one column gather of their letter grid."""
     if m < 1:
         raise ValueError("interleaving degree must be >= 1")
-    perm = interleave_permutation(code.n, m)
-    total = code.n * m
+    ops = (*code.generators, *code.logical_xs, *code.logical_zs)
+    # Row (block i, operator) of the block-diagonal letter grid holds the
+    # operator at block i; register qubit images[p] takes the grid's column p.
+    grid = np.kron(np.eye(m, dtype=np.uint8), burst_letters(code.n, *_pauli_rows(code.n, ops)))
+    xs, zs = letter_rows(grid[:, np.argsort(interleave_permutation(code.n, m).images)])
+    placed = [PauliString(code.n * m, x, z) for x, z in zip(row_masks(xs), row_masks(zs))]
+    g, k = len(code.generators), code.k
 
-    def place(ops: Sequence[PauliString]) -> tuple[PauliString, ...]:
-        return tuple(op.embed(total, i * code.n).permute(perm.images)
-                     for i in range(m) for op in ops)
+    def place(first: int, stop: int) -> tuple[PauliString, ...]:
+        return tuple(placed[i * len(ops) + j] for i in range(m) for j in range(first, stop))
 
     return StabilizerCode(
-        n=total,
-        k=code.k * m,
-        generators=place(code.generators),
-        logical_xs=place(code.logical_xs),
-        logical_zs=place(code.logical_zs),
+        n=code.n * m,
+        k=k * m,
+        generators=place(0, g),
+        logical_xs=place(g, g + k),
+        logical_zs=place(g + k, g + 2 * k),
         burst_ability=code.burst_ability * m,
     )
 
@@ -287,44 +297,72 @@ def _commutation_words(n: int, ops: Sequence[PauliString], xs: np.ndarray,
     return folded
 
 
+def _class_ops(code: StabilizerCode) -> tuple[tuple[PauliString, ...], np.ndarray]:
+    """The generators, then the logical Xs and Zs, whose commutation bits are
+    an error's word, and the (words, 1) mask of the generator bits: words sort
+    in syndrome order, and two with one syndrome differ exactly when their
+    errors lie in different classes."""
+    ops = (*code.generators, *code.logical_xs, *code.logical_zs)
+    mask = ((1 << len(code.generators)) - 1) << (2 * code.k)
+    return ops, np.frombuffer(mask.to_bytes(8 * -(-len(ops) // 64), "big"),
+                              dtype=">u8").astype(np.uint64)[:, None]
+
+
 def _fold(code: StabilizerCode, xs: np.ndarray, zs: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The errors' rows, the identity's zero row first, their commutation words
-    against the generators, then the logical Xs and Zs, and the (words, 1) mask
-    of the generator bits: columns sort in syndrome order, and two with one
-    syndrome differ exactly when their errors lie in different classes."""
+    """The errors' rows, the identity's zero row first, their words and the
+    syndrome mask (_class_ops)."""
     xs, zs = (np.vstack([np.zeros(rows.shape[1], np.uint8), rows]) for rows in (xs, zs))
-    ops = (*code.generators, *code.logical_xs, *code.logical_zs)
-    words = _commutation_words(code.n, ops, xs, zs)
-    mask = ((1 << len(code.generators)) - 1) << (2 * code.k)
-    return xs, zs, words, np.frombuffer(
-        mask.to_bytes(8 * len(words), "big"), dtype=">u8").astype(np.uint64)[:, None]
+    ops, mask = _class_ops(code)
+    return xs, zs, _commutation_words(code.n, ops, xs, zs), mask
+
+
+def _verdict(code: StabilizerCode, words: np.ndarray, mask: np.ndarray,
+             rows_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+             ) -> CorrectabilityResult:
+    """The set fails iff two distinct words, column 0 the identity's, share a
+    syndrome.  The witness comes from the first such syndrome: its smallest
+    member by (x, z), a lexsort of the mask rows rows_of gives for the
+    members' columns, and the first later member of another class."""
+    ordered = (np.sort(words, axis=1) if len(words) == 1
+               else words[:, np.lexsort(words[::-1])])
+    # Sorted words keep each syndrome's classes side by side.
+    syndromes = ordered & mask
+    clash = np.flatnonzero((syndromes[:, 1:] == syndromes[:, :-1]).all(axis=0)
+                           & (ordered[:, 1:] != ordered[:, :-1]).any(axis=0))
+    if not len(clash):
+        return CorrectabilityResult(True, None)
+    members = np.flatnonzero(((words & mask) == syndromes[:, clash[:1]]).all(axis=0))
+    del ordered, syndromes  # freed before rows_of builds any row
+    xs, zs = rows_of(members)
+    order = np.lexsort(np.c_[xs, zs].T[::-1])
+    ranked = words[:, members[order]]
+    pair = order[[0, np.argmax((ranked != ranked[:, :1]).any(axis=0))]]
+    return CorrectabilityResult(False, tuple(
+        PauliString(code.n, x, z) for x, z in zip(row_masks(xs[pair]), row_masks(zs[pair]))))
 
 
 def corrects_masks(code: StabilizerCode, xs: np.ndarray,
                    zs: np.ndarray) -> CorrectabilityResult:
     """corrects_error_set for the errors with x mask rows xs and z mask rows
-    zs, the layout of burst_masks and mask_rows for code.n bits (not checked).
-
-    The set fails iff two distinct folded words, the identity's included,
-    share a syndrome; the witness comes from the first such syndrome: its
-    smallest member by (x, z), a lexsort of its rows, and the first later
-    member of another class.
-    """
+    zs, the layout of burst_masks and mask_rows for code.n bits (not checked):
+    their words are folded from the rows."""
     xs, zs, words, mask = _fold(code, xs, zs)
-    ordered = (np.sort(words, axis=1) if len(words) == 1
-               else words[:, np.lexsort(words[::-1])])
-    distinct = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
-    syndromes = ordered[:, distinct] & mask
-    clash = np.flatnonzero((syndromes[:, 1:] == syndromes[:, :-1]).all(axis=0))
-    if not len(clash):
-        return CorrectabilityResult(True, None)
-    members = np.flatnonzero(((words & mask) == syndromes[:, clash[:1]]).all(axis=0))
-    members = members[np.lexsort(np.c_[xs[members], zs[members]].T[::-1])]
-    base = members[0]
-    partner = next(i for i in members[1:] if (words[:, i] != words[:, base]).any())
-    return CorrectabilityResult(False, tuple(PauliString(code.n, *row_masks(
-        np.stack([xs[i], zs[i]]))) for i in (base, partner)))
+    return _verdict(code, words, mask, lambda members: (xs[members], zs[members]))
+
+
+def corrects_bursts(code: StabilizerCode, l: int, kind: str) -> CorrectabilityResult:
+    """corrects_masks(code, *burst_masks(code.n, l, kind)), from words folded
+    down the burst-window tree (burst_words) with no mask row built: the
+    leaf is the words of the 4n single-letter operators, identity letters
+    included, and only the failing syndrome's members get rows (burst_rows)."""
+    n = code.n
+    ops, mask = _class_ops(code)
+    # Row 4q + c: letter code c at qubit q.
+    letters = np.kron(np.eye(n, dtype=np.uint8), np.arange(4, dtype=np.uint8)[:, None])
+    leaf = _commutation_words(n, ops, *letter_rows(letters))
+    words = burst_words(n, l, kind, leaf.reshape(len(leaf), n, 4))
+    return _verdict(code, words, mask, lambda members: burst_rows(n, l, kind, members))
 
 
 def corrects_error_set(code: StabilizerCode,

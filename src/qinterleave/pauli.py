@@ -11,8 +11,9 @@ A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
 when both of its masks are bursts of length l or less.  burst_masks builds a
 kind's bursts as rows with numpy, refusing a set over BURST_BYTES_BUDGET before
-allocating it.  Syndromes are read from the rows; labels, weights and burst
-lengths from the (N, n) grid of letter codes x + 2z that burst_letters unpacks.
+allocating it (admitted_burst_count, which the window module calls too).  Labels,
+weights and burst lengths are read from the (N, n) grid of letter codes x + 2z
+that burst_letters unpacks, and letter_rows packs back.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 BURST_KINDS = ("bit", "phase", "colocated", "independent")
 
-# The peak bytes burst_masks admits, at 600 + 4n a burst on n qubits.  That rate
+# The peak bytes a burst set may take, at 600 + 4n a burst on n qubits.  That rate
 # bounds enumerate --output json, which peaked at 0.40, 0.80 and 3.3 kB a burst
 # on 25, 200 and 1000 qubits; 3 GiB at that rate stays well under 7 GB.
 BURST_BYTES_BUDGET = 3 << 30
@@ -240,23 +241,55 @@ def burst_letters(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return letters
 
 
+def letter_rows(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x mask rows and the z mask rows (mask_rows) of the Paulis of a letter
+    grid; the inverse of burst_letters."""
+    n = letters.shape[1]
+    width = -(-n // 8)
+    bits = np.zeros((2, len(letters), 8 * width), dtype=np.uint8)
+    np.bitwise_and(letters, 1, out=bits[0, :, -n:])
+    np.right_shift(letters, 1, out=bits[1, :, -n:])
+    # Rows of whole bytes pack as one run each.
+    xs, zs = np.packbits(bits.reshape(2, -1), axis=1).reshape(2, len(letters), width)
+    return xs, zs
+
+
 def burst_labels(letters: np.ndarray) -> list[str]:
     """The labels of the rows of a letter grid (burst_letters), in order."""
     n, text = letters.shape[1], LETTERS[letters].tobytes().decode("ascii")
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 
+def _span_sizes(n: int, l: int, kind: str) -> list[int]:
+    """The windows of each span s = 1..l: n-s+1 starts of e^min(s,2) i^max(s-2,0)
+    windows each, for e end and i inner letters."""
+    ends, inner = map(len, _WINDOW_LETTERS[kind])
+    return [(n - s + 1) * ends ** min(s, 2) * inner ** max(s - 2, 0) for s in range(1, l + 1)]
+
+
 def burst_count(n: int, l: int, kind: str) -> int:
-    """len(burst_masks(n, l, kind)[0]): sum_{s=1..l} (n-s+1) e^min(s,2) i^max(s-2,0)
-    windows for e end and i inner letters, and (B+1)^2 - 1 for B bit bursts."""
+    """len(burst_masks(n, l, kind)[0]): the windows of every span, and
+    (B+1)^2 - 1 for B bit bursts."""
     if kind not in BURST_KINDS:
         raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
     if not 1 <= l <= n:
         raise ValueError(f"burst bound l={l} out of range for n={n}")
-    ends, inner = map(len, _WINDOW_LETTERS["bit" if kind == "independent" else kind])
-    windows = sum((n - s + 1) * ends ** min(s, 2) * inner ** max(s - 2, 0)
-                  for s in range(1, l + 1))
-    return (windows + 1) ** 2 - 1 if kind == "independent" else windows
+    if kind != "independent":
+        return sum(_span_sizes(n, l, kind))
+    return (sum(_span_sizes(n, l, "bit")) + 1) ** 2 - 1
+
+
+def admitted_burst_count(n: int, l: int, kind: str) -> int:
+    """burst_count(n, l, kind), once a set predicted past BURST_BYTES_BUDGET,
+    at 600 + 4n bytes a burst, is refused with ValueError; burst_masks and the
+    window module's burst_words and burst_rows call it before they allocate."""
+    # Span s adds 2**(s-2) windows or more: a valid l past 64 is over budget.
+    count, per_burst = burst_count(n, l if l > n else min(l, 64), kind), 600 + 4 * n
+    if count * per_burst > BURST_BYTES_BUDGET:
+        raise ValueError(
+            f"{count:,}{' or more' if l > 64 else ''} {kind} bursts of length <= {l} on "
+            f"{n} qubits exceed the budget of {BURST_BYTES_BUDGET // per_burst:,} bursts")
+    return count
 
 
 def _window_rows(n: int, l: int, ends: Sequence, inner: Sequence) -> np.ndarray:
@@ -291,12 +324,7 @@ def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     <= l; every x mask (outer) with every z mask (inner).
     A set predicted past BURST_BYTES_BUDGET raises ValueError before allocation.
     """
-    # Span s adds 2**(s-2) windows or more: a valid l past 64 is over budget.
-    count, per_burst = burst_count(n, l if l > n else min(l, 64), kind), 600 + 4 * n
-    if count * per_burst > BURST_BYTES_BUDGET:
-        raise ValueError(
-            f"{count:,}{' or more' if l > 64 else ''} {kind} bursts of length <= {l} on "
-            f"{n} qubits exceed the budget of {BURST_BYTES_BUDGET // per_burst:,} bursts")
+    admitted_burst_count(n, l, kind)
     if kind != "independent":
         return tuple(_window_rows(n, l, *_WINDOW_LETTERS[kind]))
     # The identity pair comes first and is dropped.

@@ -545,6 +545,39 @@ def int_burst_masks(n: int, l: int, kind: str) -> tuple[list[int], list[int]]:
             (vectors * count)[1:])
 
 
+def int_burst_at(n: int, l: int, kind: str, i: int) -> tuple[int, int]:
+    """Entry i of int_burst_masks(n, l, kind), found by counting instead of
+    enumerating: whole spans and then whole starts are skipped by their
+    window counts, and the letters are the mixed-radix digits of the rest,
+    leftmost slowest."""
+    if kind == "independent":
+        bits = sum((n - s + 1) * math.prod(len(a) for a in _span_letters(s, "bit"))
+                   for s in range(1, l + 1))
+        x, z = divmod(i + 1, bits + 1)
+        return (int_burst_at(n, l, "bit", x - 1)[0] if x else 0,
+                int_burst_at(n, l, "phase", z - 1)[1] if z else 0)
+    for span in range(1, l + 1):
+        alphabets = _span_letters(span, kind)
+        per_start = math.prod(len(a) for a in alphabets)
+        if i < (n - span + 1) * per_start:
+            break
+        i -= (n - span + 1) * per_start
+    start, i = divmod(i, per_start)
+    x = z = 0
+    for position in range(span - 1, -1, -1):
+        i, digit = divmod(i, len(alphabets[position]))
+        bx, bz = alphabets[position][digit]
+        x |= bx << (n - 1 - start - position)
+        z |= bz << (n - 1 - start - position)
+    return x, z
+
+
+def _span_letters(span: int, kind: str) -> list:
+    """The letters allowed at each position of a window of the given span."""
+    ends, inner = WINDOW_LETTERS[kind]
+    return [ends if i in (0, span - 1) else inner for i in range(span)]
+
+
 def hex_burst_labels(n: int, xs, zs) -> list[str]:
     """Labels of the Paulis with mask ints xs and zs: read as hex, the masks'
     binary digits give each qubit its own nibble, and x + 2z indexes "IXZY"."""

@@ -13,6 +13,7 @@ import qinterleave.cli
 import qinterleave.codes
 import qinterleave.grid
 import qinterleave.pauli
+import qinterleave.windows
 from qinterleave import (
     BURST_KINDS,
     IndeterminateEigenvalueError,
@@ -22,7 +23,7 @@ from qinterleave import (
     burst_masks,
     enumerate_bursts,
 )
-from qinterleave.pauli import burst_labels, burst_letters, mask_rows, row_masks
+from qinterleave.pauli import burst_count, burst_labels, burst_letters, mask_rows, row_masks
 from qinterleave.cli import (
     CODES,
     ItemTable,
@@ -216,6 +217,28 @@ class TestVerifyCommand:
         assert report["verdict"] == "fail"
         assert report["items"][0]["witness"] == ["IIIIIIIXIY", "IIIIIYIYII"]
 
+    @pytest.mark.parametrize("kind,burst,exit_code", [
+        ("bit", 6, 0), ("phase", 6, 0), ("colocated", 6, 1), ("independent", 3, 1)])
+    def test_stabilizer_builds_no_rows(self, monkeypatch, capsys, kind, burst, exit_code):
+        # the [[25,5]] boundary sweep folds its words down the window tree:
+        # no set of mask rows is built, and the failing syndrome's few members
+        # are decoded by column
+        def no_rows(*args):
+            raise AssertionError("mask rows built for the stabilizer method")
+
+        monkeypatch.setattr(qinterleave.cli, "burst_masks", no_rows)
+        monkeypatch.setattr(qinterleave.windows, "burst_masks", no_rows)
+        monkeypatch.setattr(qinterleave.pauli, "_window_rows", no_rows)
+        code, out = run_main(capsys, "verify", "--code", "five", "--degree", "5",
+                             "--burst", str(burst), "--kind", kind,
+                             "--method", "stabilizer", "--output", "json")
+        report = json.loads(out)
+        assert (code, report["verdict"]) == (exit_code, ("pass", "fail")[exit_code])
+        assert report["parameters"]["burst_count"] == burst_count(25, burst, kind)
+        if kind == "colocated":
+            assert report["items"][0]["witness"] == [
+                "IIIIIIIIIIIIIIIIIIIXIIIIY", "IIIIIIIIIIIIIIYIIIIYIIIII"]
+
     @pytest.mark.parametrize("kind,burst,exit_code,count,witness", [
         ("independent", 1, 1, 4355,
          ["IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIZIIIIIIIIIIIIIIIIIIIIIIIIIX",
@@ -285,6 +308,24 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             "qinterleave: error: 10,536,091,647 colocated bursts of length <= 14 "
             "on 65 qubits exceed the budget of ")
+
+    def test_burst_budget_refusal_before_tree(self, monkeypatch, capsys):
+        # the stabilizer method refuses by the same count and message before
+        # its interleaved code or any burst-window word is built
+        def no_build(*args):
+            raise AssertionError("built before the burst budget was checked")
+
+        monkeypatch.setattr(qinterleave.cli, "interleaved_code", no_build)
+        monkeypatch.setattr(qinterleave.windows, "_window_tree", no_build)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--code", "five", "--degree", "13", "--kind", "colocated",
+                  "--burst", "14", "--method", "stabilizer"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "qinterleave: error: 10,536,091,647 colocated bursts of length <= 14 "
+            "on 65 qubits exceed the budget of 3,745,611 bursts\n")
 
     def test_seed_with_stabilizer_usage_error(self, monkeypatch, capsys):
         # the seed only draws the statevector blocks' logical states, so the

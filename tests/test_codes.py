@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qinterleave.windows
 from qinterleave import (
+    BURST_KINDS,
     IndeterminateEigenvalueError,
     PauliString,
     StabilizerCode,
@@ -16,6 +18,7 @@ from qinterleave import (
     SyndromeCollisionError,
     block_decode,
     build_syndrome_table,
+    burst_masks,
     corrects_error_set,
     encode_blocks,
     encode_phase3,
@@ -27,8 +30,9 @@ from qinterleave import (
     phase3_code,
 )
 from qinterleave.cli import DEFAULT_COEFFS
-from qinterleave.codes import _commutation_words
-from qinterleave.pauli import mask_rows
+from qinterleave.codes import _commutation_words, corrects_bursts, corrects_masks
+from qinterleave.pauli import burst_count, mask_rows
+from qinterleave.windows import _decoded_rows
 from oracles import (
     basis_state,
     burst_ability_measured,
@@ -371,6 +375,25 @@ class TestInterleavedCode:
         assert len(code.generators) == 20
         assert len(code.logical_xs) == len(code.logical_zs) == 5
 
+    def test_equals_embed_permute(self):
+        # every block operator embedded at its block and pushed through the
+        # permutation one at a time: the same operators in the same order
+        rng = random.Random(13)
+        bases = [phase3_code(), five_qubit_code()] + [
+            scrambled_code(n, k, random_gates(n, 3 * n, rng))
+            for n, k in ((1, 1), (2, 0), (4, 2), (6, 3), (9, 1))]
+        for base in bases:
+            for m in (1, 2, 3, 5, 13):
+                code = interleaved_code(base, m)
+                images = interleave_permutation(base.n, m).images
+                for got, ops in ((code.generators, base.generators),
+                                 (code.logical_xs, base.logical_xs),
+                                 (code.logical_zs, base.logical_zs)):
+                    assert got == tuple(op.embed(base.n * m, i * base.n).permute(images)
+                                        for i in range(m) for op in ops)
+                assert (code.n, code.k, code.burst_ability) == (
+                    base.n * m, base.k * m, base.burst_ability * m)
+
     def test_counting_invariant(self):
         for base, m in ((phase3_code(), 2), (phase3_code(), 3),
                         (five_qubit_code(), 2), (five_qubit_code(), 3)):
@@ -461,6 +484,56 @@ def assert_matches_oracle(code, errors):
     want = gf2_corrects_error_set(code, errors)
     assert (got.ok, got.witness) == (want.ok, want.witness)
     return got
+
+
+class TestCorrectsBursts:
+    """corrects_bursts, whose words are folded down the burst-window tree,
+    against corrects_masks over the rows of burst_masks: the same verdict
+    and witness for phase3 and five at degrees 1-4 and 13, every kind and
+    every l up to 300,000 bursts."""
+
+    def test_equals_row_path(self, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(qinterleave.windows, "_decoded_rows",
+                            lambda *args: decoded.append(args) or _decoded_rows(*args))
+        cases, verdicts, branches = 0, set(), set()
+        for base in (phase3_code(), five_qubit_code()):
+            for m in (1, 2, 3, 4, 13):
+                code = interleaved_code(base, m)
+                for kind in BURST_KINDS:
+                    for l in range(1, code.n + 1):
+                        if burst_count(code.n, l, kind) > 300_000:
+                            break
+                        decoded.clear()
+                        got = corrects_bursts(code, l, kind)
+                        assert got == corrects_masks(code, *burst_masks(code.n, l, kind))
+                        verdicts.add(got.ok)
+                        if not got.ok:
+                            branches.add(bool(decoded))
+                        cases += 1
+        assert cases == 329
+        # passing and failing sets; failing syndromes with few members,
+        # decoded by column, and with most of the set, read from its rows
+        assert verdicts == branches == {True, False}
+
+    def test_25_5_boundary_witness(self):
+        code = interleaved_code(five_qubit_code(), 5)
+        assert corrects_bursts(code, 5, "colocated") == (True, None)
+        result = corrects_bursts(code, 6, "colocated")
+        assert [str(p) for p in result.witness] == [
+            "IIIIIIIIIIIIIIIIIIIXIIIIY", "IIIIIIIIIIIIIIYIIIIYIIIII"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 140), k=st.integers(0, 6), kind=st.sampled_from(BURST_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_codes(self, n, k, kind, seed):
+        # scrambled codes, with words of one, two and three lanes
+        rng = random.Random(seed)
+        code = scrambled_code(n, min(k, n), random_gates(n, 2 * n, rng))
+        longest = sum(1 for l in range(1, n + 1) if burst_count(n, l, kind) <= 20_000)
+        for l in {1, max(longest, 1)}:
+            assert corrects_bursts(code, l, kind) == corrects_masks(
+                code, *burst_masks(n, l, kind))
 
 
 class TestCorrectabilityOracle:

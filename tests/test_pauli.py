@@ -17,7 +17,8 @@ from qinterleave import (
     interleave_permutation,
 )
 from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_labels,
-                               burst_lengths, burst_letters, mask_rows, row_masks)
+                               burst_lengths, burst_letters, letter_rows, mask_rows,
+                               row_masks)
 from oracles import (
     enumerate_burst_vectors,
     hex_burst_labels,
@@ -608,3 +609,14 @@ class TestBurstRows:
         assert burst_lengths(mask_bits(n, masks)).tolist() == [
             scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
         assert row_masks(mask_rows(n, [])) == []
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
+    def test_letter_rows_invert_burst_letters(self, n):
+        rng = np.random.default_rng(n)
+        letters = rng.integers(0, 4, size=(50, n), dtype=np.uint8)
+        assert np.array_equal(burst_letters(n, *letter_rows(letters)), letters)
+        xs, zs = (mask_rows(n, [int(v) for v in rng.integers(0, 2, size=(40, n)) @ (
+            1 << np.arange(n - 1, -1, -1, dtype=object))]) for _ in range(2))
+        for got, rows in zip(letter_rows(burst_letters(n, xs, zs)), (xs, zs)):
+            assert np.array_equal(got, rows)
+        assert letter_rows(np.zeros((0, n), np.uint8))[0].shape == (0, -(-n // 8))

@@ -1,0 +1,102 @@
+"""Tests for burst sets addressed by window number: the window-tree words of
+burst_words and the rows that burst_rows decodes from column numbers."""
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qinterleave.windows
+from qinterleave import BURST_KINDS, burst_masks
+from qinterleave.pauli import BURST_BYTES_BUDGET, burst_count, burst_letters, row_masks
+from qinterleave.windows import _decoded_rows, burst_rows, burst_words
+from oracles import int_burst_at
+
+
+def admitted(n, l, kind):
+    """True when burst_masks builds the set rather than refusing it."""
+    return burst_count(n, l, kind) * (600 + 4 * n) <= BURST_BYTES_BUDGET
+
+
+def linear_leaf(n, lanes, rng):
+    """A random (lanes, n, 4) uint64 leaf that is linear in the masks: the I
+    letter's word is zero and Y's is the XOR of X's and Z's."""
+    leaf = rng.integers(0, 2**64, size=(lanes, n, 4), dtype=np.uint64)
+    leaf[..., 0] = 0
+    leaf[..., 3] = leaf[..., 1] ^ leaf[..., 2]
+    return leaf
+
+
+class TestBurstWindows:
+    """The rows decoded from column numbers alone (_decoded_rows, and
+    burst_rows, which takes many columns from burst_masks instead) against
+    the rows of burst_masks and the scalar counting oracle; and the
+    window-tree words of burst_words against a per-burst XOR of their leaf."""
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_equal_burst_masks(self, kind, n):
+        # every column of a set up to 2**18 bursts; past that, both sides of
+        # every span edge and 4096 random columns; a refused set is refused
+        rng = np.random.default_rng(n)
+        for l in range(1, n + 1):
+            count = burst_count(n, l, kind)
+            if not admitted(n, l, kind):
+                with pytest.raises(ValueError, match=f"^{count:,} {kind} bursts"):
+                    burst_rows(n, l, kind, [0])
+                continue
+            if count <= 1 << 18:
+                columns = np.arange(count + 1)
+            else:
+                edges = [burst_count(n, s, kind) + d for s in range(1, l) for d in (0, 1)]
+                columns = np.r_[0, 1, count, edges, rng.integers(0, count + 1, 4096)]
+            zero = np.zeros((1, -(-n // 8)), np.uint8)
+            expected = [np.vstack([zero, rows])[columns] for rows in burst_masks(n, l, kind)]
+            for got in (_decoded_rows(n, l, kind, columns), burst_rows(n, l, kind, columns)):
+                for rows, want in zip(got, expected):
+                    assert rows.dtype == np.uint8
+                    assert np.array_equal(rows, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 200), kind=st.sampled_from(BURST_KINDS))
+    def test_random_column_equals_counting_oracle(self, data, n, kind):
+        longest = sum(1 for _ in itertools.takewhile(
+            lambda l: admitted(n, l, kind), range(1, n + 1)))
+        l = data.draw(st.integers(1, longest), label="l")
+        count = burst_count(n, l, kind)
+        columns = data.draw(st.lists(st.integers(0, count), min_size=1, max_size=5),
+                            label="columns")
+        want = [int_burst_at(n, l, kind, c - 1) if c else (0, 0) for c in columns]
+        for rows in (_decoded_rows(n, l, kind, np.array(columns)),
+                     burst_rows(n, l, kind, columns)):
+            assert list(zip(*map(row_masks, rows))) == want
+        for c in (-1, count + 1):
+            with pytest.raises(IndexError):
+                burst_rows(n, l, kind, [c])
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    def test_words_equal_per_burst_xor(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for n in (1, 2, 5, 9, 66):
+            for l in range(1, n + 1):
+                if burst_count(n, l, kind) > 5000:
+                    break
+                for lanes in (1, 3):
+                    leaf = linear_leaf(n, lanes, rng)
+                    words = burst_words(n, l, kind, leaf)
+                    assert words.dtype == np.uint64
+                    assert words.shape == (lanes, burst_count(n, l, kind) + 1)
+                    letters = burst_letters(n, *burst_masks(n, l, kind))
+                    expected = np.bitwise_xor.reduce(
+                        leaf[:, np.arange(n), letters], axis=2)
+                    assert not words[:, 0].any()
+                    assert np.array_equal(words[:, 1:], expected)
+
+    def test_words_refused_before_allocation(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("words allocated before the budget check")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match="^10,536,091,647 colocated bursts"):
+            burst_words(65, 14, "colocated", np.empty((1, 65, 4), np.uint64))
