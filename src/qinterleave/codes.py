@@ -14,20 +14,19 @@ N(S), and that element lies in S exactly when both errors commute or
 anticommute alike with every logical operator, i.e. lie in the same class of
 N(S)/S.  So a set is correctable iff every syndrome holds a single class.
 Syndrome and class bits are commutation bits, linear over GF(2) in the masks,
-folded into uint64 words, syndrome on top.  A burst sweep (corrects_bursts)
-folds them down the burst-window tree: a window's word is its prefix's word
-XOR the word of its last single-letter operator, so no mask row is built, and
-only the failing syndrome's members get rows, for the witness.  An
-explicit error list's words are the XOR of one 256-row table entry per byte of
-its mask rows (the Method of Four Russians).  One sort of the words puts each
-syndrome's classes side by side; the words also build the decoder's syndrome
-dict.
+folded into uint64 words, syndrome on top.  Every word is an XOR of one leaf,
+the words of each letter at each qubit, built from the operators' letter grid.
+A burst sweep (corrects_bursts) folds the leaf down the burst-window tree: a
+window's word is its prefix's word XOR its last letter's, so no mask row is
+built, and only the failing syndrome's members get rows, for the witness.  An
+explicit error list's words XOR the leaf over its letter grid, one qubit at a
+time.  One sort of the words puts each syndrome's classes side by side; the
+words also build the decoder's syndrome dict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -275,25 +274,33 @@ def _pauli_rows(n: int, paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.n
     return mask_rows(n, [p.x for p in paulis]), mask_rows(n, [p.z for p in paulis])
 
 
+def _leaf(n: int, ops: Sequence[PauliString]) -> np.ndarray:
+    """(ceil(len(ops)/64), n, 4) uint64 words: bit len(ops)-1-j of [lane, q, c]
+    is set when letter code c (x + 2z) at qubit q anticommutes with ops[j],
+    that is when c's x bit meets ops[j]'s z bit at q or c's z bit its x bit.
+    Word 0 is the most significant, padded above; one lane of 64 at a time."""
+    leaf = np.zeros((-(-len(ops) // 64), n, 4), dtype=np.uint64)
+    for lane, stop in zip(leaf, range(len(ops) - 64 * len(leaf) + 64, len(ops) + 1, 64)):
+        letters = burst_letters(n, *_pauli_rows(n, ops[max(stop - 64, 0):stop]))
+        # Each operator letter with its x and z bits swapped, against c; the
+        # lane's first operator is the top bit.
+        bits = np.zeros((64, n, 4), dtype=np.uint8)
+        bits[64 - len(letters):] = np.bitwise_count(
+            ((letters & 1) << 1 | letters >> 1)[..., None] & np.arange(4, dtype=np.uint8)) & 1
+        lane[:] = np.moveaxis(np.packbits(bits, axis=0), 0, -1).copy().view(">u8")[..., 0]
+    return leaf
+
+
 def _commutation_words(n: int, ops: Sequence[PauliString], xs: np.ndarray,
                        zs: np.ndarray) -> np.ndarray:
     """(ceil(len(ops)/64), len(xs)) uint64 array: column i, read as one
     integer with word 0 most significant, has bit len(ops)-1-j set when the
     error with mask rows xs[i] and zs[i] anticommutes with ops[j] (n qubits,
-    ops not empty).  An error's x byte indexes the table built from the
-    operators' z bytes at its position, and its z byte the one of their x."""
-    words = -(-len(ops) // 64)
-    op_bytes = np.concatenate(_pauli_rows(n, ops)[::-1], axis=1).T
-    # parity[p, v, j]: the overlap of byte value v with operator j's byte p.
-    parity = np.bitwise_count(np.arange(256, dtype=np.uint8)[:, None]
-                              & op_bytes[:, None, :]) & 1
-    parity = np.pad(parity, ((0, 0), (0, 0), (64 * words - len(ops), 0)))
-    tables = np.packbits(parity, axis=2).view(">u8").astype(np.uint64)
-    folded = np.zeros((words, len(xs)), dtype=np.uint64)
-    for table, column in zip(tables, chain(xs.T, zs.T)):
-        column = column.astype(np.intp)
-        for word, entries in zip(folded, table.T):
-            word ^= entries[column]
+    ops not empty): the XOR of the leaf (_leaf) over its letters by qubit."""
+    leaf = _leaf(n, ops)
+    folded = np.zeros((len(leaf), len(xs)), dtype=np.uint64)
+    for column, words in zip(burst_letters(n, xs, zs).T, leaf.transpose(1, 0, 2)):
+        folded ^= words[:, column]
     return folded
 
 
@@ -353,16 +360,11 @@ def corrects_masks(code: StabilizerCode, xs: np.ndarray,
 
 def corrects_bursts(code: StabilizerCode, l: int, kind: str) -> CorrectabilityResult:
     """corrects_masks(code, *burst_masks(code.n, l, kind)), from words folded
-    down the burst-window tree (burst_words) with no mask row built: the
-    leaf is the words of the 4n single-letter operators, identity letters
-    included, and only the failing syndrome's members get rows (burst_rows)."""
-    n = code.n
+    down the burst-window tree (burst_words) from the leaf (_leaf) with no
+    mask row built; only the failing syndrome's members get rows (burst_rows)."""
     ops, mask = _class_ops(code)
-    # Row 4q + c: letter code c at qubit q.
-    letters = np.kron(np.eye(n, dtype=np.uint8), np.arange(4, dtype=np.uint8)[:, None])
-    leaf = _commutation_words(n, ops, *letter_rows(letters))
-    words = burst_words(n, l, kind, leaf.reshape(len(leaf), n, 4))
-    return _verdict(code, words, mask, lambda members: burst_rows(n, l, kind, members))
+    words = burst_words(code.n, l, kind, _leaf(code.n, ops))
+    return _verdict(code, words, mask, lambda members: burst_rows(code.n, l, kind, members))
 
 
 def corrects_error_set(code: StabilizerCode,

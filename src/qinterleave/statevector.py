@@ -3,11 +3,10 @@
 Qubit 0 is the leftmost symbol of a ket label, so the basis label
 b_0 ... b_{n-1} lives at amplitude index sum(b_q * 2^(n-1-q)).  All
 operations return new states; a state's amplitudes are never mutated.
-Pauli action works on axis views of the amplitudes rather than on index
-arrays: bit flips reverse the X qubits' axes of the (2,)*n view, and phases
-negate the half of the copied amplitudes where a Z qubit reads 1.  A stack of
-small states (blocks of a few qubits) takes one Pauli per state through
-apply_paulis, a gather and a negation over the whole stack.
+A Pauli is applied one way, by apply_paulis: a gather at each index XOR the
+flip mask and a negation where the source index meets the phase mask in odd
+weight, over one state or over a stack of small states (blocks of a few
+qubits), one Pauli per state.
 """
 from __future__ import annotations
 
@@ -61,22 +60,11 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
     def apply_pauli(self, p: PauliString) -> "StateVector":
-        """Apply X_x Z_z: phase (-1)^(label . z) first, then the bit flips.
-
-        The flips are made first, as the one copy of the amplitudes; the
-        phase of a Z qubit then falls on the half where the input label bit
-        was 1, which is the output half 0 on a flipped qubit.
-        """
+        """Apply X_x Z_z: phase (-1)^(label . z) first, then the bit flips
+        (apply_paulis on the one state)."""
         if p.n != self.n:
             raise ValueError("Pauli length does not match register size")
-        n, x, z = self.n, p.x, p.z
-        flipped = tuple(q for q in range(n) if x >> (n - 1 - q) & 1)
-        amps = np.flip(self.amps.reshape((2,) * n), flipped).copy().reshape(-1)
-        for q in range(n):
-            if z >> (n - 1 - q) & 1:
-                half = amps.reshape(1 << q, 2, -1)[:, 1 - (x >> (n - 1 - q) & 1), :]
-                np.negative(half, out=half)
-        return StateVector.trusted(n, amps)
+        return StateVector.trusted(self.n, apply_paulis(self.amps, p.x, p.z))
 
     def permute_qubits(self, perm: Permutation | Sequence[int]) -> "StateVector":
         """Relabel qubits: the qubit at position i moves to position images[i]."""
@@ -113,10 +101,10 @@ class StateVector:
 
 
 def apply_paulis(amps: np.ndarray, x, z) -> np.ndarray:
-    """The rows of amps, (B, 2**n) states, each hit by X_x Z_z: x and z are
-    mask ints, one pair per row or one pair for every row.  Amplitude j of a
-    row's image is amplitude j ^ x of the row, negated when (j ^ x) & z has
-    odd weight: an exact gather and negation, the amplitudes apply_pauli gives."""
+    """The rows of amps, (B, 2**n) states or one (2**n,) state, each hit by
+    X_x Z_z: x and z are mask ints, one pair per row or one pair for all.
+    Amplitude j of a row's image is amplitude j ^ x of the row, negated when
+    (j ^ x) & z has odd weight: an exact gather and negation."""
     x, z = np.asarray(x, np.int64)[..., None], np.asarray(z, np.int64)[..., None]
     source = np.arange(amps.shape[-1]) ^ x
     out = np.take_along_axis(amps, np.broadcast_to(source, amps.shape), axis=-1)

@@ -2,6 +2,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qinterleave import (
     phase3_code,
 )
 from qinterleave.cli import DEFAULT_COEFFS
-from qinterleave.codes import _commutation_words, corrects_bursts, corrects_masks
+from qinterleave.codes import _commutation_words, _leaf, corrects_bursts, corrects_masks
 from qinterleave.pauli import burst_count, mask_rows
 from qinterleave.windows import _decoded_rows
 from oracles import (
@@ -536,6 +537,32 @@ class TestCorrectsBursts:
                 code, *burst_masks(n, l, kind))
 
 
+class TestCommutationMemory:
+    """Commutation words of a wide code take memory of the order of the
+    leaf and the words, not of the operators times the qubits."""
+
+    @pytest.fixture(scope="class")
+    def code(self):
+        return interleaved_code(five_qubit_code(), 200)
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_corrects_bursts_peak(self, code):
+        assert self.traced_peak(lambda: corrects_bursts(code, 1, "colocated")) < 32 << 20
+
+    def test_corrects_error_set_peak(self, code):
+        errors = enumerate_bursts(code.n, 1, "colocated")
+        assert len(errors) == 3000
+        assert self.traced_peak(lambda: corrects_error_set(code, errors)) < 32 << 20
+
+
 class TestCorrectabilityOracle:
     """The logical-class test against the pairwise GF(2) membership solve:
     the same verdict and the same witness pair."""
@@ -636,9 +663,24 @@ def assert_words_match_oracle(n, ops, rng, errors=12):
 
 
 class TestCommutationWords:
-    """The byte-table commutation words against the per-operator oracle,
-    bit for bit: widths around byte and word boundaries, and operator
-    counts whose bits fill one, two and three words."""
+    """The commutation words folded from the leaf against the per-operator
+    oracle, bit for bit: widths around byte and word boundaries, and
+    operator counts whose bits fill one, two and three words."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+    def test_leaf_of_every_single_letter(self, n):
+        # leaf[lane, q, c] is the word of letter code c at qubit q
+        rng = random.Random(n)
+        letters = [(q, c) for q in range(n) for c in range(4)]
+        xs = [(c & 1) << (n - 1 - q) for q, c in letters]
+        zs = [(c >> 1) << (n - 1 - q) for q, c in letters]
+        for count in (1, 63, 64, 65, 129):
+            ops = [PauliString(n, x, z) for x, z in zip(random_masks(n, count, rng),
+                                                      random_masks(n, count, rng))]
+            leaf = _leaf(n, ops)
+            assert leaf.shape == (-(-count // 64), n, 4) and leaf.dtype == np.uint64
+            assert (unfold(leaf.reshape(len(leaf), 4 * n), count)
+                    == commutation_bits(n, ops, xs, zs)).all()
 
     @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 128, 129])
     def test_boundary_widths(self, n):
