@@ -3,9 +3,14 @@
 Two built-in codes are provided: the three-qubit phase-error code with
 codewords (|000>+|011>+|101>+|110>)/2 and (|111>+|100>+|010>+|001>)/2,
 stabilized by {XXI, IXX}, and the [[5,1]] code with the cyclic generators
-XZZXI, IXZZX, XIXZZ, ZXIXZ.  Interleaving a code to degree m pushes each
-block's generators and logicals through the block-interleave permutation,
-multiplying the declared burst-correcting ability by m.
+XZZXI, IXZZX, XIXZZ, ZXIXZ.  Interleaving a code to degree m moves the set
+qubits of each block's generators and logicals to their images under the
+block-interleave permutation, and multiplies the declared burst-correcting
+ability by m.
+
+Operators are tabulated per qubit, as the sets of those with an X part and a
+Z part there, one bit each.  An operator's commutation bits, which the relation
+checks read, XOR the Z-sets of its X qubits and the X-sets of its Z qubits.
 
 Correctability of an error set is the standard stabilizer criterion: any two
 errors with equal syndromes must differ by a stabilizer element (degenerate
@@ -15,7 +20,7 @@ anticommute alike with every logical operator, i.e. lie in the same class of
 N(S)/S.  So a set is correctable iff every syndrome holds a single class.
 Syndrome and class bits are commutation bits, linear over GF(2) in the masks,
 folded into uint64 words, syndrome on top.  Every word is an XOR of one leaf,
-the words of each letter at each qubit, built from the operators' letter grid.
+the words of each letter at each qubit: 0, the Z-set, the X-set and their XOR.
 A burst sweep (corrects_bursts) folds the leaf down the burst-window tree: a
 window's word is its prefix's word XOR its last letter's, so no mask row is
 built, and only the failing syndrome's members get rows, for the witness.  An
@@ -27,56 +32,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple, Sequence
+from operator import xor
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import PauliString, burst_labels, burst_letters, letter_rows, mask_rows, row_masks
-from .statevector import MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
+from .pauli import PauliString, burst_labels, burst_letters, mask_rows, row_masks
+from .statevector import _NORM_TOL, MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
 from .windows import burst_rows, burst_words
-
-_NORM_TOL = 1e-10
 
 
 class SyndromeCollisionError(ValueError):
     """Two errors share a syndrome but do not differ by a stabilizer element."""
 
 
-class _Gf2Span:
-    """Row space over GF(2), rows packed as ints; supports rank and membership."""
-
-    def __init__(self, rows: Sequence[int] = ()) -> None:
-        self._pivots: dict[int, int] = {}
-        for r in rows:
-            self.add(r)
-
-    def reduce(self, row: int) -> int:
-        while row:
-            top = row.bit_length() - 1
-            base = self._pivots.get(top)
-            if base is None:
-                return row
-            row ^= base
-        return row
-
-    def add(self, row: int) -> bool:
-        row = self.reduce(row)
-        if row == 0:
-            return False
-        self._pivots[row.bit_length() - 1] = row
-        return True
-
-    def contains(self, row: int) -> bool:
-        return self.reduce(row) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+def _reduced(pivots: dict[int, int], row: int) -> int:
+    """row reduced over GF(2) by a basis held as pivots (top bit -> row): zero
+    exactly when row lies in the basis's span."""
+    while row and (base := pivots.get(row.bit_length() - 1)):
+        row ^= base
+    return row
 
 
-def _symplectic_int(p: PauliString) -> int:
-    return (p.x << p.n) | p.z
+def _set_bits(mask: int) -> Iterator[int]:
+    """The numbers of mask's set bits, lowest first; only those are walked."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _operator_table(n: int, ops: Sequence[PauliString]) -> tuple[list[int], list[int]]:
+    """Per qubit q, the operators with an X part at q and those with a Z part
+    there, as ints in which bit len(ops)-1-j stands for ops[j]."""
+    xsets, zsets = [0] * n, [0] * n
+    for j, p in enumerate(ops):
+        bit = 1 << (len(ops) - 1 - j)
+        for sets, mask in ((xsets, p.x), (zsets, p.z)):
+            for b in _set_bits(mask):
+                sets[n - 1 - b] |= bit
+    return xsets, zsets
 
 
 @dataclass(frozen=True)
@@ -98,35 +94,43 @@ class StabilizerCode:
             raise ValueError(f"expected {self.n - self.k} generators")
         if len(self.logical_xs) != self.k or len(self.logical_zs) != self.k:
             raise ValueError(f"expected {self.k} logical X/Z pairs")
-        for p in (*self.generators, *self.logical_xs, *self.logical_zs):
-            if p.n != self.n:
-                raise ValueError("operator length does not match code size")
-        gens = self.generators
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                if g.symplectic_product(h):
-                    raise ValueError(f"generators {g} and {h} anticommute")
-        span = _Gf2Span([_symplectic_int(g) for g in gens])
-        if span.rank != len(gens):
+        gens, g, k, n = self.generators, len(self.generators), self.k, self.n
+        ops = (*gens, *self.logical_xs, *self.logical_zs)
+        if any(p.n != n for p in ops):
+            raise ValueError("operator length does not match code size")
+        xsets, zsets = _operator_table(n, ops)
+        # Bit len(ops)-1-j of an operator's clash row: it anticommutes with ops[j].
+        clash = [reduce(xor, [zsets[n - 1 - b] for b in _set_bits(p.x)]
+                        + [xsets[n - 1 - b] for b in _set_bits(p.z)], 0) for p in ops]
+        # Clashing generators, the first on top: a generator's earlier partners raise first.
+        hits = [row & ((1 << g) - 1) << 2 * k for row in clash]
+        for p, hit in zip(gens, hits):
+            if hit:
+                raise ValueError(
+                    f"generators {p} and {ops[len(ops) - hit.bit_length()]} anticommute")
+        # Uncached: the basis is kept only once a membership test asks for it.
+        if len(StabilizerCode._pivots.func(self)) != g:
             raise ValueError("generators are not GF(2)-independent")
-        for log in (*self.logical_xs, *self.logical_zs):
-            for g in gens:
-                if log.symplectic_product(g):
-                    raise ValueError(f"logical {log} anticommutes with generator {g}")
-        for i, lx in enumerate(self.logical_xs):
-            for j, lz in enumerate(self.logical_zs):
-                want = 1 if i == j else 0
-                if lx.symplectic_product(lz) != want:
-                    raise ValueError("logical X/Z pairing is wrong")
-        for ops in (self.logical_xs, self.logical_zs):
-            for i, a in enumerate(ops):
-                for b in ops[i + 1:]:
-                    if a.symplectic_product(b):
-                        raise ValueError("same-type logicals must commute")
+        for p, hit in zip(ops[g:], hits[g:]):
+            if hit:
+                raise ValueError(f"logical {p} anticommutes with generator "
+                                 f"{ops[len(ops) - hit.bit_length()]}")
+        lz_bits = (1 << k) - 1
+        if any(row & lz_bits != 1 << (k - 1 - i) for i, row in enumerate(clash[g:g + k])):
+            raise ValueError("logical X/Z pairing is wrong")
+        if (any(row & lz_bits << k for row in clash[g:g + k])
+                or any(row & lz_bits for row in clash[g + k:])):
+            raise ValueError("same-type logicals must commute")
 
     @cached_property
-    def _stabilizer_span(self) -> _Gf2Span:
-        return _Gf2Span([_symplectic_int(g) for g in self.generators])
+    def _pivots(self) -> dict[int, int]:
+        """The generators' GF(2) basis for _reduced, rows (x << n) | z; a
+        dependent generator adds none."""
+        pivots: dict[int, int] = {}
+        for p in self.generators:
+            if row := _reduced(pivots, (p.x << p.n) | p.z):
+                pivots[row.bit_length() - 1] = row
+        return pivots
 
     def syndrome_of(self, error: PauliString) -> tuple[int, ...]:
         """Commutation bits of the error against each generator (symplectic)."""
@@ -139,7 +143,7 @@ class StabilizerCode:
         """Mask-level membership of p in the group generated by the stabilizers."""
         if p.n != self.n:
             raise ValueError("operator length does not match code size")
-        return self._stabilizer_span.contains(_symplectic_int(p))
+        return not _reduced(self._pivots, (p.x << p.n) | p.z)
 
     def to_text(self) -> str:
         ops = (*self.generators, *self.logical_xs, *self.logical_zs)
@@ -234,27 +238,27 @@ def encode_blocks(coeffs: Sequence[tuple[complex, complex]],
 
 def interleaved_code(code: StabilizerCode, m: int) -> StabilizerCode:
     """[[nm,km]] code: every block operator embedded at its block, then pushed
-    through the interleave permutation; burst ability scales to b*m.  All of
-    them are placed by one column gather of their letter grid."""
+    through the interleave permutation; burst ability scales to b*m.  Each
+    operator's set qubits are walked to their images."""
     if m < 1:
         raise ValueError("interleaving degree must be >= 1")
-    ops = (*code.generators, *code.logical_xs, *code.logical_zs)
-    # Row (block i, operator) of the block-diagonal letter grid holds the
-    # operator at block i; register qubit images[p] takes the grid's column p.
-    grid = np.kron(np.eye(m, dtype=np.uint8), burst_letters(code.n, *_pauli_rows(code.n, ops)))
-    xs, zs = letter_rows(grid[:, np.argsort(interleave_permutation(code.n, m).images)])
-    placed = [PauliString(code.n * m, x, z) for x, z in zip(row_masks(xs), row_masks(zs))]
-    g, k = len(code.generators), code.k
+    n, total = code.n, code.n * m
+    images = interleave_permutation(n, m).images
 
-    def place(first: int, stop: int) -> tuple[PauliString, ...]:
-        return tuple(placed[i * len(ops) + j] for i in range(m) for j in range(first, stop))
+    def moved(mask: int, i: int) -> int:
+        # Qubit q of block i, mask bit n-1-q, is register qubit images[i*n + q].
+        return sum(1 << (total - 1 - images[i * n + n - 1 - b]) for b in _set_bits(mask))
+
+    def place(ops: Sequence[PauliString]) -> tuple[PauliString, ...]:
+        return tuple(PauliString(total, moved(p.x, i), moved(p.z, i))
+                     for i in range(m) for p in ops)
 
     return StabilizerCode(
-        n=code.n * m,
-        k=k * m,
-        generators=place(0, g),
-        logical_xs=place(g, g + k),
-        logical_zs=place(g + k, g + 2 * k),
+        n=total,
+        k=code.k * m,
+        generators=place(code.generators),
+        logical_xs=place(code.logical_xs),
+        logical_zs=place(code.logical_zs),
         burst_ability=code.burst_ability * m,
     )
 
@@ -276,19 +280,14 @@ def _pauli_rows(n: int, paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.n
 
 def _leaf(n: int, ops: Sequence[PauliString]) -> np.ndarray:
     """(ceil(len(ops)/64), n, 4) uint64 words: bit len(ops)-1-j of [lane, q, c]
-    is set when letter code c (x + 2z) at qubit q anticommutes with ops[j],
-    that is when c's x bit meets ops[j]'s z bit at q or c's z bit its x bit.
-    Word 0 is the most significant, padded above; one lane of 64 at a time."""
-    leaf = np.zeros((-(-len(ops) // 64), n, 4), dtype=np.uint64)
-    for lane, stop in zip(leaf, range(len(ops) - 64 * len(leaf) + 64, len(ops) + 1, 64)):
-        letters = burst_letters(n, *_pauli_rows(n, ops[max(stop - 64, 0):stop]))
-        # Each operator letter with its x and z bits swapped, against c; the
-        # lane's first operator is the top bit.
-        bits = np.zeros((64, n, 4), dtype=np.uint8)
-        bits[64 - len(letters):] = np.bitwise_count(
-            ((letters & 1) << 1 | letters >> 1)[..., None] & np.arange(4, dtype=np.uint8)) & 1
-        lane[:] = np.moveaxis(np.packbits(bits, axis=0), 0, -1).copy().view(">u8")[..., 0]
-    return leaf
+    is set when letter code c (x + 2z) at qubit q anticommutes with ops[j]:
+    q's words are 0, its Z-set, its X-set (_operator_table) and their XOR.
+    Word 0 is the most significant, padded above."""
+    width = 8 * -(-len(ops) // 64)
+    table = b"".join(w.to_bytes(width, "big") for x, z in zip(*_operator_table(n, ops))
+                     for w in (0, z, x, x ^ z))
+    return np.frombuffer(table, ">u8").reshape(n, 4, width // 8).transpose(2, 0, 1).astype(
+        np.uint64, order="C")
 
 
 def _commutation_words(n: int, ops: Sequence[PauliString], xs: np.ndarray,

@@ -473,6 +473,32 @@ def gf2_rank_of(paulis) -> int:
     return _gf2_rank(paulis_to_gf2(paulis))
 
 
+def pairwise_relation_checks(gens, logical_xs, logical_zs) -> None:
+    """A code's relation checks with one symplectic_product per operator pair,
+    in StabilizerCode's order and with its messages; operator counts and
+    lengths are taken as right.  Raises ValueError at the first broken rule."""
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            if g.symplectic_product(h):
+                raise ValueError(f"generators {g} and {h} anticommute")
+    if gens and gf2_rank_of(gens) != len(gens):
+        raise ValueError("generators are not GF(2)-independent")
+    for log in (*logical_xs, *logical_zs):
+        for g in gens:
+            if log.symplectic_product(g):
+                raise ValueError(f"logical {log} anticommutes with generator {g}")
+    for i, lx in enumerate(logical_xs):
+        for j, lz in enumerate(logical_zs):
+            want = 1 if i == j else 0
+            if lx.symplectic_product(lz) != want:
+                raise ValueError("logical X/Z pairing is wrong")
+    for ops in (logical_xs, logical_zs):
+        for i, a in enumerate(ops):
+            for b in ops[i + 1:]:
+                if a.symplectic_product(b):
+                    raise ValueError("same-type logicals must commute")
+
+
 def in_gf2_span(paulis, candidate: PauliString) -> bool:
     """Membership of candidate in the GF(2) span of the given Paulis."""
     base = paulis_to_gf2(paulis)

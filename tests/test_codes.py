@@ -2,6 +2,7 @@
 import functools
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,7 @@ from oracles import (
     gf2_rank_of,
     in_gf2_span,
     membership_syndrome_table,
+    pairwise_relation_checks,
     pauli_matrix,
     random_state,
     split_pauli,
@@ -76,6 +78,14 @@ def corrupt_blocks(blocks, err, perm):
     burst err on the interleaved register."""
     parts = split_pauli(err.permute(perm.inverse().images), blocks[0].n)
     return [b.apply_pauli(p) for b, p in zip(blocks, parts)]
+
+
+@pytest.fixture
+def no_pairwise_product(monkeypatch):
+    """PauliString.symplectic_product raises: code construction never calls it."""
+    def refuse(self, other):
+        raise AssertionError("symplectic_product called")
+    monkeypatch.setattr(PauliString, "symplectic_product", refuse)
 
 
 class TestBuiltinCodes:
@@ -142,7 +152,8 @@ class TestBuiltinCodes:
             "anticommuting-generators", "dependent-generators",
             "logical-anticommutes-with-generator", "xz-pairing",
             "anticommuting-same-type-logicals"])
-    def test_code_validation_names_the_broken_rule(self, n, k, gens, lxs, lzs, message):
+    def test_code_validation_names_the_broken_rule(self, no_pairwise_product,
+                                                   n, k, gens, lxs, lzs, message):
         ops = [tuple(PauliString.from_label(label) for label in labels)
                for labels in (gens, lxs, lzs)]
         with pytest.raises(ValueError, match=message):
@@ -538,8 +549,13 @@ class TestCorrectsBursts:
 
 
 class TestCommutationMemory:
-    """Commutation words of a wide code take memory of the order of the
-    leaf and the words, not of the operators times the qubits."""
+    """A wide code and its commutation words take memory of the order of its
+    operators' masks, the leaf and the words, not of the operators times the
+    qubits."""
+
+    def test_interleaved_code_peak(self):
+        # 6,000 operators on 5,000 qubits, each placed from its set qubits
+        assert self.traced_peak(lambda: interleaved_code(five_qubit_code(), 1000)) < 32 << 20
 
     @pytest.fixture(scope="class")
     def code(self):
@@ -561,6 +577,67 @@ class TestCommutationMemory:
         errors = enumerate_bursts(code.n, 1, "colocated")
         assert len(errors) == 3000
         assert self.traced_peak(lambda: corrects_error_set(code, errors)) < 32 << 20
+
+
+def faulted_ops(n, k, seed, faults):
+    """The generators, logical Xs and logical Zs of a random [[n,k]] code
+    after the faults (j, kind, other, x, z) in turn: operator j is replaced
+    by the Pauli with masks x and z (kind 0) or by operator other (1), or is
+    multiplied by operator other (2) or by that Pauli (3)."""
+    code = scrambled_code(n, k, random_gates(n, 2 * n, random.Random(seed)))
+    ops = [*code.generators, *code.logical_xs, *code.logical_zs]
+    for j, kind, other, x, z in faults:
+        j, other = j % len(ops), other % len(ops)
+        pauli = PauliString(n, x % (1 << n), z % (1 << n))
+        ops[j] = (pauli, ops[other], ops[j] * ops[other], ops[j] * pauli)[kind]
+    return ops[:n - k], ops[n - k:n], ops[n:]
+
+
+def relation_outcome(check):
+    """The message of the ValueError check raises, None when it passes."""
+    try:
+        check()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestRelationChecks:
+    """A code's relation checks read one per-qubit operator table, with no
+    pairwise product; pairwise_relation_checks pins their order and
+    messages."""
+
+    def test_builds_with_no_pairwise_product(self, no_pairwise_product):
+        phase3_code()
+        for m in (1, 5, 13):
+            interleaved_code(five_qubit_code(), m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           faults=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(0, 7),
+                                     st.integers(0, 63), st.integers(0, 63)), max_size=4))
+    def test_matches_pairwise_reference(self, n, k, seed, faults):
+        k = min(k, n)
+        gens, lxs, lzs = faulted_ops(n, k, seed, faults)
+        assert (relation_outcome(lambda: StabilizerCode(n, k, gens, lxs, lzs, 1))
+                == relation_outcome(lambda: pairwise_relation_checks(gens, lxs, lzs)))
+
+    def test_faults_reach_every_rule(self):
+        # the reference's verdict on seeded random faults, every rule met
+        rng, rules = random.Random(19), set()
+        for _ in range(1500):
+            n = rng.randint(1, 6)
+            k = rng.randint(0, min(2, n))
+            faults = [(rng.randrange(8), rng.randrange(4), rng.randrange(8),
+                       rng.getrandbits(6), rng.getrandbits(6)) for _ in range(rng.randint(0, 4))]
+            gens, lxs, lzs = faulted_ops(n, k, rng.getrandbits(32), faults)
+            want = relation_outcome(lambda: pairwise_relation_checks(gens, lxs, lzs))
+            assert relation_outcome(lambda: StabilizerCode(n, k, gens, lxs, lzs, 1)) == want
+            rules.add(want and re.sub(r"\b[IXZY]+\b", "P", want))
+        assert rules == {None, "generators P and P anticommute",
+                         "generators are not GF(2)-independent",
+                         "logical P anticommutes with generator P",
+                         "logical P/P pairing is wrong", "same-type logicals must commute"}
 
 
 class TestCorrectabilityOracle:
