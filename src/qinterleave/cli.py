@@ -28,8 +28,8 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, LETTERS, PauliString, admitted_burst_count, burst_lengths,
-                    burst_letters, burst_masks, enumerate_bursts, mask_rows)
+from .pauli import (BURST_KINDS, PauliString, admitted_burst_count, burst_letters, burst_masks,
+                    enumerate_bursts, mask_rows, row_labels, row_lengths)
 from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, StateVector, apply_paulis
 
@@ -151,11 +151,10 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     encoder = logical_encoder(code)
     table = build_syndrome_table(code, enumerate_bursts(code.n, code.burst_ability,
                                                         "phase"))
-    letters = burst_letters(9, mask_rows(9, [p.x for p in paulis]),
-                            mask_rows(9, [p.z for p in paulis]))
+    rows = mask_rows(9, [p.x for p in paulis]), mask_rows(9, [p.z for p in paulis])
     labels = np.hstack([np.tile(np.frombuffer(b"e_", np.uint8), (len(paulis), 1)),
-                        LETTERS[letters]])
-    items = _statevector_table(code, table, coeffs, labels, letters)
+                        row_labels(9, *rows)])
+    items = _statevector_table(code, table, coeffs, labels, burst_letters(9, *rows))
 
     return Report(
         command="demo",
@@ -251,8 +250,9 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                 "reason": str(exc),
             }]
         else:
-            letters = burst_letters(total, *burst_masks(total, effective, kind))
-            items = _statevector_table(code, table, pairs, LETTERS[letters], letters)
+            rows = burst_masks(total, effective, kind)
+            items = _statevector_table(code, table, pairs, row_labels(total, *rows),
+                                       burst_letters(total, *rows))
 
     return Report("verify", parameters, items, time.perf_counter() - start)
 
@@ -305,10 +305,11 @@ def run_enumerate(n: int, burst: int, kind: str) -> Report:
     if burst < 1:
         raise ValueError(f"--burst must be >= 1, got {burst}")
     effective = min(burst, n)
-    letters = burst_letters(n, *burst_masks(n, effective, kind))
-    lengths = np.maximum(burst_lengths(letters & 1), burst_lengths(letters >> 1))
-    items = ItemTable(label=LETTERS[letters], passed=lengths <= effective,
-                      weight=np.count_nonzero(letters, axis=1))
+    xs, zs = burst_masks(n, effective, kind)
+    # checked on the rows, not assumed from how the windows were built
+    lengths = np.maximum(row_lengths(xs), row_lengths(zs))
+    items = ItemTable(label=row_labels(n, xs, zs), passed=lengths <= effective,
+                      weight=np.bitwise_count(xs | zs).sum(axis=1))
     return Report(
         command="enumerate",
         parameters={"qubits": n, "burst_requested": burst,
@@ -404,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             report = run_enumerate(args.qubits, args.burst, args.kind)
         fmt = args.report if args.command == "synth" else args.output
-        sys.stdout.write(report.render(fmt))
+        report.write(sys.stdout, fmt)
     # Both subclass ValueError, so they are caught first: a fault in the
     # program must not read as a usage error.
     except (IndeterminateEigenvalueError, SyndromeCollisionError) as exc:

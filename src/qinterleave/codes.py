@@ -38,7 +38,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .interleaver import interleave_permutation
-from .pauli import PauliString, burst_labels, burst_letters, mask_rows, row_masks
+from .grid import GRID_BYTES
+from .pauli import PauliString, burst_letters, mask_rows, row_labels, row_masks
 from .statevector import _NORM_TOL, MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
 from .windows import burst_rows, burst_words
 
@@ -149,10 +150,14 @@ class StabilizerCode:
         ops = (*self.generators, *self.logical_xs, *self.logical_zs)
         tags = (["stabilizer"] * len(self.generators) + ["logical_x"] * self.k
                 + ["logical_z"] * self.k)
-        lines = [f"[[{self.n},{self.k}]] burst_ability={self.burst_ability}"]
-        letters = burst_letters(self.n, *_pauli_rows(self.n, ops))
-        lines += map(" ".join, zip(tags, burst_labels(letters)))
-        return "\n".join(lines) + "\n"
+        lines, n = [f"[[{self.n},{self.k}]] burst_ability={self.burst_ability}\n"], self.n
+        # labelled a block of operators at a time, not as one (J, n) grid
+        step = max(1, GRID_BYTES // n)
+        for start in range(0, len(ops), step):
+            text = row_labels(n, *_pauli_rows(n, ops[start:start + step])).tobytes().decode()
+            lines += map("{} {}\n".format, tags[start:start + step],
+                         (text[i:i + n] for i in range(0, len(text), n)))
+        return "".join(lines)
 
 
 def phase3_code() -> StabilizerCode:

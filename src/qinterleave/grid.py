@@ -1,9 +1,10 @@
 """Text rendered from byte grids: row i joins one cell from each part, bytes
 shared by every row or row i of an (N, w) uint8 array.  Cells are padded with
-PAD, a byte no UTF-8 text holds, which is dropped when the grid is read."""
+PAD, a byte no UTF-8 text holds, which is dropped when the grid is read, a
+block of rows at a time (grid_blocks)."""
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +47,10 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     return np.take(cells(*(t.encode() for t in texts)), inverse, axis=0)
 
 
-def grid_text(parts: Sequence[bytes | np.ndarray], rows: int,
-              head: str = "", tail: str = "") -> str:
-    """head, the rows' cells in order, then tail, as one str."""
+def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
+                tail: str = "", cut: int = 0) -> Iterator[str]:
+    """head, the rows' cells a block of rows at a time, then tail; the last
+    `cut` bytes of the last row are left out."""
     merged = []
     for p in parts:
         # runs of shared bytes become one part
@@ -59,9 +61,18 @@ def grid_text(parts: Sequence[bytes | np.ndarray], rows: int,
     parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
              if isinstance(p, bytes) else p for p in merged]
     step = max(1, GRID_BYTES // max(1, sum(p.shape[1] for p in parts)))
-    blocks = [head]
+    yield head
     for start in range(0, rows, step):
         grid = np.concatenate([p[start:start + step] for p in parts], axis=1).ravel()
-        blocks.append(str(grid[grid != PAD].data, "utf-8"))
-    blocks.append(tail)
-    return "".join(blocks)
+        if grid.max(initial=0) == PAD:  # a block with no padded cell is left as it is
+            grid = grid[grid != PAD]
+        if start + step >= rows:
+            grid = grid[:len(grid) - cut]
+        yield str(grid.data, "utf-8")
+    yield tail
+
+
+def grid_text(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
+              tail: str = "") -> str:
+    """grid_blocks joined into one str."""
+    return "".join(grid_blocks(parts, rows, head, tail))

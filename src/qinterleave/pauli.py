@@ -11,9 +11,10 @@ A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
 when both of its masks are bursts of length l or less.  burst_masks builds a
 kind's bursts as rows with numpy, refusing a set over BURST_BYTES_BUDGET before
-allocating it (admitted_burst_count, which the window module calls too).  Labels,
-weights and burst lengths are read from the (N, n) grid of letter codes x + 2z
-that burst_letters unpacks, and letter_rows packs back.
+allocating it (admitted_burst_count, which the window module calls too).  Labels
+and burst lengths are read off the rows through 256-entry byte tables; the (N, n)
+grid of letter codes x + 2z that burst_letters unpacks, and letter_rows packs
+back, serves the code tables and deinterleaving.
 """
 from __future__ import annotations
 
@@ -30,8 +31,12 @@ BURST_KINDS = ("bit", "phase", "colocated", "independent")
 # on 25, 200 and 1000 qubits; 3 GiB at that rate stays well under 7 GB.
 BURST_BYTES_BUDGET = 3 << 30
 
-# The ASCII letter of each letter code x + 2z.
-LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
+# The four ASCII letters of each key (x nibble << 4) | z nibble, as one uint32.
+_NIBBLE_LETTERS = np.frombuffer(b"".join(bytes(b"IXZY"[(k >> 4 + b & 1) | (k >> b & 1) << 1]
+                                               for b in (3, 2, 1, 0)) for k in range(256)), np.uint32)
+# A nonzero byte's zero bits above its highest set bit, and below its lowest.
+_LEADING_ZEROS = np.array([8 - b.bit_length() for b in range(256)])
+_TRAILING_ZEROS = np.array([(b & -b).bit_length() - 1 for b in range(256)])
 _LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
 _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
@@ -164,8 +169,8 @@ class PauliString:
         return not (self.x or self.z)
 
     def label(self) -> str:
-        return burst_labels(burst_letters(self.n, mask_rows(self.n, [self.x]),
-                                          mask_rows(self.n, [self.z])))[0]
+        return row_labels(self.n, mask_rows(self.n, [self.x]),
+                          mask_rows(self.n, [self.z])).tobytes().decode()
 
     __str__ = label
 
@@ -224,12 +229,14 @@ def row_masks(rows: np.ndarray) -> list[int]:
                   padded.view(">u8").T.tolist())
 
 
-def burst_lengths(bits: np.ndarray) -> np.ndarray:
-    """Span from the first to the last 1 of each row of a uint8 0/1 grid; 0 for a
-    zero row."""
-    bits = bits.view(bool)
-    first, last = bits.argmax(axis=1), bits[:, ::-1].argmax(axis=1)
-    return np.where(bits.any(axis=1), bits.shape[1] - last - first, 0)
+def row_lengths(rows: np.ndarray) -> np.ndarray:
+    """Span from the first to the last set bit of each mask row (mask_rows),
+    as int64, which holds 8 * width; 0 for a zero row."""
+    nonzero, index = rows != 0, np.arange(len(rows))
+    first, last = nonzero.argmax(axis=1), rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    top = rows[index, first]
+    spans = 8 * (last - first + 1) - _LEADING_ZEROS[top] - _TRAILING_ZEROS[rows[index, last]]
+    return np.where(top != 0, spans, 0)
 
 
 def burst_letters(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -254,10 +261,11 @@ def letter_rows(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs, zs
 
 
-def burst_labels(letters: np.ndarray) -> list[str]:
-    """The labels of the rows of a letter grid (burst_letters), in order."""
-    n, text = letters.shape[1], LETTERS[letters].tobytes().decode("ascii")
-    return [text[i:i + n] for i in range(0, len(text), n)]
+def row_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The (N, n) ASCII labels of the Paulis with mask rows xs and zs
+    (mask_rows): a view of one gather of four letters per (x, z) nibble."""
+    keys = np.stack((xs & 0xF0 | zs >> 4, xs << 4 | zs & 0x0F), axis=-1)
+    return _NIBBLE_LETTERS[keys].view(np.uint8).reshape(len(xs), 8 * xs.shape[1])[:, -n:]
 
 
 def _span_sizes(n: int, l: int, kind: str) -> list[int]:

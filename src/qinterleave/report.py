@@ -2,7 +2,8 @@
 
 A report's items are a list of dicts, or an ItemTable of columns that renders
 the same bytes through the byte grids of grid.py.  JSON is json.dumps(report,
-indent=2) either way, text one line per item.
+indent=2) either way, text one line per item; both are made a block of items at a
+time (Report.blocks).
 """
 from __future__ import annotations
 
@@ -11,17 +12,18 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .grid import PAD, cells, digit_cells, float_cells, grid_text
+from .grid import PAD, cells, digit_cells, float_cells, grid_blocks
 
-# Cells of a bool column in JSON and in text, and of the text status.
-_JSON_BOOLS = cells(b"false", b"true")
-_TEXT_BOOLS = cells(b"False", b"True")
-_STATUS = cells(b"FAIL", b"pass")
-# Ends of a JSON item: all but the last are followed by a comma.
-_JSON_ENDS = cells(b"\n    },\n", b"\n    }")
+# Texts of a bool column in JSON and in text, and of the text status, False first.
+_JSON_BOOLS = (b"false", b"true")
+_TEXT_BOOLS = (b"False", b"True")
+_STATUS = (b"FAIL", b"pass")
+# The end of a JSON item; the last item's is cut before its comma.
+_JSON_END = b"\n    },\n"
 # The indent level of an item's keys in a report's JSON.
 _KEY_LEVEL = 3
 
@@ -84,12 +86,18 @@ def _list_parts(col: np.ndarray, level: int | None) -> list:
     return lists(col.shape[1:], level, 0)
 
 
+def _bool_parts(col: np.ndarray, texts: tuple[bytes, bytes]) -> list:
+    """The cells of a bool column, or one shared part when every row agrees."""
+    if col.all() or not col.any():
+        return [texts[bool(col.any())]]
+    return [np.take(cells(*texts), col.view(np.uint8), axis=0)]
+
+
 def _value_parts(col: np.ndarray, kind: str, level: int | None) -> list:
     """Parts rendering a column's values as JSON at indent level `level`, or
     as str when `level` is None; text without its JSON quotes."""
     if kind == "bool":
-        bools = _TEXT_BOOLS if level is None else _JSON_BOOLS
-        return [np.take(bools, col.view(np.uint8), axis=0)]
+        return _bool_parts(col, _TEXT_BOOLS if level is None else _JSON_BOOLS)
     if kind == "lists":
         return _list_parts(col, level)
     if kind == "int":
@@ -134,30 +142,27 @@ class ItemTable:
         rows = map(values, self.columns.values(), self._kinds.values())
         return map(dict, zip(*map(zip, map(repeat, self.columns), rows)))
 
-    def json_rows(self, head: str = "", tail: str = "") -> str:
+    def json_rows(self, head: str = "", tail: str = "") -> Iterator[str]:
         """head, the rows of a non-empty table as json.dumps(indent=2) writes
-        them inside a report's items list, then tail."""
+        them inside a report's items list, then tail, in blocks."""
         parts = []
         for j, (name, col) in enumerate(self.columns.items()):
             kind = self._kinds[name]
             key = (("    {\n" if j == 0 else ",\n") + f"      {json.dumps(name)}: ").encode()
             quote = b'"' if kind == "text" else b""
             parts += [key + quote, *_value_parts(col, kind, _KEY_LEVEL), quote]
-        last = np.arange(len(self)) == len(self) - 1
-        ends = np.take(_JSON_ENDS, last.view(np.uint8), axis=0)
-        return grid_text(parts + [ends], len(self), head, tail)
+        return grid_blocks(parts + [_JSON_END], len(self), head, tail, cut=len(b",\n"))
 
-    def text_rows(self, head: str = "", tail: str = "") -> str:
-        """head, the rows as Report.to_text lists items, then tail."""
-        passed = self.columns["passed"].astype(bool).view(np.uint8)
-        parts = [b"  [", np.take(_STATUS, passed, axis=0), b"] ",
+    def text_rows(self, head: str = "", tail: str = "") -> Iterator[str]:
+        """head, the rows as a report's text lists items, then tail, in blocks."""
+        parts = [b"  [", *_bool_parts(self.columns["passed"].astype(bool), _STATUS), b"] ",
                  *_value_parts(self.columns["label"], self._kinds["label"], None)]
         sep = b" | "
         for name, col in self.columns.items():
             if name not in ("label", "passed"):
                 parts += [sep + f"{name}=".encode(), *_value_parts(col, self._kinds[name], None)]
                 sep = b" "
-        return grid_text(parts + [b"\n"], len(self), head, tail)
+        return grid_blocks(parts + [b"\n"], len(self), head, tail)
 
 
 def _unpadded(rows: list, depth: int) -> list:
@@ -200,15 +205,15 @@ class Report:
             "elapsed_seconds": self.elapsed_seconds,
         }
 
-    def to_json(self, end: str = "") -> str:
-        """json.dumps(self.to_dict(), indent=2) + end, byte for byte."""
-        if not (isinstance(self.items, ItemTable) and len(self.items)):
-            return json.dumps(self.to_dict(), indent=2) + end
-        envelope = json.dumps(self.to_dict(items=[]), indent=2)
-        head, tail = envelope.split('\n  "items": []', 1)
-        return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}{end}")
-
-    def to_text(self) -> str:
+    def blocks(self, fmt: str) -> Iterator[str]:
+        """The report as JSON or as text, ending in a newline: head, item
+        blocks and tail, each made when it is asked for."""
+        table = isinstance(self.items, ItemTable)
+        if fmt == "json" and not (table and len(self.items)):
+            return iter([json.dumps(self.to_dict(), indent=2) + "\n"])
+        if fmt == "json":
+            head, tail = json.dumps(self.to_dict(items=[]), indent=2).split('\n  "items": []', 1)
+            return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}\n")
         lines = [f"command: {self.command}"]
         for key, value in self.parameters.items():
             if isinstance(value, list) and len(str(value)) > 80:
@@ -223,12 +228,17 @@ class Report:
         lines.append(f"items: {len(self.items)}\n")
         head = "\n".join(lines)
         tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"
-        if isinstance(self.items, ItemTable):
+        if table:
             return self.items.text_rows(head, tail)
-        return head + "".join(map(_text_row, self.items)) + tail
+        return iter([head + "".join(map(_text_row, self.items)) + tail])
+
+    def write(self, stream: TextIO, fmt: str) -> None:
+        """Write render(fmt) to stream a block at a time, each as it is made."""
+        for block in self.blocks(fmt):
+            stream.write(block)
 
     def render(self, fmt: str) -> str:
-        return self.to_json("\n") if fmt == "json" else self.to_text()
+        return "".join(self.blocks(fmt))
 
 
 def report_schema() -> dict:

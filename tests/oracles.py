@@ -617,6 +617,24 @@ def hex_burst_labels(n: int, xs, zs) -> list[str]:
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 
+# The letter-grid readers that the byte-row tables row_labels and row_lengths
+# replaced, kept as their oracles.
+
+def burst_labels(letters: np.ndarray) -> list[str]:
+    """The labels of the rows of a letter grid (burst_letters), in order."""
+    n = letters.shape[1]
+    text = np.frombuffer(b"IXZY", np.uint8)[letters].tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, len(text), n)]
+
+
+def burst_lengths(bits: np.ndarray) -> np.ndarray:
+    """Span from the first to the last 1 of each row of a uint8 0/1 grid; 0 for a
+    zero row."""
+    bits = bits.view(bool)
+    first, last = bits.argmax(axis=1), bits[:, ::-1].argmax(axis=1)
+    return np.where(bits.any(axis=1), bits.shape[1] - last - first, 0)
+
+
 # Test-only helpers.
 
 def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:

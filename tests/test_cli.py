@@ -1,4 +1,5 @@
 """CLI tests: subcommands, exit codes, report formats, and the JSON schema."""
+import io
 import json
 import time
 from unittest import mock
@@ -13,6 +14,7 @@ import qinterleave.cli
 import qinterleave.codes
 import qinterleave.grid
 import qinterleave.pauli
+import qinterleave.report
 import qinterleave.windows
 from qinterleave import (
     BURST_KINDS,
@@ -23,7 +25,7 @@ from qinterleave import (
     burst_masks,
     enumerate_bursts,
 )
-from qinterleave.pauli import burst_count, burst_labels, burst_letters, mask_rows, row_masks
+from qinterleave.pauli import burst_count, burst_letters, mask_rows, row_masks
 from qinterleave.cli import (
     CODES,
     ItemTable,
@@ -40,6 +42,7 @@ from qinterleave.cli import (
 )
 from qinterleave.report import _text_row, report_schema
 from oracles import (
+    burst_labels,
     circuit_label_action,
     dense_statevector_items,
     enumerate_items,
@@ -421,6 +424,7 @@ class TestVerifyCommand:
             raise AssertionError("bursts labelled without a block decoder")
 
         monkeypatch.setattr(qinterleave.cli, "burst_letters", no_labels)
+        monkeypatch.setattr(qinterleave.cli, "row_labels", no_labels)
         monkeypatch.setattr(qinterleave.cli, "_statevector_table", no_labels)
         report = run_verify("five", 5, burst=7, kind="colocated", method="statevector")
         assert report.parameters["burst_count"] == 237567
@@ -540,10 +544,9 @@ def assert_renders_as_dicts(report):
     in JSON and in text, and its JSON validates against the schema."""
     oracle = Report(report.command, report.parameters, list(report.items),
                     report.elapsed_seconds)
-    assert report.to_json() == json.dumps(oracle.to_dict(), indent=2)
-    assert report.render("json") == oracle.to_json() + "\n"
-    assert report.to_text() == oracle.to_text()
-    jsonschema.validate(json.loads(report.to_json()), report_schema())
+    assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
+    assert report.render("text") == oracle.render("text")
+    jsonschema.validate(json.loads(report.render("json")), report_schema())
 
 
 class TestStatevectorRendering:
@@ -596,10 +599,10 @@ class TestStatevectorRendering:
         assert report["verdict"] == ("fail" if "--bursts" in argv else "pass")
         oracle = Report("demo", report["parameters"], report["items"],
                         report["elapsed_seconds"])
-        assert out == oracle.to_json() + "\n"
+        assert out == oracle.render("json")
         code, out = run_main(capsys, "demo", *argv, "--output", "text")
         oracle.elapsed_seconds = float(out.rsplit(" ", 1)[1])
-        assert out == oracle.to_text()
+        assert out == oracle.render("text")
         if "--bursts" in argv:
             # the identity passes with no corrected position; ZZZZIIIII fails
             by_label = {item["label"]: item for item in report["items"]}
@@ -716,6 +719,48 @@ class TestSynthCommand:
 
 
 class TestEnumerateCommand:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_stdout_failing_mid_stream_is_io_error(self, monkeypatch, capsys, fmt):
+        class FullDisk:
+            def __init__(self):
+                self.blocks = []
+
+            def write(self, text):
+                if self.blocks:
+                    raise OSError(28, "No space left on device")
+                self.blocks.append(text)
+
+        stdout = FullDisk()
+        monkeypatch.setattr(qinterleave.grid, "GRID_BYTES", 64)
+        monkeypatch.setattr("sys.stdout", stdout)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "9", "--burst", "3", "--output", fmt])
+        assert exc.value.code == 3
+        # the head went out before the failing write
+        assert stdout.blocks and stdout.blocks[0].startswith("{" if fmt == "json" else "command:")
+        assert capsys.readouterr().err == (
+            "qinterleave: I/O error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_out_of_memory_mid_stream_is_not_a_verification_failure(
+            self, monkeypatch, capsys, fmt):
+        made = qinterleave.report.grid_blocks
+
+        def exhausted(*args, **kwargs):
+            blocks = made(*args, **kwargs)
+            yield next(blocks)
+            yield next(blocks)
+            raise MemoryError
+
+        monkeypatch.setattr(qinterleave.grid, "GRID_BYTES", 64)
+        monkeypatch.setattr(qinterleave.report, "grid_blocks", exhausted)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "9", "--burst", "3", "--output", fmt])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out and "verdict" not in captured.out
+        assert captured.err == "qinterleave: out of memory: allocation failed\n"
+
     def test_counts(self, capsys):
         code, out = run_main(capsys, "enumerate", "9", "--burst", "3",
                              "--kind", "phase", "--output", "json")
@@ -780,7 +825,7 @@ class TestRendering:
         code, out = run_main(capsys, *argv, "--output", "text")
         oracle.elapsed_seconds = float(out.rsplit(" ", 1)[1])
         assert code == 0
-        assert out == oracle.to_text()
+        assert out == oracle.render("text")
 
     def test_passed_is_checked_on_the_masks(self, monkeypatch):
         # burst_masks yields only bursts, so append the rows of two that are
@@ -821,7 +866,7 @@ class TestRendering:
     ])
     def test_to_json_equals_indent_encoder(self, make):
         report = make()
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 SAFE_TEXT = [b for b in range(0x20, 0x7F) if b not in b'"\\']
@@ -845,10 +890,15 @@ def item_columns(draw):
             cells = draw(st.lists(st.lists(st.sampled_from(SAFE_TEXT), min_size=width,
                                            max_size=width), min_size=size, max_size=size))
             columns[name] = np.array(cells, dtype=np.uint8).reshape(size, width)
+        elif kind == "int":
+            cells = draw(st.lists(INTS, min_size=size, max_size=size))
+            columns[name] = np.array(cells, dtype=np.int64)
         else:
-            cells = draw(st.lists(INTS if kind == "int" else st.booleans(),
+            # a column of one value renders as one shared part
+            same = draw(st.sampled_from([None, True, False]), label=f"{name} all")
+            cells = draw(st.lists(st.booleans() if same is None else st.just(same),
                                   min_size=size, max_size=size))
-            columns[name] = np.array(cells, dtype=np.int64 if kind == "int" else bool)
+            columns[name] = np.array(cells, dtype=bool)
     order = draw(st.permutations(list(columns)))
     return {name: columns[name] for name in order}
 
@@ -873,8 +923,10 @@ def float_and_list_columns(draw):
     they stand for."""
     size = draw(st.integers(1, 8), label="N")
     labels = [chr(65 + i) * 3 for i in range(size)]
+    same = draw(st.sampled_from([None, True, False]), label="passed all")
     values = {"label": labels,
-              "passed": draw(st.lists(st.booleans(), min_size=size, max_size=size))}
+              "passed": draw(st.lists(st.booleans() if same is None else st.just(same),
+                                      min_size=size, max_size=size))}
     columns = {"label": np.frombuffer("".join(labels).encode(), np.uint8).reshape(size, 3),
                "passed": np.array(values["passed"], bool)}
     for name in draw(st.lists(st.sampled_from(["fidelity", "f", "lists", "syn", "pos"]),
@@ -900,6 +952,19 @@ def float_and_list_columns(draw):
     return {name: columns[name] for name in order}, rows
 
 
+def assert_written_as_rendered(report, grid_bytes):
+    """Report.write makes the text render joins, under the given block size
+    and with every block one row, so the last block is one row too."""
+    for size in (grid_bytes, 1):
+        with mock.patch.object(qinterleave.grid, "GRID_BYTES", size):
+            for fmt in ("json", "text"):
+                stream = io.StringIO()
+                report.write(stream, fmt)
+                assert stream.getvalue() == report.render(fmt)
+        with mock.patch.object(qinterleave.grid, "GRID_BYTES", size):
+            assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 class TestItemTable:
     """A column table of report items renders as json.dumps(indent=2) of its
     rows, byte for byte, and its rows read as the dicts they stand for."""
@@ -916,15 +981,16 @@ class TestItemTable:
             assert table[i] == rows[i]
         assert table[1:-1] == rows[1:-1] and table[::-2] == rows[::-2]
         report = Report("x", {"n": len(rows), "nested": {"items": []}}, table, 0.25)
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
         # rows rendered a few (or one) at a time join to the same text
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
-            assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+            assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
         assert report.to_dict()["items"] == rows
         assert report.verdict == Report("x", {}, rows).verdict
-        assert report.to_text() == Report("x", report.parameters, rows, 0.25).to_text()
+        assert report.render("text") == Report("x", report.parameters, rows, 0.25).render("text")
         if not rows:
-            assert '"items": []' in report.to_json()
+            assert '"items": []' in report.render("json")
+        assert_written_as_rendered(report, grid_bytes)
 
     @settings(max_examples=200, deadline=None)
     @given(table_rows=float_and_list_columns(), grid_bytes=st.integers(1, 3000))
@@ -935,12 +1001,27 @@ class TestItemTable:
         assert [table[i] for i in range(len(rows))] == rows
         report = Report("x", {"n": len(rows)}, table, 0.5)
         oracle = Report("x", {"n": len(rows)}, rows, 0.5)
-        assert table.text_rows() == "".join(map(_text_row, rows))
-        assert report.to_text() == oracle.to_text()
-        assert report.to_json() == json.dumps(oracle.to_dict(), indent=2)
+        assert "".join(table.text_rows()) == "".join(map(_text_row, rows))
+        assert report.render("text") == oracle.render("text")
+        assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
-            assert report.to_json() == json.dumps(oracle.to_dict(), indent=2)
-            assert report.to_text() == oracle.to_text()
+            assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
+            assert report.render("text") == oracle.render("text")
+        assert_written_as_rendered(report, grid_bytes)
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_synth(4, 4)[1],
+        lambda: run_verify("five", 2, burst=3, kind="colocated", method="stabilizer"),
+        lambda: run_verify("five", 2, burst=4, kind="independent", method="stabilizer"),
+        lambda: run_verify("five", 2, burst=1, kind="independent", method="statevector"),
+        lambda: run_verify("phase3", 3, burst=4, method="statevector"),
+        lambda: run_demo(),
+        lambda: run_enumerate(9, 3, "colocated"),
+        lambda: run_enumerate(5, 9, "independent"),
+        lambda: Report("x", {}),
+    ])
+    def test_list_and_table_reports_write_as_rendered(self, make):
+        assert_written_as_rendered(make(), 7)
 
     @pytest.mark.parametrize("dtype,top", [(np.int64, 2**63 - 1), (np.uint64, 2**64 - 1),
                                            (np.uint8, 255)])
@@ -950,8 +1031,8 @@ class TestItemTable:
         table = ItemTable(label=np.full((len(values), 1), 65, np.uint8),
                           passed=np.ones(len(values), bool), v=np.array(values, dtype))
         report = Report("x", {}, table)
-        assert [item["v"] for item in json.loads(report.to_json())["items"]] == values
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        assert [item["v"] for item in json.loads(report.render("json"))["items"]] == values
+        assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
 
     @pytest.mark.parametrize("columns,message", [
         ({"a": np.zeros(3, bool), "b": np.zeros(2, int)}, "ragged"),
@@ -1019,14 +1100,14 @@ class TestReports:
             run_enumerate(6, 2, "bit"),
         ]
         for report in reports:
-            jsonschema.validate(json.loads(report.to_json()), schema)
+            jsonschema.validate(json.loads(report.render("json")), schema)
 
     def test_text_and_json_verdicts_match(self):
         for report in (run_demo(),
                        run_verify("phase3", 3, burst=4, method="stabilizer")):
-            text_verdict = [ln for ln in report.to_text().splitlines()
+            text_verdict = [ln for ln in report.render("text").splitlines()
                             if ln.startswith("verdict:")][0].split()[1]
-            assert json.loads(report.to_json())["verdict"] == text_verdict
+            assert json.loads(report.render("json"))["verdict"] == text_verdict
 
     def test_empty_report_fails(self):
         assert Report("verify", {}).verdict == "fail"

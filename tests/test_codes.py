@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qinterleave.codes
 import qinterleave.windows
 from qinterleave import (
     BURST_KINDS,
@@ -42,6 +43,7 @@ from oracles import (
     gf2_corrects_error_set,
     gf2_rank_of,
     in_gf2_span,
+    letter_label,
     membership_syndrome_table,
     pairwise_relation_checks,
     pauli_matrix,
@@ -168,6 +170,17 @@ class TestBuiltinCodes:
             "logical_x XXX",
             "logical_z ZZZ",
         ]
+
+    @pytest.mark.parametrize("grid_bytes", [1, 40, 8 << 20])
+    def test_to_text_in_blocks_is_one_line_per_operator(self, monkeypatch, grid_bytes):
+        # labels are made a block of operators at a time
+        monkeypatch.setattr(qinterleave.codes, "GRID_BYTES", grid_bytes)
+        for code in (phase3_code(), five_qubit_code(), interleaved_code(five_qubit_code(), 13)):
+            lines = [f"[[{code.n},{code.k}]] burst_ability={code.burst_ability}"]
+            for role, ops in (("stabilizer", code.generators), ("logical_x", code.logical_xs),
+                              ("logical_z", code.logical_zs)):
+                lines += [f"{role} {letter_label(p)}" for p in ops]
+            assert code.to_text() == "\n".join(lines) + "\n"
 
 
 class TestEncoding:
@@ -569,6 +582,11 @@ class TestCommutationMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_to_text_peak(self):
+        # 6,000 lines of 5,000 letters: the 28.7 MiB text and its blocks
+        code = interleaved_code(five_qubit_code(), 1000)
+        assert self.traced_peak(code.to_text) < 72 << 20
 
     def test_corrects_bursts_peak(self, code):
         assert self.traced_peak(lambda: corrects_bursts(code, 1, "colocated")) < 32 << 20

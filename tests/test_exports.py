@@ -55,3 +55,14 @@ def test_test_only_helpers_are_gone():
     cli = importlib.import_module("qinterleave.cli")
     assert not hasattr(cli, "_statevector_items")
     assert not hasattr(cli, "report_schema")
+
+
+def test_letter_grid_label_path_is_gone():
+    # labels, lengths and weights are read off mask rows through byte tables;
+    # the letter-grid readers live in tests/oracles.py
+    pauli = importlib.import_module("qinterleave.pauli")
+    for name in ("LETTERS", "burst_labels", "burst_lengths"):
+        assert name not in qinterleave.__all__
+        assert not hasattr(pauli, name)
+    assert callable(pauli.row_labels) and callable(pauli.row_lengths)
+    assert not hasattr(importlib.import_module("qinterleave.report"), "_JSON_ENDS")

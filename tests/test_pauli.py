@@ -16,10 +16,11 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
-from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_labels,
-                               burst_lengths, burst_letters, letter_rows, mask_rows,
-                               row_masks)
+from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_letters, letter_rows,
+                               mask_rows, row_labels, row_lengths, row_masks)
 from oracles import (
+    burst_labels,
+    burst_lengths,
     enumerate_burst_vectors,
     hex_burst_labels,
     int_burst_masks,
@@ -39,6 +40,12 @@ def mask_bits(n, masks):
     bits = burst_letters(n, rows, zero) & 1
     assert np.array_equal(bits, burst_letters(n, zero, rows) >> 1)
     return bits
+
+
+def labels_of(n, xs, zs):
+    """The labels row_labels makes of mask rows, as a list of str."""
+    text, width = row_labels(n, xs, zs).tobytes().decode("ascii"), n
+    return [text[i:i + width] for i in range(0, len(text), width)]
 
 
 def all_paulis(n):
@@ -61,11 +68,13 @@ class TestBinaryVector:
         # one row per vector, and every row of the set at once
         for n in range(1, 13):
             lengths = burst_lengths(mask_bits(n, range(1 << n))).tolist()
+            assert row_lengths(mask_rows(n, range(1 << n))).tolist() == lengths
             for value in range(1 << n):
                 bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
                 v = BinaryVector(bits)
                 assert v.burst_length() == lengths[value] == scan_burst_length(bits)
         assert burst_lengths(mask_bits(70, [1 << 69 | 1]))[0] == 70
+        assert row_lengths(mask_rows(70, [1 << 69 | 1]))[0] == 70
 
     @pytest.mark.parametrize("bits,expected", [
         ("111000000", {0, 1, 2}),
@@ -440,10 +449,11 @@ class TestEnumerateBursts:
             l = min(n, 2 if kind == "independent" else 3)
             xs, zs = burst_masks(n, l, kind)
             paulis = enumerate_bursts(n, l, kind)
-            labels = burst_labels(burst_letters(n, xs, zs))
+            labels = labels_of(n, xs, zs)
             assert labels == [str(p) for p in paulis]
             assert labels == [letter_label(p) for p in paulis]
-        assert burst_labels(burst_letters(4, mask_rows(4, []), mask_rows(4, []))) == []
+            assert labels == burst_labels(burst_letters(n, xs, zs))
+        assert labels_of(4, mask_rows(4, []), mask_rows(4, [])) == []
 
     def test_masks_errors(self):
         with pytest.raises(ValueError, match="l=100 out of range for n=10"):
@@ -591,12 +601,10 @@ class TestBurstRows:
         rng = random.Random(n)
         xs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(40)]
         zs = [(1 << n) - 1, 0] + [rng.getrandbits(n) for _ in range(40)]
-        assert (burst_labels(burst_letters(n, mask_rows(n, xs), mask_rows(n, zs)))
-                == hex_burst_labels(n, xs, zs))
+        assert labels_of(n, mask_rows(n, xs), mask_rows(n, zs)) == hex_burst_labels(n, xs, zs)
         for kind in BURST_KINDS:
             rows = burst_masks(n, min(n, 2), kind)
-            assert (burst_labels(burst_letters(n, *rows))
-                    == hex_burst_labels(n, *map(row_masks, rows)))
+            assert labels_of(n, *rows) == hex_burst_labels(n, *map(row_masks, rows))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
     def test_row_readers_equal_int_readers(self, n):
@@ -606,8 +614,9 @@ class TestBurstRows:
         rows = mask_rows(n, masks)
         assert rows.shape == (len(masks), -(-n // 8))
         assert row_masks(rows) == masks
-        assert burst_lengths(mask_bits(n, masks)).tolist() == [
-            scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
+        lengths = [scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
+        assert burst_lengths(mask_bits(n, masks)).tolist() == lengths
+        assert row_lengths(rows).tolist() == lengths
         assert row_masks(mask_rows(n, [])) == []
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
@@ -620,3 +629,47 @@ class TestBurstRows:
         for got, rows in zip(letter_rows(burst_letters(n, xs, zs)), (xs, zs)):
             assert np.array_equal(got, rows)
         assert letter_rows(np.zeros((0, n), np.uint8))[0].shape == (0, -(-n // 8))
+
+
+class TestRowTables:
+    """Labels, burst lengths and weights read off mask rows a byte at a time
+    equal what the letter grid (burst_letters) gives: its "IXZY" gather,
+    its first and last 1 of each mask, and its nonzero count."""
+
+    @staticmethod
+    def assert_rows_read_as_letter_grid(n, xs, zs):
+        letters = burst_letters(n, xs, zs)
+        labels = row_labels(n, xs, zs)
+        assert labels.shape == (len(xs), n)
+        assert labels_of(n, xs, zs) == burst_labels(letters)
+        assert row_lengths(xs).tolist() == burst_lengths(letters & 1).tolist()
+        assert row_lengths(zs).tolist() == burst_lengths(letters >> 1).tolist()
+        assert (np.bitwise_count(xs | zs).sum(axis=1).tolist()
+                == np.count_nonzero(letters, axis=1).tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 140))
+    def test_random_rows(self, data, n):
+        # sparse masks too, so that first and last set bits fall in every byte
+        mask = st.one_of(st.integers(0, (1 << n) - 1),
+                         st.builds(lambda i, j: 1 << i | 1 << j,
+                                   st.integers(0, n - 1), st.integers(0, n - 1)))
+        pairs = data.draw(st.lists(st.tuples(mask, mask), max_size=30), label="masks")
+        xs, zs = (mask_rows(n, [pair[k] for pair in pairs]) for k in (0, 1))
+        self.assert_rows_read_as_letter_grid(n, xs, zs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 140), kind=st.sampled_from(BURST_KINDS))
+    def test_burst_rows(self, data, n, kind):
+        longest = sum(1 for _ in itertools.takewhile(
+            lambda l: burst_count(n, l, kind) <= 20000, range(1, min(n, 6) + 1)))
+        l = data.draw(st.integers(1, max(1, longest)), label="l")
+        self.assert_rows_read_as_letter_grid(n, *burst_masks(n, l, kind))
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 65, 140])
+    def test_zero_rows(self, n):
+        empty = mask_rows(n, [])
+        self.assert_rows_read_as_letter_grid(n, empty, empty)
+        zero = mask_rows(n, [0, 0])
+        self.assert_rows_read_as_letter_grid(n, zero, zero)
+        assert row_lengths(zero).tolist() == [0, 0]
