@@ -9,6 +9,7 @@ eigenstate is not one, or a syndrome table that should exist does not).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import sys
 import time
@@ -28,8 +29,9 @@ from .codes import (
     phase3_code,
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_KINDS, PauliString, admitted_burst_count, burst_letters, burst_masks,
-                    enumerate_bursts, mask_rows, row_labels, row_lengths)
+from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, SYNTH_BYTES_PER_QUBIT, PauliString,
+                    admitted_burst_count, burst_letters, burst_masks, enumerate_bursts,
+                    mask_rows, row_labels, row_lengths)
 from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, StateVector, apply_paulis
 
@@ -260,15 +262,20 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
 def run_synth(rows: int, cols: int, fmt: str = "plain",
               expand_swaps: bool = False) -> tuple[str, Report]:
     """Synthesize the rows x cols interleaver circuit; returns (circuit text,
-    report with gate counts and, for rows == cols, the count assertion)."""
+    report with gate counts and, for rows == cols, the count assertion).  A
+    run past BURST_BYTES_BUDGET at SYNTH_BYTES_PER_QUBIT is refused before
+    anything is allocated."""
     start = time.perf_counter()
+    total = rows * cols
+    if rows > 0 and cols > 0 and total * SYNTH_BYTES_PER_QUBIT > BURST_BYTES_BUDGET:
+        raise ValueError(f"{total:,} qubits exceed the synth budget of "
+                         f"{BURST_BYTES_BUDGET // SYNTH_BYTES_PER_QUBIT:,} qubits")
     perm = interleave_permutation(rows, cols)
     circuit = synthesize_swap_network(perm)
     if expand_swaps:
         circuit = circuit.expand_swaps()
     text = circuit.export(fmt)
     count = circuit.cnot_count()
-    total = rows * cols
     items = [{
         "label": f"cnot count within 3(nm-1) = {3 * (total - 1)}",
         "passed": count <= 3 * (total - 1) if total > 1 else count == 0,
@@ -386,6 +393,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        out = sys.stdout
+        if out is None:  # the process was started with its stdout closed
+            raise OSError(errno.EBADF, "standard output is closed")
         if args.command == "demo":
             coeffs = _parse_coeffs(args.coeffs) if args.coeffs is not None else None
             bursts = args.bursts.split(",") if args.bursts is not None else None
@@ -401,11 +411,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(text)
             else:
-                sys.stdout.write(text)
+                out.write(text)
         else:
             report = run_enumerate(args.qubits, args.burst, args.kind)
         fmt = args.report if args.command == "synth" else args.output
-        report.write(sys.stdout, fmt)
+        report.write(out, fmt)
     # Both subclass ValueError, so they are caught first: a fault in the
     # program must not read as a usage error.
     except (IndeterminateEigenvalueError, SyndromeCollisionError) as exc:

@@ -8,7 +8,7 @@ codes burst-tolerant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -22,23 +22,27 @@ _GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2}
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on [0, N): images[i] is where position i is sent."""
+    """Bijection on [0, N): images[i] is where position i is sent, from a
+    sequence or an int array; `array` holds them as a read-only intp array."""
 
     images: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        images = tuple(self.images)
-        array = np.array(images)
+        n = len(array := np.array(self.images))
         # n images in [0, n) that fill every one of the n bins
-        if images and not (array.dtype.kind in "iu" and array.ndim == 1
-                           and 0 <= array.min() and array.max() < len(images)
-                           and np.bincount(array.astype(np.intp), minlength=len(images)).all()):
+        if n and not (array.dtype.kind in "iu" and array.ndim == 1
+                      and 0 <= array.min() and array.max() < n
+                      and np.bincount(array.astype(np.intp, copy=False), minlength=n).all()):
             raise ValueError("images must be a permutation of 0..N-1")
-        object.__setattr__(self, "images", images)
+        array = array.astype(np.intp, copy=False)
+        array.setflags(write=False)
+        object.__setattr__(self, "images", tuple(array.tolist()))
+        object.__setattr__(self, "array", array)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls(np.arange(n))
 
     @property
     def size(self) -> int:
@@ -49,19 +53,19 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
+        return bool((self.array == np.arange(self.size)).all())
 
     def inverse(self) -> "Permutation":
         inverse = np.empty(self.size, np.intp)
-        inverse[np.array(self.images, np.intp)] = np.arange(self.size)
-        return Permutation(tuple(inverse.tolist()))
+        inverse[self.array] = np.arange(self.size)
+        return Permutation(inverse)
 
 
 def interleave_permutation(n: int, m: int) -> Permutation:
     """Permutation on n*m positions sending symbol j of block i to slot j*m + i."""
     if n < 1 or m < 1:
         raise ValueError("block length and degree must both be >= 1")
-    return Permutation(tuple(np.arange(n * m).reshape(n, m).T.ravel().tolist()))
+    return Permutation(np.arange(n * m).reshape(n, m).T.ravel())
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,14 @@ class Gate:
         return cls("SWAP", (a, b))
 
 
-# Listing cells per gate kind: its name, and what comes between the operands.
-_PLAIN = cells(b"H ", b"CNOT ", b"SWAP "), cells(b"", b" ", b" ")
-_QASM = cells(b"h q[", b"cx q["), cells(b"", b"],q[")
+# A listing line per gate kind: cell tables by kind between operands 0 and 1,
+# written in the kinds whose next cell is not empty (every line ends in "\n").
+# QASM writes a SWAP as its three cx lines.
+_PLAIN = (cells(b"H ", b"CNOT ", b"SWAP "), 0, cells(b"\n", b" ", b" "), 1,
+          cells(b"", b"\n", b"\n"))
+_QASM = (cells(b"h q[", b"cx q[", b"cx q["), 0, cells(b"];\n", b"],q[", b"],q["), 1,
+         cells(b"", b"];\n", b"];\ncx q["), 1, cells(b"", b"", b"],q["), 0,
+         cells(b"", b"", b"];\ncx q["), 0, cells(b"", b"", b"],q["), 1, cells(b"", b"", b"];\n"))
 
 
 class Circuit:
@@ -144,31 +153,35 @@ class Circuit:
 
     def expand_swaps(self) -> "Circuit":
         """Lower every SWAP(a,b) to CNOT(a,b) CNOT(b,a) CNOT(a,b)."""
-        kind = self.columns[0]
-        repeats = np.where(kind == _SWAP, 3, 1)
-        gate = np.repeat(np.arange(len(kind)), repeats)
-        # a row's offset in its gate's lowering; offset 1 is the reversed CNOT
-        middle = np.arange(len(gate)) - np.repeat(np.cumsum(repeats) - repeats, repeats) == 1
-        kind, a, b = self.columns[:, gate]
-        return Circuit(self.width, columns=(np.minimum(kind, _CNOT), np.where(middle, b, a),
-                                            np.where(middle, a, b)))
+        kind, a, b = self.columns
+        lowered = np.minimum(kind, _CNOT)
+        # three rows per gate, the middle one reversed; all but a SWAP keep the first
+        rows = np.stack([(lowered, a, b), (lowered, b, a), (lowered, a, b)], axis=-1)
+        keep = (kind == _SWAP)[:, None] | (np.arange(3) == 0)
+        return Circuit(self.width, columns=np.compress(keep.ravel(), rows.reshape(3, -1), axis=1))
 
-    def _listing(self, head: str, names: np.ndarray, between: np.ndarray,
-                 end: bytes) -> str:
+    def _listing(self, head: str, layout: tuple) -> str:
         kind = self.columns[0]
-        first, second = np.split(digit_cells(np.maximum(self.columns[1:], 0).ravel()), 2)
-        second = np.where((kind > _H)[:, None], second, np.uint8(PAD))
-        return grid_text([np.take(names, kind, axis=0), first, np.take(between, kind, axis=0),
-                          second, end], len(kind), head)
+        digits = np.split(digit_cells(np.maximum(self.columns[1:], 0).ravel()), 2)
+        # one kind throughout: each table is one shared part, each operand all or none
+        one = [kind[0]] if kind.size and kind.min() == kind.max() else None
+        parts = []
+        for j in range(0, len(layout), 2):
+            table = layout[j][kind if one is None else one]
+            if j and (has := table[:, :1] != PAD).any():
+                operand = digits[layout[j - 1]]
+                parts.append(operand if has.all() else np.where(has, operand, np.uint8(PAD)))
+            parts.append(table if one is None else table[table != PAD].tobytes())
+        return grid_text(parts, len(kind), head)
 
     def to_plain(self) -> str:
         """One gate per line after a "qubits N" header; 0-based operands."""
-        return self._listing(f"qubits {self.width}\n", *_PLAIN, b"\n")
+        return self._listing(f"qubits {self.width}\n", _PLAIN)
 
     def to_qasm(self) -> str:
         """QASM-2 style listing; SWAPs are always lowered to cx triples."""
         head = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{self.width}];\n'
-        return self.expand_swaps()._listing(head, *_QASM, b"];\n")
+        return self._listing(head, _QASM)
 
     def export(self, fmt: str) -> str:
         if fmt == "plain":
@@ -185,18 +198,15 @@ def synthesize_swap_network(perm: Permutation) -> Circuit:
     contributes SWAP(c0,c1), SWAP(c0,c2), ..., SWAP(c0,c_{k-1}) in that order;
     fixed points contribute nothing.  For an involution (the n = m
     interleaver) this is exactly the disjoint transposition set.
+
+    Found by pointer jumping on walk = lead << 32 | off: after r rounds lead[i]
+    is the least of the 2**r positions from i on, off[i] its distance (the
+    nearer on a tie); once 2**r spans every cycle, lead is c0, i is c_{k-off}.
     """
-    images = perm.images
-    seen = bytearray(perm.size)
-    starts, ends = [], []
-    for start in range(perm.size):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        cur = images[start]
-        while cur != start:
-            seen[cur] = 1
-            starts.append(start)
-            ends.append(cur)
-            cur = images[cur]
-    return Circuit(perm.size, columns=(np.full(len(starts), _SWAP), starts, ends))
+    walk, hop, span = np.arange(perm.size) << 32, perm.array, 1
+    while not np.array_equal((ahead := walk[hop] + span) >> 32, walk >> 32):
+        np.minimum(walk, ahead, out=walk)
+        hop, span = hop[hop], 2 * span
+    moved = np.flatnonzero(walk & 0xFFFFFFFF)  # all but the c0s, sorted by c0, then off down
+    ends = moved[np.argsort(walk[moved] ^ 0xFFFFFFFF)]
+    return Circuit(perm.size, columns=(np.full(len(ends), _SWAP), walk[ends] >> 32, ends))

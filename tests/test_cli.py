@@ -1,6 +1,9 @@
 """CLI tests: subcommands, exit codes, report formats, and the JSON schema."""
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -25,7 +28,8 @@ from qinterleave import (
     burst_masks,
     enumerate_bursts,
 )
-from qinterleave.pauli import burst_count, burst_letters, mask_rows, row_masks
+from qinterleave.pauli import (BURST_BYTES_BUDGET, SYNTH_BYTES_PER_QUBIT, burst_count,
+                               burst_letters, mask_rows, row_masks)
 from qinterleave.cli import (
     CODES,
     ItemTable,
@@ -49,7 +53,9 @@ from oracles import (
     parse_plain,
     per_burst_statevector_items,
     permutation_label_action,
+    qasm_listing,
     split_pauli,
+    swap_network_gates,
 )
 from qinterleave import interleave_permutation
 
@@ -716,6 +722,51 @@ class TestSynthCommand:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "0", "3"])
         assert exc.value.code == 2
+
+    def test_qasm_of_long_cycles_equals_oracle_listing(self):
+        text, _ = run_synth(200, 50, fmt="qasm")
+        assert text == qasm_listing(10000, swap_network_gates(interleave_permutation(200, 50)))
+
+    def test_past_budget_is_refused_before_allocating(self, monkeypatch, capsys):
+        class Reached(Exception):
+            pass
+
+        def allocating(n, m):
+            raise Reached
+
+        budget = BURST_BYTES_BUDGET // SYNTH_BYTES_PER_QUBIT
+        monkeypatch.setattr(qinterleave.cli, "interleave_permutation", allocating)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "100000", "100000"])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"qinterleave: error: 10,000,000,000 qubits exceed the synth budget of "
+            f"{budget:,} qubits\n")
+        # the largest admitted size goes on to build the permutation
+        with pytest.raises(Reached):
+            main(["synth", str(budget), "1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(budget + 1), "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["synth", "3", "3"], ["enumerate", "3", "--burst", "1"]])
+    def test_closed_stdout_is_io_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdout", None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "qinterleave: I/O error: [Errno 9] standard output is closed\n")
+
+    def test_closed_stdout_in_a_fresh_process_is_io_error(self):
+        src = os.path.dirname(os.path.dirname(qinterleave.cli.__file__))
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m qinterleave.cli enumerate 3 --burst 1 >&-', sys.executable],
+            env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 3
+        assert done.stderr == "qinterleave: I/O error: [Errno 9] standard output is closed\n"
 
 
 class TestEnumerateCommand:

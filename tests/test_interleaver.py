@@ -1,7 +1,7 @@
 """Tests for interleave permutations, SWAP synthesis, gate counts, and export."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinterleave import (
@@ -95,10 +95,21 @@ class TestPermutation:
         (True, False),
         ("0", "1"),
         ((0, 1), (1, 0)),
+        np.array([1, 1]),
+        np.array([1.0, 0.0]),
     ])
     def test_refuses_non_permutations(self, images):
         with pytest.raises(ValueError, match=r"^images must be a permutation of 0\.\.N-1$"):
             Permutation(images)
+
+    def test_array_and_tuple_build_one_permutation(self):
+        from_array = interleave_permutation(3, 4)
+        from_tuple = Permutation(from_array.images)
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert all(type(v) is int for v in from_array.images)
+        assert from_array.array.tolist() == list(from_array.images)
+        with pytest.raises(ValueError):
+            from_array.array[0] = 1
 
     def test_inverse_of_random_permutations(self):
         rng = np.random.default_rng(5)
@@ -161,6 +172,21 @@ class TestSynthesis:
                 assert np.array_equal(circuit_label_action(circuit),
                                       permutation_label_action(perm))
 
+    @pytest.mark.parametrize("n,m", [(200, 50), (1000, 7), (64, 64)])
+    def test_long_cycles_equal_cycle_walk(self, n, m):
+        # cycles of up to 300 (200x50) and 999 (1000x7) positions need many doubling rounds
+        perm = interleave_permutation(n, m)
+        assert synthesize_swap_network(perm).gates == swap_network_gates(perm)
+
+    def test_single_5000_cycle_equals_cycle_walk(self):
+        order = np.random.default_rng(21).permutation(5000)
+        images = np.empty(5000, np.intp)
+        images[order] = np.roll(order, -1)
+        perm = Permutation(images)
+        circuit = synthesize_swap_network(perm)
+        assert circuit.swap_count == 4999
+        assert circuit.gates == swap_network_gates(perm)
+
     def test_apply_circuit_equals_permute_qubits_exhaustive_basis(self):
         from oracles import basis_state
         for n, m in ((2, 2), (3, 2), (2, 3), (3, 3)):
@@ -184,6 +210,22 @@ class TestSynthesis:
                 label = rng.getrandbits(n * m)
                 assert (track_label_scalar(circuit, label)
                         == permute_label_scalar(perm, label))
+
+
+def gate_lists(width):
+    """Lists of up to 40 gates on `width` qubits; operands at the digit-count
+    edges are drawn often."""
+    edges = [q for q in (0, 1, 9, 10, 99, 100, 999, 1000, width - 1) if q < width]
+    qubit = st.one_of(st.integers(0, width - 1), st.sampled_from(edges))
+
+    def gates(kind):
+        if kind == "H":
+            return qubit.map(Gate.h)
+        return qubit.flatmap(lambda a: qubit.filter(lambda q: q != a).map(
+            lambda b: Gate(kind, (a, b))))
+
+    kinds = ["H"] if width == 1 else ["H", "CNOT", "SWAP"]
+    return st.lists(st.sampled_from(kinds).flatmap(gates), max_size=40)
 
 
 class TestExport:
@@ -295,17 +337,18 @@ class TestGateColumns:
         assert circuit.gates == swap_network_gates(perm)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), width=st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]))
-    def test_outputs_equal_gate_oracles(self, data, width):
-        # operands at the digit-count edges are drawn often
-        edges = [q for q in (0, 1, 9, 10, 99, 100, 999, 1000, width - 1) if q < width]
-        qubit = st.one_of(st.integers(0, width - 1), st.sampled_from(edges))
-        gates = []
-        kinds = ["H"] if width == 1 else ["H", "CNOT", "SWAP"]
-        for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=40), label="kinds"):
-            a = data.draw(qubit)
-            gates.append(Gate.h(a) if kind == "H" else
-                         Gate(kind, (a, data.draw(qubit.filter(lambda q: q != a)))))
+    @given(case=st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]).flatmap(
+        lambda width: st.tuples(st.just(width), gate_lists(width))))
+    # one kind throughout renders shared parts; operands cross the 9/10 and 99/100 edges
+    @example(case=(5, []))
+    @example(case=(1, [Gate.h(0)] * 3))
+    @example(case=(101, [Gate.h(q) for q in (0, 9, 10, 99, 100)]))
+    @example(case=(101, [Gate.cnot(9, 10), Gate.cnot(100, 99), Gate.cnot(0, 1)]))
+    @example(case=(10, [Gate.swap(0, 9), Gate.swap(4, 3)]))
+    @example(case=(1001, [Gate.swap(9, 10), Gate.swap(99, 100), Gate.swap(1000, 0),
+                          Gate.swap(10, 9), Gate.swap(100, 99)]))
+    def test_outputs_equal_gate_oracles(self, case):
+        width, gates = case
         circuit = Circuit(width, gates)
         assert circuit.gates == tuple(gates)
         assert circuit.to_plain() == plain_listing(width, gates)
