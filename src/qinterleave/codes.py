@@ -33,15 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import xor
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .interleaver import interleave_permutation
 from .grid import GRID_BYTES
-from .pauli import PauliString, burst_letters, mask_rows, row_labels, row_masks
+from .pauli import (PauliString, burst_letters, burst_rows, burst_words, mask_rows, row_labels,
+                    row_masks)
 from .statevector import _NORM_TOL, MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
-from .windows import burst_rows, burst_words
 
 
 class SyndromeCollisionError(ValueError):
@@ -56,24 +56,30 @@ def _reduced(pivots: dict[int, int], row: int) -> int:
     return row
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """The numbers of mask's set bits, lowest first; only those are walked."""
+def _qubits(n: int, mask: int) -> list[int]:
+    """The qubits where an n-bit mask is set, qubit 0 its most significant
+    bit; only the set bits are walked."""
+    qubits = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length()
+        qubits.append(n - top)
+        mask ^= 1 << top - 1
+    return qubits
 
 
-def _operator_table(n: int, ops: Sequence[PauliString]) -> tuple[list[int], list[int]]:
+def _operator_table(n: int, ops: Sequence[PauliString]
+                    ) -> tuple[list[int], list[int], list[tuple[list[int], list[int]]]]:
     """Per qubit q, the operators with an X part at q and those with a Z part
-    there, as ints in which bit len(ops)-1-j stands for ops[j]."""
+    there, as ints in which bit len(ops)-1-j stands for ops[j]; and each
+    operator's X qubits and Z qubits, the lists the table was filled from."""
     xsets, zsets = [0] * n, [0] * n
-    for j, p in enumerate(ops):
+    supports = [(_qubits(n, p.x), _qubits(n, p.z)) for p in ops]
+    for j, qubit_lists in enumerate(supports):
         bit = 1 << (len(ops) - 1 - j)
-        for sets, mask in ((xsets, p.x), (zsets, p.z)):
-            for b in _set_bits(mask):
-                sets[n - 1 - b] |= bit
-    return xsets, zsets
+        for sets, qubits in zip((xsets, zsets), qubit_lists):
+            for q in qubits:
+                sets[q] |= bit
+    return xsets, zsets, supports
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,10 @@ class StabilizerCode:
         ops = (*gens, *self.logical_xs, *self.logical_zs)
         if any(p.n != n for p in ops):
             raise ValueError("operator length does not match code size")
-        xsets, zsets = _operator_table(n, ops)
+        xsets, zsets, supports = _operator_table(n, ops)
         # Bit len(ops)-1-j of an operator's clash row: it anticommutes with ops[j].
-        clash = [reduce(xor, [zsets[n - 1 - b] for b in _set_bits(p.x)]
-                        + [xsets[n - 1 - b] for b in _set_bits(p.z)], 0) for p in ops]
+        clash = [reduce(xor, [zsets[q] for q in xq] + [xsets[q] for q in zq], 0)
+                 for xq, zq in supports]
         # Clashing generators, the first on top: a generator's earlier partners raise first.
         hits = [row & ((1 << g) - 1) << 2 * k for row in clash]
         for p, hit in zip(gens, hits):
@@ -251,8 +257,8 @@ def interleaved_code(code: StabilizerCode, m: int) -> StabilizerCode:
     images = interleave_permutation(n, m).images
 
     def moved(mask: int, i: int) -> int:
-        # Qubit q of block i, mask bit n-1-q, is register qubit images[i*n + q].
-        return sum(1 << (total - 1 - images[i * n + n - 1 - b]) for b in _set_bits(mask))
+        # Qubit q of block i is register qubit images[i*n + q].
+        return sum(1 << (total - 1 - images[i * n + q]) for q in _qubits(n, mask))
 
     def place(ops: Sequence[PauliString]) -> tuple[PauliString, ...]:
         return tuple(PauliString(total, moved(p.x, i), moved(p.z, i))
@@ -289,7 +295,7 @@ def _leaf(n: int, ops: Sequence[PauliString]) -> np.ndarray:
     q's words are 0, its Z-set, its X-set (_operator_table) and their XOR.
     Word 0 is the most significant, padded above."""
     width = 8 * -(-len(ops) // 64)
-    table = b"".join(w.to_bytes(width, "big") for x, z in zip(*_operator_table(n, ops))
+    table = b"".join(w.to_bytes(width, "big") for x, z in zip(*_operator_table(n, ops)[:2])
                      for w in (0, z, x, x ^ z))
     return np.frombuffer(table, ">u8").reshape(n, 4, width // 8).transpose(2, 0, 1).astype(
         np.uint64, order="C")

@@ -9,12 +9,15 @@ is one (N, ceil(n/8)) uint8 array of rows, each a mask's big-endian bytes.
 
 A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
-when both of its masks are bursts of length l or less.  burst_masks builds a
-kind's bursts as rows with numpy, refusing a set over BURST_BYTES_BUDGET before
-allocating it (admitted_burst_count, which the window module calls too).  Labels
-and burst lengths are read off the rows through 256-entry byte tables; the (N, n)
-grid of letter codes x + 2z that burst_letters unpacks, and letter_rows packs
-back, serves the code tables and deinterleaving.
+when both of its masks are bursts of length l or less.  A kind's bursts are
+numbered after the identity: column 0 is the identity and column c burst c - 1.
+burst_words folds a word linear in the masks, such as a syndrome, down the tree
+of windows that share a prefix; burst_masks is burst_words of a leaf whose words
+are mask rows, and burst_rows decodes the rows of a few columns from their
+numbers alone.  Each refuses a set over BURST_BYTES_BUDGET before allocating it
+(admitted_burst_count).  Labels and burst lengths are read off the rows through
+256-entry byte tables; the (N, n) grid of letter codes x + 2z that burst_letters
+unpacks, and letter_rows packs back, serves the code tables and deinterleaving.
 """
 from __future__ import annotations
 
@@ -293,8 +296,8 @@ def burst_count(n: int, l: int, kind: str) -> int:
 
 def admitted_burst_count(n: int, l: int, kind: str) -> int:
     """burst_count(n, l, kind), once a set predicted past BURST_BYTES_BUDGET,
-    at 600 + 4n bytes a burst, is refused with ValueError; burst_masks and the
-    window module's burst_words and burst_rows call it before they allocate."""
+    at 600 + 4n bytes a burst, is refused with ValueError; burst_words,
+    burst_masks and burst_rows call it before they allocate."""
     # Span s adds 2**(s-2) windows or more: a valid l past 64 is over budget.
     count, per_burst = burst_count(n, l if l > n else min(l, 64), kind), 600 + 4 * n
     if count * per_burst > BURST_BYTES_BUDGET:
@@ -304,24 +307,95 @@ def admitted_burst_count(n: int, l: int, kind: str) -> int:
     return count
 
 
-def _window_rows(n: int, l: int, ends: Sequence, inner: Sequence) -> np.ndarray:
-    # Minimal windows span <= l positions with end letters at both ends, ordered
-    # by span, start, letters (leftmost slowest).  A window, a uint64 per mask, is
-    # the low and high word of a row of big-endian words; word 0 spills, all zero.
-    width, words = -(-n // 8), -(-n // 64)
-    end_bits, inner_bits = (np.array(ls, np.uint64).T[:, None] for ls in (ends, inner))
-    head, spans, shifts = end_bits[:, 0], [], np.arange(n - 1, -1, -1)
-    lows, offsets = words - shifts // 64, (shifts % 64).astype(np.uint64)[:, None, None]
+def _window_tree(l: int, leaf: np.ndarray, ends: Sequence, inner: Sequence,
+                 out: np.ndarray) -> None:
+    # Each window's word is its head's word (all letters but the last, shared by
+    # the windows one longer) XOR its last letter's leaf, one broadcast a span,
+    # written to out by span, start, then letters.  leaf is (n, 4), one lane.
+    n = len(leaf)
+    end, mid = (leaf[:, [x + 2 * z for x, z in letters]] for letters in (ends, inner))
+    head, at = np.zeros((n, 1), np.uint64), 0
     for span in range(1, l + 1):
-        windows = ((head[:, :, None] << 1) | end_bits).reshape(2, -1) if span > 1 else head
-        low, offset, starts = lows[span - 1:], offsets[span - 1:], np.arange(n - span + 1)
-        rows = np.zeros((2, len(starts), windows.shape[1], words + 1), dtype=">u8")
-        rows[:, starts, :, low] = windows << offset
-        rows[:, starts, :, low - 1] = (windows >> 1) >> (63 - offset)
-        spans.append(rows.view(np.uint8)[..., -width:].reshape(2, -1, width))
-        if span > 1:
-            head = ((head[:, :, None] << 1) | inner_bits).reshape(2, -1)
-    return np.concatenate(spans, axis=1)
+        starts = n - span + 1
+        block = out[at:at + starts * head.shape[1] * len(ends)].reshape(starts, -1, len(ends))
+        np.bitwise_xor(head[:starts, :, None], end[span - 1:, None, :], out=block)
+        at += block.size
+        if span < l:
+            head = end if span == 1 else (
+                head[:starts, :, None] ^ mid[span - 1:, None, :]).reshape(starts, -1)
+
+
+def burst_words(n: int, l: int, kind: str, leaf: np.ndarray) -> np.ndarray:
+    """(lanes, 1 + count) uint64 words: column 0 is the identity's zero, then
+    one column per burst of burst_masks(n, l, kind), in its order, holding the
+    XOR of leaf[:, q, c] over the burst's qubits q and their letter codes c
+    (x + 2z).  leaf is (lanes, n, 4) uint64 and linear in the masks (letter 0
+    zero, letter 3 the XOR of letters 1 and 2), such as commutation words, so
+    the words come out with no mask row built.
+
+    Windows sharing a prefix share its word, folded one lane at a time;
+    independent words are the outer XOR of the bit and the phase words.
+    """
+    out = np.zeros((len(leaf), admitted_burst_count(n, l, kind) + 1), dtype=np.uint64)
+    if kind != "independent":
+        for lane, words in zip(leaf, out):
+            _window_tree(l, lane, *_WINDOW_LETTERS[kind], words[1:])
+        return out
+    side = burst_count(n, l, "bit") + 1
+    bits, phases = np.zeros(side, np.uint64), np.zeros(side, np.uint64)
+    for lane, words in zip(leaf, out):
+        _window_tree(l, lane, *_WINDOW_LETTERS["bit"], bits[1:])
+        _window_tree(l, lane, *_WINDOW_LETTERS["phase"], phases[1:])
+        np.bitwise_xor(bits[:, None], phases, out=words.reshape(side, side))
+    return out
+
+
+def _window_letters(n: int, l: int, kind: str, columns: np.ndarray) -> np.ndarray:
+    # The (N, n) letter grid of the given columns of burst_words, decoded from
+    # the numbers alone: span, then start, then the letters, the last one first
+    # (leftmost slowest).  Column 0, the identity, stays all I.
+    ends, inner = (np.array([x + 2 * z for x, z in letters], np.uint8)
+                   for letters in _WINDOW_LETTERS[kind])
+    sizes = _span_sizes(n, l, kind)
+    first = np.cumsum([1, *sizes])
+    span = np.searchsorted(first, columns, side="right")
+    letters = np.zeros((len(columns), n), dtype=np.uint8)
+    cells = letters.reshape(-1)
+    for s in range(1, l + 1):
+        rows = np.flatnonzero(span == s)
+        start, rest = np.divmod(columns[rows] - first[s - 1], sizes[s - 1] // (n - s + 1))
+        at = rows * n + start + s - 1
+        for codes in [ends, *[inner] * (s - 2), ends][:-s - 1:-1]:
+            rest, digit = np.divmod(rest, len(codes))
+            cells[at] = codes[digit]
+            at -= 1
+    return letters
+
+
+def burst_rows(n: int, l: int, kind: str, columns: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z mask rows (mask_rows) of the given columns of
+    burst_words(n, l, kind, ...), each decoded from its number with no other
+    burst built.  Decoding a burst costs 2 to 25 times as much as building its
+    row in sets of 10**5 bursts or more, so columns over 1/64 of the set are
+    taken from burst_masks instead."""
+    columns, count = np.asarray(columns, dtype=np.int64), admitted_burst_count(n, l, kind)
+    if columns.size and not 0 <= columns.min() <= columns.max() <= count:
+        raise IndexError(f"burst columns must lie in [0, {count}]")
+    if 64 * len(columns) <= count + 1:
+        return _decoded_rows(n, l, kind, columns)
+    xs, zs = (rows[columns - 1] for rows in burst_masks(n, l, kind))
+    xs[columns == 0] = zs[columns == 0] = 0  # the identity
+    return xs, zs
+
+
+def _decoded_rows(n: int, l: int, kind: str, columns: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    # An independent column is a bit column (outer) and a phase column.
+    if kind != "independent":
+        return letter_rows(_window_letters(n, l, kind, columns))
+    x, z = np.divmod(columns, burst_count(n, l, "bit") + 1)
+    return letter_rows(_window_letters(n, l, "bit", x) | _window_letters(n, l, "phase", z))
 
 
 def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -335,14 +409,19 @@ def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     independent: each mask is separately a (possibly empty) burst of length
     <= l; every x mask (outer) with every z mask (inner).
     A set predicted past BURST_BYTES_BUDGET raises ValueError before allocation.
+
+    The rows are the bytes of burst_words' words for a leaf holding the x row
+    then the z row of each single letter (X, Z or Y at q), as XOR is bytewise.
+    Each half is copied out as one void item a row, not one loop a row.
     """
     admitted_burst_count(n, l, kind)
-    if kind != "independent":
-        return tuple(_window_rows(n, l, *_WINDOW_LETTERS[kind]))
-    # The identity pair comes first and is dropped.
-    vectors = np.pad(_window_rows(n, l, *_WINDOW_LETTERS["bit"])[0], ((1, 0), (0, 0)))
-    return (np.repeat(vectors, len(vectors), axis=0)[1:],
-            np.tile(vectors, (len(vectors), 1))[1:])
+    width = -(-n // 8)
+    leaf, qubits = np.zeros((-(-width // 4), n, 4, 8), np.uint8), np.arange(n)
+    byte, bit = divmod(qubits + 8 * width - n, 8)
+    lane, at = np.divmod([byte, byte + width], 8)
+    leaf[lane, qubits, [[1], [2]], at] = leaf[lane, qubits, 3, at] = 0x80 >> bit
+    rows = burst_words(n, l, kind, leaf.view(np.uint64)[..., 0])[:, 1:].T.copy().view(np.uint8)
+    return tuple(rows[:, h:h + width].view(f"V{width}").copy().view(np.uint8) for h in (0, width))
 
 
 def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:

@@ -18,7 +18,6 @@ import qinterleave.codes
 import qinterleave.grid
 import qinterleave.pauli
 import qinterleave.report
-import qinterleave.windows
 from qinterleave import (
     BURST_KINDS,
     IndeterminateEigenvalueError,
@@ -235,9 +234,9 @@ class TestVerifyCommand:
         def no_rows(*args):
             raise AssertionError("mask rows built for the stabilizer method")
 
-        monkeypatch.setattr(qinterleave.cli, "burst_masks", no_rows)
-        monkeypatch.setattr(qinterleave.windows, "burst_masks", no_rows)
-        monkeypatch.setattr(qinterleave.pauli, "_window_rows", no_rows)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "qinterleave" and hasattr(module, "burst_masks"):
+                monkeypatch.setattr(module, "burst_masks", no_rows)
         code, out = run_main(capsys, "verify", "--code", "five", "--degree", "5",
                              "--burst", str(burst), "--kind", kind,
                              "--method", "stabilizer", "--output", "json")
@@ -308,7 +307,7 @@ class TestVerifyCommand:
             raise AssertionError("built before the burst budget was checked")
 
         monkeypatch.setattr(qinterleave.cli, "interleaved_code", no_build)
-        monkeypatch.setattr(qinterleave.pauli, "_window_rows", no_build)
+        monkeypatch.setattr(qinterleave.pauli, "_window_tree", no_build)
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(command)
@@ -325,7 +324,7 @@ class TestVerifyCommand:
             raise AssertionError("built before the burst budget was checked")
 
         monkeypatch.setattr(qinterleave.cli, "interleaved_code", no_build)
-        monkeypatch.setattr(qinterleave.windows, "_window_tree", no_build)
+        monkeypatch.setattr(qinterleave.pauli, "_window_tree", no_build)
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--code", "five", "--degree", "13", "--kind", "colocated",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qinterleave.codes
-import qinterleave.windows
+import qinterleave.pauli
 from qinterleave import (
     BURST_KINDS,
     IndeterminateEigenvalueError,
@@ -34,8 +34,7 @@ from qinterleave import (
 )
 from qinterleave.cli import DEFAULT_COEFFS
 from qinterleave.codes import _commutation_words, _leaf, corrects_bursts, corrects_masks
-from qinterleave.pauli import burst_count, mask_rows
-from qinterleave.windows import _decoded_rows
+from qinterleave.pauli import _decoded_rows, burst_count, mask_rows
 from oracles import (
     basis_state,
     burst_ability_measured,
@@ -519,7 +518,7 @@ class TestCorrectsBursts:
 
     def test_equals_row_path(self, monkeypatch):
         decoded = []
-        monkeypatch.setattr(qinterleave.windows, "_decoded_rows",
+        monkeypatch.setattr(qinterleave.pauli, "_decoded_rows",
                             lambda *args: decoded.append(args) or _decoded_rows(*args))
         cases, verdicts, branches = 0, set(), set()
         for base in (phase3_code(), five_qubit_code()):

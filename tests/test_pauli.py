@@ -524,7 +524,7 @@ class TestEnumerateBursts:
             assert colocated <= independent
 
 
-ROW_SIZES = list(range(1, 13)) + [63, 64, 65, 127, 128, 129, 200]
+ROW_SIZES = list(range(1, 13)) + [32, 33, 63, 64, 65, 127, 128, 129, 200]
 
 
 def assert_rows_match_oracle(n, l, kind):

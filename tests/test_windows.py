@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qinterleave.windows
 from qinterleave import BURST_KINDS, burst_masks
-from qinterleave.pauli import BURST_BYTES_BUDGET, burst_count, burst_letters, row_masks
-from qinterleave.windows import _decoded_rows, burst_rows, burst_words
+from qinterleave.pauli import (BURST_BYTES_BUDGET, _decoded_rows, burst_count, burst_letters,
+                               burst_rows, burst_words, row_masks)
 from oracles import int_burst_at
 
 
