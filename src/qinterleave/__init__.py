@@ -6,7 +6,6 @@ burst-correcting ability of interleaved stabilizer codes both by exhaustive
 state-vector decoding and by the symplectic correctability criterion.
 """
 from .codes import (
-    BlockDecode,
     CorrectabilityResult,
     StabilizerCode,
     SyndromeCollisionError,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BURST_KINDS",
     "BinaryVector",
-    "BlockDecode",
     "Circuit",
     "CorrectabilityResult",
     "Gate",

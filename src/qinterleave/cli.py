@@ -33,7 +33,7 @@ from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, SYNTH_BYTES_PER_QUBIT, Paul
                     admitted_burst_count, burst_letters, burst_masks, enumerate_bursts,
                     mask_rows, row_labels, row_lengths)
 from .report import ItemTable, Report
-from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, StateVector, apply_paulis
+from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, apply_paulis
 
 CODES: dict[str, Callable[[], StabilizerCode]] = {
     "phase3": phase3_code,
@@ -83,8 +83,8 @@ def _statevector_table(code: StabilizerCode, table: dict,
     (build_syndrome_table).
     """
     encoder = logical_encoder(code)
-    blocks = [encoder(c0, c1) for c0, c1 in pairs]
-    n, m = code.n, len(blocks)
+    states = np.stack([encoder(c0, c1).amps for c0, c1 in pairs])
+    n, m = code.n, len(states)
     # Qubit j of block i is register qubit images[i*n + j].
     parts = letters[:, interleave_permutation(n, m).images].reshape(-1, m, n)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -92,15 +92,13 @@ def _statevector_table(code: StabilizerCode, table: dict,
     keys, inverse = np.unique(keys, return_inverse=True)
     inverse = inverse.reshape(-1, m)
     block, low = keys >> 2 * n, (1 << n) - 1
-    corrupted = apply_paulis(np.stack([b.amps for b in blocks])[block],
-                             keys >> n & low, keys & low)
-    fixed, records = block_decode(code, table, [StateVector.trusted(n, a) for a in corrupted])
-    fidelities = np.array([f.fidelity(blocks[i]) for f, i in zip(fixed, block.tolist())])
-    ok = np.array([r.ok for r in records], bool)
-    syndromes = np.array([r.syndrome for r in records], np.int64).reshape(
-        len(records), len(code.generators))
-    touched = np.array([r.correction.x | r.correction.z if r.ok else 0 for r in records],
-                       np.int64)
+    fixed, syndromes, corrections = block_decode(
+        code, table, apply_paulis(states[block], keys >> n & low, keys & low))
+    # |<fixed|encoded>|^2, the operands in StateVector.fidelity's order
+    fidelities = np.array([abs(np.vdot(f, states[i])) ** 2
+                           for f, i in zip(fixed, block.tolist())])
+    ok = np.array([c is not None for c in corrections], bool)
+    touched = np.array([0 if c is None else c.x | c.z for c in corrections], np.int64)
     # Left to right over the blocks, as math.prod multiplies.
     fidelity = fidelities[inverse[:, 0]]
     for i in range(1, m):

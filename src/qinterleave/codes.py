@@ -193,10 +193,20 @@ def five_qubit_code() -> StabilizerCode:
     )
 
 
+def _check_coefficients(c0: complex, c1: complex) -> None:
+    """Refuse logical coefficients with |c0|^2 + |c1|^2 off 1, those too
+    large for a float's square among them."""
+    try:
+        norm = abs(c0) ** 2 + abs(c1) ** 2
+    except OverflowError:
+        norm = float("inf")
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError("logical coefficients must satisfy |c0|^2 + |c1|^2 = 1")
+
+
 def encode_phase3(c0: complex, c1: complex) -> StateVector:
     """c0|C_0> + c1|C_1> with the even/odd-parity codewords of the phase code."""
-    if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= _NORM_TOL:
-        raise ValueError("logical coefficients must satisfy |c0|^2 + |c1|^2 = 1")
+    _check_coefficients(c0, c1)
     amps = np.zeros(8, dtype=np.complex128)
     for label in ("000", "011", "101", "110"):
         amps[int(label, 2)] = 0.5 * c0
@@ -228,8 +238,7 @@ def logical_encoder(code: StabilizerCode) -> Callable[[complex, complex], StateV
     one_l = zero_l.apply_pauli(code.logical_xs[0])
 
     def encode(c0: complex, c1: complex) -> StateVector:
-        if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= _NORM_TOL:
-            raise ValueError("logical coefficients must satisfy |c0|^2 + |c1|^2 = 1")
+        _check_coefficients(c0, c1)
         return StateVector(code.n, c0 * zero_l.amps + c1 * one_l.amps)
 
     return encode
@@ -418,47 +427,30 @@ def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
     return {tuple(syndromes[i]): paulis[i] for i in np.sort(first).tolist()}
 
 
-@dataclass(frozen=True)
-class BlockDecode:
-    """Outcome of decoding one block of a deinterleaved register."""
-
-    block: int
-    syndrome: tuple[int, ...]
-    correction: PauliString | None  # None when the syndrome is not in the table
-
-    @property
-    def ok(self) -> bool:
-        return self.correction is not None
-
-
 def block_decode(code: StabilizerCode, table: dict[tuple[int, ...], PauliString],
-                 blocks: Sequence[StateVector]
-                 ) -> tuple[list[StateVector], list[BlockDecode]]:
-    """Decode the blocks of a deinterleaved register, one n-qubit state each.
+                 amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[PauliString | None]]:
+    """Decode a (B, 2**n) stack of n-qubit block states, n = code.n, one row
+    per block of a deinterleaved register.
 
-    The blocks are decoded together, their amplitudes stacked.  Each block's
-    syndrome is read from its amplitudes alone: every generator's +-1
-    eigenvalue, <s|g|s> for all blocks at once, with the tolerance checks of
-    StateVector.stabilizer_eigenvalue (the first block, then generator, that
-    is not an eigenstate raises IndeterminateEigenvalueError).  The table
-    maps syndrome tuples to corrections (build_syndrome_table); blocks with a
-    syndrome outside it are left uncorrected and flagged, and the caller
-    decides whether that counts as failure.  Corrections are exact gathers
-    and negations (apply_paulis).  Returns the corrected blocks and one
-    record per block.
+    Each block's syndrome is read from its own row: every generator's +-1
+    eigenvalue, <s|g|s> for all rows at once, with the tolerance checks of
+    StateVector.stabilizer_eigenvalue (the first row, then generator, that is
+    not an eigenstate raises IndeterminateEigenvalueError).  The table maps
+    syndrome tuples to corrections (build_syndrome_table); a row whose
+    syndrome is outside it is left uncorrected, an exact copy, with None for
+    its correction, and the caller decides whether that counts as failure.
+    Corrections are exact gathers and negations (apply_paulis).  Returns the
+    corrected rows, the (B, r) int syndromes and the corrections.
     """
-    for i, s in enumerate(blocks):
-        if s.n != code.n:
-            raise ValueError(f"block {i} has {s.n} qubits, the code has {code.n}")
-    amps = np.array([s.amps for s in blocks], np.complex128).reshape(len(blocks), 1 << code.n)
-    values = np.empty((len(blocks), len(code.generators)), np.complex128)
+    amps = np.asarray(amps, np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != 1 << code.n:
+        raise ValueError(f"expected a (B, {1 << code.n}) stack of {code.n}-qubit blocks, "
+                         f"got shape {amps.shape}")
+    values = np.empty((len(amps), len(code.generators)), np.complex128)
     for j, g in enumerate(code.generators):
         values[:, j] = np.vecdot(amps, apply_paulis(amps, g.x, g.z))
-    syndromes = list(map(tuple, (eigenvalue_signs(values) < 0).astype(int).tolist()))
-    corrections = [table.get(syn) for syn in syndromes]
-    fixed_amps = apply_paulis(amps, [0 if c is None else c.x for c in corrections],
-                              [0 if c is None else c.z for c in corrections])
-    fixed = [s if c is None else StateVector.trusted(code.n, a)
-             for s, c, a in zip(blocks, corrections, fixed_amps)]
-    records = [BlockDecode(i, syn, c) for i, (syn, c) in enumerate(zip(syndromes, corrections))]
-    return fixed, records
+    syndromes = (eigenvalue_signs(values) < 0).astype(np.int64)
+    corrections = [table.get(syn) for syn in map(tuple, syndromes.tolist())]
+    fixed = apply_paulis(amps, [0 if c is None else c.x for c in corrections],
+                         [0 if c is None else c.z for c in corrections])
+    return fixed, syndromes, corrections

@@ -16,7 +16,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .grid import PAD, cells, digit_cells, float_cells, grid_blocks
+from .grid import GRID_BYTES, PAD, cells, digit_cells, float_cells, grid_blocks
 
 # Texts of a bool column in JSON and in text, and of the text status, False first.
 _JSON_BOOLS = (b"false", b"true")
@@ -38,10 +38,13 @@ def _column_kind(col: np.ndarray) -> str | None:
         if col.dtype.kind == "f" and np.isfinite(col).all():
             return "float"
     elif col.dtype == np.uint8:
-        if col.ndim == 2 and col.shape[1] > 0 and not (
-                col.size and (col.min() < 0x20 or col.max() > 0x7E
-                              or (col == ord('"')).any() or (col == ord("\\")).any())):
-            return "text"
+        if col.ndim == 2 and col.shape[1] > 0:
+            # a block of rows at a time: no bool temporary as large as the column
+            step = max(1, GRID_BYTES // col.shape[1])
+            blocks = (col[i:i + step] for i in range(0, len(col), step))
+            if not any(b.min() < 0x20 or b.max() > 0x7E or (b == ord('"')).any()
+                       or (b == ord("\\")).any() for b in blocks):
+                return "text"
     elif col.ndim >= 2 and col.dtype.kind == "i":
         pad = col < 0
         # -1 pads the lists of the last axis, after their entries

@@ -46,16 +46,6 @@ class StateVector:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "amps", amps)
 
-    @classmethod
-    def trusted(cls, n: int, amps: np.ndarray) -> "StateVector":
-        """Trusted constructor for 2**n complex128 amplitudes moved and negated
-        exactly from a checked state's, as a Pauli moves them: they keep its
-        norm, so neither the norm nor the shape is checked again."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "amps", amps)
-        return state
-
     def __repr__(self) -> str:
         return f"StateVector(n={self.n})"
 
@@ -64,7 +54,7 @@ class StateVector:
         (apply_paulis on the one state)."""
         if p.n != self.n:
             raise ValueError("Pauli length does not match register size")
-        return StateVector.trusted(self.n, apply_paulis(self.amps, p.x, p.z))
+        return StateVector(self.n, apply_paulis(self.amps, p.x, p.z))
 
     def permute_qubits(self, perm: Permutation | Sequence[int]) -> "StateVector":
         """Relabel qubits: the qubit at position i moves to position images[i]."""

@@ -304,19 +304,19 @@ def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
     items = []
     for label, err in errors:
         parts = split_pauli(err.permute(inverse.images), code.n)
-        fixed, records = block_decode(
-            code, table, [b.apply_pauli(p) for b, p in zip(blocks, parts)])
-        decoded = all(r.ok for r in records)
-        fid = math.prod(f.fidelity(b) for f, b in zip(fixed, blocks))
+        fixed, syndromes, corrections = block_decode(
+            code, table, np.stack([b.apply_pauli(p).amps for b, p in zip(blocks, parts)]))
+        decoded = None not in corrections
+        fid = math.prod(abs(np.vdot(f, b.amps)) ** 2 for f, b in zip(fixed, blocks))
         positions = sorted(
-            code.n * r.block + q
-            for r in records if r.correction is not None
-            for q in (r.correction.x_mask.support() | r.correction.z_mask.support()))
+            code.n * i + q
+            for i, c in enumerate(corrections) if c is not None
+            for q in (c.x_mask.support() | c.z_mask.support()))
         items.append({
             "label": label,
             "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
             "fidelity": fid,
-            "block_syndromes": [list(r.syndrome) for r in records],
+            "block_syndromes": syndromes.tolist(),
             "corrected_positions_0based": positions,
             "corrected_positions_1based": [q + 1 for q in positions],
             "decoded": decoded,

@@ -175,6 +175,17 @@ class TestDemoCommand:
         assert exc.value.code == 2
         assert "6 comma-separated reals" in capsys.readouterr().err
 
+    def test_overflowing_coeffs_usage_error(self):
+        # |1e200|^2 overflows a float: still a usage error, with no traceback
+        src = os.path.dirname(os.path.dirname(qinterleave.cli.__file__))
+        proc = subprocess.run([sys.executable, "-m", "qinterleave.cli", "demo", "--coeffs",
+                               "1e200,0,1,0,1,0"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("qinterleave: error: logical coefficients must satisfy "
+                               "|c0|^2 + |c1|^2 = 1\n")
+
     def test_coeffs_with_seed_usage_error(self, capsys):
         # the seed only draws coefficients, so with --coeffs it would be dropped
         with pytest.raises(SystemExit) as exc:
@@ -1105,6 +1116,16 @@ class TestItemTable:
     def test_refuses_bad_columns(self, columns, message):
         with pytest.raises(ValueError, match=message):
             ItemTable(**columns)
+
+    @pytest.mark.parametrize("bad", [ord('"'), ord("\\"), 0x1F, 0x7F])
+    def test_text_column_is_checked_in_row_blocks(self, monkeypatch, bad):
+        # blocks of two 3-byte rows: the bad byte sits in the last block only
+        monkeypatch.setattr(qinterleave.report, "GRID_BYTES", 6)
+        col = np.full((7, 3), 65, np.uint8)
+        assert list(ItemTable(t=col)) == [{"t": "AAA"}] * 7
+        col[6, 1] = bad
+        with pytest.raises(ValueError, match="'t'"):
+            ItemTable(t=col)
 
     def test_enumerate_items_are_a_table(self):
         report = run_enumerate(5, 2, "colocated")

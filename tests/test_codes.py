@@ -69,9 +69,20 @@ def single_burst_table(code, kind):
 
 
 def decode_one(code, table, s):
-    """block_decode of a single block: the corrected state and its record."""
-    fixed, records = block_decode(code, table, [s])
-    return fixed[0], records[0]
+    """block_decode of the one-row stack of a single block: its corrected
+    amplitudes, its syndrome row and its correction."""
+    fixed, syndromes, corrections = block_decode(code, table, s.amps[None])
+    return fixed[0], syndromes[0], corrections[0]
+
+
+def fidelity(amps, state):
+    """|<amps|state>|^2 for a decoded row and an encoded state."""
+    return abs(np.vdot(amps, state.amps)) ** 2
+
+
+def stack(blocks):
+    """The amplitudes of block states as one (B, 2**n) stack."""
+    return np.stack([b.amps for b in blocks])
 
 
 def corrupt_blocks(blocks, err, perm):
@@ -205,6 +216,15 @@ class TestEncoding:
             with pytest.raises(ValueError):
                 enc(c0, c1)
 
+    def test_rejects_coefficients_whose_square_overflows(self):
+        # |c|^2 past the largest float is refused, not an OverflowError
+        enc = logical_encoder(phase3_code())
+        for c0, c1 in ((1e200, 0), (0, -1e155), (complex(1e200, 1e200), 0),
+                       (complex(1e308, 1e308), 1)):
+            for encode in (encode_phase3, enc):
+                with pytest.raises(ValueError, match=r"\|c0\|\^2 \+ \|c1\|\^2 = 1"):
+                    encode(c0, c1)
+
     def test_projector_encoder_matches_phase3(self):
         enc = logical_encoder(phase3_code())
         rng = np.random.default_rng(21)
@@ -221,7 +241,7 @@ class TestEncoding:
         enc = logical_encoder(code)
         zero_l = enc(1, 0)
         table = single_burst_table(code, "colocated")
-        assert decode_one(code, table, zero_l)[1].syndrome == (0, 0, 0, 0)
+        assert decode_one(code, table, zero_l)[1].tolist() == [0, 0, 0, 0]
         assert zero_l.stabilizer_eigenvalue(code.logical_zs[0]) == 1
         one_l = enc(0, 1)
         assert one_l.stabilizer_eigenvalue(code.logical_zs[0]) == -1
@@ -272,13 +292,13 @@ class TestSyndromes:
         code = phase3_code()
         table = single_burst_table(code, "phase")
         state = encode_phase3(0.6, 0.8)
-        assert decode_one(code, table, state)[1].syndrome == (0, 0)
+        assert decode_one(code, table, state)[1].tolist() == [0, 0]
         assert decode_one(
             code, table,
-            state.apply_pauli(PauliString.from_label("IZI")))[1].syndrome == (1, 1)
+            state.apply_pauli(PauliString.from_label("IZI")))[1].tolist() == [1, 1]
         assert decode_one(
             code, table,
-            state.apply_pauli(PauliString.from_label("ZII")))[1].syndrome == (1, 0)
+            state.apply_pauli(PauliString.from_label("ZII")))[1].tolist() == [1, 0]
 
     def test_extract_propagates_indeterminate(self):
         code = phase3_code()
@@ -290,8 +310,8 @@ class TestSyndromes:
         table = single_burst_table(code, "colocated")
         state = logical_encoder(code)(0.28, 0.96)
         for err in enumerate_bursts(5, 1, "colocated"):
-            _, record = decode_one(code, table, state.apply_pauli(err))
-            assert record.syndrome == code.syndrome_of(err)
+            _, syndrome, _ = decode_one(code, table, state.apply_pauli(err))
+            assert tuple(syndrome.tolist()) == code.syndrome_of(err)
 
     def test_table_phase3(self):
         code = phase3_code()
@@ -326,23 +346,25 @@ class TestSyndromes:
 
 
 class TestCorrection:
-    """Correction of one block: block_decode of a one-block list."""
+    """Correction of one block: block_decode of a one-row stack."""
 
     def test_correct_round_trip(self):
         code = phase3_code()
         table = single_burst_table(code, "phase")
         state = encode_phase3(0.6, 0.8)
         corrupted = state.apply_pauli(PauliString.from_label("IZI"))
-        fixed, _ = decode_one(code, table, corrupted)
-        assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
-        assert decode_one(code, table, fixed)[1].syndrome == (0, 0)
+        fixed, syndrome, _ = decode_one(code, table, corrupted)
+        assert syndrome.tolist() == [1, 1]
+        assert abs(fidelity(fixed, state) - 1.0) < FID_TOL
+        assert decode_one(code, table, StateVector(3, fixed))[1].tolist() == [0, 0]
 
     def test_correct_uncorrupted(self):
         code = phase3_code()
         table = single_burst_table(code, "phase")
         state = encode_phase3(0.28, 0.96)
-        fixed, _ = decode_one(code, table, state)
-        assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
+        fixed, _, correction = decode_one(code, table, state)
+        assert correction.is_identity
+        assert abs(fidelity(fixed, state) - 1.0) < FID_TOL
 
     def test_correct_up_to_stabilizer(self):
         # corruption by Z_0 * XXI decodes to a correction differing by a
@@ -351,18 +373,18 @@ class TestCorrection:
         table = single_burst_table(code, "phase")
         state = encode_phase3(0.6, 0.8)
         err = PauliString.from_label("ZII") * code.generators[0]
-        fixed, _ = decode_one(code, table, state.apply_pauli(err))
-        assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
+        fixed, _, _ = decode_one(code, table, state.apply_pauli(err))
+        assert abs(fidelity(fixed, state) - 1.0) < FID_TOL
 
     def test_unknown_syndrome(self):
         code = phase3_code()
         table = build_syndrome_table(code, [PauliString.identity(3),
                                             PauliString.from_label("ZII")])
         corrupted = encode_phase3(0.6, 0.8).apply_pauli(PauliString.from_label("IZI"))
-        fixed, record = decode_one(code, table, corrupted)
-        assert record.ok is False and record.correction is None
-        assert record.syndrome == (1, 1)
-        assert fixed.amps.tobytes() == corrupted.amps.tobytes()
+        fixed, syndrome, correction = decode_one(code, table, corrupted)
+        assert correction is None
+        assert syndrome.tolist() == [1, 1]
+        assert fixed.tobytes() == corrupted.amps.tobytes()
 
     def test_decoder_soundness_five(self):
         code = five_qubit_code()
@@ -373,8 +395,8 @@ class TestCorrection:
         enc = logical_encoder(code)
         state = enc(*random_pair(rng))
         for err in errors:
-            fixed, _ = decode_one(code, table, state.apply_pauli(err))
-            assert abs(fixed.fidelity(state) - 1.0) < FID_TOL
+            fixed, _, _ = decode_one(code, table, state.apply_pauli(err))
+            assert abs(fidelity(fixed, state) - 1.0) < FID_TOL
 
 
 class TestInterleavedCode:
@@ -919,10 +941,10 @@ class TestTheorem2Equivalence:
             bursts = enumerate_bursts(3 * m, l, "phase")
             failures = 0
             for err in bursts:
-                fixed, records = block_decode(base, table,
-                                              corrupt_blocks(blocks, err, perm))
-                fid = np.prod([f.fidelity(b) for f, b in zip(fixed, blocks)])
-                ok = all(r.ok for r in records) and fid >= 1.0 - FID_TOL
+                fixed, _, corrections = block_decode(
+                    base, table, stack(corrupt_blocks(blocks, err, perm)))
+                fid = np.prod([fidelity(f, b) for f, b in zip(fixed, blocks)])
+                ok = None not in corrections and fid >= 1.0 - FID_TOL
                 failures += 0 if ok else 1
             stab_ok = corrects_error_set(compound, bursts).ok
             assert (failures == 0) == stab_ok
@@ -937,17 +959,45 @@ class TestBlockDecode:
         blocks = [encode_phase3(0.6, 0.8), encode_phase3(0.28, 0.96)]
         corrupted = [b.apply_pauli(p) for b, p in
                      zip(blocks, split_pauli(PauliString.from_label("IZIIII"), 3))]
-        fixed, records = block_decode(base, table, corrupted)
-        assert not records[0].ok and records[0].syndrome == (1, 1)
-        assert fixed[0].amps.tobytes() == corrupted[0].amps.tobytes()
-        assert records[1].ok and records[1].correction.is_identity
+        fixed, syndromes, corrections = block_decode(base, table, stack(corrupted))
+        assert syndromes.tolist() == [[1, 1], [0, 0]]
+        assert corrections[0] is None and corrections[1].is_identity
+        assert fixed[0].tobytes() == corrupted[0].amps.tobytes()
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        # a stack of another shape is refused before any eigenvalue is read
+        def refuse(*args):
+            raise AssertionError("apply_paulis called")
+
+        monkeypatch.setattr(qinterleave.codes, "apply_paulis", refuse)
         base = phase3_code()
         table = build_syndrome_table(base, [PauliString.identity(3)])
-        with pytest.raises(ValueError, match="block 1 has 6 qubits"):
-            block_decode(base, table, [encode_phase3(1, 0),
-                                       encode_blocks([(1, 0)] * 2, encode_phase3)])
+        six = encode_blocks([(1, 0)] * 2, encode_phase3)
+        for amps, shape in ((six.amps[None], r"\(1, 64\)"), (stack([six, six]), r"\(2, 64\)"),
+                            (encode_phase3(1, 0).amps, r"\(8,\)")):
+            with pytest.raises(ValueError, match=f"expected a \\(B, 8\\) stack .* {shape}"):
+                block_decode(base, table, amps)
+
+
+    @pytest.mark.parametrize("base,kind", [(phase3_code(), "phase"),
+                                           (five_qubit_code(), "colocated")])
+    def test_stack_decodes_as_its_rows(self, base, kind):
+        # The table holds two single-qubit errors, so some of the length <= 2
+        # bursts on the block have syndromes outside it.
+        table = build_syndrome_table(base, enumerate_bursts(base.n, 1, kind)[:2])
+        rng = np.random.default_rng(28)
+        encoder = logical_encoder(base)
+        blocks = [encoder(*random_pair(rng)).apply_pauli(e)
+                  for e in enumerate_bursts(base.n, 2, kind)]
+        fixed, syndromes, corrections = block_decode(base, table, stack(blocks))
+        assert fixed.shape == (len(blocks), 1 << base.n)
+        assert syndromes.shape == (len(blocks), len(base.generators))
+        assert None in corrections and any(c is not None for c in corrections)
+        for i, block in enumerate(blocks):
+            row, syndrome, correction = decode_one(base, table, block)
+            assert fixed[i].tobytes() == row.tobytes()
+            assert syndromes[i].tolist() == syndrome.tolist()
+            assert corrections[i] == correction
 
 
 def whole_register_syndromes(code, s, m):
@@ -993,8 +1043,9 @@ class TestBlockReadoutOracle:
         total = base.n * m
         seen = set()
         for err in enumerate_bursts(total, 3, "colocated"):
-            _, records = block_decode(base, table, corrupt_blocks(blocks, err, perm))
-            got = [r.syndrome for r in records]
+            _, syndromes, _ = block_decode(base, table,
+                                           stack(corrupt_blocks(blocks, err, perm)))
+            got = list(map(tuple, syndromes.tolist()))
             deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
             assert got == whole_register_syndromes(base, deint, m), err
             seen.update(got)
@@ -1022,7 +1073,7 @@ class TestBlockReadoutOracle:
         }
         outcomes = {}
         for name, blocks in cases.items():
-            by_block = raises_indeterminate(lambda: block_decode(base, table, blocks))
+            by_block = raises_indeterminate(lambda: block_decode(base, table, stack(blocks)))
             whole = raises_indeterminate(
                 lambda: whole_register_syndromes(base, dense_register(blocks), 2))
             assert by_block == whole, name
@@ -1039,7 +1090,7 @@ class TestBlockReadoutOracle:
         table = build_syndrome_table(code, [PauliString.identity(1)])
         plus_i = StateVector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
         with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
-            block_decode(code, table, [plus_i, plus_i])
+            block_decode(code, table, stack([plus_i, plus_i]))
         with pytest.raises(IndeterminateEigenvalueError, match="not \\+-1"):
             whole_register_syndromes(code, dense_register([plus_i, plus_i]), 2)
 
@@ -1054,6 +1105,6 @@ class TestBlockReadoutOracle:
         for blocks, message in (([plus_i, zero], r"<s\|P\|s> = .* is not \+-1"),
                                 ([zero, plus_i], r"\|<s\|P\|s>\| = 0\.00000000; state is not")):
             with pytest.raises(IndeterminateEigenvalueError, match=message):
-                block_decode(code, table, blocks)
+                block_decode(code, table, stack(blocks))
             with pytest.raises(IndeterminateEigenvalueError, match=message):
                 decode_one(code, table, blocks[0])

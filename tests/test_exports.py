@@ -22,10 +22,15 @@ def test_star_import():
 def test_single_block_decoder_is_gone():
     # block_decode is the one decoder, and its table is a plain dict
     for name in ("extract_syndrome", "correct", "SyndromeTable",
-                 "UnknownSyndromeError"):
+                 "UnknownSyndromeError", "BlockDecode"):
         assert name not in qinterleave.__all__
         assert not hasattr(qinterleave, name)
         assert not hasattr(qinterleave.codes, name)
+
+    # block_decode takes and returns arrays: no per-block record, and the CLI
+    # wraps no decoded row in a StateVector
+    assert not hasattr(qinterleave.StateVector, "trusted")
+    assert not hasattr(importlib.import_module("qinterleave.cli"), "StateVector")
 
 
 def test_channel_module_is_gone():

@@ -60,7 +60,7 @@ def traced_op(argv, capsys):
 
 def test_tracer_counts_statevector_sweep_blocks(capsys):
     # The traced benchmark counts decoded blocks from block_decode's
-    # (states, records) return.  The 67 bursts leave each of the 6 blocks
+    # (fixed, syndromes, corrections) return, one syndrome row a block.  The 67 bursts leave each of the 6 blocks
     # with one of III, ZII, IZI, IIZ, and each distinct block Pauli is
     # decoded once, all of them in one batched call: 24 blocks in 1 call.
     argv = next(workloads.WORKLOADS["statevector-sweep"].op_argvs(seed=1, stream=0))
