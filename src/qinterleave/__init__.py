@@ -28,7 +28,6 @@ from .interleaver import (
 )
 from .pauli import (
     BURST_KINDS,
-    BinaryVector,
     PauliString,
     burst_masks,
     enumerate_bursts,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BURST_KINDS",
-    "BinaryVector",
     "Circuit",
     "CorrectabilityResult",
     "Gate",

@@ -86,7 +86,7 @@ def _statevector_table(code: StabilizerCode, table: dict,
     states = np.stack([encoder(c0, c1).amps for c0, c1 in pairs])
     n, m = code.n, len(states)
     # Qubit j of block i is register qubit images[i*n + j].
-    parts = letters[:, interleave_permutation(n, m).images].reshape(-1, m, n)
+    parts = letters[:, interleave_permutation(n, m).array].reshape(-1, m, n)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = (np.arange(m) << 2 * n) | ((parts & 1) @ weights << n) | ((parts >> 1) @ weights)
     keys, inverse = np.unique(keys, return_inverse=True)

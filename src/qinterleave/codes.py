@@ -263,7 +263,7 @@ def interleaved_code(code: StabilizerCode, m: int) -> StabilizerCode:
     if m < 1:
         raise ValueError("interleaving degree must be >= 1")
     n, total = code.n, code.n * m
-    images = interleave_permutation(n, m).images
+    images = interleave_permutation(n, m).array.tolist()
 
     def moved(mask: int, i: int) -> int:
         # Qubit q of block i is register qubit images[i*n + q].

@@ -8,7 +8,7 @@ codes burst-tolerant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -20,16 +20,16 @@ _H, _CNOT, _SWAP = range(len(GATE_KINDS))
 _GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Permutation:
     """Bijection on [0, N): images[i] is where position i is sent, from a
-    sequence or an int array; `array` holds them as a read-only intp array."""
+    sequence or an int array, held as the read-only intp array `array`;
+    `images` is its tuple of ints, built when read."""
 
-    images: tuple[int, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(array := np.array(self.images))
+    def __init__(self, images: Iterable[int] | np.ndarray) -> None:
+        n = len(array := np.array(images))
         # n images in [0, n) that fill every one of the n bins
         if n and not (array.dtype.kind in "iu" and array.ndim == 1
                       and 0 <= array.min() and array.max() < n
@@ -37,19 +37,28 @@ class Permutation:
             raise ValueError("images must be a permutation of 0..N-1")
         array = array.astype(np.intp, copy=False)
         array.setflags(write=False)
-        object.__setattr__(self, "images", tuple(array.tolist()))
         object.__setattr__(self, "array", array)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Permutation) and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(n))
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    @property
     def size(self) -> int:
-        return len(self.images)
+        return len(self.array)
 
     def __call__(self, i: int) -> int:
-        return self.images[i]
+        return int(self.array[i])
 
     @property
     def is_identity(self) -> bool:

@@ -1,11 +1,11 @@
-"""Binary-vector and Pauli-mask algebra on packed masks, and burst sets.
+"""Pauli operators as mask ints and byte rows, and burst sets.
 
-A binary vector of length n is stored only as (n, as_int), with position 0
-(the leftmost symbol of a mask string such as "111000000") as the most
-significant bit; bit tuples and strings are views derived from the int.  An
-n-qubit Pauli operator is PauliString(n, x, z), two such mask ints read as the
-operator X_x Z_z with the global phase deliberately untracked.  A set of masks
-is one (N, ceil(n/8)) uint8 array of rows, each a mask's big-endian bytes.
+An n-qubit Pauli operator is PauliString(n, x, z): two mask ints of n bits
+read as the operator X_x Z_z, with the global phase deliberately untracked and
+position 0 (the leftmost letter of a label such as "ZZZIIIIII") as the most
+significant bit.  x_mask and z_mask wrap a mask as a BinaryVector (n, as_int).
+A set of masks is one (N, ceil(n/8)) uint8 array of rows, each a mask's
+big-endian bytes.
 
 A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,72 +57,17 @@ _WINDOW_LETTERS = {
 }
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class BinaryVector:
-    """Ordered 0/1 sequence of length n packed into the int as_int;
-    positions are 0-indexed left to right, position 0 most significant."""
+    """A mask of n bits packed into the int as_int, position 0 most
+    significant: the type of PauliString.x_mask and z_mask."""
 
     n: int
     as_int: int
 
-    def __init__(self, bits: Iterable[int]) -> None:
-        bits = tuple(bits)
-        if len(bits) < 1:
-            raise ValueError("binary vector must have length >= 1")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("binary vector entries must be 0 or 1")
-        object.__setattr__(self, "n", len(bits))
-        object.__setattr__(self, "as_int", int("".join("01"[b] for b in bits), 2))
-
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "BinaryVector":
-        """Trusted constructor: n >= 1 and 0 <= value < 2**n are not checked."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "n", n)
-        object.__setattr__(v, "as_int", value)
-        return v
-
-    @classmethod
-    def from_string(cls, s: str) -> "BinaryVector":
-        return cls(int(c) for c in s)
-
-    @classmethod
-    def from_support(cls, n: int, positions: Iterable[int]) -> "BinaryVector":
-        support = set(positions)
-        if not support <= set(range(n)):
-            raise ValueError(f"support positions must lie in [0, {n})")
-        return cls(int(i in support) for i in range(n))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """The entries as a tuple, position 0 first."""
-        return tuple(self)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        return tuple(self)[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return ((self.as_int >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
-    def __str__(self) -> str:
-        return format(self.as_int, f"0{self.n}b")
-
     @property
     def is_zero(self) -> bool:
         return self.as_int == 0
-
-    def support(self) -> frozenset[int]:
-        """Indices carrying a 1."""
-        return frozenset(i for i in range(self.n)
-                         if (self.as_int >> (self.n - 1 - i)) & 1)
-
-    def burst_length(self) -> int:
-        """Span from the first to the last nonzero position; 0 for the zero vector."""
-        mask = self.as_int
-        return mask.bit_length() - (mask & -mask).bit_length() + 1 if mask else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,14 +89,6 @@ class PauliString:
         return cls(n, 0, 0)
 
     @classmethod
-    def from_masks(cls, x: str | Sequence[int], z: str | Sequence[int]) -> "PauliString":
-        xv = BinaryVector.from_string(x) if isinstance(x, str) else BinaryVector(x)
-        zv = BinaryVector.from_string(z) if isinstance(z, str) else BinaryVector(z)
-        if xv.n != zv.n:
-            raise ValueError("x and z masks must have equal length")
-        return cls(xv.n, xv.as_int, zv.as_int)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Build from a string over {I,X,Z,Y}, e.g. "ZZZIIIIII"."""
         label = label.upper()
@@ -165,15 +102,11 @@ class PauliString:
 
     @property
     def x_mask(self) -> BinaryVector:
-        return BinaryVector.from_int(self.n, self.x)
+        return BinaryVector(self.n, self.x)
 
     @property
     def z_mask(self) -> BinaryVector:
-        return BinaryVector.from_int(self.n, self.z)
-
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x or self.z)
+        return BinaryVector(self.n, self.z)
 
     def label(self) -> str:
         return row_labels(self.n, mask_rows(self.n, [self.x]),
@@ -184,41 +117,6 @@ class PauliString:
     def weight(self) -> int:
         """Number of qubits touched: |supp(x) union supp(z)|."""
         return (self.x | self.z).bit_count()
-
-    def is_quantum_burst(self, l: int) -> bool:
-        """True when the bit mask and the phase mask are each bursts of length <= l."""
-        return self.x_mask.burst_length() <= l and self.z_mask.burst_length() <= l
-
-    def symplectic_product(self, other: "PauliString") -> int:
-        """0 when the two operators commute, 1 when they anticommute."""
-        if self.n != other.n:
-            raise ValueError("Pauli strings act on different register sizes")
-        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        """Mask-level product: XOR both masks, phase discarded."""
-        if self.n != other.n:
-            raise ValueError("Pauli strings act on different register sizes")
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z)
-
-    def permute(self, images: Sequence[int]) -> "PauliString":
-        """Move the letter at position i to position images[i], in both masks."""
-        n = self.n
-        if sorted(images) != list(range(n)):
-            raise ValueError(f"images must be a permutation of 0..{n - 1}")
-        x = z = 0
-        for i, dest in enumerate(images):
-            src, to = n - 1 - i, n - 1 - dest
-            x |= ((self.x >> src) & 1) << to
-            z |= ((self.z >> src) & 1) << to
-        return PauliString(n, x, z)
-
-    def embed(self, n_total: int, offset: int) -> "PauliString":
-        """Place this operator at [offset, offset+n) of a larger identity register."""
-        if offset < 0 or offset + self.n > n_total:
-            raise ValueError("embedding window out of range")
-        shift = n_total - offset - self.n
-        return PauliString(n_total, self.x << shift, self.z << shift)
 
 
 def mask_rows(n: int, masks: Sequence[int]) -> np.ndarray:

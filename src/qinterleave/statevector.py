@@ -21,6 +21,7 @@ from .pauli import PauliString
 MAX_QUBITS = 26
 _NORM_TOL = 1e-10
 _EIG_TOL = 1e-6
+_TABLE_TOL = 1e-12
 
 
 class IndeterminateEigenvalueError(ValueError):
@@ -58,7 +59,7 @@ class StateVector:
 
     def permute_qubits(self, perm: Permutation | Sequence[int]) -> "StateVector":
         """Relabel qubits: the qubit at position i moves to position images[i]."""
-        images = perm.images if isinstance(perm, Permutation) else tuple(perm)
+        images = perm.array if isinstance(perm, Permutation) else tuple(perm)
         if len(images) != self.n:
             raise ValueError("permutation size does not match register size")
         src = self.amps.reshape((2,) * self.n)
@@ -80,11 +81,11 @@ class StateVector:
         """
         return int(eigenvalue_signs(np.vdot(self.amps, self.apply_pauli(p).amps)))
 
-    def amplitudes_table(self, tol: float = 1e-12) -> list[tuple[str, float, float]]:
-        """(basis label, real, imaginary) triples for amplitudes above tol."""
+    def amplitudes_table(self) -> list[tuple[str, float, float]]:
+        """(basis label, real, imaginary) triples for amplitudes above _TABLE_TOL."""
         out = []
         for idx, amp in enumerate(self.amps):
-            if abs(amp) > tol:
+            if abs(amp) > _TABLE_TOL:
                 label = format(idx, f"0{self.n}b")
                 out.append((label, float(amp.real), float(amp.imag)))
         return out

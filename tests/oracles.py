@@ -2,8 +2,10 @@
 
 Everything here recomputes results from first principles (dense matrices,
 explicit label arithmetic, brute-force scans) and deliberately avoids the
-code paths under test.  The last section holds helpers that only tests use:
-burst vectors, deinterleaving a transmitted vector, permutation composition,
+code paths under test.  The Pauli algebra that PauliString does not carry
+(products, commutation, permutation, embedding, supports) is written here over
+its mask ints.  The last section holds helpers that only tests use: burst
+vectors, deinterleaving a transmitted vector, permutation composition,
 basis states, tensor products, dense gate simulation, reading a plain circuit
 listing back, and the measured burst ability of a code.
 """
@@ -16,7 +18,6 @@ import numpy as np
 
 from qinterleave import (
     MAX_QUBITS,
-    BinaryVector,
     Circuit,
     CorrectabilityResult,
     Gate,
@@ -46,7 +47,7 @@ H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of X_x Z_z (X applied after Z on each qubit)."""
     m = np.eye(1, dtype=complex)
-    for xb, zb in zip(p.x_mask.bits, p.z_mask.bits):
+    for xb, zb in zip(bits_of(p.n, p.x), bits_of(p.n, p.z)):
         f = np.eye(2, dtype=complex)
         if zb:
             f = Z2 @ f
@@ -86,8 +87,7 @@ def index_apply_pauli(s: StateVector, p: PauliString) -> np.ndarray:
     index from the parity of (index & z), then a gather at index ^ x."""
     indices = np.arange(1 << s.n, dtype=np.int64)
     amps = s.amps
-    z = p.z_mask.as_int
-    x = p.x_mask.as_int
+    x, z = p.x, p.z
     if z:
         parity = np.zeros_like(indices)
         for q in range(s.n):
@@ -108,13 +108,60 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 def letter_label(p: PauliString) -> str:
     """Label read letter by letter from the two bit tuples."""
     return "".join("IXZY"[bx + 2 * bz]
-                   for bx, bz in zip(p.x_mask.bits, p.z_mask.bits))
+                   for bx, bz in zip(bits_of(p.n, p.x), bits_of(p.n, p.z)))
+
+
+# The Pauli algebra on PauliString's mask ints.
+
+def bits_of(n: int, mask: int) -> tuple[int, ...]:
+    """The n bits of a mask int, position 0 (the most significant) first."""
+    return tuple(mask >> (n - 1 - i) & 1 for i in range(n))
+
+
+def support_of(n: int, mask: int) -> set[int]:
+    """The positions of the 1s of an n-bit mask int."""
+    return {i for i, bit in enumerate(bits_of(n, mask)) if bit}
+
+
+def pauli_of_bits(x, z) -> PauliString:
+    """The Pauli whose x and z masks are spelled as 0/1 strings or sequences
+    of equal length, position 0 first."""
+    if len(x) != len(z):
+        raise ValueError("x and z masks must have equal length")
+    return PauliString(len(x), *(int("".join(map(str, bits)), 2) for bits in (x, z)))
+
+
+def is_quantum_burst(p: PauliString, l: int) -> bool:
+    """Both masks of p are bursts of length <= l: fewer than l bits lie
+    between the highest 1 of each nonzero mask and its lowest 1."""
+    return all(m.bit_length() - (m & -m).bit_length() < l for m in (p.x, p.z) if m)
+
+
+def symplectic(p: PauliString, q: PauliString) -> int:
+    """0 when p and q commute, 1 when they anticommute."""
+    return ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
+
+
+def pauli_product(p: PauliString, q: PauliString) -> PauliString:
+    """The product pq with its phase discarded: both masks XORed."""
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z)
+
+
+def permute_pauli(p: PauliString, perm: Permutation) -> PauliString:
+    """p with the letter at position i moved to position perm(i)."""
+    return PauliString(p.n, permute_label_scalar(perm, p.x), permute_label_scalar(perm, p.z))
+
+
+def embed_pauli(p: PauliString, total: int, offset: int) -> PauliString:
+    """p placed at [offset, offset + p.n) of an identity on total qubits."""
+    shift = total - offset - p.n
+    return PauliString(total, p.x << shift, p.z << shift)
 
 
 def enumerate_items(n: int, burst: int, kind: str) -> list[dict]:
     """run_enumerate's items, from one PauliString per burst."""
     effective = min(burst, n)
-    return [{"label": letter_label(p), "passed": p.is_quantum_burst(effective),
+    return [{"label": letter_label(p), "passed": is_quantum_burst(p, effective),
              "weight": p.weight()}
             for p in enumerate_bursts(n, effective, kind)]
 
@@ -130,6 +177,12 @@ def scan_burst_length(bits) -> int:
             if all(start <= i < start + w for i in support):
                 return w
     raise AssertionError("unreachable")
+
+
+def burst_span(bits) -> int:
+    """scan_burst_length without the scan: from the first 1 to the last."""
+    ones = [i for i, b in enumerate(bits) if b]
+    return ones[-1] - ones[0] + 1 if ones else 0
 
 
 def label_burst_vectors(n: int, l: int) -> list[str]:
@@ -152,12 +205,12 @@ def label_bursts(n: int, l: int, kind: str) -> list[PauliString]:
     zero = "0" * n
     masks = label_burst_vectors(n, l)
     if kind == "bit":
-        return [PauliString.from_masks(v, zero) for v in masks]
+        return [pauli_of_bits(v, zero) for v in masks]
     if kind == "phase":
-        return [PauliString.from_masks(zero, v) for v in masks]
+        return [pauli_of_bits(zero, v) for v in masks]
     if kind == "independent":
         masks = [zero] + masks
-        return [PauliString.from_masks(x, z) for x in masks for z in masks
+        return [pauli_of_bits(x, z) for x in masks for z in masks
                 if x != zero or z != zero]
     out = []
     for span in range(1, l + 1):
@@ -168,7 +221,7 @@ def label_bursts(n: int, l: int, kind: str) -> list[PauliString]:
         for start in range(n - span + 1):
             for w in windows:
                 label = "I" * start + w + "I" * (n - start - span)
-                out.append(PauliString.from_masks(
+                out.append(pauli_of_bits(
                     "".join("1" if c in "XY" else "0" for c in label),
                     "".join("1" if c in "ZY" else "0" for c in label)))
     return out
@@ -213,7 +266,7 @@ def gf2_corrects_error_set(code: StabilizerCode,
         bucket = sorted(buckets[syn], key=lambda p: (p.x, p.z))
         base = bucket[0]
         for e in bucket[1:]:
-            if not code.in_stabilizer_group(base * e):
+            if not code.in_stabilizer_group(pauli_product(base, e)):
                 return CorrectabilityResult(False, (base, e))
     return CorrectabilityResult(True, None)
 
@@ -230,7 +283,7 @@ def membership_syndrome_table(code: StabilizerCode,
         existing = table.get(syn)
         if existing is None:
             table[syn] = e
-        elif not code.in_stabilizer_group(existing * e):
+        elif not code.in_stabilizer_group(pauli_product(existing, e)):
             raise SyndromeCollisionError(
                 f"errors {existing} and {e} share syndrome {syn} but their "
                 "product is outside the stabilizer group")
@@ -259,14 +312,14 @@ def dense_statevector_items(code: StabilizerCode, kind: str, length: int, pairs,
         syndromes = []
         for i in range(m):
             syn = tuple(
-                0 if deint.stabilizer_eigenvalue(g.embed(total, i * code.n)) == 1 else 1
+                0 if deint.stabilizer_eigenvalue(embed_pauli(g, total, i * code.n)) == 1 else 1
                 for g in code.generators)
             syndromes.append(syn)
             if syn in table:
-                fix = fix * table[syn].embed(total, i * code.n)
+                fix = pauli_product(fix, embed_pauli(table[syn], total, i * code.n))
         decoded = all(syn in table for syn in syndromes)
         fid = deint.apply_pauli(fix).fidelity(phi_in)
-        positions = sorted(fix.x_mask.support() | fix.z_mask.support())
+        positions = sorted(support_of(total, fix.x | fix.z))
         items.append({
             "label": label,
             "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
@@ -284,7 +337,7 @@ def split_pauli(p: PauliString, size: int) -> list[PauliString]:
     embedded at offset i*size gives back p's letters there."""
     if size < 1 or p.n % size:
         raise ValueError(f"part size {size} does not divide {p.n} qubits")
-    x, z, low = p.x_mask.as_int, p.z_mask.as_int, (1 << size) - 1
+    x, z, low = p.x, p.z, (1 << size) - 1
     return [PauliString(size, (x >> shift) & low, (z >> shift) & low)
             for shift in range(p.n - size, -1, -size)]
 
@@ -303,7 +356,7 @@ def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
     inverse = interleave_permutation(code.n, len(blocks)).inverse()
     items = []
     for label, err in errors:
-        parts = split_pauli(err.permute(inverse.images), code.n)
+        parts = split_pauli(permute_pauli(err, inverse), code.n)
         fixed, syndromes, corrections = block_decode(
             code, table, np.stack([b.apply_pauli(p).amps for b, p in zip(blocks, parts)]))
         decoded = None not in corrections
@@ -311,7 +364,7 @@ def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
         positions = sorted(
             code.n * i + q
             for i, c in enumerate(corrections) if c is not None
-            for q in (c.x_mask.support() | c.z_mask.support()))
+            for q in support_of(code.n, c.x | c.z))
         items.append({
             "label": label,
             "passed": bool(decoded and fid >= 1.0 - FIDELITY_TOL),
@@ -465,7 +518,7 @@ def _gf2_rank(matrix: np.ndarray) -> int:
 
 def paulis_to_gf2(paulis) -> np.ndarray:
     """Symplectic GF(2) rows [x bits | z bits] for a list of Pauli strings."""
-    return np.array([list(p.x_mask.bits) + list(p.z_mask.bits) for p in paulis],
+    return np.array([bits_of(p.n, p.x) + bits_of(p.n, p.z) for p in paulis],
                     dtype=np.uint8)
 
 
@@ -474,28 +527,28 @@ def gf2_rank_of(paulis) -> int:
 
 
 def pairwise_relation_checks(gens, logical_xs, logical_zs) -> None:
-    """A code's relation checks with one symplectic_product per operator pair,
+    """A code's relation checks with one symplectic per operator pair,
     in StabilizerCode's order and with its messages; operator counts and
     lengths are taken as right.  Raises ValueError at the first broken rule."""
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
-            if g.symplectic_product(h):
+            if symplectic(g, h):
                 raise ValueError(f"generators {g} and {h} anticommute")
     if gens and gf2_rank_of(gens) != len(gens):
         raise ValueError("generators are not GF(2)-independent")
     for log in (*logical_xs, *logical_zs):
         for g in gens:
-            if log.symplectic_product(g):
+            if symplectic(log, g):
                 raise ValueError(f"logical {log} anticommutes with generator {g}")
     for i, lx in enumerate(logical_xs):
         for j, lz in enumerate(logical_zs):
             want = 1 if i == j else 0
-            if lx.symplectic_product(lz) != want:
+            if symplectic(lx, lz) != want:
                 raise ValueError("logical X/Z pairing is wrong")
     for ops in (logical_xs, logical_zs):
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
-                if a.symplectic_product(b):
+                if symplectic(a, b):
                     raise ValueError("same-type logicals must commute")
 
 
@@ -637,10 +690,10 @@ def burst_lengths(bits: np.ndarray) -> np.ndarray:
 
 # Test-only helpers.
 
-def enumerate_burst_vectors(n: int, l: int) -> list[BinaryVector]:
-    """All nonzero length-n vectors with burst length <= l, in (length, start,
-    interior pattern) order."""
-    return [BinaryVector.from_int(n, v) for v in row_masks(burst_masks(n, l, "bit")[0])]
+def enumerate_burst_vectors(n: int, l: int) -> list[tuple[int, ...]]:
+    """The bits of all nonzero length-n vectors with burst length <= l, in
+    (length, start, interior pattern) order."""
+    return [bits_of(n, v) for v in row_masks(burst_masks(n, l, "bit")[0])]
 
 
 def deinterleave_blocks(v, n: int, m: int) -> list[tuple[int, ...]]:
@@ -663,17 +716,13 @@ def compose(second: Permutation, first: Permutation) -> Permutation:
 
 def basis_state(n: int, label) -> StateVector:
     """Computational basis state |label> with qubit 0 leftmost; label is a
-    BinaryVector, a 0/1 string or a sequence of bits."""
+    0/1 string or a sequence of bits."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-    if isinstance(label, str):
-        label = BinaryVector.from_string(label)
-    elif not isinstance(label, BinaryVector):
-        label = BinaryVector(tuple(label))
     if len(label) != n:
         raise ValueError("label length does not match qubit count")
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[label.as_int] = 1.0
+    amps[int("".join(map(str, label)), 2)] = 1.0
     return StateVector(n, amps)
 
 

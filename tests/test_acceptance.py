@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from qinterleave import (
-    BinaryVector,
     corrects_error_set,
     enumerate_bursts,
     five_qubit_code,
@@ -20,6 +19,7 @@ from qinterleave import (
 from qinterleave.cli import run_demo, run_verify
 from oracles import (
     apply_circuit,
+    burst_span,
     circuit_label_action,
     deinterleave_blocks,
     permutation_label_action,
@@ -100,7 +100,7 @@ def test_criterion_5_burst_spreading_lemma():
                     for s in range(total - length + 1):
                         bits = (0,) * s + window + (0,) * (total - s - length)
                         blocks = deinterleave_blocks(bits, n, m)
-                        if any(any(blk) and BinaryVector(blk).burst_length() > b
+                        if any(burst_span(blk) > b
                                for blk in blocks):
                             ok = False
     record(5, "burst-spreading lemma for all n,m<=8, b<=n",

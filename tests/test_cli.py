@@ -1,7 +1,9 @@
 """CLI tests: subcommands, exit codes, report formats, and the JSON schema."""
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -49,9 +51,11 @@ from oracles import (
     circuit_label_action,
     dense_statevector_items,
     enumerate_items,
+    is_quantum_burst,
     parse_plain,
     per_burst_statevector_items,
     permutation_label_action,
+    permute_pauli,
     qasm_listing,
     split_pauli,
     swap_network_gates,
@@ -470,8 +474,7 @@ class TestDenseOracle:
                 if kind == "independent" and l > 2:
                     continue
                 errors = [(str(e), e) for e in enumerate_bursts(code.n * m, l, kind)]
-                masks = [(label, e.x_mask.as_int, e.z_mask.as_int)
-                         for label, e in errors]
+                masks = [(label, e.x, e.z) for label, e in errors]
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     try:
                         dense = dense_statevector_items(code, kind, length, pairs,
@@ -542,7 +545,7 @@ class TestPerBurstOracle:
             return original(code, table, blocks)
 
         monkeypatch.setattr(qinterleave.cli, "block_decode", counting)
-        inverse = interleave_permutation(3, 6).inverse().images
+        inverse = interleave_permutation(3, 6).inverse()
         for l, count in ((3, 67), (6, 447)):
             decoded.append(0)
             report = run_verify("phase3", 6, burst=l, kind="phase",
@@ -550,7 +553,7 @@ class TestPerBurstOracle:
             assert report.parameters["burst_count"] == count
             assert report.verdict == "pass"
             keys = {(i, part) for e in enumerate_bursts(18, l, "phase")
-                    for i, part in enumerate(split_pauli(e.permute(inverse), 3))}
+                    for i, part in enumerate(split_pauli(permute_pauli(e, inverse), 3))}
             assert decoded[-1] == len(keys)
         assert decoded == [24, 24]
 
@@ -902,7 +905,7 @@ class TestRendering:
             PauliString.from_label("XIIIX"), PauliString.from_label("ZIZII")]
         assert [item["label"] for item in report.items] == [str(p) for p in paulis]
         assert [item["passed"] for item in report.items] == [
-            p.is_quantum_burst(2) for p in paulis]
+            is_quantum_burst(p, 2) for p in paulis]
         assert [item["weight"] for item in report.items] == [p.weight() for p in paulis]
         assert [item["passed"] for item in report.items[-2:]] == [False, False]
         assert report.verdict == "fail"
@@ -1133,7 +1136,60 @@ class TestItemTable:
         assert list(report.items) == enumerate_items(5, 2, "colocated")
 
 
+# Integers for the exit-code property: small ones run in milliseconds, and
+# huge ones are refused by an admission check before anything is allocated.
+# Mid-range sizes, which may run for minutes, are never drawn.
+CLI_INTS = st.one_of(st.integers(-2, 6), st.integers(10**7, 10**30)).map(str)
+CLI_COEFFS = ["0.6,0.8,1,0,0,1", "1,0,1,0,1,0", "0,0,0,0,0,0", "1,2", "nan,0,1,0,1,0",
+              "a,b,c,d,e,f"]
+CLI_BURSTS = ["ZZZIIIIII,IIIIIZZZI", "XXXXXXXXX,ZIZIZIZIZ", "ZZZIIIIII,ZZZIIIIII",
+              "IIIIIIIII", "ZZ", "QQQQQQQQQ", ","]
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv over the CLI grammar: a command, its positionals and any
+    subset of its flags."""
+    def flags(**choices):
+        drawn = [(name, values) for name, values in choices.items() if draw(st.booleans())]
+        return [arg for name, values in drawn for arg in (f"--{name}", draw(values))]
+
+    formats = st.sampled_from(["text", "json"])
+    kinds = st.sampled_from(BURST_KINDS)
+    command = draw(st.sampled_from(["demo", "verify", "synth", "enumerate"]))
+    if command == "demo":
+        return ["demo", *flags(coeffs=st.sampled_from(CLI_COEFFS), seed=CLI_INTS,
+                               bursts=st.sampled_from(CLI_BURSTS), output=formats)]
+    if command == "verify":
+        return ["verify", *flags(code=st.sampled_from(sorted(CODES)), degree=CLI_INTS,
+                                 burst=CLI_INTS, kind=kinds,
+                                 method=st.sampled_from(["statevector", "stabilizer"]),
+                                 seed=CLI_INTS, output=formats)]
+    if command == "synth":
+        return ["synth", draw(CLI_INTS), draw(CLI_INTS),
+                *flags(format=st.sampled_from(["plain", "qasm"]), output=st.just(os.devnull),
+                       report=formats),
+                *["--expand-swaps"] * draw(st.booleans())]
+    return ["enumerate", draw(CLI_INTS), *flags(burst=CLI_INTS, kind=kinds, output=formats)]
+
+
 class TestMainInProcess:
+    @settings(max_examples=500, deadline=None)
+    @given(argv=cli_argv())
+    def test_exit_code_contract(self, argv):
+        # 0 pass, 1 verification failure, 2 usage error, 3 I/O, memory or
+        # internal error; a report is rendered with exits 0 and 1 only
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        verdicts = re.findall(r'^(?:verdict: |  "verdict": ")(pass|fail)\b', out.getvalue(), re.M)
+        assert verdicts == ([("pass", "fail")[code]] if code < 2 else [])
+
     def test_repeated_calls_keep_exit_codes_and_output(self, capsys):
         # one parser serves every call in the process; a usage error in one
         # call leaves nothing behind for the next

@@ -1,5 +1,6 @@
 """The package's export list: every exported name resolves, and names of
 removed API stay out of it."""
+import dataclasses
 import importlib
 
 import pytest
@@ -71,3 +72,20 @@ def test_letter_grid_label_path_is_gone():
         assert not hasattr(pauli, name)
     assert callable(pauli.row_labels) and callable(pauli.row_lengths)
     assert not hasattr(importlib.import_module("qinterleave.report"), "_JSON_ENDS")
+
+
+def test_pauli_algebra_is_gone():
+    # a Pauli is (n, x, z); its products, commutation, permutation and
+    # embedding live in tests/oracles.py, over the mask ints
+    for name in ("from_masks", "is_identity", "is_quantum_burst", "symplectic_product",
+                 "__mul__", "permute", "embed"):
+        assert not hasattr(qinterleave.PauliString, name), name
+    # BinaryVector is only the type of x_mask and z_mask
+    vector = qinterleave.pauli.BinaryVector
+    assert "BinaryVector" not in qinterleave.__all__
+    assert not hasattr(qinterleave, "BinaryVector")
+    for name in ("from_int", "from_string", "from_support", "bits", "support",
+                 "burst_length", "__iter__", "__len__", "__getitem__"):
+        assert not hasattr(vector, name), name
+    assert [f.name for f in dataclasses.fields(vector)] == ["n", "as_int"]
+    assert qinterleave.PauliString.from_label("XZI").x_mask.is_zero is False

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinterleave import (
-    BinaryVector,
     Circuit,
     Gate,
     Permutation,
@@ -14,6 +13,7 @@ from qinterleave import (
 )
 from oracles import (
     apply_circuit,
+    burst_span,
     circuit_label_action,
     compose,
     deinterleave_blocks,
@@ -363,10 +363,8 @@ class TestGateColumns:
 
 
 class TestBurstSpreading:
-    def burst_fits_blocks(self, vector, n, m, b):
-        blocks = deinterleave_blocks(vector.bits, n, m)
-        return all(BinaryVector(block).burst_length() <= b if any(block) else True
-                   for block in blocks)
+    def burst_fits_blocks(self, bits, n, m, b):
+        return all(burst_span(block) <= b for block in deinterleave_blocks(bits, n, m))
 
     def test_exhaustive_small(self):
         # every burst of length <= b*m, all window positions and patterns
@@ -386,9 +384,8 @@ class TestBurstSpreading:
                             bits = [0] * total
                             for i in range(start, start + length):
                                 bits[i] = 1
-                            v = BinaryVector(tuple(bits))
-                            assert v.burst_length() == length
-                            assert self.burst_fits_blocks(v, n, m, b)
+                            assert burst_span(bits) == length
+                            assert self.burst_fits_blocks(bits, n, m, b)
 
     def test_spreading_is_tight(self):
         # a burst one longer than b*m must overload some block
@@ -397,5 +394,4 @@ class TestBurstSpreading:
                 total = n * m
                 length = b * m + 1
                 bits = [1] * length + [0] * (total - length)
-                v = BinaryVector(tuple(bits))
-                assert not self.burst_fits_blocks(v, n, m, b)
+                assert not self.burst_fits_blocks(bits, n, m, b)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qinterleave import Permutation
 from qinterleave.cli import main
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -29,6 +30,20 @@ workloads = load_workloads()
 def test_workload_matches_pinned_output(name, capsys):
     workload = workloads.WORKLOADS[name]
     argv = next(workload.op_argvs(seed=1, stream=0))
+    exit_code = main(argv)
+    stdout = capsys.readouterr().out
+    assert workloads.check_output(workload.expected(), exit_code, stdout) == []
+
+
+def test_synth_reads_no_images_tuple(capsys, monkeypatch):
+    # synth reads Permutation.array only; the tuple of images is built on demand
+    def refuse(self):
+        raise AssertionError("Permutation.images read")
+
+    monkeypatch.setattr(Permutation, "images", property(refuse))
+    workload = workloads.WORKLOADS["synth-circuit"]
+    argv = next(workload.op_argvs(seed=1, stream=0))
+    assert argv[:5] == ["synth", "64", "64", "--format", "qasm"]
     exit_code = main(argv)
     stdout = capsys.readouterr().out
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []

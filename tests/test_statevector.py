@@ -23,7 +23,9 @@ from oracles import (
     gate_unitary,
     index_apply_pauli,
     pauli_matrix,
+    pauli_of_bits,
     permutation_label_action,
+    permute_pauli,
     place_blocks,
     random_state,
     tensor,
@@ -78,9 +80,9 @@ class TestApplyPauli:
         assert s.amps[1] == 1.0
 
     def test_z_phase_on_11(self):
-        s = basis_state(2, "11").apply_pauli(PauliString.from_masks("00", "11"))
+        s = basis_state(2, "11").apply_pauli(pauli_of_bits("00", "11"))
         assert s.amps[3] == 1.0  # (-1)^(1*1+1*1) = +1
-        m = pauli_matrix(PauliString.from_masks("00", "11"))
+        m = pauli_matrix(pauli_of_bits("00", "11"))
         assert np.allclose(m @ basis_state(2, "11").amps, s.amps)
 
     def test_matches_matrix_oracle(self):
@@ -90,7 +92,7 @@ class TestApplyPauli:
                 s = random_state(n, rng)
                 x = rng.integers(0, 2, size=n)
                 z = rng.integers(0, 2, size=n)
-                p = PauliString.from_masks(list(x), list(z))
+                p = pauli_of_bits(list(x), list(z))
                 got = s.apply_pauli(p).amps
                 want = pauli_matrix(p) @ s.amps
                 assert np.allclose(got, want)
@@ -99,7 +101,7 @@ class TestApplyPauli:
         rng = np.random.default_rng(4)
         for n in range(1, 11):
             s = random_state(n, rng)
-            p = PauliString.from_masks(
+            p = pauli_of_bits(
                 list(rng.integers(0, 2, size=n)), list(rng.integers(0, 2, size=n)))
             once = s.apply_pauli(p)
             assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-12
@@ -121,7 +123,7 @@ class TestApplyPauli:
         rng = np.random.default_rng(13)
         s = random_state(12, rng)
         for _ in range(200):
-            p = PauliString.from_masks(
+            p = pauli_of_bits(
                 list(rng.integers(0, 2, size=12)), list(rng.integers(0, 2, size=12)))
             got = s.apply_pauli(p).amps
             assert got.tobytes() == index_apply_pauli(s, p).tobytes(), p
@@ -155,8 +157,8 @@ class TestApplyPauli:
         assert s.amps.tobytes() == before.tobytes()
 
 
-DEMO_BURSTS = (PauliString.from_masks("0" * 9, "111000000"),
-               PauliString.from_masks("0" * 9, "000001110"))
+DEMO_BURSTS = (pauli_of_bits("0" * 9, "111000000"),
+               pauli_of_bits("0" * 9, "000001110"))
 
 
 class TestApplyBranches:
@@ -302,13 +304,13 @@ class TestPermutation:
         rng = np.random.default_rng(11)
         for n in (2, 5, 10):
             s = random_state(n, rng)
-            p = PauliString.from_masks(
+            p = pauli_of_bits(
                 list(rng.integers(0, 2, size=n)), list(rng.integers(0, 2, size=n)))
             images = list(range(n))
             rng.shuffle(images)
             perm = Permutation(tuple(images))
             lhs = s.apply_pauli(p).permute_qubits(perm)
-            rhs = s.permute_qubits(perm).apply_pauli(p.permute(perm.images))
+            rhs = s.permute_qubits(perm).apply_pauli(permute_pauli(p, perm))
             assert np.allclose(lhs.amps, rhs.amps)
 
     def test_size_mismatch(self):
