@@ -31,7 +31,7 @@ from .codes import (
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, SYNTH_BYTES_PER_QUBIT, PauliString,
                     admitted_burst_count, burst_letters, burst_masks, enumerate_bursts,
-                    mask_rows, row_labels, row_lengths)
+                    mask_rows, row_labels, row_length_weight)
 from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, apply_paulis
 
@@ -312,24 +312,22 @@ def run_enumerate(n: int, burst: int, kind: str) -> Report:
     effective = min(burst, n)
     xs, zs = burst_masks(n, effective, kind)
     # checked on the rows, not assumed from how the windows were built
-    lengths = np.maximum(row_lengths(xs), row_lengths(zs))
-    items = ItemTable(label=row_labels(n, xs, zs), passed=lengths <= effective,
-                      weight=np.bitwise_count(xs | zs).sum(axis=1))
-    return Report(
-        command="enumerate",
-        parameters={"qubits": n, "burst_requested": burst,
-                    "burst_effective": effective, "kind": kind,
-                    "count": len(items)},
-        items=items,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    lengths, weight = row_length_weight(xs, zs)
+    items = ItemTable(label=row_labels(n, xs, zs), passed=lengths <= effective, weight=weight)
+    parameters = {"qubits": n, "burst_requested": burst, "burst_effective": effective,
+                  "kind": kind, "count": len(items)}
+    return Report("enumerate", parameters, items, time.perf_counter() - start)
 
 
 def _parse_coeffs(text: str) -> list[tuple[complex, complex]]:
     fields = text.split(",")
     if len(fields) != 6:
         raise ValueError("--coeffs takes 6 comma-separated reals (c0,c1 per block)")
-    return [(float(fields[2 * i]), float(fields[2 * i + 1])) for i in range(3)]
+    try:
+        reals = [float(field) for field in fields]
+    except ValueError as exc:  # float's message quotes the field
+        raise ValueError(f"--coeffs: {exc}") from None
+    return list(zip(reals[::2], reals[1::2]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,6 +392,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = sys.stdout
         if out is None:  # the process was started with its stdout closed
             raise OSError(errno.EBADF, "standard output is closed")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "demo":
             coeffs = _parse_coeffs(args.coeffs) if args.coeffs is not None else None
             bursts = args.bursts.split(",") if args.bursts is not None else None

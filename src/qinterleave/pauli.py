@@ -15,9 +15,11 @@ burst_words folds a word linear in the masks, such as a syndrome, down the tree
 of windows that share a prefix; burst_masks is burst_words of a leaf whose words
 are mask rows, and burst_rows decodes the rows of a few columns from their
 numbers alone.  Each refuses a set over BURST_BYTES_BUDGET before allocating it
-(admitted_burst_count).  Labels and burst lengths are read off the rows through
-256-entry byte tables; the (N, n) grid of letter codes x + 2z that burst_letters
-unpacks, and letter_rows packs back, serves the code tables and deinterleaving.
+(admitted_burst_count).  Labels are read off the rows through a 256-entry byte
+table; burst lengths and weights off one (ceil(n/64), N) uint64 lane view of the
+rows (row_lanes), a few whole-word passes a lane.  The (N, n) grid of letter codes
+x + 2z that burst_letters unpacks, and letter_rows packs back, serves the code
+tables and deinterleaving.
 """
 from __future__ import annotations
 
@@ -41,9 +43,6 @@ SYNTH_BYTES_PER_QUBIT = 448
 # The four ASCII letters of each key (x nibble << 4) | z nibble, as one uint32.
 _NIBBLE_LETTERS = np.frombuffer(b"".join(bytes(b"IXZY"[(k >> 4 + b & 1) | (k >> b & 1) << 1]
                                                for b in (3, 2, 1, 0)) for k in range(256)), np.uint32)
-# A nonzero byte's zero bits above its highest set bit, and below its lowest.
-_LEADING_ZEROS = np.array([8 - b.bit_length() for b in range(256)])
-_TRAILING_ZEROS = np.array([(b & -b).bit_length() - 1 for b in range(256)])
 _LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
 _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
@@ -126,22 +125,58 @@ def mask_rows(n: int, masks: Sequence[int]) -> np.ndarray:
                          dtype=np.uint8).reshape(-1, width)
 
 
+def row_lanes(rows: np.ndarray) -> np.ndarray:
+    """The (ceil(width/8), N) native uint64 lanes of N mask rows (mask_rows)
+    of width bytes, each lane contiguous: lane 0 holds each row's most
+    significant 64 bits, zero-padded on the left."""
+    width = rows.shape[1]
+    padded = np.zeros((len(rows), -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, padded.shape[1] - width:] = rows
+    return np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64)
+
+
 def row_masks(rows: np.ndarray) -> list[int]:
     """The mask ints of big-endian byte rows; the inverse of mask_rows."""
-    padded = np.zeros((len(rows), -(-rows.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, padded.shape[1] - rows.shape[1]:] = rows
     return reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)],
-                  padded.view(">u8").T.tolist())
+                  row_lanes(rows).tolist())
 
 
-def row_lengths(rows: np.ndarray) -> np.ndarray:
-    """Span from the first to the last set bit of each mask row (mask_rows),
-    as int64, which holds 8 * width; 0 for a zero row."""
-    nonzero, index = rows != 0, np.arange(len(rows))
-    first, last = nonzero.argmax(axis=1), rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    top = rows[index, first]
-    spans = 8 * (last - first + 1) - _LEADING_ZEROS[top] - _TRAILING_ZEROS[rows[index, last]]
-    return np.where(top != 0, spans, 0)
+def row_lengths(lanes: np.ndarray) -> np.ndarray:
+    """Span from the first to the last set bit of each row of a lane view
+    (row_lanes), as int64; 0 for a zero row.
+
+    One pass over the lanes, the least significant first, keeps each row's
+    most and least significant nonzero lane and their numbers.  The span is
+    64 bits a lane between them, plus the top lane's bit length (the set bits
+    of the lane smeared right), less the bottom lane's trailing zeros.
+    """
+    count, last = lanes.shape[1], len(lanes) - 1
+    top, bottom = lanes[last].copy(), lanes[last].copy()
+    top_at, bottom_at = np.full((2, count), last, dtype=np.int64)
+    for at in range(last - 1, -1, -1):
+        lane = lanes[at]
+        nonzero = lane != 0
+        np.copyto(top, lane, where=nonzero)
+        np.copyto(top_at, at, where=nonzero)
+        nonzero &= bottom == 0
+        np.copyto(bottom, lane, where=nonzero)
+        np.copyto(bottom_at, at, where=nonzero)
+    for shift in (1, 2, 4, 8, 16, 32):
+        top |= top >> np.uint64(shift)
+    bottom ^= bottom - np.uint64(1)  # its trailing zeros and lowest 1 set
+    spans = 64 * (bottom_at - top_at) + np.bitwise_count(top) - np.bitwise_count(bottom) + 1
+    # A zero row reads 64 trailing zeros over no bits: a negative span.
+    return np.maximum(spans, 0, out=spans)
+
+
+def row_length_weight(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The burst length (the longer of its two masks' row_lengths) and the
+    weight of each Pauli with x mask rows xs and z mask rows zs (mask_rows),
+    read off one lane view (row_lanes) a half: the weight counts the set bits
+    of the x lanes ORed with the z lanes, one bitwise_count a lane."""
+    lanes = row_lanes(xs), row_lanes(zs)
+    lengths = np.maximum(*map(row_lengths, lanes))
+    return lengths, np.bitwise_count(np.bitwise_or(*lanes, out=lanes[0])).sum(axis=0)
 
 
 def burst_letters(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -167,10 +202,13 @@ def letter_rows(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The (N, n) ASCII labels of the Paulis with mask rows xs and zs
-    (mask_rows): a view of one gather of four letters per (x, z) nibble."""
+    """The (N, n) C-contiguous ASCII labels of the Paulis with mask rows xs
+    and zs (mask_rows), cut from one gather of four letters per (x, z) nibble
+    and copied when the pad letters lead each row, so that readers of the
+    text pass over it in order."""
     keys = np.stack((xs & 0xF0 | zs >> 4, xs << 4 | zs & 0x0F), axis=-1)
-    return _NIBBLE_LETTERS[keys].view(np.uint8).reshape(len(xs), 8 * xs.shape[1])[:, -n:]
+    letters = _NIBBLE_LETTERS[keys].view(np.uint8).reshape(len(xs), 8 * xs.shape[1])
+    return np.ascontiguousarray(letters[:, -n:])
 
 
 def _span_sizes(n: int, l: int, kind: str) -> list[int]:

@@ -670,8 +670,8 @@ def hex_burst_labels(n: int, xs, zs) -> list[str]:
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 
-# The letter-grid readers that the byte-row tables row_labels and row_lengths
-# replaced, kept as their oracles.
+# The letter-grid readers that row_labels (a byte-row table) and row_lengths (a
+# scan over uint64 lanes) replaced, kept as their oracles.
 
 def burst_labels(letters: np.ndarray) -> list[str]:
     """The labels of the rows of a letter grid (burst_letters), in order."""

@@ -30,7 +30,7 @@ from qinterleave import (
     enumerate_bursts,
 )
 from qinterleave.pauli import (BURST_BYTES_BUDGET, SYNTH_BYTES_PER_QUBIT, burst_count,
-                               burst_letters, mask_rows, row_masks)
+                               burst_letters, mask_rows, row_length_weight, row_masks)
 from qinterleave.cli import (
     CODES,
     ItemTable,
@@ -51,6 +51,7 @@ from oracles import (
     circuit_label_action,
     dense_statevector_items,
     enumerate_items,
+    hex_burst_labels,
     is_quantum_burst,
     parse_plain,
     per_burst_statevector_items,
@@ -178,6 +179,27 @@ class TestDemoCommand:
             main(["demo", "--coeffs", ""])
         assert exc.value.code == 2
         assert "6 comma-separated reals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["demo", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["demo", "--coeffs", "a,b,c,d,e,f"],
+         "--coeffs: could not convert string to float: 'a'"),
+        (["demo", "--coeffs", "1,0,0.6,0.8,0,1x"],
+         "--coeffs: could not convert string to float: '1x'"),
+    ], ids=["seed", "coeffs-first-field", "coeffs-last-field"])
+    def test_usage_error_names_its_flag(self, monkeypatch, capsys, argv, message):
+        # one line naming the flag, not the message of the library below it,
+        # and no block encoded first
+        def no_work(*args):
+            raise AssertionError("work done for a refused request")
+
+        monkeypatch.setattr(qinterleave.cli, "logical_encoder", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qinterleave: error: {message}\n"
 
     def test_overflowing_coeffs_usage_error(self):
         # |1e200|^2 overflows a float: still a usage error, with no traceback
@@ -349,6 +371,21 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             "qinterleave: error: 10,536,091,647 colocated bursts of length <= 14 "
             "on 65 qubits exceed the budget of 3,745,611 bursts\n")
+
+    def test_negative_seed_usage_error(self, monkeypatch, capsys):
+        # refused with the flag's name before any code or burst is built, not
+        # with numpy's message for a negative seed
+        def no_work(*args):
+            raise AssertionError("work done for a refused request")
+
+        for name in ("burst_masks", "build_syndrome_table", "interleaved_code"):
+            monkeypatch.setattr(qinterleave.cli, name, no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--method", "statevector", "--seed", "-2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qinterleave: error: --seed must be >= 0, got -2\n"
 
     def test_seed_with_stabilizer_usage_error(self, monkeypatch, capsys):
         # the seed only draws the statevector blocks' logical states, so the
@@ -892,23 +929,44 @@ class TestRendering:
         assert out == oracle.render("text")
 
     def test_passed_is_checked_on_the_masks(self, monkeypatch):
-        # burst_masks yields only bursts, so append the rows of two that are
-        # too long
-        def with_long_bursts(n, l, kind):
-            xs, zs = burst_masks(n, l, kind)
-            return (np.concatenate([xs, mask_rows(n, [0b10001, 0])]),
-                    np.concatenate([zs, mask_rows(n, [0, 0b10100])]))
+        # burst_masks yields only bursts, so append the rows of some that are
+        # too long: on 70 qubits, one whose ends (bits 69 and 0) lie in
+        # different uint64 lanes
+        for n, labels in ((5, ["XIIIX", "ZIZII"]), (70, ["X" + "I" * 68 + "X"])):
+            long = [PauliString.from_label(label) for label in labels]
 
-        monkeypatch.setattr(qinterleave.cli, "burst_masks", with_long_bursts)
-        report = run_enumerate(5, 2, "colocated")
-        paulis = enumerate_bursts(5, 2, "colocated") + [
-            PauliString.from_label("XIIIX"), PauliString.from_label("ZIZII")]
-        assert [item["label"] for item in report.items] == [str(p) for p in paulis]
-        assert [item["passed"] for item in report.items] == [
-            is_quantum_burst(p, 2) for p in paulis]
-        assert [item["weight"] for item in report.items] == [p.weight() for p in paulis]
-        assert [item["passed"] for item in report.items[-2:]] == [False, False]
-        assert report.verdict == "fail"
+            def with_long_bursts(n, l, kind, long=long):
+                xs, zs = burst_masks(n, l, kind)
+                return (np.concatenate([xs, mask_rows(n, [p.x for p in long])]),
+                        np.concatenate([zs, mask_rows(n, [p.z for p in long])]))
+
+            monkeypatch.setattr(qinterleave.cli, "burst_masks", with_long_bursts)
+            report = run_enumerate(n, 2, "colocated")
+            paulis = enumerate_bursts(n, 2, "colocated") + long
+            assert [item["label"] for item in report.items] == [str(p) for p in paulis]
+            assert [item["passed"] for item in report.items] == [
+                is_quantum_burst(p, 2) for p in paulis]
+            assert [item["weight"] for item in report.items] == [p.weight() for p in paulis]
+            assert [item["passed"] for item in report.items[-len(long):]] == [False] * len(long)
+            assert report.verdict == "fail"
+
+    @pytest.mark.parametrize("n,burst,kind", [(70, 3, "independent"), (130, 2, "colocated")])
+    def test_multi_lane_items_equal_pauli_oracle(self, n, burst, kind):
+        # masks of two and three uint64 lanes: every item's weight and passed
+        # flag against the Pauli and the quantum-burst oracle, and each
+        # burst's exact length against the oracle at that length and one less
+        report = run_enumerate(n, burst, kind)
+        paulis = enumerate_bursts(n, burst, kind)
+        assert len(report.items) == len(paulis)
+        items = report.items.columns
+        text = items["label"].tobytes().decode()
+        assert [text[i:i + n] for i in range(0, len(text), n)] == hex_burst_labels(
+            n, [p.x for p in paulis], [p.z for p in paulis])
+        assert items["weight"].tolist() == [p.weight() for p in paulis]
+        assert items["passed"].tolist() == [is_quantum_burst(p, burst) for p in paulis]
+        lengths, _ = row_length_weight(*burst_masks(n, burst, kind))
+        assert all(is_quantum_burst(p, length) and not is_quantum_burst(p, length - 1)
+                   for p, length in zip(paulis, lengths.tolist()))
 
     @pytest.mark.parametrize("make", [
         lambda: run_verify("phase3", 2, method="stabilizer"),

@@ -64,11 +64,13 @@ def test_test_only_helpers_are_gone():
 
 
 def test_letter_grid_label_path_is_gone():
-    # labels, lengths and weights are read off mask rows through byte tables;
-    # the letter-grid readers live in tests/oracles.py
+    # labels are read off mask rows through a byte table, lengths and weights
+    # off their uint64 lanes; the letter-grid readers live in tests/oracles.py
     pauli = importlib.import_module("qinterleave.pauli")
     for name in ("LETTERS", "burst_labels", "burst_lengths"):
         assert name not in qinterleave.__all__
+        assert not hasattr(pauli, name)
+    for name in ("_LEADING_ZEROS", "_TRAILING_ZEROS"):
         assert not hasattr(pauli, name)
     assert callable(pauli.row_labels) and callable(pauli.row_lengths)
     assert not hasattr(importlib.import_module("qinterleave.report"), "_JSON_ENDS")

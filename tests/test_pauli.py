@@ -17,7 +17,8 @@ from qinterleave import (
     interleave_permutation,
 )
 from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_letters, letter_rows,
-                               mask_rows, row_labels, row_lengths, row_masks)
+                               mask_rows, row_labels, row_lanes, row_length_weight,
+                               row_lengths, row_masks)
 from oracles import (
     bits_of,
     burst_labels,
@@ -73,19 +74,19 @@ class TestBinaryVector:
         ("010000000", 1),
     ])
     def test_burst_length(self, bits, expected):
-        assert row_lengths(mask_rows(9, [int(bits, 2)])).tolist() == [expected]
+        assert row_lengths(row_lanes(mask_rows(9, [int(bits, 2)]))).tolist() == [expected]
         assert scan_burst_length([int(c) for c in bits]) == expected
 
     def test_burst_length_matches_scan_oracle(self):
         # one row per vector, and every row of the set at once
         for n in range(1, 13):
             lengths = burst_lengths(mask_bits(n, range(1 << n))).tolist()
-            assert row_lengths(mask_rows(n, range(1 << n))).tolist() == lengths
+            assert row_lengths(row_lanes(mask_rows(n, range(1 << n)))).tolist() == lengths
             for value in range(1 << n):
                 bits = bits_of(n, value)
                 assert lengths[value] == scan_burst_length(bits) == burst_span(bits)
         assert burst_lengths(mask_bits(70, [1 << 69 | 1]))[0] == 70
-        assert row_lengths(mask_rows(70, [1 << 69 | 1]))[0] == 70
+        assert row_lengths(row_lanes(mask_rows(70, [1 << 69 | 1])))[0] == 70
 
     @pytest.mark.parametrize("bits,expected", [
         ("111000000", {0, 1, 2}),
@@ -98,7 +99,8 @@ class TestBinaryVector:
     def test_burst_zero_iff_empty_support(self):
         for n in range(1, 13):
             masks = range(1 << n)
-            for value, length in zip(masks, row_lengths(mask_rows(n, masks)).tolist()):
+            lengths = row_lengths(row_lanes(mask_rows(n, masks))).tolist()
+            for value, length in zip(masks, lengths):
                 assert (length == 0) == (not support_of(n, value))
                 assert length >= len(support_of(n, value))
 
@@ -124,7 +126,7 @@ class TestPauliString:
     def test_is_quantum_burst(self, x, z, l, expected):
         p = pauli_of_bits(x, z)
         assert is_quantum_burst(p, l) is expected
-        assert row_lengths(mask_rows(p.n, [p.x, p.z])).max() <= l or not expected
+        assert row_lengths(row_lanes(mask_rows(p.n, [p.x, p.z]))).max() <= l or not expected
 
     def test_symplectic_against_matrix_oracle(self):
         # PQ = +-QP decides commutation; exhaustive over 3-qubit pairs is slow,
@@ -599,7 +601,7 @@ class TestBurstRows:
         assert row_masks(rows) == masks
         lengths = [scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
         assert burst_lengths(mask_bits(n, masks)).tolist() == lengths
-        assert row_lengths(rows).tolist() == lengths
+        assert row_lengths(row_lanes(rows)).tolist() == lengths
         assert row_masks(mask_rows(n, [])) == []
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
@@ -615,20 +617,24 @@ class TestBurstRows:
 
 
 class TestRowTables:
-    """Labels, burst lengths and weights read off mask rows a byte at a time
-    equal what the letter grid (burst_letters) gives: its "IXZY" gather,
-    its first and last 1 of each mask, and its nonzero count."""
+    """Labels read off mask rows a byte at a time, and burst lengths and
+    weights read off their uint64 lanes, equal what the letter grid
+    (burst_letters) gives: its "IXZY" gather, its first and last 1 of each
+    mask, and its nonzero count."""
 
     @staticmethod
     def assert_rows_read_as_letter_grid(n, xs, zs):
         letters = burst_letters(n, xs, zs)
         labels = row_labels(n, xs, zs)
-        assert labels.shape == (len(xs), n)
+        assert labels.shape == (len(xs), n) and labels.flags.c_contiguous
         assert labels_of(n, xs, zs) == burst_labels(letters)
-        assert row_lengths(xs).tolist() == burst_lengths(letters & 1).tolist()
-        assert row_lengths(zs).tolist() == burst_lengths(letters >> 1).tolist()
-        assert (np.bitwise_count(xs | zs).sum(axis=1).tolist()
-                == np.count_nonzero(letters, axis=1).tolist())
+        x_lengths = burst_lengths(letters & 1)
+        z_lengths = burst_lengths(letters >> 1)
+        assert row_lengths(row_lanes(xs)).tolist() == x_lengths.tolist()
+        assert row_lengths(row_lanes(zs)).tolist() == z_lengths.tolist()
+        lengths, weights = row_length_weight(xs, zs)
+        assert lengths.tolist() == np.maximum(x_lengths, z_lengths).tolist()
+        assert weights.tolist() == np.count_nonzero(letters, axis=1).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 140))
@@ -655,4 +661,56 @@ class TestRowTables:
         self.assert_rows_read_as_letter_grid(n, empty, empty)
         zero = mask_rows(n, [0, 0])
         self.assert_rows_read_as_letter_grid(n, zero, zero)
-        assert row_lengths(zero).tolist() == [0, 0]
+        assert row_lengths(row_lanes(zero)).tolist() == [0, 0]
+
+
+class TestRowLanes:
+    """The uint64 lane view of mask rows, and the mask ints and burst lengths
+    read off it, on each side of every lane edge."""
+
+    @staticmethod
+    def edge_masks(n):
+        # bits on each side of every 64-bit lane edge (counted from the least
+        # significant bit), singly and in pairs, among zero and full rows
+        edges = sorted({b for e in range(0, n + 64, 64) for b in (e - 1, e) if 0 <= b < n}
+                       | {n - 1})
+        pairs = [1 << a | 1 << b for a, b in itertools.combinations(edges, 2)]
+        return [0, *(1 << b for b in edges), 0, *pairs, (1 << n) - 1, 0]
+
+    @staticmethod
+    def assert_lanes_read_as_bits(n, masks):
+        rows = mask_rows(n, masks)
+        lanes = row_lanes(rows)
+        assert lanes.shape == (-(-n // 64), len(masks))
+        assert lanes.dtype == np.uint64 and lanes.dtype.isnative and lanes.flags.c_contiguous
+        # lane 0 holds the most significant 64 bits of the zero-padded row
+        assert [sum(int(w) << 64 * k for k, w in enumerate(reversed(column)))
+                for column in lanes.T.tolist()] == masks
+        assert row_masks(rows) == masks
+        spans = [burst_span(bits_of(n, m)) for m in masks]
+        assert row_lengths(lanes).tolist() == spans
+        return lanes, spans
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200])
+    def test_lane_edges(self, n):
+        masks = self.edge_masks(n)
+        lanes, spans = self.assert_lanes_read_as_bits(n, masks)
+        assert spans == [scan_burst_length(bits_of(n, m)) for m in masks]
+        # past one lane, some rows have their first and last 1 in different lanes
+        split = [np.count_nonzero(column) > 1 for column in lanes.T]
+        assert any(split) == (n > 64)
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_empty_set(self, n):
+        lanes = row_lanes(mask_rows(n, []))
+        assert lanes.shape == (-(-n // 64), 0)
+        assert row_lengths(lanes).tolist() == [] and row_masks(mask_rows(n, [])) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 40))
+    def test_random_sparse_rows(self, data, width):
+        n = data.draw(st.integers(8 * width - 7, 8 * width), label="n")
+        sparse = st.builds(lambda bits: sum(1 << b for b in bits),
+                           st.sets(st.integers(0, n - 1), max_size=3))
+        masks = data.draw(st.lists(sparse, max_size=20), label="masks")
+        self.assert_lanes_read_as_bits(n, masks)

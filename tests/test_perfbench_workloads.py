@@ -6,9 +6,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qinterleave import Permutation
+import qinterleave.pauli
+from qinterleave import Permutation, burst_masks
 from qinterleave.cli import main
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -47,3 +49,23 @@ def test_synth_reads_no_images_tuple(capsys, monkeypatch):
     exit_code = main(argv)
     stdout = capsys.readouterr().out
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []
+
+
+def test_enumerate_builds_one_lane_view_a_half(capsys, monkeypatch):
+    # the burst lengths and the weights share one lane view of each mask half
+    built = []
+
+    def counted(rows, row_lanes=qinterleave.pauli.row_lanes):
+        built.append(rows)
+        return row_lanes(rows)
+
+    monkeypatch.setattr(qinterleave.pauli, "row_lanes", counted)
+    workload = workloads.WORKLOADS["enumerate-render"]
+    argv = next(workload.op_argvs(seed=1, stream=0))
+    assert argv[:5] == ["enumerate", "25", "--burst", "5", "--kind"]
+    exit_code = main(argv)
+    stdout = capsys.readouterr().out
+    assert workloads.check_output(workload.expected(), exit_code, stdout) == []
+    assert len(built) == 2
+    for rows, half in zip(built, burst_masks(25, 5, "colocated")):
+        assert np.array_equal(rows, half)
