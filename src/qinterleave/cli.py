@@ -183,7 +183,7 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
 
     The stabilizer method checks syndrome-level correctability of the whole
     burst set from words folded down the burst-window tree (corrects_bursts),
-    building no mask row; the statevector method reads the byte rows of
+    building no mask lane; the statevector method reads the uint64 lanes of
     burst_masks and runs deinterleave -> corrupt -> block-decode
     -> fidelity on the encoded blocks for every burst, decoding each distinct
     (block, block Pauli) once, and labels the bursts only once the block

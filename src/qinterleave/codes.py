@@ -22,8 +22,8 @@ Syndrome and class bits are commutation bits, linear over GF(2) in the masks,
 folded into uint64 words, syndrome on top.  Every word is an XOR of one leaf,
 the words of each letter at each qubit: 0, the Z-set, the X-set and their XOR.
 A burst sweep (corrects_bursts) folds the leaf down the burst-window tree: a
-window's word is its prefix's word XOR its last letter's, so no mask row is
-built, and only the failing syndrome's members get rows, for the witness.  An
+window's word is its prefix's word XOR its last letter's, so no mask lane is
+built, and only the failing syndrome's members get lanes, for the witness.  An
 explicit error list's words XOR the leaf over its letter grid, one qubit at a
 time.  One sort of the words puts each syndrome's classes side by side; the
 words also build the decoder's syndrome dict.
@@ -39,8 +39,8 @@ import numpy as np
 
 from .interleaver import interleave_permutation
 from .grid import GRID_BYTES
-from .pauli import (PauliString, burst_letters, burst_rows, burst_words, mask_rows, row_labels,
-                    row_masks)
+from .pauli import (PauliString, _lane_bytes, burst_letters, burst_rows, burst_words, mask_rows,
+                    row_labels, row_masks)
 from .statevector import _NORM_TOL, MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
 
 
@@ -292,7 +292,7 @@ class CorrectabilityResult(NamedTuple):
 
 
 def _pauli_rows(n: int, paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
-    """The x masks and the z masks of n-qubit Paulis as byte rows (mask_rows)."""
+    """The x masks and the z masks of n-qubit Paulis as lanes (mask_rows)."""
     if any(p.n != n for p in paulis):
         raise ValueError("error length does not match code size")
     return mask_rows(n, [p.x for p in paulis]), mask_rows(n, [p.z for p in paulis])
@@ -303,21 +303,18 @@ def _leaf(n: int, ops: Sequence[PauliString]) -> np.ndarray:
     is set when letter code c (x + 2z) at qubit q anticommutes with ops[j]:
     q's words are 0, its Z-set, its X-set (_operator_table) and their XOR.
     Word 0 is the most significant, padded above."""
-    width = 8 * -(-len(ops) // 64)
-    table = b"".join(w.to_bytes(width, "big") for x, z in zip(*_operator_table(n, ops)[:2])
-                     for w in (0, z, x, x ^ z))
-    return np.frombuffer(table, ">u8").reshape(n, 4, width // 8).transpose(2, 0, 1).astype(
-        np.uint64, order="C")
+    return mask_rows(len(ops), [w for x, z in zip(*_operator_table(n, ops)[:2])
+                                for w in (0, z, x, x ^ z)]).reshape(-1, n, 4)
 
 
 def _commutation_words(n: int, ops: Sequence[PauliString], xs: np.ndarray,
                        zs: np.ndarray) -> np.ndarray:
-    """(ceil(len(ops)/64), len(xs)) uint64 array: column i, read as one
-    integer with word 0 most significant, has bit len(ops)-1-j set when the
-    error with mask rows xs[i] and zs[i] anticommutes with ops[j] (n qubits,
-    ops not empty): the XOR of the leaf (_leaf) over its letters by qubit."""
+    """(ceil(len(ops)/64), N) uint64 array: column i, read as one integer
+    with word 0 most significant, has bit len(ops)-1-j set when the error with
+    mask lanes xs[:, i] and zs[:, i] anticommutes with ops[j] (n qubits, ops
+    not empty): the XOR of the leaf (_leaf) over its letters by qubit."""
     leaf = _leaf(n, ops)
-    folded = np.zeros((len(leaf), len(xs)), dtype=np.uint64)
+    folded = np.zeros((len(leaf), xs.shape[1]), dtype=np.uint64)
     for column, words in zip(burst_letters(n, xs, zs).T, leaf.transpose(1, 0, 2)):
         folded ^= words[:, column]
     return folded
@@ -330,15 +327,14 @@ def _class_ops(code: StabilizerCode) -> tuple[tuple[PauliString, ...], np.ndarra
     errors lie in different classes."""
     ops = (*code.generators, *code.logical_xs, *code.logical_zs)
     mask = ((1 << len(code.generators)) - 1) << (2 * code.k)
-    return ops, np.frombuffer(mask.to_bytes(8 * -(-len(ops) // 64), "big"),
-                              dtype=">u8").astype(np.uint64)[:, None]
+    return ops, mask_rows(len(ops), [mask])
 
 
 def _fold(code: StabilizerCode, xs: np.ndarray, zs: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The errors' rows, the identity's zero row first, their words and the
-    syndrome mask (_class_ops)."""
-    xs, zs = (np.vstack([np.zeros(rows.shape[1], np.uint8), rows]) for rows in (xs, zs))
+    """The errors' lanes, the identity's zero column first, their words and
+    the syndrome mask (_class_ops)."""
+    xs, zs = (np.hstack([np.zeros((len(lanes), 1), np.uint64), lanes]) for lanes in (xs, zs))
     ops, mask = _class_ops(code)
     return xs, zs, _commutation_words(code.n, ops, xs, zs), mask
 
@@ -348,7 +344,7 @@ def _verdict(code: StabilizerCode, words: np.ndarray, mask: np.ndarray,
              ) -> CorrectabilityResult:
     """The set fails iff two distinct words, column 0 the identity's, share a
     syndrome.  The witness comes from the first such syndrome: its smallest
-    member by (x, z), a lexsort of the mask rows rows_of gives for the
+    member by (x, z), a lexsort of the mask lanes rows_of gives for the
     members' columns, and the first later member of another class."""
     ordered = (np.sort(words, axis=1) if len(words) == 1
                else words[:, np.lexsort(words[::-1])])
@@ -359,28 +355,29 @@ def _verdict(code: StabilizerCode, words: np.ndarray, mask: np.ndarray,
     if not len(clash):
         return CorrectabilityResult(True, None)
     members = np.flatnonzero(((words & mask) == syndromes[:, clash[:1]]).all(axis=0))
-    del ordered, syndromes  # freed before rows_of builds any row
+    del ordered, syndromes  # freed before rows_of builds any lane
     xs, zs = rows_of(members)
-    order = np.lexsort(np.c_[xs, zs].T[::-1])
+    # Unsigned lanes, lane 0 first, compare as the mask ints do.
+    order = np.lexsort(np.vstack([xs, zs])[::-1])
     ranked = words[:, members[order]]
     pair = order[[0, np.argmax((ranked != ranked[:, :1]).any(axis=0))]]
     return CorrectabilityResult(False, tuple(
-        PauliString(code.n, x, z) for x, z in zip(row_masks(xs[pair]), row_masks(zs[pair]))))
+        PauliString(code.n, x, z) for x, z in zip(row_masks(xs[:, pair]), row_masks(zs[:, pair]))))
 
 
 def corrects_masks(code: StabilizerCode, xs: np.ndarray,
                    zs: np.ndarray) -> CorrectabilityResult:
-    """corrects_error_set for the errors with x mask rows xs and z mask rows
-    zs, the layout of burst_masks and mask_rows for code.n bits (not checked):
-    their words are folded from the rows."""
+    """corrects_error_set for the errors with x mask lanes xs and z mask
+    lanes zs, the layout of burst_masks and mask_rows for code.n bits (not
+    checked): their words are folded from the lanes."""
     xs, zs, words, mask = _fold(code, xs, zs)
-    return _verdict(code, words, mask, lambda members: (xs[members], zs[members]))
+    return _verdict(code, words, mask, lambda members: (xs[:, members], zs[:, members]))
 
 
 def corrects_bursts(code: StabilizerCode, l: int, kind: str) -> CorrectabilityResult:
     """corrects_masks(code, *burst_masks(code.n, l, kind)), from words folded
     down the burst-window tree (burst_words) from the leaf (_leaf) with no
-    mask row built; only the failing syndrome's members get rows (burst_rows)."""
+    mask lane built; only the failing syndrome's members get lanes (burst_rows)."""
     ops, mask = _class_ops(code)
     words = burst_words(code.n, l, kind, _leaf(code.n, ops))
     return _verdict(code, words, mask, lambda members: burst_rows(code.n, l, kind, members))
@@ -414,8 +411,8 @@ def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
     _, first, bucket = np.unique(words & mask, axis=1, return_index=True,
                                  return_inverse=True)
     start = 64 * len(words) - code.n - code.k
-    syndromes = np.unpackbits(words.T.astype(">u8", order="C").view(np.uint8), axis=1)[
-        :, start:start + len(code.generators)].tolist()
+    bits = np.unpackbits(_lane_bytes(words), axis=1)
+    syndromes = bits[:, start:start + len(code.generators)].tolist()
     paulis = [PauliString.identity(code.n), *errors]
     # An error whose word differs from its bucket's first differs in class.
     stray = (words != words[:, first[bucket]]).any(axis=0)

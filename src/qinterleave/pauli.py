@@ -1,11 +1,11 @@
-"""Pauli operators as mask ints and byte rows, and burst sets.
+"""Pauli operators as mask ints, and burst sets as uint64 lanes.
 
 An n-qubit Pauli operator is PauliString(n, x, z): two mask ints of n bits
 read as the operator X_x Z_z, with the global phase deliberately untracked and
 position 0 (the leftmost letter of a label such as "ZZZIIIIII") as the most
 significant bit.  x_mask and z_mask wrap a mask as a BinaryVector (n, as_int).
-A set of masks is one (N, ceil(n/8)) uint8 array of rows, each a mask's
-big-endian bytes.
+A set of masks is one (ceil(n/64), N) native uint64 array of lanes: lane 0
+holds each mask's most significant 64 bits, zero-padded on the left.
 
 A burst of length l is a vector whose nonzero entries fit in l consecutive
 positions with nonzero endpoints; a Pauli string is a quantum burst of length l
@@ -13,13 +13,13 @@ when both of its masks are bursts of length l or less.  A kind's bursts are
 numbered after the identity: column 0 is the identity and column c burst c - 1.
 burst_words folds a word linear in the masks, such as a syndrome, down the tree
 of windows that share a prefix; burst_masks is burst_words of a leaf whose words
-are mask rows, and burst_rows decodes the rows of a few columns from their
+are mask lanes, and burst_rows decodes the lanes of a few columns from their
 numbers alone.  Each refuses a set over BURST_BYTES_BUDGET before allocating it
-(admitted_burst_count).  Labels are read off the rows through a 256-entry byte
-table; burst lengths and weights off one (ceil(n/64), N) uint64 lane view of the
-rows (row_lanes), a few whole-word passes a lane.  The (N, n) grid of letter codes
-x + 2z that burst_letters unpacks, and letter_rows packs back, serves the code
-tables and deinterleaving.
+(admitted_burst_count).  Labels are read off the lanes' big-endian bytes through
+a 256-entry byte table; burst lengths and weights off the lanes themselves, a
+few whole-word passes a lane.  The (N, n) grid of letter codes x + 2z that
+burst_letters unpacks, and letter_rows packs back, serves the code tables and
+deinterleaving.
 """
 from __future__ import annotations
 
@@ -119,33 +119,28 @@ class PauliString:
 
 
 def mask_rows(n: int, masks: Sequence[int]) -> np.ndarray:
-    """n-bit mask ints as burst_masks' (N, ceil(n/8)) uint8 big-endian rows."""
-    width = -(-n // 8)
-    return np.frombuffer(b"".join(m.to_bytes(width, "big") for m in masks),
-                         dtype=np.uint8).reshape(-1, width)
+    """n-bit mask ints as burst_masks' (ceil(n/64), N) uint64 lanes: lane 0
+    holds each mask's most significant 64 bits, zero-padded on the left."""
+    lanes = -(-n // 64)
+    return np.frombuffer(b"".join(m.to_bytes(8 * lanes, "big") for m in masks),
+                         dtype=">u8").reshape(-1, lanes).T.astype(np.uint64, order="C")
 
 
-def row_lanes(rows: np.ndarray) -> np.ndarray:
-    """The (ceil(width/8), N) native uint64 lanes of N mask rows (mask_rows)
-    of width bytes, each lane contiguous: lane 0 holds each row's most
-    significant 64 bits, zero-padded on the left."""
-    width = rows.shape[1]
-    padded = np.zeros((len(rows), -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, padded.shape[1] - width:] = rows
-    return np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64)
+def row_masks(lanes: np.ndarray) -> list[int]:
+    """The mask ints of lanes (mask_rows); the inverse of mask_rows."""
+    return reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)], lanes.tolist())
 
 
-def row_masks(rows: np.ndarray) -> list[int]:
-    """The mask ints of big-endian byte rows; the inverse of mask_rows."""
-    return reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)],
-                  row_lanes(rows).tolist())
+def _lane_bytes(lanes: np.ndarray) -> np.ndarray:
+    # The big-endian bytes of each column of lanes, (N, 8 * lanes) uint8.
+    return lanes.T.astype(">u8", order="C").view(np.uint8)
 
 
 def row_lengths(lanes: np.ndarray) -> np.ndarray:
-    """Span from the first to the last set bit of each row of a lane view
-    (row_lanes), as int64; 0 for a zero row.
+    """Span from the first to the last set bit of each mask of lanes
+    (mask_rows), as int64; 0 for a zero mask.
 
-    One pass over the lanes, the least significant first, keeps each row's
+    One pass over the lanes, the least significant first, keeps each mask's
     most and least significant nonzero lane and their numbers.  The span is
     64 bits a lane between them, plus the top lane's bit length (the set bits
     of the lane smeared right), less the bottom lane's trailing zeros.
@@ -165,49 +160,53 @@ def row_lengths(lanes: np.ndarray) -> np.ndarray:
         top |= top >> np.uint64(shift)
     bottom ^= bottom - np.uint64(1)  # its trailing zeros and lowest 1 set
     spans = 64 * (bottom_at - top_at) + np.bitwise_count(top) - np.bitwise_count(bottom) + 1
-    # A zero row reads 64 trailing zeros over no bits: a negative span.
+    # A zero mask reads 64 trailing zeros over no bits: a negative span.
     return np.maximum(spans, 0, out=spans)
 
 
 def row_length_weight(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The burst length (the longer of its two masks' row_lengths) and the
-    weight of each Pauli with x mask rows xs and z mask rows zs (mask_rows),
-    read off one lane view (row_lanes) a half: the weight counts the set bits
-    of the x lanes ORed with the z lanes, one bitwise_count a lane."""
-    lanes = row_lanes(xs), row_lanes(zs)
-    lengths = np.maximum(*map(row_lengths, lanes))
-    return lengths, np.bitwise_count(np.bitwise_or(*lanes, out=lanes[0])).sum(axis=0)
+    weight of each Pauli with x mask lanes xs and z mask lanes zs (mask_rows):
+    the weight counts the set bits of the x lanes ORed with the z lanes, one
+    bitwise_count a lane."""
+    lengths = np.maximum(row_lengths(xs), row_lengths(zs))
+    return lengths, np.bitwise_count(xs | zs).sum(axis=0)
 
 
 def burst_letters(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The (N, n) uint8 grid of the n-qubit Paulis with x mask rows xs and z
-    mask rows zs (mask_rows): row i holds each qubit's letter code x + 2z."""
-    letters = np.unpackbits(zs, axis=1)[:, -n:]
+    """The (N, n) uint8 grid of the n-qubit Paulis with x mask lanes xs and z
+    mask lanes zs (mask_rows): row i holds each qubit's letter code x + 2z."""
+    letters = np.unpackbits(_lane_bytes(zs), axis=1)[:, -n:]
     letters <<= 1
-    letters |= np.unpackbits(xs, axis=1)[:, -n:]
+    letters |= np.unpackbits(_lane_bytes(xs), axis=1)[:, -n:]
     return letters
 
 
 def letter_rows(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x mask rows and the z mask rows (mask_rows) of the Paulis of a letter
-    grid; the inverse of burst_letters."""
+    """The x mask lanes and the z mask lanes (mask_rows) of the Paulis of a
+    letter grid; the inverse of burst_letters."""
     n = letters.shape[1]
-    width = -(-n // 8)
-    bits = np.zeros((2, len(letters), 8 * width), dtype=np.uint8)
+    lanes = -(-n // 64)
+    bits = np.zeros((2, len(letters), 64 * lanes), dtype=np.uint8)
     np.bitwise_and(letters, 1, out=bits[0, :, -n:])
     np.right_shift(letters, 1, out=bits[1, :, -n:])
-    # Rows of whole bytes pack as one run each.
-    xs, zs = np.packbits(bits.reshape(2, -1), axis=1).reshape(2, len(letters), width)
-    return xs, zs
+    # Masks of whole lanes pack as one run each.
+    words = np.packbits(bits.reshape(2, -1), axis=1).view(">u8").reshape(2, len(letters), lanes)
+    return tuple(words.transpose(0, 2, 1).astype(np.uint64, order="C"))
 
 
 def row_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The (N, n) C-contiguous ASCII labels of the Paulis with mask rows xs
+    """The (N, n) C-contiguous ASCII labels of the Paulis with mask lanes xs
     and zs (mask_rows), cut from one gather of four letters per (x, z) nibble
-    and copied when the pad letters lead each row, so that readers of the
-    text pass over it in order."""
+    of their big-endian bytes and copied when the pad letters lead each
+    label, so that readers of the text pass over it in order."""
+    width = -(-n // 8)
+    # The masks' last width bytes, copied as one void item a mask, not one loop a mask.
+    xs, zs = (np.ascontiguousarray(_lane_bytes(lanes)[:, -width:].view(f"V{width}")).view(np.uint8)
+              for lanes in (xs, zs))
     keys = np.stack((xs & 0xF0 | zs >> 4, xs << 4 | zs & 0x0F), axis=-1)
-    letters = _NIBBLE_LETTERS[keys].view(np.uint8).reshape(len(xs), 8 * xs.shape[1])
+    del xs, zs  # freed before the letters are gathered
+    letters = _NIBBLE_LETTERS[keys].view(np.uint8).reshape(len(keys), 8 * width)
     return np.ascontiguousarray(letters[:, -n:])
 
 
@@ -219,7 +218,7 @@ def _span_sizes(n: int, l: int, kind: str) -> list[int]:
 
 
 def burst_count(n: int, l: int, kind: str) -> int:
-    """len(burst_masks(n, l, kind)[0]): the windows of every span, and
+    """burst_masks(n, l, kind)[0].shape[1]: the windows of every span, and
     (B+1)^2 - 1 for B bit bursts."""
     if kind not in BURST_KINDS:
         raise ValueError(f"unknown burst kind {kind!r}; expected one of {BURST_KINDS}")
@@ -310,19 +309,17 @@ def _window_letters(n: int, l: int, kind: str, columns: np.ndarray) -> np.ndarra
 
 def burst_rows(n: int, l: int, kind: str, columns: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z mask rows (mask_rows) of the given columns of
+    """The x and z mask lanes (mask_rows) of the given columns of
     burst_words(n, l, kind, ...), each decoded from its number with no other
-    burst built.  Decoding a burst costs 2 to 25 times as much as building its
-    row in sets of 10**5 bursts or more, so columns over 1/64 of the set are
-    taken from burst_masks instead."""
+    burst built.  Decoding a burst costs 3 to 37 times as much as building its
+    lanes in sets of 10**5 bursts or more, so columns over 1/64 of the set are
+    taken from the words of burst_masks instead."""
     columns, count = np.asarray(columns, dtype=np.int64), admitted_burst_count(n, l, kind)
     if columns.size and not 0 <= columns.min() <= columns.max() <= count:
         raise IndexError(f"burst columns must lie in [0, {count}]")
     if 64 * len(columns) <= count + 1:
         return _decoded_rows(n, l, kind, columns)
-    xs, zs = (rows[columns - 1] for rows in burst_masks(n, l, kind))
-    xs[columns == 0] = zs[columns == 0] = 0  # the identity
-    return xs, zs
+    return tuple(_mask_words(n, l, kind)[:, :, columns])
 
 
 def _decoded_rows(n: int, l: int, kind: str, columns: np.ndarray
@@ -334,9 +331,22 @@ def _decoded_rows(n: int, l: int, kind: str, columns: np.ndarray
     return letter_rows(_window_letters(n, l, "bit", x) | _window_letters(n, l, "phase", z))
 
 
+def _mask_words(n: int, l: int, kind: str) -> np.ndarray:
+    # burst_words of a leaf holding each single letter's x lanes, then its z
+    # lanes, as (2, lanes, 1 + count): every burst's x lanes, then its z lanes.
+    admitted_burst_count(n, l, kind)
+    lanes, qubits = -(-n // 64), np.arange(n)
+    leaf = np.zeros((2, lanes, n, 4), np.uint64)
+    lane, bit = np.divmod(qubits + 64 * lanes - n, 64)
+    # X and Y set the qubit's bit in the x lanes, Z and Y in the z lanes.
+    leaf[0, lane, qubits, 1::2] = leaf[1, lane, qubits, 2:] = (
+        np.uint64(1) << (63 - bit).astype(np.uint64))[:, None]
+    return burst_words(n, l, kind, leaf.reshape(2 * lanes, n, 4)).reshape(2, lanes, -1)
+
+
 def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The x masks and the z masks of every non-identity Pauli string of the
-    given burst kind on n qubits, as two arrays of rows (mask_rows).
+    given burst kind on n qubits, as two arrays of lanes (mask_rows).
 
     bit: x mask is a burst of length <= l, z mask zero.
     phase: mirror image of bit.
@@ -346,18 +356,10 @@ def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     <= l; every x mask (outer) with every z mask (inner).
     A set predicted past BURST_BYTES_BUDGET raises ValueError before allocation.
 
-    The rows are the bytes of burst_words' words for a leaf holding the x row
-    then the z row of each single letter (X, Z or Y at q), as XOR is bytewise.
-    Each half is copied out as one void item a row, not one loop a row.
+    The two halves are views of one array of burst_words, its identity
+    column dropped: the x lanes, then the z lanes.
     """
-    admitted_burst_count(n, l, kind)
-    width = -(-n // 8)
-    leaf, qubits = np.zeros((-(-width // 4), n, 4, 8), np.uint8), np.arange(n)
-    byte, bit = divmod(qubits + 8 * width - n, 8)
-    lane, at = np.divmod([byte, byte + width], 8)
-    leaf[lane, qubits, [[1], [2]], at] = leaf[lane, qubits, 3, at] = 0x80 >> bit
-    rows = burst_words(n, l, kind, leaf.view(np.uint64)[..., 0])[:, 1:].T.copy().view(np.uint8)
-    return tuple(rows[:, h:h + width].view(f"V{width}").copy().view(np.uint8) for h in (0, width))
+    return tuple(_mask_words(n, l, kind)[:, :, 1:])
 
 
 def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:

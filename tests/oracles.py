@@ -586,7 +586,7 @@ def place_blocks(block_amps: list[np.ndarray], position_sets: list[tuple[int, ..
     return StateVector(n, amps)
 
 
-# The int enumerator and hex labels that the byte-row burst_masks and
+# The int enumerator and hex labels that the uint64-lane burst_masks and
 # burst_labels replaced, kept as their oracles.
 
 WINDOW_LETTERS = {
@@ -670,7 +670,7 @@ def hex_burst_labels(n: int, xs, zs) -> list[str]:
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 
-# The letter-grid readers that row_labels (a byte-row table) and row_lengths (a
+# The letter-grid readers that row_labels (a byte table) and row_lengths (a
 # scan over uint64 lanes) replaced, kept as their oracles.
 
 def burst_labels(letters: np.ndarray) -> list[str]:

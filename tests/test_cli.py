@@ -683,7 +683,7 @@ class TestMethodProperty:
                                                       degree, kind, seed):
         total = CODES[code_name]().n * degree
         l = data.draw(st.integers(1, degree + 2), label="l")
-        assume(len(burst_masks(total, min(l, total), kind)[0]) <= 20000)
+        assume(burst_masks(total, min(l, total), kind)[0].shape[1] <= 20000)
         stabilizer = run_verify(code_name, degree, burst=l, kind=kind)
         statevector = run_verify(code_name, degree, burst=l, kind=kind,
                                  method="statevector", seed=seed)
@@ -929,7 +929,7 @@ class TestRendering:
         assert out == oracle.render("text")
 
     def test_passed_is_checked_on_the_masks(self, monkeypatch):
-        # burst_masks yields only bursts, so append the rows of some that are
+        # burst_masks yields only bursts, so append the lanes of some that are
         # too long: on 70 qubits, one whose ends (bits 69 and 0) lie in
         # different uint64 lanes
         for n, labels in ((5, ["XIIIX", "ZIZII"]), (70, ["X" + "I" * 68 + "X"])):
@@ -937,8 +937,8 @@ class TestRendering:
 
             def with_long_bursts(n, l, kind, long=long):
                 xs, zs = burst_masks(n, l, kind)
-                return (np.concatenate([xs, mask_rows(n, [p.x for p in long])]),
-                        np.concatenate([zs, mask_rows(n, [p.z for p in long])]))
+                return (np.concatenate([xs, mask_rows(n, [p.x for p in long])], axis=1),
+                        np.concatenate([zs, mask_rows(n, [p.z for p in long])], axis=1))
 
             monkeypatch.setattr(qinterleave.cli, "burst_masks", with_long_bursts)
             report = run_enumerate(n, 2, "colocated")

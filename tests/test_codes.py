@@ -531,7 +531,7 @@ def assert_matches_oracle(code, errors):
 
 class TestCorrectsBursts:
     """corrects_bursts, whose words are folded down the burst-window tree,
-    against corrects_masks over the rows of burst_masks: the same verdict
+    against corrects_masks over the lanes of burst_masks: the same verdict
     and witness for phase3 and five at degrees 1-4 and 13, every kind and
     every l up to 300,000 bursts."""
 

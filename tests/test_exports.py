@@ -72,6 +72,8 @@ def test_letter_grid_label_path_is_gone():
         assert not hasattr(pauli, name)
     for name in ("_LEADING_ZEROS", "_TRAILING_ZEROS"):
         assert not hasattr(pauli, name)
+    # a set of masks has one layout, the uint64 lanes: no byte-row view of it
+    assert not hasattr(pauli, "row_lanes")
     assert callable(pauli.row_labels) and callable(pauli.row_lengths)
     assert not hasattr(importlib.import_module("qinterleave.report"), "_JSON_ENDS")
 

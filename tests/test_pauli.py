@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from qinterleave import (
     interleave_permutation,
 )
 from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_letters, letter_rows,
-                               mask_rows, row_labels, row_lanes, row_length_weight,
-                               row_lengths, row_masks)
+                               mask_rows, row_labels, row_length_weight, row_lengths,
+                               row_masks)
 from oracles import (
     bits_of,
     burst_labels,
@@ -53,7 +54,7 @@ def mask_bits(n, masks):
 
 
 def labels_of(n, xs, zs):
-    """The labels row_labels makes of mask rows, as a list of str."""
+    """The labels row_labels makes of mask lanes, as a list of str."""
     text, width = row_labels(n, xs, zs).tobytes().decode("ascii"), n
     return [text[i:i + width] for i in range(0, len(text), width)]
 
@@ -74,19 +75,19 @@ class TestBinaryVector:
         ("010000000", 1),
     ])
     def test_burst_length(self, bits, expected):
-        assert row_lengths(row_lanes(mask_rows(9, [int(bits, 2)]))).tolist() == [expected]
+        assert row_lengths(mask_rows(9, [int(bits, 2)])).tolist() == [expected]
         assert scan_burst_length([int(c) for c in bits]) == expected
 
     def test_burst_length_matches_scan_oracle(self):
         # one row per vector, and every row of the set at once
         for n in range(1, 13):
             lengths = burst_lengths(mask_bits(n, range(1 << n))).tolist()
-            assert row_lengths(row_lanes(mask_rows(n, range(1 << n)))).tolist() == lengths
+            assert row_lengths(mask_rows(n, range(1 << n))).tolist() == lengths
             for value in range(1 << n):
                 bits = bits_of(n, value)
                 assert lengths[value] == scan_burst_length(bits) == burst_span(bits)
         assert burst_lengths(mask_bits(70, [1 << 69 | 1]))[0] == 70
-        assert row_lengths(row_lanes(mask_rows(70, [1 << 69 | 1])))[0] == 70
+        assert row_lengths(mask_rows(70, [1 << 69 | 1]))[0] == 70
 
     @pytest.mark.parametrize("bits,expected", [
         ("111000000", {0, 1, 2}),
@@ -99,7 +100,7 @@ class TestBinaryVector:
     def test_burst_zero_iff_empty_support(self):
         for n in range(1, 13):
             masks = range(1 << n)
-            lengths = row_lengths(row_lanes(mask_rows(n, masks))).tolist()
+            lengths = row_lengths(mask_rows(n, masks)).tolist()
             for value, length in zip(masks, lengths):
                 assert (length == 0) == (not support_of(n, value))
                 assert length >= len(support_of(n, value))
@@ -126,7 +127,7 @@ class TestPauliString:
     def test_is_quantum_burst(self, x, z, l, expected):
         p = pauli_of_bits(x, z)
         assert is_quantum_burst(p, l) is expected
-        assert row_lengths(row_lanes(mask_rows(p.n, [p.x, p.z]))).max() <= l or not expected
+        assert row_lengths(mask_rows(p.n, [p.x, p.z])).max() <= l or not expected
 
     def test_symplectic_against_matrix_oracle(self):
         # PQ = +-QP decides commutation; exhaustive over 3-qubit pairs is slow,
@@ -227,19 +228,19 @@ class TestPauliString:
             "1" if c in "XY" else "0" for c in long_label)
 
     def test_row_lexsort_orders_like_bit_tuples(self):
-        # the witness rule sorts a bucket by a lexsort of its x rows, then its
-        # z rows; it must order exactly like the lexicographic (x bits, z bits)
-        # tuples, here built from the labels, across byte boundaries too
+        # the witness rule sorts a bucket by a lexsort of its x lanes, then its
+        # z lanes; it must order exactly like the lexicographic (x bits, z bits)
+        # tuples, here built from the labels, across lane boundaries too
         rng = random.Random(8)
         for n in (4, 9, 70):
             labels = (["".join(ls) for ls in itertools.product("IXZY", repeat=n)] if n == 4
                       else ["".join(rng.choices("IIXZY", k=n)) for _ in range(300)])
             paulis = [PauliString.from_label(label) for label in labels]
-            rows = np.c_[mask_rows(n, [p.x for p in paulis]),
-                         mask_rows(n, [p.z for p in paulis])]
+            lanes = np.vstack([mask_rows(n, [p.x for p in paulis]),
+                               mask_rows(n, [p.z for p in paulis])])
             bits = [tuple(tuple(int(c in ls) for c in label) for ls in ("XY", "ZY"))
                     for label in labels]
-            order = np.lexsort(rows.T[::-1]).tolist()
+            order = np.lexsort(lanes[::-1]).tolist()
             assert [bits[i] for i in order] == sorted(bits)
 
     def test_embed(self):
@@ -424,7 +425,7 @@ class TestEnumerateBursts:
         cases = [(n, l) for n in range(1, 7) for l in range(1, n + 1)]
         for n, l in cases + [(25, 3), (70, 2)]:
             xs, zs = burst_masks(n, l, kind)
-            assert len(xs) == len(zs)
+            assert xs.shape == zs.shape
             masks = list(zip(row_masks(xs), row_masks(zs)))
             assert masks == [(p.x, p.z) for p in enumerate_bursts(n, l, kind)]
             assert masks == [(p.x, p.z) for p in label_bursts(n, l, kind)]
@@ -514,18 +515,17 @@ ROW_SIZES = list(range(1, 13)) + [32, 33, 63, 64, 65, 127, 128, 129, 200]
 
 def assert_rows_match_oracle(n, l, kind):
     xs, zs = burst_masks(n, l, kind)
-    assert xs.dtype == zs.dtype == np.uint8
-    assert xs.shape == zs.shape == (burst_count(n, l, kind), -(-n // 8))
+    assert xs.dtype == zs.dtype == np.uint64
+    assert xs.shape == zs.shape == (-(-n // 64), burst_count(n, l, kind))
     oracle_xs, oracle_zs = int_burst_masks(n, l, kind)
     assert row_masks(xs) == oracle_xs
     assert row_masks(zs) == oracle_zs
 
 
 class TestBurstRows:
-    """burst_masks' big-endian byte rows against the pure-Python int
-    enumerator, element by element, with windows starting on both sides of
-    every byte and 64-bit boundary; and the row readers against their int
-    counterparts."""
+    """burst_masks' uint64 lanes against the pure-Python int enumerator,
+    element by element, with windows starting on both sides of every byte and
+    64-bit boundary; and the lane readers against their int counterparts."""
 
     @pytest.mark.parametrize("kind", BURST_KINDS)
     @pytest.mark.parametrize("n", ROW_SIZES)
@@ -553,7 +553,7 @@ class TestBurstRows:
                     with pytest.raises(ValueError, match=f"^{count:,} {kind} bursts"):
                         burst_masks(n, l, kind)
                 else:
-                    assert count == len(burst_masks(n, l, kind)[0])
+                    assert count == burst_masks(n, l, kind)[0].shape[1]
 
     def test_count_closed_forms(self):
         assert burst_count(25, 6, "colocated") == 62463
@@ -581,6 +581,18 @@ class TestBurstRows:
         with pytest.raises(ValueError, match=message):
             burst_masks(n, l, kind)
 
+    @pytest.mark.parametrize("n,l,kind", [(200, 3, "independent"), (1000, 4, "colocated")])
+    def test_peak_is_the_returned_lanes(self, n, l, kind):
+        # the halves are views of the window tree's one word array: the set is
+        # not transposed or copied on its way out
+        tracemalloc.start()
+        try:
+            halves = burst_masks(n, l, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(half.nbytes for half in halves)
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
     def test_labels_equal_hex_oracle(self, n):
         rng = random.Random(n)
@@ -596,12 +608,12 @@ class TestBurstRows:
         rng = random.Random(n)
         masks = [0, 1, 1 << (n - 1), (1 << n) - 1] + [
             rng.getrandbits(n) & rng.getrandbits(n) for _ in range(60)]
-        rows = mask_rows(n, masks)
-        assert rows.shape == (len(masks), -(-n // 8))
-        assert row_masks(rows) == masks
+        lanes = mask_rows(n, masks)
+        assert lanes.shape == (-(-n // 64), len(masks))
+        assert row_masks(lanes) == masks
         lengths = [scan_burst_length([m >> (n - 1 - i) & 1 for i in range(n)]) for m in masks]
         assert burst_lengths(mask_bits(n, masks)).tolist() == lengths
-        assert row_lengths(row_lanes(rows)).tolist() == lengths
+        assert row_lengths(lanes).tolist() == lengths
         assert row_masks(mask_rows(n, [])) == []
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
@@ -613,12 +625,12 @@ class TestBurstRows:
             1 << np.arange(n - 1, -1, -1, dtype=object))]) for _ in range(2))
         for got, rows in zip(letter_rows(burst_letters(n, xs, zs)), (xs, zs)):
             assert np.array_equal(got, rows)
-        assert letter_rows(np.zeros((0, n), np.uint8))[0].shape == (0, -(-n // 8))
+        assert letter_rows(np.zeros((0, n), np.uint8))[0].shape == (-(-n // 64), 0)
 
 
 class TestRowTables:
-    """Labels read off mask rows a byte at a time, and burst lengths and
-    weights read off their uint64 lanes, equal what the letter grid
+    """Labels read off mask lanes a byte at a time, and burst lengths and
+    weights read off the lanes a word at a time, equal what the letter grid
     (burst_letters) gives: its "IXZY" gather, its first and last 1 of each
     mask, and its nonzero count."""
 
@@ -626,12 +638,12 @@ class TestRowTables:
     def assert_rows_read_as_letter_grid(n, xs, zs):
         letters = burst_letters(n, xs, zs)
         labels = row_labels(n, xs, zs)
-        assert labels.shape == (len(xs), n) and labels.flags.c_contiguous
+        assert labels.shape == (xs.shape[1], n) and labels.flags.c_contiguous
         assert labels_of(n, xs, zs) == burst_labels(letters)
         x_lengths = burst_lengths(letters & 1)
         z_lengths = burst_lengths(letters >> 1)
-        assert row_lengths(row_lanes(xs)).tolist() == x_lengths.tolist()
-        assert row_lengths(row_lanes(zs)).tolist() == z_lengths.tolist()
+        assert row_lengths(xs).tolist() == x_lengths.tolist()
+        assert row_lengths(zs).tolist() == z_lengths.tolist()
         lengths, weights = row_length_weight(xs, zs)
         assert lengths.tolist() == np.maximum(x_lengths, z_lengths).tolist()
         assert weights.tolist() == np.count_nonzero(letters, axis=1).tolist()
@@ -661,12 +673,12 @@ class TestRowTables:
         self.assert_rows_read_as_letter_grid(n, empty, empty)
         zero = mask_rows(n, [0, 0])
         self.assert_rows_read_as_letter_grid(n, zero, zero)
-        assert row_lengths(row_lanes(zero)).tolist() == [0, 0]
+        assert row_lengths(zero).tolist() == [0, 0]
 
 
 class TestRowLanes:
-    """The uint64 lane view of mask rows, and the mask ints and burst lengths
-    read off it, on each side of every lane edge."""
+    """The uint64 lanes of mask ints, and the mask ints and burst lengths
+    read off them, on each side of every lane edge."""
 
     @staticmethod
     def edge_masks(n):
@@ -679,14 +691,13 @@ class TestRowLanes:
 
     @staticmethod
     def assert_lanes_read_as_bits(n, masks):
-        rows = mask_rows(n, masks)
-        lanes = row_lanes(rows)
+        lanes = mask_rows(n, masks)
         assert lanes.shape == (-(-n // 64), len(masks))
         assert lanes.dtype == np.uint64 and lanes.dtype.isnative and lanes.flags.c_contiguous
-        # lane 0 holds the most significant 64 bits of the zero-padded row
+        # lane 0 holds the most significant 64 bits of the zero-padded mask
         assert [sum(int(w) << 64 * k for k, w in enumerate(reversed(column)))
                 for column in lanes.T.tolist()] == masks
-        assert row_masks(rows) == masks
+        assert row_masks(lanes) == masks
         spans = [burst_span(bits_of(n, m)) for m in masks]
         assert row_lengths(lanes).tolist() == spans
         return lanes, spans
@@ -702,7 +713,7 @@ class TestRowLanes:
 
     @pytest.mark.parametrize("n", [1, 64, 65, 200])
     def test_empty_set(self, n):
-        lanes = row_lanes(mask_rows(n, []))
+        lanes = mask_rows(n, [])
         assert lanes.shape == (-(-n // 64), 0)
         assert row_lengths(lanes).tolist() == [] and row_masks(mask_rows(n, [])) == []
 

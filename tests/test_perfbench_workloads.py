@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qinterleave.pauli
-from qinterleave import Permutation, burst_masks
+import qinterleave.cli
+from qinterleave import Permutation
 from qinterleave.cli import main
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -51,21 +51,30 @@ def test_synth_reads_no_images_tuple(capsys, monkeypatch):
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []
 
 
-def test_enumerate_builds_one_lane_view_a_half(capsys, monkeypatch):
-    # the burst lengths and the weights share one lane view of each mask half
-    built = []
+def test_enumerate_reads_the_burst_lanes_unconverted(capsys, monkeypatch):
+    # the lengths, the weights and the labels read the very arrays that
+    # burst_masks returned: no other layout of the masks is built in between
+    calls = {}
 
-    def counted(rows, row_lanes=qinterleave.pauli.row_lanes):
-        built.append(rows)
-        return row_lanes(rows)
+    def recorded(name, function):
+        def wrapper(*args):
+            calls[name] = args, function(*args)
+            return calls[name][1]
+        return wrapper
 
-    monkeypatch.setattr(qinterleave.pauli, "row_lanes", counted)
+    for name in ("burst_masks", "row_length_weight", "row_labels"):
+        monkeypatch.setattr(qinterleave.cli, name, recorded(name, getattr(qinterleave.cli, name)))
     workload = workloads.WORKLOADS["enumerate-render"]
     argv = next(workload.op_argvs(seed=1, stream=0))
     assert argv[:5] == ["enumerate", "25", "--burst", "5", "--kind"]
     exit_code = main(argv)
     stdout = capsys.readouterr().out
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []
-    assert len(built) == 2
-    for rows, half in zip(built, burst_masks(25, 5, "colocated")):
-        assert np.array_equal(rows, half)
+    halves = calls["burst_masks"][1]
+    assert [(h.dtype, h.shape) for h in halves] == [(np.uint64, (1, 16383))] * 2
+    for got in (calls["row_length_weight"][0], calls["row_labels"][0][1:]):
+        assert len(got) == 2
+        for lanes, half in zip(got, halves):
+            assert np.shares_memory(lanes, half)
+            assert (lanes.dtype, lanes.shape, lanes.strides) == (half.dtype, half.shape,
+                                                                 half.strides)

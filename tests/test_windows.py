@@ -50,12 +50,12 @@ class TestBurstWindows:
             else:
                 edges = [burst_count(n, s, kind) + d for s in range(1, l) for d in (0, 1)]
                 columns = np.r_[0, 1, count, edges, rng.integers(0, count + 1, 4096)]
-            zero = np.zeros((1, -(-n // 8)), np.uint8)
-            expected = [np.vstack([zero, rows])[columns] for rows in burst_masks(n, l, kind)]
+            zero = np.zeros((-(-n // 64), 1), np.uint64)
+            expected = [np.hstack([zero, lanes])[:, columns] for lanes in burst_masks(n, l, kind)]
             for got in (_decoded_rows(n, l, kind, columns), burst_rows(n, l, kind, columns)):
-                for rows, want in zip(got, expected):
-                    assert rows.dtype == np.uint8
-                    assert np.array_equal(rows, want)
+                for lanes, want in zip(got, expected):
+                    assert lanes.dtype == np.uint64
+                    assert np.array_equal(lanes, want)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 200), kind=st.sampled_from(BURST_KINDS))
