@@ -21,7 +21,6 @@ from .codes import (
 )
 from .interleaver import (
     Circuit,
-    Gate,
     Permutation,
     interleave_permutation,
     synthesize_swap_network,
@@ -44,7 +43,6 @@ __all__ = [
     "BURST_KINDS",
     "Circuit",
     "CorrectabilityResult",
-    "Gate",
     "IndeterminateEigenvalueError",
     "MAX_QUBITS",
     "PauliString",

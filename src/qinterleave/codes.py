@@ -219,27 +219,28 @@ def logical_encoder(code: StabilizerCode) -> Callable[[complex, complex], StateV
     """Encoder for a k=1 code, built by projecting |0...0> onto the code space.
 
     |0_L> is the normalized image of the all-zeros ket under prod (I+g)/2,
-    and |1_L> = X_L |0_L>; requires a pure-Z logical Z so that |0...0> lies
-    in its +1 eigenspace.
+    and |1_L> = X_L |0_L>, both amplitude arrays (apply_paulis); requires a
+    pure-Z logical Z so that |0...0> lies in its +1 eigenspace.
     """
     if code.k != 1:
         raise ValueError("logical_encoder supports k=1 codes only")
     if code.logical_zs[0].x:
         raise ValueError("logical Z must be Z-type for the projector construction")
-    amps = np.zeros(1 << code.n, np.complex128)
-    amps[0] = 1
+    if code.n > MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
+    zero_l = np.zeros(1 << code.n, np.complex128)
+    zero_l[0] = 1
     for g in code.generators:
-        combined = amps + StateVector(code.n, amps).apply_pauli(g).amps
+        combined = zero_l + apply_paulis(zero_l, g.x, g.z)
         norm = np.linalg.norm(combined)
         if norm < 1e-9:
             raise ValueError("|0...0> has no component in the code space")
-        amps = combined / norm
-    zero_l = StateVector(code.n, amps)
-    one_l = zero_l.apply_pauli(code.logical_xs[0])
+        zero_l = combined / norm
+    one_l = apply_paulis(zero_l, code.logical_xs[0].x, code.logical_xs[0].z)
 
     def encode(c0: complex, c1: complex) -> StateVector:
         _check_coefficients(c0, c1)
-        return StateVector(code.n, c0 * zero_l.amps + c1 * one_l.amps)
+        return StateVector(code.n, c0 * zero_l + c1 * one_l)
 
     return encode
 

@@ -5,6 +5,10 @@ i*n + j), are rearranged so that symbol j of block i is transmitted at slot
 j*m + i.  Any burst of length b*m in the transmitted layout then touches at
 most b consecutive symbols of each block, which is what makes interleaved
 codes burst-tolerant.
+
+A permutation is its checked array of images (Permutation.array), and a
+circuit its gate columns (Circuit.columns): synthesis, counting, lowering and
+export read those arrays and build no per-gate object.
 """
 from __future__ import annotations
 
@@ -17,14 +21,12 @@ from .grid import PAD, cells, digit_cells, grid_text
 
 GATE_KINDS = ("H", "CNOT", "SWAP")
 _H, _CNOT, _SWAP = range(len(GATE_KINDS))
-_GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2}
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Permutation:
     """Bijection on [0, N): images[i] is where position i is sent, from a
-    sequence or an int array, held as the read-only intp array `array`;
-    `images` is its tuple of ints, built when read."""
+    sequence or an int array, held as the read-only intp array `array`."""
 
     array: np.ndarray
 
@@ -39,35 +41,9 @@ class Permutation:
         array.setflags(write=False)
         object.__setattr__(self, "array", array)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash(self.array.tobytes())
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return tuple(self.array.tolist())
-
     @property
     def size(self) -> int:
         return len(self.array)
-
-    def __call__(self, i: int) -> int:
-        return int(self.array[i])
-
-    @property
-    def is_identity(self) -> bool:
-        return bool((self.array == np.arange(self.size)).all())
-
-    def inverse(self) -> "Permutation":
-        inverse = np.empty(self.size, np.intp)
-        inverse[self.array] = np.arange(self.size)
-        return Permutation(inverse)
 
 
 def interleave_permutation(n: int, m: int) -> Permutation:
@@ -75,36 +51,6 @@ def interleave_permutation(n: int, m: int) -> Permutation:
     if n < 1 or m < 1:
         raise ValueError("block length and degree must both be >= 1")
     return Permutation(np.arange(n * m).reshape(n, m).T.ravel())
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        qubits = tuple(self.qubits)
-        if len(qubits) != _GATE_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_GATE_ARITY[self.kind]} operand(s)")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"{self.kind} operands must be distinct")
-        if any(q < 0 for q in qubits):
-            raise ValueError("negative qubit index")
-        object.__setattr__(self, "qubits", qubits)
-
-    @classmethod
-    def h(cls, q: int) -> "Gate":
-        return cls("H", (q,))
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls("CNOT", (control, target))
-
-    @classmethod
-    def swap(cls, a: int, b: int) -> "Gate":
-        return cls("SWAP", (a, b))
 
 
 # A listing line per gate kind: cell tables by kind between operands 0 and 1,
@@ -120,14 +66,11 @@ _QASM = (cells(b"h q[", b"cx q[", b"cx q["), 0, cells(b"];\n", b"],q[", b"],q[")
 class Circuit:
     """Gates on `width` qubits, held as a read-only (3, G) int64 array of
     columns: the kind (an index into GATE_KINDS), operand 0 and operand 1 (-1
-    for H).  Built from Gates or from columns, which are checked at once and
-    refused with the errors of Gate; `gates` is derived from them."""
+    for H).  The columns are checked at once, and the first bad gate is
+    refused by its kind, its operand count, repeated or negative operands, or
+    as out of width, in that order."""
 
-    def __init__(self, width: int, gates: Iterable[Gate] = (), *, columns=None) -> None:
-        if columns is None:
-            # (kind, operand 0, operand 1 or -1) per gate; Gate checked the arity
-            columns = np.array([(GATE_KINDS.index(g.kind), *g.qubits, -1)[:3]
-                                for g in gates], np.int64).reshape(-1, 3).T
+    def __init__(self, width: int, columns) -> None:
         columns = np.array(columns)
         if columns.size and columns.dtype.kind not in "iu":
             raise ValueError("gate kinds and qubit indices must be integers")
@@ -135,22 +78,17 @@ class Circuit:
         bad = ((kind < 0) | (kind >= len(GATE_KINDS)) | ((kind > _H) == (b == -1)) | (a == b)
                | (a < 0) | (b < -1) | (a >= width) | (b >= width))
         if bad.any():
-            # the first bad gate, as a Gate, raises what Gate refuses in it
             g = int(bad.argmax())
             k, qubits = int(kind[g]), tuple(columns[1:2 + (b[g] != -1), g].tolist())
-            gate = Gate(GATE_KINDS[k] if 0 <= k < len(GATE_KINDS) else k, qubits)
-            raise ValueError(f"gate {gate.kind}{gate.qubits} exceeds width {width}")
+            name, arity = GATE_KINDS[k] if 0 <= k < len(GATE_KINDS) else None, 1 + (k != _H)
+            raise ValueError(
+                f"unknown gate kind {k}" if name is None
+                else f"{name} takes {arity} operand(s)" if len(qubits) != arity
+                else f"{name} operands must be distinct" if len(set(qubits)) != arity
+                else "negative qubit index" if min(qubits) < 0
+                else f"gate {name}{qubits} exceeds width {width}")
         columns.setflags(write=False)
         self.width, self.columns = width, columns
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Circuit) and self.width == other.width
-                and np.array_equal(self.columns, other.columns))
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(Gate(GATE_KINDS[k], (a, b) if k != _H else (a,))
-                     for k, a, b in self.columns.T.tolist())
 
     @property
     def swap_count(self) -> int:

@@ -113,10 +113,6 @@ class PauliString:
 
     __str__ = label
 
-    def weight(self) -> int:
-        """Number of qubits touched: |supp(x) union supp(z)|."""
-        return (self.x | self.z).bit_count()
-
 
 def mask_rows(n: int, masks: Sequence[int]) -> np.ndarray:
     """n-bit mask ints as burst_masks' (ceil(n/64), N) uint64 lanes: lane 0

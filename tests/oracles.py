@@ -7,12 +7,15 @@ code paths under test.  The Pauli algebra that PauliString does not carry
 its mask ints.  The last section holds helpers that only tests use: burst
 vectors, deinterleaving a transmitted vector, permutation composition,
 basis states, tensor products, dense gate simulation, reading a plain circuit
-listing back, and the measured burst ability of a code.
+listing back, and the measured burst ability of a code.  The per-gate oracles
+take a Gate value, read from and written to a circuit's columns by
+circuit_gates and gate_columns.
 """
 from __future__ import annotations
 
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from qinterleave import (
     MAX_QUBITS,
     Circuit,
     CorrectabilityResult,
-    Gate,
     PauliString,
     Permutation,
     StabilizerCode,
@@ -36,6 +38,7 @@ from qinterleave import (
 )
 from qinterleave.cli import FIDELITY_TOL
 from qinterleave.codes import corrects_masks
+from qinterleave.interleaver import GATE_KINDS
 from qinterleave.pauli import row_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -148,7 +151,7 @@ def pauli_product(p: PauliString, q: PauliString) -> PauliString:
 
 
 def permute_pauli(p: PauliString, perm: Permutation) -> PauliString:
-    """p with the letter at position i moved to position perm(i)."""
+    """p with the letter at position i moved to position perm.array[i]."""
     return PauliString(p.n, permute_label_scalar(perm, p.x), permute_label_scalar(perm, p.z))
 
 
@@ -162,7 +165,7 @@ def enumerate_items(n: int, burst: int, kind: str) -> list[dict]:
     """run_enumerate's items, from one PauliString per burst."""
     effective = min(burst, n)
     return [{"label": letter_label(p), "passed": is_quantum_burst(p, effective),
-             "weight": p.weight()}
+             "weight": (p.x | p.z).bit_count()}
             for p in enumerate_bursts(n, effective, kind)]
 
 
@@ -305,9 +308,10 @@ def dense_statevector_items(code: StabilizerCode, kind: str, length: int, pairs,
     phi_in = encode_blocks(pairs, logical_encoder(code))
     perm = interleave_permutation(code.n, m)
     interleaved = phi_in.permute_qubits(perm)
+    inverse = Permutation(np.argsort(perm.array))
     items = []
     for label, err in errors:
-        deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
+        deint = interleaved.apply_pauli(err).permute_qubits(inverse)
         fix = PauliString.identity(total)
         syndromes = []
         for i in range(m):
@@ -353,7 +357,7 @@ def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
     table = build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
     encoder = logical_encoder(code)
     blocks = [encoder(c0, c1) for c0, c1 in pairs]
-    inverse = interleave_permutation(code.n, len(blocks)).inverse()
+    inverse = Permutation(np.argsort(interleave_permutation(code.n, len(blocks)).array))
     items = []
     for label, err in errors:
         parts = split_pauli(permute_pauli(err, inverse), code.n)
@@ -380,7 +384,7 @@ def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
 def expanded_qasm(circuit: Circuit) -> str:
     """QASM listing of the circuit lowered through expand_swaps, gate by gate."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
-    for g in circuit.expand_swaps().gates:
+    for g in circuit_gates(circuit.expand_swaps()):
         if g.kind == "CNOT":
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
         else:
@@ -389,23 +393,55 @@ def expanded_qasm(circuit: Circuit) -> str:
 
 
 # The per-gate synthesis, lowering and listings that the gate columns of
-# Circuit replaced, kept as their oracles.
+# Circuit replaced, kept as their oracles, over one gate value.
+
+class Gate(NamedTuple):
+    """One gate: its kind in GATE_KINDS and its one or two operands."""
+
+    kind: str
+    qubits: tuple[int, ...]
+
+    @classmethod
+    def h(cls, q: int) -> "Gate":
+        return cls("H", (q,))
+
+    @classmethod
+    def cnot(cls, control: int, target: int) -> "Gate":
+        return cls("CNOT", (control, target))
+
+    @classmethod
+    def swap(cls, a: int, b: int) -> "Gate":
+        return cls("SWAP", (a, b))
+
+
+def gate_columns(gates) -> np.ndarray:
+    """The (3, G) Circuit columns of a gate list: kind index, operand 0 and
+    operand 1 (-1 for H)."""
+    return np.array([(GATE_KINDS.index(g.kind), *g.qubits, -1)[:3] for g in gates],
+                    np.int64).reshape(-1, 3).T
+
+
+def circuit_gates(circuit: Circuit) -> tuple[Gate, ...]:
+    """The gates of a circuit's columns, in order."""
+    return tuple(Gate(GATE_KINDS[k], (a, b) if b >= 0 else (a,))
+                 for k, a, b in circuit.columns.T.tolist())
+
 
 def swap_network_gates(perm: Permutation) -> tuple[Gate, ...]:
     """SWAP gates of the cycle decomposition, entering each cycle at its
     smallest element: SWAP(c0,c1), SWAP(c0,c2), ... per cycle."""
-    n = perm.size
-    seen = [False] * n
+    images = perm.array.tolist()
+    seen = [False] * len(images)
     gates = []
-    for start in range(n):
+    for start in range(len(images)):
         if seen[start]:
             continue
         seen[start] = True
-        cur = perm(start)
+        cur = images[start]
         while cur != start:
             seen[cur] = True
             gates.append(Gate.swap(start, cur))
-            cur = perm(cur)
+            cur = images[cur]
     return tuple(gates)
 
 
@@ -445,7 +481,7 @@ def circuit_label_action(circuit: Circuit) -> np.ndarray:
     """Output basis label for every input basis label (CNOT/SWAP circuits)."""
     n = circuit.width
     labels = np.arange(1 << n, dtype=np.int64)
-    for g in circuit.gates:
+    for g in circuit_gates(circuit):
         if g.kind == "CNOT":
             c, t = g.qubits
             cb, tb = n - 1 - c, n - 1 - t
@@ -465,15 +501,15 @@ def permutation_label_action(perm: Permutation) -> np.ndarray:
     n = perm.size
     labels = np.arange(1 << n, dtype=np.int64)
     out = np.zeros_like(labels)
-    for q in range(n):
-        out |= ((labels >> (n - 1 - q)) & 1) << (n - 1 - perm(q))
+    for q, image in enumerate(perm.array.tolist()):
+        out |= ((labels >> (n - 1 - q)) & 1) << (n - 1 - image)
     return out
 
 
 def track_label_scalar(circuit: Circuit, label: int) -> int:
     """Scalar basis-label tracker (plain ints, so any register size works)."""
     n = circuit.width
-    for g in circuit.gates:
+    for g in circuit_gates(circuit):
         if g.kind == "SWAP":
             a, b = g.qubits
             ab, bb = n - 1 - a, n - 1 - b
@@ -491,8 +527,8 @@ def track_label_scalar(circuit: Circuit, label: int) -> int:
 def permute_label_scalar(perm: Permutation, label: int) -> int:
     n = perm.size
     out = 0
-    for q in range(n):
-        out |= ((label >> (n - 1 - q)) & 1) << (n - 1 - perm(q))
+    for q, image in enumerate(perm.array.tolist()):
+        out |= ((label >> (n - 1 - q)) & 1) << (n - 1 - image)
     return out
 
 
@@ -700,10 +736,10 @@ def deinterleave_blocks(v, n: int, m: int) -> list[tuple[int, ...]]:
     """Split a transmitted-layout length-n*m vector back into its m blocks."""
     if len(v) != n * m:
         raise ValueError("vector length must be n*m")
-    inv = interleave_permutation(n, m).inverse()
+    inv = np.argsort(interleave_permutation(n, m).array).tolist()
     restored = [0] * (n * m)
     for i, bit in enumerate(v):
-        restored[inv(i)] = bit
+        restored[inv[i]] = bit
     return [tuple(restored[i * n:(i + 1) * n]) for i in range(m)]
 
 
@@ -711,7 +747,7 @@ def compose(second: Permutation, first: Permutation) -> Permutation:
     """Permutation equal to applying `first`, then `second`."""
     if first.size != second.size:
         raise ValueError("size mismatch in permutation composition")
-    return Permutation(tuple(second.images[first.images[i]] for i in range(second.size)))
+    return Permutation(second.array[first.array])
 
 
 def basis_state(n: int, label) -> StateVector:
@@ -765,7 +801,7 @@ def apply_circuit(s: StateVector, circuit: Circuit) -> StateVector:
     """The state after every gate of the circuit, in order."""
     if circuit.width != s.n:
         raise ValueError("circuit width does not match register size")
-    for gate in circuit.gates:
+    for gate in circuit_gates(circuit):
         s = apply_gate(s, gate)
     return s
 
@@ -780,7 +816,7 @@ def parse_plain(text: str) -> Circuit:
     for ln in lines[1:]:
         parts = ln.split()
         gates.append(Gate(parts[0], tuple(int(p) for p in parts[1:])))
-    return Circuit(width, tuple(gates))
+    return Circuit(width, gate_columns(gates))
 
 
 def burst_ability_measured(code: StabilizerCode, kind: str) -> int:

@@ -16,6 +16,7 @@ from qinterleave import (
     BURST_KINDS,
     IndeterminateEigenvalueError,
     PauliString,
+    Permutation,
     StabilizerCode,
     StateVector,
     SyndromeCollisionError,
@@ -93,7 +94,7 @@ def stack(blocks):
 def corrupt_blocks(blocks, err, perm):
     """The blocks of a deinterleaved register, each hit by its part of the
     burst err on the interleaved register."""
-    parts = split_pauli(permute_pauli(err, perm.inverse()), blocks[0].n)
+    parts = split_pauli(permute_pauli(err, Permutation(np.argsort(perm.array))), blocks[0].n)
     return [b.apply_pauli(p) for b, p in zip(blocks, parts)]
 
 
@@ -242,6 +243,24 @@ class TestEncoding:
         one_l = enc(0, 1)
         assert one_l.stabilizer_eigenvalue(code.logical_zs[0]) == -1
         assert abs(zero_l.fidelity(one_l)) < 1e-12
+
+    def test_projector_encoder_refuses_registers_past_the_guard(self):
+        # 27 qubits, k = 1: refused before any amplitude array is allocated
+        n = 27
+        code = StabilizerCode(
+            n=n, k=1,
+            generators=[PauliString(n, 0, 3 << (n - 2 - i)) for i in range(n - 1)],
+            logical_xs=[PauliString(n, (1 << n) - 1, 0)],
+            logical_zs=[PauliString(n, 0, 1 << (n - 1))],
+            burst_ability=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^qubit count must be in \[1, 26\]$"):
+                logical_encoder(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_encode_blocks_basis(self):
         s = encode_blocks([(1, 0)] * 3, encode_phase3)
@@ -1034,12 +1053,12 @@ class TestBlockReadoutOracle:
         perm = interleave_permutation(base.n, m)
         interleaved = phi_in.permute_qubits(perm)
         total = base.n * m
-        seen = set()
+        inverse, seen = Permutation(np.argsort(perm.array)), set()
         for err in enumerate_bursts(total, 3, "colocated"):
             _, syndromes, _ = block_decode(base, table,
                                            stack(corrupt_blocks(blocks, err, perm)))
             got = list(map(tuple, syndromes.tolist()))
-            deint = interleaved.apply_pauli(err).permute_qubits(perm.inverse())
+            deint = interleaved.apply_pauli(err).permute_qubits(inverse)
             assert got == whole_register_syndromes(base, deint, m), err
             seen.update(got)
         # the bursts reach every syndrome of a block

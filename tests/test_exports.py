@@ -93,3 +93,19 @@ def test_pauli_algebra_is_gone():
         assert not hasattr(vector, name), name
     assert [f.name for f in dataclasses.fields(vector)] == ["n", "as_int"]
     assert qinterleave.PauliString.from_label("XZI").x_mask.is_zero is False
+
+
+def test_gate_and_permutation_extras_are_gone():
+    # a gate is a column of Circuit.columns and a permutation is its checked
+    # array; the per-gate value lives in tests/oracles.py
+    interleaver = importlib.import_module("qinterleave.interleaver")
+    for owner in (qinterleave, interleaver):
+        assert not hasattr(owner, "Gate")
+    assert "Gate" not in qinterleave.__all__
+    assert not hasattr(interleaver, "_GATE_ARITY")
+    assert not hasattr(qinterleave.Circuit, "gates")
+    assert "__eq__" not in vars(qinterleave.Circuit)
+    for name in ("images", "inverse", "identity", "is_identity", "__call__",
+                 "__eq__", "__hash__"):
+        assert name not in vars(qinterleave.Permutation), name
+    assert not hasattr(qinterleave.PauliString, "weight")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qinterleave.cli
-from qinterleave import Permutation
+from qinterleave import Circuit
 from qinterleave.cli import main
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -37,18 +37,26 @@ def test_workload_matches_pinned_output(name, capsys):
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []
 
 
-def test_synth_reads_no_images_tuple(capsys, monkeypatch):
-    # synth reads Permutation.array only; the tuple of images is built on demand
-    def refuse(self):
-        raise AssertionError("Permutation.images read")
+def test_synth_builds_its_circuit_from_arrays(capsys, monkeypatch):
+    # synth hands the permutation's array to the synthesis and builds each
+    # circuit from whole columns, never from a list of per-gate values
+    built = []
+    init = Circuit.__init__
 
-    monkeypatch.setattr(Permutation, "images", property(refuse))
+    def recorded(self, width, columns):
+        built.append(columns)
+        init(self, width, columns)
+
+    monkeypatch.setattr(Circuit, "__init__", recorded)
     workload = workloads.WORKLOADS["synth-circuit"]
     argv = next(workload.op_argvs(seed=1, stream=0))
     assert argv[:5] == ["synth", "64", "64", "--format", "qasm"]
     exit_code = main(argv)
     stdout = capsys.readouterr().out
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []
+    assert len(built) == 1
+    assert all(isinstance(column, np.ndarray) and column.shape == (2016,)
+               for column in built[0])
 
 
 def test_enumerate_reads_the_burst_lanes_unconverted(capsys, monkeypatch):
