@@ -14,19 +14,21 @@ checks read, XOR the Z-sets of its X qubits and the X-sets of its Z qubits.
 
 Correctability of an error set is the standard stabilizer criterion: any two
 errors with equal syndromes must differ by a stabilizer element (degenerate
-errors are allowed).  Two errors with equal syndromes differ by an element of
+errors are allowed).  An explicit error set (corrects_error_set) and the
+decoder's syndrome table (build_syndrome_table) apply it as stated: each
+error's syndrome from syndrome_of, and the product of two errors with one
+syndrome tested by in_stabilizer_group.  The burst sweep (corrects_bursts)
+needs no product.  Two errors with equal syndromes differ by an element of
 N(S), and that element lies in S exactly when both errors commute or
 anticommute alike with every logical operator, i.e. lie in the same class of
 N(S)/S.  So a set is correctable iff every syndrome holds a single class.
 Syndrome and class bits are commutation bits, linear over GF(2) in the masks,
 folded into uint64 words, syndrome on top.  Every word is an XOR of one leaf,
 the words of each letter at each qubit: 0, the Z-set, the X-set and their XOR.
-A burst sweep (corrects_bursts) folds the leaf down the burst-window tree: a
-window's word is its prefix's word XOR its last letter's, so no mask lane is
-built, and only the failing syndrome's members get lanes, for the witness.  An
-explicit error list's words XOR the leaf over its letter grid, one qubit at a
-time.  One sort of the words puts each syndrome's classes side by side; the
-words also build the decoder's syndrome dict.
+The sweep folds the leaf down the burst-window tree: a window's word is its
+prefix's word XOR its last letter's, so no mask lane is built, and only the
+failing syndrome's members get lanes, for the witness.  One sort of the words
+puts each syndrome's classes side by side.
 """
 from __future__ import annotations
 
@@ -39,8 +41,7 @@ import numpy as np
 
 from .interleaver import interleave_permutation
 from .grid import GRID_BYTES
-from .pauli import (PauliString, _lane_bytes, burst_letters, burst_rows, burst_words, mask_rows,
-                    row_labels, row_masks)
+from .pauli import PauliString, burst_rows, burst_words, mask_rows, row_labels, row_masks
 from .statevector import _NORM_TOL, MAX_QUBITS, StateVector, apply_paulis, eigenvalue_signs
 
 
@@ -160,7 +161,9 @@ class StabilizerCode:
         # labelled a block of operators at a time, not as one (J, n) grid
         step = max(1, GRID_BYTES // n)
         for start in range(0, len(ops), step):
-            text = row_labels(n, *_pauli_rows(n, ops[start:start + step])).tobytes().decode()
+            block = ops[start:start + step]
+            text = row_labels(n, mask_rows(n, [p.x for p in block]),
+                              mask_rows(n, [p.z for p in block])).tobytes().decode()
             lines += map("{} {}\n".format, tags[start:start + step],
                          (text[i:i + n] for i in range(0, len(text), n)))
         return "".join(lines)
@@ -292,13 +295,6 @@ class CorrectabilityResult(NamedTuple):
         return self.ok
 
 
-def _pauli_rows(n: int, paulis: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
-    """The x masks and the z masks of n-qubit Paulis as lanes (mask_rows)."""
-    if any(p.n != n for p in paulis):
-        raise ValueError("error length does not match code size")
-    return mask_rows(n, [p.x for p in paulis]), mask_rows(n, [p.z for p in paulis])
-
-
 def _leaf(n: int, ops: Sequence[PauliString]) -> np.ndarray:
     """(ceil(len(ops)/64), n, 4) uint64 words: bit len(ops)-1-j of [lane, q, c]
     is set when letter code c (x + 2z) at qubit q anticommutes with ops[j]:
@@ -308,45 +304,20 @@ def _leaf(n: int, ops: Sequence[PauliString]) -> np.ndarray:
                                 for w in (0, z, x, x ^ z)]).reshape(-1, n, 4)
 
 
-def _commutation_words(n: int, ops: Sequence[PauliString], xs: np.ndarray,
-                       zs: np.ndarray) -> np.ndarray:
-    """(ceil(len(ops)/64), N) uint64 array: column i, read as one integer
-    with word 0 most significant, has bit len(ops)-1-j set when the error with
-    mask lanes xs[:, i] and zs[:, i] anticommutes with ops[j] (n qubits, ops
-    not empty): the XOR of the leaf (_leaf) over its letters by qubit."""
-    leaf = _leaf(n, ops)
-    folded = np.zeros((len(leaf), xs.shape[1]), dtype=np.uint64)
-    for column, words in zip(burst_letters(n, xs, zs).T, leaf.transpose(1, 0, 2)):
-        folded ^= words[:, column]
-    return folded
-
-
-def _class_ops(code: StabilizerCode) -> tuple[tuple[PauliString, ...], np.ndarray]:
-    """The generators, then the logical Xs and Zs, whose commutation bits are
-    an error's word, and the (words, 1) mask of the generator bits: words sort
-    in syndrome order, and two with one syndrome differ exactly when their
-    errors lie in different classes."""
+def corrects_bursts(code: StabilizerCode, l: int, kind: str) -> CorrectabilityResult:
+    """corrects_error_set(code, enumerate_bursts(code.n, l, kind)) from
+    words: each burst's commutation bits with the generators, then the
+    logical Xs and Zs, folded down the burst-window tree (burst_words) from
+    the leaf (_leaf) with no mask lane built.  Words sort in syndrome order,
+    and two with one syndrome differ exactly when their errors lie in
+    different classes, so the set fails iff two distinct words, column 0 the
+    identity's, share a syndrome.  The witness comes from the first such
+    syndrome, whose members alone get lanes (burst_rows): its smallest
+    member by (x, z), a lexsort of the lanes, and the first later member of
+    another class."""
     ops = (*code.generators, *code.logical_xs, *code.logical_zs)
-    mask = ((1 << len(code.generators)) - 1) << (2 * code.k)
-    return ops, mask_rows(len(ops), [mask])
-
-
-def _fold(code: StabilizerCode, xs: np.ndarray, zs: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The errors' lanes, the identity's zero column first, their words and
-    the syndrome mask (_class_ops)."""
-    xs, zs = (np.hstack([np.zeros((len(lanes), 1), np.uint64), lanes]) for lanes in (xs, zs))
-    ops, mask = _class_ops(code)
-    return xs, zs, _commutation_words(code.n, ops, xs, zs), mask
-
-
-def _verdict(code: StabilizerCode, words: np.ndarray, mask: np.ndarray,
-             rows_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-             ) -> CorrectabilityResult:
-    """The set fails iff two distinct words, column 0 the identity's, share a
-    syndrome.  The witness comes from the first such syndrome: its smallest
-    member by (x, z), a lexsort of the mask lanes rows_of gives for the
-    members' columns, and the first later member of another class."""
+    mask = mask_rows(len(ops), [((1 << len(code.generators)) - 1) << (2 * code.k)])
+    words = burst_words(code.n, l, kind, _leaf(code.n, ops))
     ordered = (np.sort(words, axis=1) if len(words) == 1
                else words[:, np.lexsort(words[::-1])])
     # Sorted words keep each syndrome's classes side by side.
@@ -356,8 +327,8 @@ def _verdict(code: StabilizerCode, words: np.ndarray, mask: np.ndarray,
     if not len(clash):
         return CorrectabilityResult(True, None)
     members = np.flatnonzero(((words & mask) == syndromes[:, clash[:1]]).all(axis=0))
-    del ordered, syndromes  # freed before rows_of builds any lane
-    xs, zs = rows_of(members)
+    del ordered, syndromes  # freed before burst_rows builds any lane
+    xs, zs = burst_rows(code.n, l, kind, members)
     # Unsigned lanes, lane 0 first, compare as the mask ints do.
     order = np.lexsort(np.vstack([xs, zs])[::-1])
     ranked = words[:, members[order]]
@@ -366,63 +337,54 @@ def _verdict(code: StabilizerCode, words: np.ndarray, mask: np.ndarray,
         PauliString(code.n, x, z) for x, z in zip(row_masks(xs[:, pair]), row_masks(zs[:, pair]))))
 
 
-def corrects_masks(code: StabilizerCode, xs: np.ndarray,
-                   zs: np.ndarray) -> CorrectabilityResult:
-    """corrects_error_set for the errors with x mask lanes xs and z mask
-    lanes zs, the layout of burst_masks and mask_rows for code.n bits (not
-    checked): their words are folded from the lanes."""
-    xs, zs, words, mask = _fold(code, xs, zs)
-    return _verdict(code, words, mask, lambda members: (xs[:, members], zs[:, members]))
-
-
-def corrects_bursts(code: StabilizerCode, l: int, kind: str) -> CorrectabilityResult:
-    """corrects_masks(code, *burst_masks(code.n, l, kind)), from words folded
-    down the burst-window tree (burst_words) from the leaf (_leaf) with no
-    mask lane built; only the failing syndrome's members get lanes (burst_rows)."""
-    ops, mask = _class_ops(code)
-    words = burst_words(code.n, l, kind, _leaf(code.n, ops))
-    return _verdict(code, words, mask, lambda members: burst_rows(code.n, l, kind, members))
-
-
 def corrects_error_set(code: StabilizerCode,
                        errors: Sequence[PauliString]) -> CorrectabilityResult:
     """Stabilizer correctability of the error set (identity always included).
 
     True iff any two errors with equal syndromes have a product inside the
-    stabilizer group, i.e. iff errors with equal syndromes lie in one class
-    of N(S)/S.  On failure the witness is the offending pair, chosen
-    deterministically: the first failing bucket in syndrome order, its
-    lexicographically smallest member, and the first later member whose
-    product with it is outside the stabilizer group.
+    stabilizer group.  The distinct errors are bucketed by syndrome_of, and
+    each bucket's members are checked against its smallest by (x, z) with
+    in_stabilizer_group.  On failure the witness is the offending pair: the
+    first failing bucket in syndrome order, its smallest member, and the
+    first later member whose product with it is outside the group.  Every
+    error's length is checked first.
     """
-    return corrects_masks(code, *_pauli_rows(code.n, errors))
+    if any(e.n != code.n for e in errors):
+        raise ValueError("error length does not match code size")
+    buckets: dict[tuple[int, ...], list[PauliString]] = {}
+    for e in dict.fromkeys((PauliString.identity(code.n), *errors)):
+        buckets.setdefault(code.syndrome_of(e), []).append(e)
+    for syndrome in sorted(buckets):
+        base, *rest = sorted(buckets[syndrome], key=lambda p: (p.x, p.z))
+        for e in rest:
+            if not code.in_stabilizer_group(PauliString(code.n, base.x ^ e.x, base.z ^ e.z)):
+                return CorrectabilityResult(False, (base, e))
+    return CorrectabilityResult(True, None)
 
 
 def build_syndrome_table(code: StabilizerCode, errors: Sequence[PauliString]
                          ) -> dict[tuple[int, ...], PauliString]:
     """Syndrome -> correction map, the identity's zero syndrome included.
 
-    Each syndrome maps to its first error in input order (the identity for
-    the zero syndrome), keys in order of first appearance.  Raises
-    SyndromeCollisionError at the first error whose product with its
-    syndrome's correction is outside the stabilizer group, i.e. whose class
-    differs from the correction's.
+    Each syndrome (syndrome_of) maps to its first error in input order (the
+    identity for the zero syndrome), keys in order of first appearance.  A
+    later error with a syndrome already in the table is checked against its
+    correction with in_stabilizer_group, and SyndromeCollisionError is raised
+    at the first whose product with it is outside the stabilizer group.
+    Every error's length is checked first.
     """
-    _, _, words, mask = _fold(code, *_pauli_rows(code.n, errors))
-    _, first, bucket = np.unique(words & mask, axis=1, return_index=True,
-                                 return_inverse=True)
-    start = 64 * len(words) - code.n - code.k
-    bits = np.unpackbits(_lane_bytes(words), axis=1)
-    syndromes = bits[:, start:start + len(code.generators)].tolist()
-    paulis = [PauliString.identity(code.n), *errors]
-    # An error whose word differs from its bucket's first differs in class.
-    stray = (words != words[:, first[bucket]]).any(axis=0)
-    if stray.any():
-        i = int(np.argmax(stray))
-        raise SyndromeCollisionError(
-            f"errors {paulis[first[bucket[i]]]} and {paulis[i]} share syndrome "
-            f"{tuple(syndromes[i])} but their product is outside the stabilizer group")
-    return {tuple(syndromes[i]): paulis[i] for i in np.sort(first).tolist()}
+    if any(e.n != code.n for e in errors):
+        raise ValueError("error length does not match code size")
+    table: dict[tuple[int, ...], PauliString] = {}
+    for e in (PauliString.identity(code.n), *errors):
+        syndrome = code.syndrome_of(e)
+        first = table.setdefault(syndrome, e)
+        if first != e and not code.in_stabilizer_group(
+                PauliString(code.n, first.x ^ e.x, first.z ^ e.z)):
+            raise SyndromeCollisionError(
+                f"errors {first} and {e} share syndrome {syndrome} "
+                "but their product is outside the stabilizer group")
+    return table
 
 
 def block_decode(code: StabilizerCode, table: dict[tuple[int, ...], PauliString],

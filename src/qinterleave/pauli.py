@@ -18,8 +18,8 @@ numbers alone.  Each refuses a set over BURST_BYTES_BUDGET before allocating it
 (admitted_burst_count).  Labels are read off the lanes' big-endian bytes through
 a 256-entry byte table; burst lengths and weights off the lanes themselves, a
 few whole-word passes a lane.  The (N, n) grid of letter codes x + 2z that
-burst_letters unpacks, and letter_rows packs back, serves the code tables and
-deinterleaving.
+burst_letters unpacks serves deinterleaving; letter_rows packs a grid back,
+for the columns burst_rows decodes.
 """
 from __future__ import annotations
 

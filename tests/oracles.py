@@ -37,7 +37,6 @@ from qinterleave import (
     logical_encoder,
 )
 from qinterleave.cli import FIDELITY_TOL
-from qinterleave.codes import corrects_masks
 from qinterleave.interleaver import GATE_KINDS
 from qinterleave.pauli import row_masks
 
@@ -240,57 +239,84 @@ def pack_masks(masks, words: int) -> np.ndarray:
                      for m in masks], dtype=np.uint64).reshape(-1, words)
 
 
-def commutation_bits(n: int, ops, xs, zs) -> np.ndarray:
-    """(len(xs), len(ops)) uint8 matrix: bit j of row i is 1 when the error
-    X_xs[i] Z_zs[i] anticommutes with ops[j], one operator at a time, by the
-    parity of the two mask overlaps over the errors packed into words."""
+def pauli_lanes(n: int, paulis) -> tuple[np.ndarray, np.ndarray]:
+    """The (words, N) uint64 lanes of the Paulis' x masks and of their z
+    masks, one column a Pauli, word 0 most significant."""
     words = -(-n // WORD)
-    ex, ez = pack_masks(xs, words), pack_masks(zs, words)
-    op_xs = pack_masks([op.x for op in ops], words)
-    op_zs = pack_masks([op.z for op in ops], words)
-    bits = np.zeros((len(ex), len(ops)), dtype=np.uint8)
-    for j, (ox, oz) in enumerate(zip(op_xs, op_zs)):
+    return (pack_masks([p.x for p in paulis], words).T,
+            pack_masks([p.z for p in paulis], words).T)
+
+
+def lane_commutation_bits(ops, xs, zs) -> np.ndarray:
+    """(N, len(ops)) uint8 matrix: bit j of row i is 1 when the error whose
+    masks are column i of the lanes xs and zs (pauli_lanes) anticommutes with
+    ops[j], one operator at a time, by the parity of the two mask overlaps."""
+    bits = np.zeros((xs.shape[1], len(ops)), dtype=np.uint8)
+    for j, op in enumerate(ops):
+        ox, oz = pauli_lanes(op.n, [op])
         # The XOR of the two overlaps has the parity of their summed counts.
-        bits[:, j] = np.bitwise_count((ex & oz) ^ (ez & ox)).sum(axis=1) & 1
+        bits[:, j] = np.bitwise_count((xs & oz) ^ (zs & ox)).sum(axis=0) & 1
     return bits
 
 
-def gf2_corrects_error_set(code: StabilizerCode,
-                           errors) -> CorrectabilityResult:
-    """Stabilizer correctability by pairwise membership: errors are bucketed
-    by syndrome, and every member of a bucket is checked against the bucket's
-    smallest member by a GF(2) solve for their product in the stabilizer
-    group.  Buckets are scanned in syndrome order; the first product outside
-    the group is the witness."""
-    buckets: dict[tuple[int, ...], list[PauliString]] = {}
-    for e in dict.fromkeys((PauliString.identity(code.n), *errors)):
-        buckets.setdefault(code.syndrome_of(e), []).append(e)
-    for syn in sorted(buckets):
-        bucket = sorted(buckets[syn], key=lambda p: (p.x, p.z))
-        base = bucket[0]
-        for e in bucket[1:]:
-            if not code.in_stabilizer_group(pauli_product(base, e)):
-                return CorrectabilityResult(False, (base, e))
-    return CorrectabilityResult(True, None)
+def commutation_bits(n: int, ops, xs, zs) -> np.ndarray:
+    """lane_commutation_bits of the errors X_xs[i] Z_zs[i], from mask ints."""
+    words = -(-n // WORD)
+    return lane_commutation_bits(ops, pack_masks(xs, words).T, pack_masks(zs, words).T)
 
 
-def membership_syndrome_table(code: StabilizerCode,
-                              errors) -> dict[tuple[int, ...], PauliString]:
-    """Syndrome table by per-error membership: each error's syndrome from
-    syndrome_of, and every error colliding with an entry checked by a GF(2)
-    solve for its product with that entry in the stabilizer group."""
-    identity = PauliString.identity(code.n)
-    table: dict[tuple[int, ...], PauliString] = {(0,) * (code.n - code.k): identity}
-    for e in errors:
-        syn = code.syndrome_of(e)
-        existing = table.get(syn)
-        if existing is None:
-            table[syn] = e
-        elif not code.in_stabilizer_group(pauli_product(existing, e)):
-            raise SyndromeCollisionError(
-                f"errors {existing} and {e} share syndrome {syn} but their "
-                "product is outside the stabilizer group")
-    return table
+def class_bits(code: StabilizerCode, xs, zs) -> np.ndarray:
+    """Each error's commutation bits with the generators, its syndrome, then
+    with the logical Xs and Zs: two errors with one syndrome lie in one class
+    of N(S)/S, i.e. differ by a stabilizer element, iff all their bits agree."""
+    return lane_commutation_bits((*code.generators, *code.logical_xs, *code.logical_zs),
+                                 xs, zs)
+
+
+def class_corrects_masks(code: StabilizerCode, xs, zs) -> CorrectabilityResult:
+    """Stabilizer correctability of the errors with mask lanes xs and zs
+    (pauli_lanes, or burst_masks), the identity's zero column put first, by
+    logical classes: the errors sorted by syndrome, then class (class_bits),
+    fail where two neighbours share a syndrome but not a class.  The witness
+    is the first such syndrome's smallest member by (x, z), from a lexsort of
+    the members' lanes, and its first later member of another class."""
+    zero = np.zeros((len(xs), 1), np.uint64)
+    xs, zs = np.hstack([zero, xs]), np.hstack([zero, zs])
+    bits, g = class_bits(code, xs, zs), len(code.generators)
+    ranked = bits[np.lexsort(np.packbits(bits, axis=1).T[::-1])]
+    clash = ((ranked[1:, :g] == ranked[:-1, :g]).all(axis=1)
+             & (ranked[1:] != ranked[:-1]).any(axis=1))
+    if not clash.any():
+        return CorrectabilityResult(True, None)
+    members = np.flatnonzero((bits[:, :g] == ranked[np.argmax(clash), :g]).all(axis=1))
+    members = members[np.lexsort(np.vstack([xs[:, members], zs[:, members]])[::-1])]
+    pair = members[[0, np.argmax((bits[members] != bits[members[0]]).any(axis=1))]]
+    return CorrectabilityResult(False, tuple(
+        PauliString(code.n, x, z) for x, z in zip(row_masks(xs[:, pair]), row_masks(zs[:, pair]))))
+
+
+def class_syndrome_table(code: StabilizerCode,
+                         errors) -> dict[tuple[int, ...], PauliString]:
+    """Syndrome table by logical classes: the identity, then the errors in
+    input order, stably sorted by syndrome (class_bits), so each syndrome's
+    first error, its correction, leads its run.  The first error in input
+    order whose class differs from its correction's raises."""
+    paulis = [PauliString.identity(code.n), *errors]
+    bits, g = class_bits(code, *pauli_lanes(code.n, paulis)), len(code.generators)
+    # input order breaks ties, and is the one key of a code without generators
+    order = np.lexsort([np.arange(len(paulis)), *bits[:, :g].T[::-1]])
+    ranked = bits[order]
+    leads = np.r_[True, (ranked[1:, :g] != ranked[:-1, :g]).any(axis=1)]
+    first = np.empty(len(paulis), np.intp)
+    first[order] = order[np.flatnonzero(leads)[np.cumsum(leads) - 1]]
+    syndromes = [tuple(row) for row in bits[:, :g].tolist()]
+    stray = np.flatnonzero((bits != bits[first]).any(axis=1))
+    if len(stray):
+        i = stray[0]
+        raise SyndromeCollisionError(
+            f"errors {paulis[first[i]]} and {paulis[i]} share syndrome {syndromes[i]} "
+            "but their product is outside the stabilizer group")
+    return {syndromes[i]: paulis[i] for i in np.unique(first).tolist()}
 
 
 def dense_statevector_items(code: StabilizerCode, kind: str, length: int, pairs,
@@ -300,9 +326,9 @@ def dense_statevector_items(code: StabilizerCode, kind: str, length: int, pairs,
     to the whole register and deinterleave it, read block i's syndrome from
     the register-wide eigenvalues of its embedded generators, apply every
     block's correction as one Pauli and take the fidelity with the encoded
-    register.  The table is membership_syndrome_table's, for the kind's
+    register.  The table is class_syndrome_table's, for the kind's
     bursts of length <= length on one block."""
-    table = membership_syndrome_table(code, enumerate_bursts(code.n, length, kind))
+    table = class_syndrome_table(code, enumerate_bursts(code.n, length, kind))
     m = len(pairs)
     total = code.n * m
     phi_in = encode_blocks(pairs, logical_encoder(code))
@@ -822,6 +848,6 @@ def parse_plain(text: str) -> Circuit:
 def burst_ability_measured(code: StabilizerCode, kind: str) -> int:
     """Largest l for which every burst of the kind with length <= l is correctable."""
     for l in range(1, code.n + 1):
-        if not corrects_masks(code, *burst_masks(code.n, l, kind)):
+        if not class_corrects_masks(code, *burst_masks(code.n, l, kind)):
             return l - 1
     return code.n

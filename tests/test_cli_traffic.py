@@ -77,7 +77,6 @@ PINNED = json.loads(PINS.read_text()) if PINS.exists() else {}
 
 # Names no command runs and no span target reads, each kept for its reason.
 ALLOWED = {
-    "codes.corrects_masks": "the lanes entry of corrects_error_set",
     "pauli.BinaryVector.is_zero": "read by spans._apply_pauli_bytes",
     "pauli.PauliString.x_mask": "read by spans._apply_pauli_bytes",
     "pauli.PauliString.z_mask": "read by spans._apply_pauli_bytes",

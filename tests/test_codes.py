@@ -33,20 +33,21 @@ from qinterleave import (
     logical_encoder,
     phase3_code,
 )
-from qinterleave.cli import DEFAULT_COEFFS
-from qinterleave.codes import _commutation_words, _leaf, corrects_bursts, corrects_masks
-from qinterleave.pauli import _decoded_rows, burst_count, mask_rows
+from qinterleave.cli import DEFAULT_COEFFS, run_demo, run_verify
+from qinterleave.codes import _leaf, corrects_bursts
+from qinterleave.pauli import _decoded_rows, burst_count, burst_letters, mask_rows
 from oracles import (
     basis_state,
     burst_ability_measured,
+    class_corrects_masks,
+    class_syndrome_table,
     commutation_bits,
     embed_pauli,
-    gf2_corrects_error_set,
     gf2_rank_of,
     in_gf2_span,
     letter_label,
-    membership_syndrome_table,
     pairwise_relation_checks,
+    pauli_lanes,
     pauli_matrix,
     pauli_product,
     permute_pauli,
@@ -345,6 +346,10 @@ class TestSyndromes:
     def test_table_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="error length"):
             build_syndrome_table(phase3_code(), [PauliString.from_label("ZIII")])
+        # every length is checked before the XII collision is reached
+        with pytest.raises(ValueError, match="error length"):
+            build_syndrome_table(phase3_code(), [PauliString.from_label("XII"),
+                                                 PauliString.from_label("ZIII")])
 
     def test_table_identity_only(self):
         table = build_syndrome_table(phase3_code(), [PauliString.identity(3)])
@@ -475,6 +480,10 @@ class TestCorrectability:
         with pytest.raises(ValueError):
             corrects_error_set(five_qubit_code(), [PauliString.from_label("X"),
                                                    PauliString.from_label("XIIII")])
+        # a failing set with a wrong length among it raises, not fails
+        with pytest.raises(ValueError, match="error length"):
+            corrects_error_set(phase3_code(), [PauliString.from_label("XII"),
+                                               PauliString.from_label("ZIII")])
 
     def test_phase3_bit_error_witness(self):
         result = corrects_error_set(phase3_code(), [PauliString.from_label("XII")])
@@ -543,14 +552,14 @@ def random_gates(n, count, rng):
 
 def assert_matches_oracle(code, errors):
     got = corrects_error_set(code, errors)
-    want = gf2_corrects_error_set(code, errors)
+    want = class_corrects_masks(code, *pauli_lanes(code.n, errors))
     assert (got.ok, got.witness) == (want.ok, want.witness)
     return got
 
 
 class TestCorrectsBursts:
     """corrects_bursts, whose words are folded down the burst-window tree,
-    against corrects_masks over the lanes of burst_masks: the same verdict
+    against class_corrects_masks over the lanes of burst_masks: the same verdict
     and witness for phase3 and five at degrees 1-4 and 13, every kind and
     every l up to 300,000 bursts."""
 
@@ -568,7 +577,7 @@ class TestCorrectsBursts:
                             break
                         decoded.clear()
                         got = corrects_bursts(code, l, kind)
-                        assert got == corrects_masks(code, *burst_masks(code.n, l, kind))
+                        assert got == class_corrects_masks(code, *burst_masks(code.n, l, kind))
                         verdicts.add(got.ok)
                         if not got.ok:
                             branches.add(bool(decoded))
@@ -594,7 +603,7 @@ class TestCorrectsBursts:
         code = scrambled_code(n, min(k, n), random_gates(n, 2 * n, rng))
         longest = sum(1 for l in range(1, n + 1) if burst_count(n, l, kind) <= 20_000)
         for l in {1, max(longest, 1)}:
-            assert corrects_bursts(code, l, kind) == corrects_masks(
+            assert corrects_bursts(code, l, kind) == class_corrects_masks(
                 code, *burst_masks(n, l, kind))
 
 
@@ -692,8 +701,8 @@ class TestRelationChecks:
 
 
 class TestCorrectabilityOracle:
-    """The logical-class test against the pairwise GF(2) membership solve:
-    the same verdict and the same witness pair."""
+    """The per-syndrome membership test against the logical-class reference
+    over mask lanes: the same verdict and the same witness pair."""
 
     def test_25_5_boundary(self):
         code = interleaved_code(five_qubit_code(), 5)
@@ -784,8 +793,13 @@ def random_masks(n, count, rng):
 
 
 def assert_words_match_oracle(n, ops, rng, errors=12):
+    # the leaf XORed over the errors' letters, one qubit at a time
     xs, zs = random_masks(n, errors, rng), random_masks(n, errors, rng)
-    words = _commutation_words(n, ops, mask_rows(n, xs), mask_rows(n, zs))
+    leaf = _leaf(n, ops)
+    words = np.zeros((len(leaf), errors), np.uint64)
+    for column, letter_words in zip(burst_letters(n, mask_rows(n, xs), mask_rows(n, zs)).T,
+                                    leaf.transpose(1, 0, 2)):
+        words ^= letter_words[:, column]
     assert words.shape == (-(-len(ops) // 64), errors)
     assert (unfold(words, len(ops)) == commutation_bits(n, ops, xs, zs)).all()
 
@@ -885,14 +899,14 @@ def table_outcome(build, code, errors):
 
 def assert_table_matches_oracle(code, errors):
     got = table_outcome(build_syndrome_table, code, errors)
-    assert got == table_outcome(membership_syndrome_table, code, errors)
+    assert got == table_outcome(class_syndrome_table, code, errors)
     return got
 
 
 class TestSyndromeTableOracle:
-    """build_syndrome_table, built from the logical-class buckets, against the
-    per-error syndrome and membership loop: the same keys, corrections and
-    order, or the same collision message."""
+    """build_syndrome_table, the per-error syndrome and membership loop,
+    against the logical-class reference over mask lanes: the same keys,
+    corrections and order, or the same collision message."""
 
     def test_interleaved_burst_sweep(self):
         identity = {n: PauliString.identity(n) for n in range(3, 16)}
@@ -937,6 +951,52 @@ class TestSyndromeTableOracle:
     @given(st.data())
     def test_random_small_codes(self, data):
         assert_table_matches_oracle(*draw_code_and_errors(data))
+
+
+def report_json(report):
+    """A report's JSON with its elapsed_seconds value cut."""
+    return re.sub(r'("elapsed_seconds": )\S+', r"\1", report.render("json"))
+
+
+class TestMethodIndependence:
+    """The state-vector method shares none of the stabilizer sweep's words:
+    with the sweep's leaf and window-tree fold made to raise in codes, the
+    state-vector runs, one of them a block decoder collision, and the demo
+    give their reports unchanged."""
+
+    RUNS = {
+        "phase3": lambda: run_verify("phase3", 3, method="statevector"),
+        "five collision": lambda: run_verify("five", 3, kind="colocated", burst=4,
+                                             method="statevector"),
+        "demo": run_demo,
+    }
+
+    def test_statevector_runs_without_the_sweep(self, monkeypatch):
+        want = {name: report_json(run()) for name, run in self.RUNS.items()}
+        assert '"reason": "errors ' in want["five collision"]
+
+        def refuse(*args):
+            raise AssertionError("the stabilizer sweep's fold was called")
+
+        # pauli.burst_masks keeps its own burst_words
+        monkeypatch.setattr(qinterleave.codes, "_leaf", refuse)
+        monkeypatch.setattr(qinterleave.codes, "burst_words", refuse)
+        with pytest.raises(AssertionError, match="fold was called"):
+            corrects_bursts(phase3_code(), 1, "phase")
+        assert {name: report_json(run()) for name, run in self.RUNS.items()} == want
+
+    def test_membership_only_on_shared_syndromes(self, monkeypatch):
+        calls = []
+        member = StabilizerCode.in_stabilizer_group
+        monkeypatch.setattr(StabilizerCode, "in_stabilizer_group",
+                            lambda code, p: calls.append(p) or member(code, p))
+        code = phase3_code()
+        # the demo's table: the identity and three errors, four syndromes
+        assert len(build_syndrome_table(code, enumerate_bursts(3, 1, "phase"))) == 4
+        assert calls == []
+        with pytest.raises(SyndromeCollisionError):
+            build_syndrome_table(code, enumerate_bursts(3, 2, "phase"))
+        assert len(calls) == 1
 
 
 class TestTheorem2Equivalence:
