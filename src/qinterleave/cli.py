@@ -270,9 +270,7 @@ def run_synth(rows: int, cols: int, fmt: str = "plain",
                          f"{BURST_BYTES_BUDGET // SYNTH_BYTES_PER_QUBIT:,} qubits")
     perm = interleave_permutation(rows, cols)
     circuit = synthesize_swap_network(perm)
-    if expand_swaps:
-        circuit = circuit.expand_swaps()
-    text = circuit.export(fmt)
+    text = circuit.export(fmt, lowered=expand_swaps)
     count = circuit.cnot_count()
     items = [{
         "label": f"cnot count within 3(nm-1) = {3 * (total - 1)}",
@@ -293,7 +291,7 @@ def run_synth(rows: int, cols: int, fmt: str = "plain",
             "cols": cols,
             "format": fmt,
             "expand_swaps": expand_swaps,
-            "swap_count": circuit.swap_count,
+            "swap_count": 0 if expand_swaps else circuit.swap_count,
             "cnot_count": count,
         },
         items=items,

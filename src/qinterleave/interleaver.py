@@ -1,4 +1,4 @@
-"""Block-interleaving permutations and their SWAP/CNOT circuits.
+"""Block-interleaving permutations and the SWAP circuits that realize them.
 
 m blocks of n symbols, stored block-major (symbol j of block i at position
 i*n + j), are rearranged so that symbol j of block i is transmitted at slot
@@ -7,8 +7,9 @@ most b consecutive symbols of each block, which is what makes interleaved
 codes burst-tolerant.
 
 A permutation is its checked array of images (Permutation.array), and a
-circuit its gate columns (Circuit.columns): synthesis, counting, lowering and
-export read those arrays and build no per-gate object.
+circuit its SWAP operand pairs (Circuit.pairs): synthesis, counting and export
+read those arrays and build no per-gate object.  Lowering each SWAP(a,b) to
+CNOT(a,b) CNOT(b,a) CNOT(a,b) is a layout of the listing, not a circuit.
 """
 from __future__ import annotations
 
@@ -17,10 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import PAD, cells, digit_cells, grid_text
-
-GATE_KINDS = ("H", "CNOT", "SWAP")
-_H, _CNOT, _SWAP = range(len(GATE_KINDS))
+from .grid import digit_cells, grid_text
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -53,86 +51,60 @@ def interleave_permutation(n: int, m: int) -> Permutation:
     return Permutation(np.arange(n * m).reshape(n, m).T.ravel())
 
 
-# A listing line per gate kind: cell tables by kind between operands 0 and 1,
-# written in the kinds whose next cell is not empty (every line ends in "\n").
-# QASM writes a SWAP as its three cx lines.
-_PLAIN = (cells(b"H ", b"CNOT ", b"SWAP "), 0, cells(b"\n", b" ", b" "), 1,
-          cells(b"", b"\n", b"\n"))
-_QASM = (cells(b"h q[", b"cx q[", b"cx q["), 0, cells(b"];\n", b"],q[", b"],q["), 1,
-         cells(b"", b"];\n", b"];\ncx q["), 1, cells(b"", b"", b"],q["), 0,
-         cells(b"", b"", b"];\ncx q["), 0, cells(b"", b"", b"],q["), 1, cells(b"", b"", b"];\n"))
+# The lines of one SWAP(a,b): shared bytes between its operands a (0) and b (1).
+_PLAIN = (b"SWAP ", 0, b" ", 1, b"\n")
+_LOWERED = (b"CNOT ", 0, b" ", 1, b"\nCNOT ", 1, b" ", 0, b"\nCNOT ", 0, b" ", 1, b"\n")
+_QASM = (b"cx q[", 0, b"],q[", 1, b"];\ncx q[", 1, b"],q[", 0, b"];\ncx q[", 0, b"],q[", 1,
+         b"];\n")
 
 
 class Circuit:
-    """Gates on `width` qubits, held as a read-only (3, G) int64 array of
-    columns: the kind (an index into GATE_KINDS), operand 0 and operand 1 (-1
-    for H).  The columns are checked at once, and the first bad gate is
-    refused by its kind, its operand count, repeated or negative operands, or
-    as out of width, in that order."""
+    """SWAP gates on `width` qubits, held as a read-only (2, G) int64 array of
+    operand pairs.  The pairs are checked at once, and the first bad SWAP is
+    refused for repeated or negative operands, or as out of width, in that
+    order."""
 
-    def __init__(self, width: int, columns) -> None:
-        columns = np.array(columns)
-        if columns.size and columns.dtype.kind not in "iu":
+    def __init__(self, width: int, pairs) -> None:
+        pairs = np.array(pairs)
+        if pairs.size and pairs.dtype.kind not in "iu":
             raise ValueError("gate kinds and qubit indices must be integers")
-        kind, a, b = columns = columns.astype(np.int64).reshape(3, -1)
-        bad = ((kind < 0) | (kind >= len(GATE_KINDS)) | ((kind > _H) == (b == -1)) | (a == b)
-               | (a < 0) | (b < -1) | (a >= width) | (b >= width))
+        a, b = pairs = pairs.astype(np.int64, copy=False).reshape(2, -1)
+        bad = (a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= width)
         if bad.any():
             g = int(bad.argmax())
-            k, qubits = int(kind[g]), tuple(columns[1:2 + (b[g] != -1), g].tolist())
-            name, arity = GATE_KINDS[k] if 0 <= k < len(GATE_KINDS) else None, 1 + (k != _H)
-            raise ValueError(
-                f"unknown gate kind {k}" if name is None
-                else f"{name} takes {arity} operand(s)" if len(qubits) != arity
-                else f"{name} operands must be distinct" if len(set(qubits)) != arity
-                else "negative qubit index" if min(qubits) < 0
-                else f"gate {name}{qubits} exceeds width {width}")
-        columns.setflags(write=False)
-        self.width, self.columns = width, columns
+            qubits = tuple(pairs[:, g].tolist())
+            raise ValueError("SWAP operands must be distinct" if a[g] == b[g]
+                             else "negative qubit index" if min(qubits) < 0
+                             else f"gate SWAP{qubits} exceeds width {width}")
+        pairs.setflags(write=False)
+        self.width, self.pairs = width, pairs
 
     @property
     def swap_count(self) -> int:
-        return int(np.count_nonzero(self.columns[0] == _SWAP))
+        return self.pairs.shape[1]
 
     def cnot_count(self) -> int:
-        """CNOTs after lowering: 3 per SWAP plus every raw CNOT (H excluded)."""
-        return int(np.take((0, 1, 3), self.columns[0]).sum())
-
-    def expand_swaps(self) -> "Circuit":
-        """Lower every SWAP(a,b) to CNOT(a,b) CNOT(b,a) CNOT(a,b)."""
-        kind, a, b = self.columns
-        lowered = np.minimum(kind, _CNOT)
-        # three rows per gate, the middle one reversed; all but a SWAP keep the first
-        rows = np.stack([(lowered, a, b), (lowered, b, a), (lowered, a, b)], axis=-1)
-        keep = (kind == _SWAP)[:, None] | (np.arange(3) == 0)
-        return Circuit(self.width, columns=np.compress(keep.ravel(), rows.reshape(3, -1), axis=1))
+        """CNOTs after lowering: 3 per SWAP."""
+        return 3 * self.swap_count
 
     def _listing(self, head: str, layout: tuple) -> str:
-        kind = self.columns[0]
-        digits = np.split(digit_cells(np.maximum(self.columns[1:], 0).ravel()), 2)
-        # one kind throughout: each table is one shared part, each operand all or none
-        one = [kind[0]] if kind.size and kind.min() == kind.max() else None
-        parts = []
-        for j in range(0, len(layout), 2):
-            table = layout[j][kind if one is None else one]
-            if j and (has := table[:, :1] != PAD).any():
-                operand = digits[layout[j - 1]]
-                parts.append(operand if has.all() else np.where(has, operand, np.uint8(PAD)))
-            parts.append(table if one is None else table[table != PAD].tobytes())
-        return grid_text(parts, len(kind), head)
+        digits = np.split(digit_cells(self.pairs.ravel()), 2)
+        parts = [digits[p] if isinstance(p, int) else p for p in layout]
+        return grid_text(parts, self.swap_count, head)
 
-    def to_plain(self) -> str:
-        """One gate per line after a "qubits N" header; 0-based operands."""
-        return self._listing(f"qubits {self.width}\n", _PLAIN)
+    def to_plain(self, lowered: bool = False) -> str:
+        """One gate per line after a "qubits N" header; 0-based operands.
+        Lowered, each SWAP is written as its three CNOT lines."""
+        return self._listing(f"qubits {self.width}\n", _LOWERED if lowered else _PLAIN)
 
     def to_qasm(self) -> str:
         """QASM-2 style listing; SWAPs are always lowered to cx triples."""
         head = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{self.width}];\n'
         return self._listing(head, _QASM)
 
-    def export(self, fmt: str) -> str:
+    def export(self, fmt: str, lowered: bool = False) -> str:
         if fmt == "plain":
-            return self.to_plain()
+            return self.to_plain(lowered)
         if fmt == "qasm":
             return self.to_qasm()
         raise ValueError(f"unknown circuit format {fmt!r}")
@@ -156,4 +128,4 @@ def synthesize_swap_network(perm: Permutation) -> Circuit:
         hop, span = hop[hop], 2 * span
     moved = np.flatnonzero(walk & 0xFFFFFFFF)  # all but the c0s, sorted by c0, then off down
     ends = moved[np.argsort(walk[moved] ^ 0xFFFFFFFF)]
-    return Circuit(perm.size, columns=(np.full(len(ends), _SWAP), walk[ends] >> 32, ends))
+    return Circuit(perm.size, pairs=(walk[ends] >> 32, ends))

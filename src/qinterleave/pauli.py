@@ -36,8 +36,9 @@ BURST_KINDS = ("bit", "phase", "colocated", "independent")
 # on 25, 200 and 1000 qubits; 3 GiB at that rate stays well under 7 GB.
 BURST_BYTES_BUDGET = 3 << 30
 # synth's peak bytes per interleaver qubit under the same budget.  Its costliest
-# path, --expand-swaps with n != m (about one SWAP a qubit), peaked at 379 and
-# 382 B over import at 1e6 and 2e6 qubits; qasm at 211 B, and 161 B for n = m.
+# path, qasm with n != m (about one SWAP a qubit), peaked at 166 and 171 B over
+# import at 1e6 and 2e6 qubits; --expand-swaps at 136 and 138 B, plain at 89 B,
+# and qasm at 114 B for n = m.
 SYNTH_BYTES_PER_QUBIT = 448
 
 # The four ASCII letters of each key (x nibble << 4) | z nibble, as one uint32.

@@ -8,8 +8,8 @@ its mask ints.  The last section holds helpers that only tests use: burst
 vectors, deinterleaving a transmitted vector, permutation composition,
 basis states, tensor products, dense gate simulation, reading a plain circuit
 listing back, and the measured burst ability of a code.  The per-gate oracles
-take a Gate value, read from and written to a circuit's columns by
-circuit_gates and gate_columns.
+take a Gate value; a circuit's SWAP pairs are read as and written from SWAP
+gates by circuit_gates and gate_columns.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from qinterleave import (
     logical_encoder,
 )
 from qinterleave.cli import FIDELITY_TOL
-from qinterleave.interleaver import GATE_KINDS
 from qinterleave.pauli import row_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -408,21 +407,18 @@ def per_burst_statevector_items(code: StabilizerCode, kind: str, length: int,
 
 
 def expanded_qasm(circuit: Circuit) -> str:
-    """QASM listing of the circuit lowered through expand_swaps, gate by gate."""
+    """QASM listing of the circuit's SWAPs lowered by expand_swap_gates, one
+    cx line a CNOT."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
-    for g in circuit_gates(circuit.expand_swaps()):
-        if g.kind == "CNOT":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        else:
-            lines.append(f"h q[{g.qubits[0]}];")
+    lines += [f"cx q[{c}],q[{t}];" for _, (c, t) in expand_swap_gates(circuit_gates(circuit))]
     return "\n".join(lines) + "\n"
 
 
-# The per-gate synthesis, lowering and listings that the gate columns of
+# The per-gate synthesis, lowering and listings that the SWAP pairs of
 # Circuit replaced, kept as their oracles, over one gate value.
 
 class Gate(NamedTuple):
-    """One gate: its kind in GATE_KINDS and its one or two operands."""
+    """One gate: its kind ("H", "CNOT" or "SWAP") and its one or two operands."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -441,16 +437,15 @@ class Gate(NamedTuple):
 
 
 def gate_columns(gates) -> np.ndarray:
-    """The (3, G) Circuit columns of a gate list: kind index, operand 0 and
-    operand 1 (-1 for H)."""
-    return np.array([(GATE_KINDS.index(g.kind), *g.qubits, -1)[:3] for g in gates],
-                    np.int64).reshape(-1, 3).T
+    """The (2, G) Circuit pairs of a list of SWAP gates: operand 0 and operand 1."""
+    if any(g.kind != "SWAP" for g in gates):
+        raise ValueError("a circuit holds SWAP gates only")
+    return np.array([g.qubits for g in gates], np.int64).reshape(-1, 2).T
 
 
 def circuit_gates(circuit: Circuit) -> tuple[Gate, ...]:
-    """The gates of a circuit's columns, in order."""
-    return tuple(Gate(GATE_KINDS[k], (a, b) if b >= 0 else (a,))
-                 for k, a, b in circuit.columns.T.tolist())
+    """The SWAP gates of a circuit's pairs, in order."""
+    return tuple(Gate.swap(a, b) for a, b in circuit.pairs.T.tolist())
 
 
 def swap_network_gates(perm: Permutation) -> tuple[Gate, ...]:
@@ -472,53 +467,37 @@ def swap_network_gates(perm: Permutation) -> tuple[Gate, ...]:
 
 
 def expand_swap_gates(gates) -> tuple[Gate, ...]:
-    """Every SWAP(a,b) lowered to CNOT(a,b) CNOT(b,a) CNOT(a,b)."""
-    out = []
-    for g in gates:
-        if g.kind == "SWAP":
-            a, b = g.qubits
-            out += [Gate.cnot(a, b), Gate.cnot(b, a), Gate.cnot(a, b)]
-        else:
-            out.append(g)
-    return tuple(out)
+    """Every SWAP(a,b) of a list of SWAP gates lowered to CNOT(a,b) CNOT(b,a)
+    CNOT(a,b)."""
+    return tuple(g for _, (a, b) in gates
+                 for g in (Gate.cnot(a, b), Gate.cnot(b, a), Gate.cnot(a, b)))
 
 
 def plain_listing(width: int, gates) -> str:
-    """Circuit.to_plain, one f-string per gate."""
+    """Circuit.to_plain, lowered or not, one f-string per gate."""
     lines = [f"qubits {width}"]
     lines += [f"{g.kind} {' '.join(str(q) for q in g.qubits)}" for g in gates]
     return "\n".join(lines) + "\n"
 
 
 def qasm_listing(width: int, gates) -> str:
-    """Circuit.to_qasm, one f-string per line, each SWAP as three cx lines."""
+    """Circuit.to_qasm of a list of SWAP gates, one f-string per line, each
+    SWAP as three cx lines."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{width}];"]
-    for g in gates:
-        if g.kind == "H":
-            lines.append(f"h q[{g.qubits[0]}];")
-        else:
-            a, b = g.qubits
-            ab = f"cx q[{a}],q[{b}];"
-            lines += (ab, f"cx q[{b}],q[{a}];", ab) if g.kind == "SWAP" else (ab,)
+    for _, (a, b) in gates:
+        ab = f"cx q[{a}],q[{b}];"
+        lines += (ab, f"cx q[{b}],q[{a}];", ab)
     return "\n".join(lines) + "\n"
 
 
 def circuit_label_action(circuit: Circuit) -> np.ndarray:
-    """Output basis label for every input basis label (CNOT/SWAP circuits)."""
+    """Output basis label for every input basis label."""
     n = circuit.width
     labels = np.arange(1 << n, dtype=np.int64)
-    for g in circuit_gates(circuit):
-        if g.kind == "CNOT":
-            c, t = g.qubits
-            cb, tb = n - 1 - c, n - 1 - t
-            labels = labels ^ (((labels >> cb) & 1) << tb)
-        elif g.kind == "SWAP":
-            a, b = g.qubits
-            ab, bb = n - 1 - a, n - 1 - b
-            diff = ((labels >> ab) ^ (labels >> bb)) & 1
-            labels = labels ^ (diff << ab) ^ (diff << bb)
-        else:
-            raise ValueError("label tracking handles CNOT/SWAP only")
+    for _, (a, b) in circuit_gates(circuit):
+        ab, bb = n - 1 - a, n - 1 - b
+        diff = ((labels >> ab) ^ (labels >> bb)) & 1
+        labels = labels ^ (diff << ab) ^ (diff << bb)
     return labels
 
 
@@ -535,18 +514,10 @@ def permutation_label_action(perm: Permutation) -> np.ndarray:
 def track_label_scalar(circuit: Circuit, label: int) -> int:
     """Scalar basis-label tracker (plain ints, so any register size works)."""
     n = circuit.width
-    for g in circuit_gates(circuit):
-        if g.kind == "SWAP":
-            a, b = g.qubits
-            ab, bb = n - 1 - a, n - 1 - b
-            if ((label >> ab) ^ (label >> bb)) & 1:
-                label ^= (1 << ab) | (1 << bb)
-        elif g.kind == "CNOT":
-            c, t = g.qubits
-            if (label >> (n - 1 - c)) & 1:
-                label ^= 1 << (n - 1 - t)
-        else:
-            raise ValueError("label tracking handles CNOT/SWAP only")
+    for _, (a, b) in circuit_gates(circuit):
+        ab, bb = n - 1 - a, n - 1 - b
+        if ((label >> ab) ^ (label >> bb)) & 1:
+            label ^= (1 << ab) | (1 << bb)
     return label
 
 
@@ -833,15 +804,17 @@ def apply_circuit(s: StateVector, circuit: Circuit) -> StateVector:
 
 
 def parse_plain(text: str) -> Circuit:
-    """Inverse of Circuit.to_plain."""
+    """Inverse of Circuit.to_plain, lowered or not: in a lowered listing every
+    three CNOT lines are read back as the one SWAP they lower."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits "):
         raise ValueError('plain circuit must start with a "qubits N" header')
     width = int(lines[0].split()[1])
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        gates.append(Gate(parts[0], tuple(int(p) for p in parts[1:])))
+    gates = [Gate(kind, tuple(map(int, qubits))) for kind, *qubits in map(str.split, lines[1:])]
+    if any(g.kind == "CNOT" for g in gates):
+        lowered, gates = gates, [Gate.swap(*g.qubits) for g in gates[::3]]
+        if list(expand_swap_gates(gates)) != lowered:
+            raise ValueError("CNOT lines must come as the three of a lowered SWAP")
     return Circuit(width, gate_columns(gates))
 
 

@@ -66,6 +66,8 @@ def _commands() -> list[str]:
     commands += [f"synth {rows} {cols} --format {fmt}{expand}"
                  for rows, cols in ((1, 1), (3, 3), (2, 3), (4, 6), (5, 5))
                  for fmt in ("plain", "qasm") for expand in ("", " --expand-swaps")]
+    # 1,200 qubits: operands cross 99/100 and 999/1000 within one listing
+    commands += ["synth 40 30", "synth 40 30 --expand-swaps", "synth 40 30 --format qasm"]
     commands += ["synth 6 4 --report json", "synth 8 8 --format qasm --report json",
                  "synth 0 3", "synth 100000 100000",  # over the synth budget
                  "synth 2 2 --output /"]  # a directory: an I/O error

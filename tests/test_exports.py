@@ -96,14 +96,17 @@ def test_pauli_algebra_is_gone():
 
 
 def test_gate_and_permutation_extras_are_gone():
-    # a gate is a column of Circuit.columns and a permutation is its checked
-    # array; the per-gate value lives in tests/oracles.py
+    # a circuit is its SWAP pairs and a permutation is its checked array; the
+    # per-gate value lives in tests/oracles.py, and lowering to CNOTs is a
+    # listing layout
     interleaver = importlib.import_module("qinterleave.interleaver")
     for owner in (qinterleave, interleaver):
         assert not hasattr(owner, "Gate")
     assert "Gate" not in qinterleave.__all__
-    assert not hasattr(interleaver, "_GATE_ARITY")
-    assert not hasattr(qinterleave.Circuit, "gates")
+    for name in ("_GATE_ARITY", "GATE_KINDS", "_H", "_CNOT", "_SWAP"):
+        assert not hasattr(interleaver, name), name
+    for name in ("gates", "expand_swaps", "columns"):
+        assert not hasattr(qinterleave.Circuit, name), name
     assert "__eq__" not in vars(qinterleave.Circuit)
     for name in ("images", "inverse", "identity", "is_identity", "__call__",
                  "__eq__", "__hash__"):

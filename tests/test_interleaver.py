@@ -131,7 +131,7 @@ class TestSynthesis:
 
     def test_identity_empty(self):
         circuit = synthesize_swap_network(Permutation(np.arange(4)))
-        assert circuit.columns.shape == (3, 0)
+        assert circuit.pairs.shape == (2, 0)
 
     def test_5x5_counts(self):
         circuit = synthesize_swap_network(interleave_permutation(5, 5))
@@ -179,7 +179,7 @@ class TestSynthesis:
     def test_long_cycles_equal_cycle_walk(self, n, m):
         # cycles of up to 300 (200x50) and 999 (1000x7) positions need many doubling rounds
         perm = interleave_permutation(n, m)
-        assert np.array_equal(synthesize_swap_network(perm).columns,
+        assert np.array_equal(synthesize_swap_network(perm).pairs,
                               gate_columns(swap_network_gates(perm)))
 
     def test_single_5000_cycle_equals_cycle_walk(self):
@@ -189,7 +189,7 @@ class TestSynthesis:
         perm = Permutation(images)
         circuit = synthesize_swap_network(perm)
         assert circuit.swap_count == 4999
-        assert np.array_equal(circuit.columns, gate_columns(swap_network_gates(perm)))
+        assert np.array_equal(circuit.pairs, gate_columns(swap_network_gates(perm)))
 
     def test_apply_circuit_equals_permute_qubits_exhaustive_basis(self):
         from oracles import basis_state
@@ -216,20 +216,16 @@ class TestSynthesis:
                         == permute_label_scalar(perm, label))
 
 
-def gate_lists(width):
-    """Lists of up to 40 gates on `width` qubits; operands at the digit-count
-    edges are drawn often."""
+def swap_lists(width):
+    """Lists of up to 40 SWAP gates on `width` qubits (none on one qubit);
+    operands at the digit-count edges are drawn often."""
+    if width == 1:
+        return st.just([])
     edges = [q for q in (0, 1, 9, 10, 99, 100, 999, 1000, width - 1) if q < width]
     qubit = st.one_of(st.integers(0, width - 1), st.sampled_from(edges))
-
-    def gates(kind):
-        if kind == "H":
-            return qubit.map(Gate.h)
-        return qubit.flatmap(lambda a: qubit.filter(lambda q: q != a).map(
-            lambda b: Gate(kind, (a, b))))
-
-    kinds = ["H"] if width == 1 else ["H", "CNOT", "SWAP"]
-    return st.lists(st.sampled_from(kinds).flatmap(gates), max_size=40)
+    swap = qubit.flatmap(lambda a: qubit.filter(lambda q: q != a).map(
+        lambda b: Gate.swap(a, b)))
+    return st.lists(swap, max_size=40)
 
 
 class TestExport:
@@ -238,43 +234,45 @@ class TestExport:
         assert text == "qubits 4\n"
 
     def test_swap_expansion_matches_three_cnots(self):
-        circuit = Circuit(2, gate_columns([Gate.swap(0, 1)])).expand_swaps()
-        assert circuit.to_plain() == "qubits 2\nCNOT 0 1\nCNOT 1 0\nCNOT 0 1\n"
+        circuit = Circuit(2, gate_columns([Gate.swap(0, 1)]))
+        assert circuit.to_plain(lowered=True) == "qubits 2\nCNOT 0 1\nCNOT 1 0\nCNOT 0 1\n"
 
     def test_plain_round_trip(self):
         circuit = synthesize_swap_network(interleave_permutation(3, 3))
-        mixed = Circuit(4, gate_columns([Gate.h(2), Gate.cnot(0, 3), Gate.swap(1, 2)]))
-        for original in (circuit, mixed):
-            parsed = parse_plain(original.to_plain())
-            assert parsed.width == original.width
-            assert np.array_equal(parsed.columns, original.columns)
+        swaps = Circuit(4, gate_columns([Gate.swap(1, 2), Gate.swap(3, 0)]))
+        for original in (circuit, swaps):
+            for lowered in (False, True):
+                parsed = parse_plain(original.to_plain(lowered))
+                assert parsed.width == original.width
+                assert np.array_equal(parsed.pairs, original.pairs)
 
     def test_qasm(self):
-        text = Circuit(3, gate_columns([Gate.swap(0, 2), Gate.h(1)])).to_qasm()
+        text = Circuit(3, gate_columns([Gate.swap(0, 2)])).to_qasm()
         lines = text.splitlines()
         assert lines[0] == "OPENQASM 2.0;"
         assert lines[2] == "qreg q[3];"
-        assert lines[3:6] == ["cx q[0],q[2];", "cx q[2],q[0];", "cx q[0],q[2];"]
-        assert lines[6] == "h q[1];"
+        assert lines[3:] == ["cx q[0],q[2];", "cx q[2],q[0];", "cx q[0],q[2];"]
 
     def test_qasm_matches_expanded_oracle(self):
-        mixed = Circuit(5, gate_columns([Gate.h(0), Gate.swap(0, 3), Gate.cnot(2, 4),
-                                         Gate.swap(4, 1), Gate.h(3), Gate.cnot(1, 0),
-                                         Gate.swap(2, 0)]))
+        swaps = Circuit(5, gate_columns([Gate.swap(0, 3), Gate.swap(4, 1), Gate.swap(2, 0)]))
         network = synthesize_swap_network(interleave_permutation(4, 6))
-        for circuit in (mixed, network, Circuit(2, gate_columns([]))):
+        for circuit in (swaps, network, Circuit(2, gate_columns([]))):
             assert circuit.to_qasm() == expanded_qasm(circuit)
 
     def test_export_dispatch(self):
-        circuit = Circuit(1, gate_columns([]))
+        circuit = Circuit(3, gate_columns([Gate.swap(2, 0)]))
         assert circuit.export("plain") == circuit.to_plain()
-        assert circuit.export("qasm") == circuit.to_qasm()
+        assert circuit.export("plain", lowered=True) == circuit.to_plain(lowered=True)
+        # QASM is lowered either way
+        assert circuit.export("qasm") == circuit.export("qasm", lowered=True) == circuit.to_qasm()
         with pytest.raises(ValueError):
             circuit.export("svg")
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_plain("CNOT 0 1\n")
+        with pytest.raises(ValueError):
+            parse_plain("qubits 2\nCNOT 0 1\nCNOT 1 0\n")
 
     def test_circuit_width_guard(self):
         with pytest.raises(ValueError):
@@ -282,45 +280,45 @@ class TestExport:
 
 
 class TestGateColumns:
-    """A Circuit holds its gates as (kind, operand 0, operand 1) columns; every
-    output derived from them equals the per-gate oracle, and bad columns are
-    refused with the message of their first bad gate."""
+    """A Circuit holds its SWAPs as (operand 0, operand 1) pairs; every output
+    derived from them equals the per-gate oracle, and bad pairs are refused
+    with the message of their first bad SWAP."""
 
-    @pytest.mark.parametrize("width,columns,message", [
-        (2, ([2], [0], [2]), "gate SWAP(0, 2) exceeds width 2"),
-        (3, ([0], [3], [-1]), "gate H(3,) exceeds width 3"),
-        # the first gate out of width is named
-        (4, ([0, 1, 2, 2], [3, 0, 1, 7], [-1, 3, 4, 0]), "gate SWAP(1, 4) exceeds width 4"),
-        (3, ([1], [-2], [1]), "negative qubit index"),
-        (3, ([2], [0], [-3]), "negative qubit index"),
-        (3, ([0], [-1], [-1]), "negative qubit index"),
-        (3, ([2], [1], [1]), "SWAP operands must be distinct"),
-        (3, ([1, 1], [0, 2], [1, 2]), "CNOT operands must be distinct"),
-        (3, ([0], [0], [1]), "H takes 1 operand(s)"),
-        (3, ([1], [0], [-1]), "CNOT takes 2 operand(s)"),
-        (3, ([3], [0], [1]), "unknown gate kind 3"),
-        (3, ([-1], [0], [1]), "unknown gate kind -1"),
-        (3, ([2], [0.5], [1]), "gate kinds and qubit indices must be integers"),
+    @pytest.mark.parametrize("width,pairs,message", [
+        (2, ([0], [2]), "gate SWAP(0, 2) exceeds width 2"),
+        # the first SWAP out of width is named
+        (4, ([1, 7], [4, 0]), "gate SWAP(1, 4) exceeds width 4"),
+        (3, ([0], [-3]), "negative qubit index"),
+        (3, ([-2], [1]), "negative qubit index"),
+        (3, ([1], [1]), "SWAP operands must be distinct"),
+        (3, ([-1], [-1]), "SWAP operands must be distinct"),
+        (3, ([0.5], [1]), "gate kinds and qubit indices must be integers"),
+        # one SWAP is checked for repeated, then negative, then out-of-width operands
+        (3, ([4], [4]), "SWAP operands must be distinct"),
+        (3, ([-1], [5]), "negative qubit index"),
+        # the first bad SWAP is named, whatever a later one is refused for
+        (3, ([0, 1], [5, 1]), "gate SWAP(0, 5) exceeds width 3"),
+        (3, ([0, 2, 1], [1, -1, 1]), "negative qubit index"),
     ])
-    def test_refuses_bad_columns(self, width, columns, message):
+    def test_refuses_bad_pairs(self, width, pairs, message):
         with pytest.raises(ValueError) as caught:
-            Circuit(width, columns)
+            Circuit(width, pairs)
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("width,gates,message", [
         (2, [Gate.swap(0, 2)], "gate SWAP(0, 2) exceeds width 2"),
-        (5, [Gate.h(4), Gate.cnot(5, 0)], "gate CNOT(5, 0) exceeds width 5"),
-        (1, [Gate.h(1)], "gate H(1,) exceeds width 1"),
+        (5, [Gate.swap(4, 3), Gate.swap(5, 0)], "gate SWAP(5, 0) exceeds width 5"),
+        (1, [Gate.swap(0, 1)], "gate SWAP(0, 1) exceeds width 1"),
     ])
     def test_refuses_gates_out_of_width(self, width, gates, message):
         with pytest.raises(ValueError) as caught:
             Circuit(width, gate_columns(gates))
         assert str(caught.value) == message
 
-    def test_columns_are_read_only(self):
+    def test_pairs_are_read_only(self):
         circuit = synthesize_swap_network(interleave_permutation(3, 3))
         with pytest.raises(ValueError):
-            circuit.columns[1, 0] = 2
+            circuit.pairs[1, 0] = 2
 
     @settings(max_examples=120, deadline=None)
     @given(perm=st.integers(0, 300).flatmap(lambda n: st.tuples(
@@ -340,16 +338,13 @@ class TestGateColumns:
         perm = Permutation(tuple(images))
         circuit = synthesize_swap_network(perm)
         assert circuit.width == n
-        assert np.array_equal(circuit.columns, gate_columns(swap_network_gates(perm)))
+        assert np.array_equal(circuit.pairs, gate_columns(swap_network_gates(perm)))
 
     @settings(max_examples=150, deadline=None)
     @given(case=st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]).flatmap(
-        lambda width: st.tuples(st.just(width), gate_lists(width))))
-    # one kind throughout renders shared parts; operands cross the 9/10 and 99/100 edges
+        lambda width: st.tuples(st.just(width), swap_lists(width))))
+    # operands cross the 9/10, 99/100 and 999/1000 edges
     @example(case=(5, []))
-    @example(case=(1, [Gate.h(0)] * 3))
-    @example(case=(101, [Gate.h(q) for q in (0, 9, 10, 99, 100)]))
-    @example(case=(101, [Gate.cnot(9, 10), Gate.cnot(100, 99), Gate.cnot(0, 1)]))
     @example(case=(10, [Gate.swap(0, 9), Gate.swap(4, 3)]))
     @example(case=(1001, [Gate.swap(9, 10), Gate.swap(99, 100), Gate.swap(1000, 0),
                           Gate.swap(10, 9), Gate.swap(100, 99)]))
@@ -358,14 +353,14 @@ class TestGateColumns:
         circuit = Circuit(width, gate_columns(gates))
         assert circuit_gates(circuit) == tuple(gates)
         assert circuit.to_plain() == plain_listing(width, gates)
+        assert circuit.to_plain(lowered=True) == plain_listing(width, expand_swap_gates(gates))
         assert circuit.to_qasm() == qasm_listing(width, gates)
-        assert circuit_gates(circuit.expand_swaps()) == expand_swap_gates(gates)
-        assert circuit.expand_swaps().width == width
-        assert circuit.swap_count == sum(g.kind == "SWAP" for g in gates)
-        assert circuit.cnot_count() == sum(g.kind == "CNOT" for g in expand_swap_gates(gates))
-        parsed = parse_plain(circuit.to_plain())
-        assert parsed.width == width and circuit_gates(parsed) == tuple(gates)
-        assert np.array_equal(Circuit(width, circuit.columns.tolist()).columns, circuit.columns)
+        assert circuit.swap_count == len(gates)
+        assert circuit.cnot_count() == len(expand_swap_gates(gates))
+        for lowered in (False, True):
+            parsed = parse_plain(circuit.to_plain(lowered))
+            assert parsed.width == width and circuit_gates(parsed) == tuple(gates)
+        assert np.array_equal(Circuit(width, circuit.pairs.tolist()).pairs, circuit.pairs)
 
 
 class TestBurstSpreading:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import qinterleave.cli
-from qinterleave import Circuit
+from qinterleave import Circuit, interleave_permutation
 from qinterleave.cli import main
+from oracles import expand_swap_gates, plain_listing, swap_network_gates
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -38,14 +39,16 @@ def test_workload_matches_pinned_output(name, capsys):
 
 
 def test_synth_builds_its_circuit_from_arrays(capsys, monkeypatch):
-    # synth hands the permutation's array to the synthesis and builds each
-    # circuit from whole columns, never from a list of per-gate values
+    # synth hands the permutation's array to the synthesis and builds its one
+    # circuit from two whole operand arrays, never from a list of per-gate
+    # values; --expand-swaps lowers each SWAP to CNOTs as the listing is
+    # written and builds no second circuit
     built = []
     init = Circuit.__init__
 
-    def recorded(self, width, columns):
-        built.append(columns)
-        init(self, width, columns)
+    def recorded(self, width, pairs):
+        built.append(pairs)
+        init(self, width, pairs)
 
     monkeypatch.setattr(Circuit, "__init__", recorded)
     workload = workloads.WORKLOADS["synth-circuit"]
@@ -55,8 +58,17 @@ def test_synth_builds_its_circuit_from_arrays(capsys, monkeypatch):
     stdout = capsys.readouterr().out
     assert workloads.check_output(workload.expected(), exit_code, stdout) == []
     assert len(built) == 1
-    assert all(isinstance(column, np.ndarray) and column.shape == (2016,)
-               for column in built[0])
+    assert [(type(a), a.shape) for a in built[0]] == [(np.ndarray, (2016,))] * 2
+
+    built.clear()
+    assert main(["synth", "200", "50", "--expand-swaps"]) == 0
+    stdout = capsys.readouterr().out
+    assert len(built) == 1
+    assert [(type(a), a.shape) for a in built[0]] == [(np.ndarray, (9936,))] * 2
+    perm = interleave_permutation(200, 50)
+    listing = plain_listing(perm.size, expand_swap_gates(swap_network_gates(perm)))
+    assert stdout[:len(listing)] == listing
+    assert stdout[len(listing):].startswith("command:")
 
 
 def test_enumerate_reads_the_burst_lanes_unconverted(capsys, monkeypatch):
