@@ -30,8 +30,8 @@ from .codes import (
 )
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, SYNTH_BYTES_PER_QUBIT, PauliString,
-                    admitted_burst_count, burst_letters, burst_masks, enumerate_bursts,
-                    mask_rows, row_labels, row_length_weight)
+                    admitted_burst_count, burst_masks, enumerate_bursts, label_letters,
+                    row_labels, row_length_weight)
 from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, apply_paulis
 
@@ -67,26 +67,26 @@ def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
 
 def _statevector_table(code: StabilizerCode, table: dict,
                        pairs: Sequence[tuple[complex, complex]],
-                       labels: np.ndarray, letters: np.ndarray) -> ItemTable:
+                       labels: np.ndarray) -> ItemTable:
     """Encode one block per coefficient pair; for each error on the
-    interleaved register, a row of the letter grid `letters` (burst_letters)
-    labelled by the same row of the text column `labels`, deinterleave ->
-    corrupt -> block-decode -> fidelity.
+    interleaved register, a row of the text column `labels` whose last n*m
+    letters spell it (row_labels), deinterleave -> corrupt -> block-decode ->
+    fidelity.
 
     Deinterleaved, the register is a tensor product of blocks and the error a
     tensor product of block Paulis, so each block is decoded on its own n
     qubits and the fidelity is the product of the block fidelities, in block
-    order.  One gather of the grid's columns by the interleave permutation
-    puts every error's block parts side by side; each distinct (block, block
-    Pauli) is corrupted once, and all of them are decoded in one block_decode
-    call.  `table` is the block decoder's syndrome table
-    (build_syndrome_table).
+    order.  One gather of the labels' letters by the interleave permutation
+    puts every error's block parts side by side, read as letter codes
+    (label_letters); each distinct (block, block Pauli) is corrupted once,
+    and all of them are decoded in one block_decode call.  `table` is the
+    block decoder's syndrome table (build_syndrome_table).
     """
     encoder = logical_encoder(code)
     states = np.stack([encoder(c0, c1).amps for c0, c1 in pairs])
     n, m = code.n, len(states)
-    # Qubit j of block i is register qubit images[i*n + j].
-    parts = letters[:, interleave_permutation(n, m).array].reshape(-1, m, n)
+    # Qubit j of block i is register qubit images[i*n + j]: a label's letter images - n*m.
+    parts = label_letters(labels[:, interleave_permutation(n, m).array - n * m]).reshape(-1, m, n)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = (np.arange(m) << 2 * n) | ((parts & 1) @ weights << n) | ((parts >> 1) @ weights)
     keys, inverse = np.unique(keys, return_inverse=True)
@@ -123,7 +123,7 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
              seed: int | None = None,
              bursts: Sequence[str] | None = None) -> Report:
     """Worked example: three phase-code blocks, interleave, the two default
-    bursts, deinterleave, block-wise correction, through the same mask-level
+    bursts, deinterleave, block-wise correction, through the same label-level
     pipeline as verify --method statevector.
 
     `bursts` replaces the default bursts with 9-qubit Pauli strings, one
@@ -151,10 +151,8 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     encoder = logical_encoder(code)
     table = build_syndrome_table(code, enumerate_bursts(code.n, code.burst_ability,
                                                         "phase"))
-    rows = mask_rows(9, [p.x for p in paulis]), mask_rows(9, [p.z for p in paulis])
-    labels = np.hstack([np.tile(np.frombuffer(b"e_", np.uint8), (len(paulis), 1)),
-                        row_labels(9, *rows)])
-    items = _statevector_table(code, table, coeffs, labels, burst_letters(9, *rows))
+    labels = np.frombuffer("".join(f"e_{p}" for p in paulis).encode(), np.uint8)
+    items = _statevector_table(code, table, coeffs, labels.reshape(len(paulis), -1))
 
     return Report(
         command="demo",
@@ -250,9 +248,8 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
                 "reason": str(exc),
             }]
         else:
-            rows = burst_masks(total, effective, kind)
-            items = _statevector_table(code, table, pairs, row_labels(total, *rows),
-                                       burst_letters(total, *rows))
+            items = _statevector_table(code, table, pairs,
+                                       row_labels(total, *burst_masks(total, effective, kind)))
 
     return Report("verify", parameters, items, time.perf_counter() - start)
 

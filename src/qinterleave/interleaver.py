@@ -67,7 +67,7 @@ class Circuit:
     def __init__(self, width: int, pairs) -> None:
         pairs = np.array(pairs)
         if pairs.size and pairs.dtype.kind not in "iu":
-            raise ValueError("gate kinds and qubit indices must be integers")
+            raise ValueError("SWAP operands must be integers")
         a, b = pairs = pairs.astype(np.int64, copy=False).reshape(2, -1)
         bad = (a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= width)
         if bad.any():

@@ -17,9 +17,9 @@ are mask lanes, and burst_rows decodes the lanes of a few columns from their
 numbers alone.  Each refuses a set over BURST_BYTES_BUDGET before allocating it
 (admitted_burst_count).  Labels are read off the lanes' big-endian bytes through
 a 256-entry byte table; burst lengths and weights off the lanes themselves, a
-few whole-word passes a lane.  The (N, n) grid of letter codes x + 2z that
-burst_letters unpacks serves deinterleaving; letter_rows packs a grid back,
-for the columns burst_rows decodes.
+few whole-word passes a lane.  label_letters reads labels back as the letter
+codes x + 2z that deinterleaving gathers; letter_rows packs a grid of such codes
+into lanes, for the columns burst_rows decodes.
 """
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ SYNTH_BYTES_PER_QUBIT = 448
 # The four ASCII letters of each key (x nibble << 4) | z nibble, as one uint32.
 _NIBBLE_LETTERS = np.frombuffer(b"".join(bytes(b"IXZY"[(k >> 4 + b & 1) | (k >> b & 1) << 1]
                                                for b in (3, 2, 1, 0)) for k in range(256)), np.uint32)
+# The letter code x + 2z of each ASCII byte "IXZY"; 0 for every other byte.
+_LETTER_CODES = np.array([max(b"IXZY".find(b), 0) for b in range(256)], np.uint8)
 _LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
 _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
@@ -128,11 +130,6 @@ def row_masks(lanes: np.ndarray) -> list[int]:
     return reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)], lanes.tolist())
 
 
-def _lane_bytes(lanes: np.ndarray) -> np.ndarray:
-    # The big-endian bytes of each column of lanes, (N, 8 * lanes) uint8.
-    return lanes.T.astype(">u8", order="C").view(np.uint8)
-
-
 def row_lengths(lanes: np.ndarray) -> np.ndarray:
     """Span from the first to the last set bit of each mask of lanes
     (mask_rows), as int64; 0 for a zero mask.
@@ -170,18 +167,15 @@ def row_length_weight(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.nd
     return lengths, np.bitwise_count(xs | zs).sum(axis=0)
 
 
-def burst_letters(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The (N, n) uint8 grid of the n-qubit Paulis with x mask lanes xs and z
-    mask lanes zs (mask_rows): row i holds each qubit's letter code x + 2z."""
-    letters = np.unpackbits(_lane_bytes(zs), axis=1)[:, -n:]
-    letters <<= 1
-    letters |= np.unpackbits(_lane_bytes(xs), axis=1)[:, -n:]
-    return letters
+def label_letters(labels: np.ndarray) -> np.ndarray:
+    """The letter code x + 2z of each ASCII letter of labels (row_labels), in
+    their shape, as uint8: one gather through a 256-entry byte table."""
+    return np.take(_LETTER_CODES, labels)
 
 
 def letter_rows(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x mask lanes and the z mask lanes (mask_rows) of the Paulis of a
-    letter grid; the inverse of burst_letters."""
+    """The x mask lanes and the z mask lanes (mask_rows) of the Paulis of an
+    (N, n) uint8 grid whose row i holds each qubit's letter code x + 2z."""
     n = letters.shape[1]
     lanes = -(-n // 64)
     bits = np.zeros((2, len(letters), 64 * lanes), dtype=np.uint8)
@@ -198,9 +192,9 @@ def row_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     of their big-endian bytes and copied when the pad letters lead each
     label, so that readers of the text pass over it in order."""
     width = -(-n // 8)
-    # The masks' last width bytes, copied as one void item a mask, not one loop a mask.
-    xs, zs = (np.ascontiguousarray(_lane_bytes(lanes)[:, -width:].view(f"V{width}")).view(np.uint8)
-              for lanes in (xs, zs))
+    # The masks' last width big-endian bytes, copied as one void item a mask, not one loop a mask.
+    xs, zs = (np.ascontiguousarray(lanes.T.astype(">u8", order="C").view(np.uint8)[:, -width:]
+                                   .view(f"V{width}")).view(np.uint8) for lanes in (xs, zs))
     keys = np.stack((xs & 0xF0 | zs >> 4, xs << 4 | zs & 0x0F), axis=-1)
     del xs, zs  # freed before the letters are gathered
     letters = _NIBBLE_LETTERS[keys].view(np.uint8).reshape(len(keys), 8 * width)

@@ -1,9 +1,9 @@
 """Reports: per-item results, an aggregate verdict, and their JSON and text.
 
 A report's items are a list of dicts, or an ItemTable of columns that renders
-the same bytes through the byte grids of grid.py.  JSON is json.dumps(report,
-indent=2) either way, text one line per item; both are made a block of items at a
-time (Report.blocks).
+the bytes those dicts would render as, through the byte grids of grid.py and with
+no dict built.  JSON is json.dumps(report, indent=2) either way, text one line
+per item; both are made a block of items at a time (Report.blocks).
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import repeat
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -113,8 +112,9 @@ class ItemTable:
     non-negative int, 1-d finite float, (N, w) uint8 text of printable ASCII
     without '"' or '\\', or int lists: an int array (N, d1, ..., dk) of
     lists of length dk and entries >= 0, each padded after its entries with
-    -1 to dk.  Rows read as dicts of str, bool, int, float and nested lists of
-    int; json_rows and text_rows render them through byte grids."""
+    -1 to dk.  A row stands for a dict of str, bool, int, float and nested
+    lists of int; json_rows and text_rows render the rows as those dicts
+    render, through byte grids."""
 
     def __init__(self, **columns: np.ndarray) -> None:
         self._kinds = {}
@@ -129,21 +129,6 @@ class ItemTable:
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i):
-        rows = list(ItemTable(**{name: col[i if isinstance(i, slice) else [i]]
-                                 for name, col in self.columns.items()}))
-        return rows if isinstance(i, slice) else rows[0]
-
-    def __iter__(self):
-        def values(col, kind):
-            if kind == "text":
-                text, w = col.tobytes().decode(), col.shape[1]
-                return [text[i:i + w] for i in range(0, len(text), w)]
-            rows = col.tolist()
-            return _unpadded(rows, col.ndim - 1) if kind == "lists" and (col < 0).any() else rows
-        rows = map(values, self.columns.values(), self._kinds.values())
-        return map(dict, zip(*map(zip, map(repeat, self.columns), rows)))
 
     def json_rows(self, head: str = "", tail: str = "") -> Iterator[str]:
         """head, the rows of a non-empty table as json.dumps(indent=2) writes
@@ -166,13 +151,6 @@ class ItemTable:
                 parts += [sep + f"{name}=".encode(), *_value_parts(col, self._kinds[name], None)]
                 sep = b" "
         return grid_blocks(parts + [b"\n"], len(self), head, tail)
-
-
-def _unpadded(rows: list, depth: int) -> list:
-    """Nested lists `depth` deep with the -1 padding of the innermost dropped."""
-    if depth == 1:
-        return [[v for v in row if v >= 0] for row in rows]
-    return [_unpadded(row, depth - 1) for row in rows]
 
 
 def _text_row(item: dict) -> str:
@@ -200,10 +178,11 @@ class Report:
         return "pass" if passed else "fail"
 
     def to_dict(self, items: list | None = None) -> dict:
+        """The report as a dict, `items` in place of its own items when given."""
         return {
             "command": self.command,
             "parameters": self.parameters,
-            "items": list(self.items) if items is None else items,
+            "items": self.items if items is None else items,
             "verdict": self.verdict,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -213,7 +192,7 @@ class Report:
         blocks and tail, each made when it is asked for."""
         table = isinstance(self.items, ItemTable)
         if fmt == "json" and not (table and len(self.items)):
-            return iter([json.dumps(self.to_dict(), indent=2) + "\n"])
+            return iter([json.dumps(self.to_dict([] if table else None), indent=2) + "\n"])
         if fmt == "json":
             head, tail = json.dumps(self.to_dict(items=[]), indent=2).split('\n  "items": []', 1)
             return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}\n")

@@ -703,11 +703,20 @@ def hex_burst_labels(n: int, xs, zs) -> list[str]:
     return [text[i:i + n] for i in range(0, len(text), n)]
 
 
-# The letter-grid readers that row_labels (a byte table) and row_lengths (a
-# scan over uint64 lanes) replaced, kept as their oracles.
+# The letter grid and its readers, the references for row_labels (a byte
+# table), row_lengths (a scan over uint64 lanes), label_letters and letter_rows.
+
+def letter_grid(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The (N, n) uint8 grid of the n-qubit Paulis with x mask lanes xs and z
+    mask lanes zs (mask_rows): row i holds each qubit's letter code x + 2z,
+    unpacked bit by bit from the lanes' big-endian bytes."""
+    def bits(lanes):
+        return np.unpackbits(lanes.T.astype(">u8", order="C").view(np.uint8), axis=1)[:, -n:]
+    return bits(xs) + 2 * bits(zs)
+
 
 def burst_labels(letters: np.ndarray) -> list[str]:
-    """The labels of the rows of a letter grid (burst_letters), in order."""
+    """The labels of the rows of a letter grid (letter_grid), in order."""
     n = letters.shape[1]
     text = np.frombuffer(b"IXZY", np.uint8)[letters].tobytes().decode("ascii")
     return [text[i:i + n] for i in range(0, len(text), n)]
@@ -719,6 +728,29 @@ def burst_lengths(bits: np.ndarray) -> np.ndarray:
     bits = bits.view(bool)
     first, last = bits.argmax(axis=1), bits[:, ::-1].argmax(axis=1)
     return np.where(bits.any(axis=1), bits.shape[1] - last - first, 0)
+
+
+# The row reader that rendered item tables are compared with.
+
+def table_rows(table) -> list[dict]:
+    """The rows of an ItemTable as the report items they stand for: a (N, w)
+    uint8 text column read as str, an int-list column with its -1 padding
+    dropped, every other column as its Python values."""
+    def values(col):
+        if col.dtype == np.uint8 and col.ndim == 2:
+            text, w = col.tobytes().decode("ascii"), col.shape[1]
+            return [text[i:i + w] for i in range(0, len(text), w)]
+        return unpadded(col.tolist(), col.ndim - 1)
+
+    def unpadded(rows, depth):
+        if depth == 0:
+            return rows
+        if depth == 1:
+            return [[v for v in row if v >= 0] for row in rows]
+        return [unpadded(row, depth - 1) for row in rows]
+
+    columns = {name: values(col) for name, col in table.columns.items()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 # Test-only helpers.

@@ -30,7 +30,7 @@ from qinterleave import (
     enumerate_bursts,
 )
 from qinterleave.pauli import (BURST_BYTES_BUDGET, SYNTH_BYTES_PER_QUBIT, burst_count,
-                               burst_letters, mask_rows, row_length_weight, row_masks)
+                               mask_rows, row_length_weight, row_masks)
 from qinterleave.cli import (
     CODES,
     ItemTable,
@@ -55,6 +55,7 @@ from oracles import (
     enumerate_items,
     hex_burst_labels,
     is_quantum_burst,
+    letter_grid,
     parse_plain,
     per_burst_statevector_items,
     permutation_label_action,
@@ -62,6 +63,7 @@ from oracles import (
     qasm_listing,
     split_pauli,
     swap_network_gates,
+    table_rows,
 )
 from qinterleave import Permutation, interleave_permutation
 
@@ -73,13 +75,24 @@ def block_table(code, kind, length):
 
 def statevector_items(code, table, pairs, errors):
     """_statevector_table for (label, x mask, z mask) triples of errors on the
-    interleaved register, labels of one length."""
-    rows = list(errors)
-    labels, xs, zs = ([row[k] for row in rows] for k in range(3))
-    total = code.n * len(pairs)
+    interleaved register, labels of one length that end in the error's
+    letters; the masks are not read."""
+    labels = [row[0] for row in errors]
     text = np.frombuffer("".join(labels).encode("ascii"), np.uint8)
-    return _statevector_table(code, table, pairs, text.reshape(len(rows), -1 if rows else 1),
-                              burst_letters(total, mask_rows(total, xs), mask_rows(total, zs)))
+    return _statevector_table(code, table, pairs,
+                              text.reshape(len(labels), -1 if labels else code.n * len(pairs)))
+
+
+def item_dicts(report):
+    """A report's items as a list of dicts: an ItemTable's rows read back
+    (oracles.table_rows)."""
+    items = report.items
+    return table_rows(items) if isinstance(items, ItemTable) else items
+
+
+def report_dict(report):
+    """Report.to_dict with the items as a list of dicts."""
+    return report.to_dict(items=item_dicts(report))
 
 
 def run_main(capsys, *argv):
@@ -477,12 +490,12 @@ class TestVerifyCommand:
 
     def test_no_block_decoder_labels_no_burst(self, monkeypatch):
         # 237,567 bursts whose block restriction (length 2) has no decoder:
-        # the table is built first, so no burst is unpacked into the letter
-        # grid that labels and deinterleaves it, and none is decoded
+        # the table is built first, so no burst is labelled, no label is read
+        # back as letter codes to deinterleave it, and none is decoded
         def no_labels(*args):
             raise AssertionError("bursts labelled without a block decoder")
 
-        monkeypatch.setattr(qinterleave.cli, "burst_letters", no_labels)
+        monkeypatch.setattr(qinterleave.cli, "label_letters", no_labels)
         monkeypatch.setattr(qinterleave.cli, "row_labels", no_labels)
         monkeypatch.setattr(qinterleave.cli, "_statevector_table", no_labels)
         report = run_verify("five", 5, burst=7, kind="colocated", method="statevector")
@@ -492,6 +505,22 @@ class TestVerifyCommand:
             "block decoder for colocated bursts of length <= 2")
         assert report.items[0]["passed"] is False
         assert report.verdict == "fail"
+
+    def test_labels_are_the_one_decoded_form(self, monkeypatch):
+        # demo labels its Paulis as text, and a state-vector sweep reads its
+        # lanes into labels once: both deinterleave the letters of the labels
+        calls = []
+        original = qinterleave.cli.row_labels
+
+        def counting(n, xs, zs):
+            calls.append((n, xs.shape[1]))
+            return original(n, xs, zs)
+
+        monkeypatch.setattr(qinterleave.cli, "row_labels", counting)
+        assert run_demo(bursts=["zzziiiiii", "IIIIIIIIY"]).verdict == "fail"
+        assert calls == []
+        report = run_verify("five", 2, burst=2, kind="colocated", method="statevector")
+        assert calls == [(10, report.parameters["burst_count"])]
 
 
 class TestDenseOracle:
@@ -527,7 +556,7 @@ class TestDenseOracle:
                     items = statevector_items(code, block_table(code, kind, length),
                                               pairs, masks)
                     assert len(items) == len(dense)
-                    for item, want in zip(items, dense):
+                    for item, want in zip(table_rows(items), dense):
                         assert abs(item.pop("fidelity") - want.pop("fidelity")) <= 1e-12
                         assert item == want
                         outcomes.add(item["passed"])
@@ -550,7 +579,7 @@ class TestPerBurstOracle:
         for kind in BURST_KINDS:
             for l in sorted({1, m, m + 1}):
                 rows = burst_masks(total, l, kind)
-                labels = burst_labels(burst_letters(total, *rows))
+                labels = burst_labels(letter_grid(total, *rows))
                 xs, zs = map(row_masks, rows)
                 for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
                     # generators: the table is built before the first burst,
@@ -569,8 +598,8 @@ class TestPerBurstOracle:
                         continue
                     items = statevector_items(code, block_table(code, kind, length),
                                               pairs, zip(labels, xs, zs))
-                    assert list(items) == want
-                    outcomes.update(item["passed"] for item in items)
+                    assert table_rows(items) == want
+                    outcomes.update(item["passed"] for item in want)
         assert outcomes == {True, False, "collision"}
 
     def test_each_distinct_block_pauli_decoded_once(self, monkeypatch):
@@ -600,7 +629,7 @@ class TestPerBurstOracle:
 def assert_renders_as_dicts(report):
     """A report renders as the same report with its items as a list of dicts,
     in JSON and in text, and its JSON validates against the schema."""
-    oracle = Report(report.command, report.parameters, list(report.items),
+    oracle = Report(report.command, report.parameters, item_dicts(report),
                     report.elapsed_seconds)
     assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
     assert report.render("text") == oracle.render("text")
@@ -620,7 +649,7 @@ class TestStatevectorRendering:
             for kind in BURST_KINDS:
                 for l in sorted({1, m, m + 1}):
                     rows = burst_masks(total, l, kind)
-                    errors = list(zip(burst_labels(burst_letters(total, *rows)),
+                    errors = list(zip(burst_labels(letter_grid(total, *rows)),
                                       *map(row_masks, rows)))
                     reports = [run_verify(code_name, m, burst=l, kind=kind,
                                           method="statevector", seed=m)]
@@ -636,7 +665,7 @@ class TestStatevectorRendering:
                     for report in reports:
                         assert_renders_as_dicts(report)
                         if isinstance(report.items, ItemTable):
-                            for item in report.items:
+                            for item in table_rows(report.items):
                                 seen.add((item["passed"],
                                           min(len(item["corrected_positions_0based"]), 2),
                                           item["fidelity"] < 0.5))
@@ -946,12 +975,13 @@ class TestRendering:
             monkeypatch.setattr(qinterleave.cli, "burst_masks", with_long_bursts)
             report = run_enumerate(n, 2, "colocated")
             paulis = enumerate_bursts(n, 2, "colocated") + long
-            assert [item["label"] for item in report.items] == [str(p) for p in paulis]
-            assert [item["passed"] for item in report.items] == [
+            items = table_rows(report.items)
+            assert [item["label"] for item in items] == [str(p) for p in paulis]
+            assert [item["passed"] for item in items] == [
                 is_quantum_burst(p, 2) for p in paulis]
-            assert [item["weight"] for item in report.items] == [
+            assert [item["weight"] for item in items] == [
                 (p.x | p.z).bit_count() for p in paulis]
-            assert [item["passed"] for item in report.items[-len(long):]] == [False] * len(long)
+            assert [item["passed"] for item in items[-len(long):]] == [False] * len(long)
             assert report.verdict == "fail"
 
     @pytest.mark.parametrize("n,burst,kind", [(70, 3, "independent"), (130, 2, "colocated")])
@@ -992,7 +1022,7 @@ class TestRendering:
     ])
     def test_to_json_equals_indent_encoder(self, make):
         report = make()
-        assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
+        assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
 
 
 SAFE_TEXT = [b for b in range(0x20, 0x7F) if b not in b'"\\']
@@ -1088,12 +1118,12 @@ def assert_written_as_rendered(report, grid_bytes):
                 report.write(stream, fmt)
                 assert stream.getvalue() == report.render(fmt)
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", size):
-            assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
+            assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
 
 
 class TestItemTable:
-    """A column table of report items renders as json.dumps(indent=2) of its
-    rows, byte for byte, and its rows read as the dicts they stand for."""
+    """A column table of report items renders as json.dumps(indent=2) of the
+    dicts its rows stand for (oracles.table_rows), byte for byte."""
 
     @settings(max_examples=150, deadline=None)
     @given(columns=item_columns(), grid_bytes=st.integers(1, 3000))
@@ -1101,17 +1131,14 @@ class TestItemTable:
         table = ItemTable(**columns)
         rows = [{name: col[i].tobytes().decode() if col.ndim == 2 else col[i].item()
                  for name, col in columns.items()} for i in range(len(table))]
-        assert list(table) == rows
+        assert table_rows(table) == rows
         assert len(table) == len(rows)
-        for i in range(-len(rows), len(rows)):
-            assert table[i] == rows[i]
-        assert table[1:-1] == rows[1:-1] and table[::-2] == rows[::-2]
         report = Report("x", {"n": len(rows), "nested": {"items": []}}, table, 0.25)
-        assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
+        assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
         # rows rendered a few (or one) at a time join to the same text
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
-            assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
-        assert report.to_dict()["items"] == rows
+            assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
+        assert report_dict(report)["items"] == rows
         assert report.verdict == Report("x", {}, rows).verdict
         assert report.render("text") == Report("x", report.parameters, rows, 0.25).render("text")
         if not rows:
@@ -1119,12 +1146,11 @@ class TestItemTable:
         assert_written_as_rendered(report, grid_bytes)
 
     @settings(max_examples=200, deadline=None)
-    @given(table_rows=float_and_list_columns(), grid_bytes=st.integers(1, 3000))
-    def test_float_and_list_columns_render_as_dicts(self, table_rows, grid_bytes):
-        columns, rows = table_rows
+    @given(columns_rows=float_and_list_columns(), grid_bytes=st.integers(1, 3000))
+    def test_float_and_list_columns_render_as_dicts(self, columns_rows, grid_bytes):
+        columns, rows = columns_rows
         table = ItemTable(**columns)
-        assert list(table) == rows
-        assert [table[i] for i in range(len(rows))] == rows
+        assert table_rows(table) == rows
         report = Report("x", {"n": len(rows)}, table, 0.5)
         oracle = Report("x", {"n": len(rows)}, rows, 0.5)
         assert "".join(table.text_rows()) == "".join(map(_text_row, rows))
@@ -1158,7 +1184,7 @@ class TestItemTable:
                           passed=np.ones(len(values), bool), v=np.array(values, dtype))
         report = Report("x", {}, table)
         assert [item["v"] for item in json.loads(report.render("json"))["items"]] == values
-        assert report.render("json") == json.dumps(report.to_dict(), indent=2) + "\n"
+        assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
 
     @pytest.mark.parametrize("columns,message", [
         ({"a": np.zeros(3, bool), "b": np.zeros(2, int)}, "ragged"),
@@ -1187,7 +1213,7 @@ class TestItemTable:
         # blocks of two 3-byte rows: the bad byte sits in the last block only
         monkeypatch.setattr(qinterleave.report, "GRID_BYTES", 6)
         col = np.full((7, 3), 65, np.uint8)
-        assert list(ItemTable(t=col)) == [{"t": "AAA"}] * 7
+        assert table_rows(ItemTable(t=col)) == [{"t": "AAA"}] * 7
         col[6, 1] = bad
         with pytest.raises(ValueError, match="'t'"):
             ItemTable(t=col)
@@ -1195,7 +1221,7 @@ class TestItemTable:
     def test_enumerate_items_are_a_table(self):
         report = run_enumerate(5, 2, "colocated")
         assert isinstance(report.items, ItemTable)
-        assert list(report.items) == enumerate_items(5, 2, "colocated")
+        assert table_rows(report.items) == enumerate_items(5, 2, "colocated")
 
 
 # Integers for the exit-code property: small ones run in milliseconds, and
@@ -1308,4 +1334,4 @@ class TestReports:
         assert any(not item["passed"] for item in report.items)
         report2 = run_verify("phase3", 3, burst=3, method="statevector")
         assert report2.verdict == "pass"
-        assert all(item["passed"] for item in report2.items)
+        assert all(item["passed"] for item in table_rows(report2.items))

@@ -53,10 +53,15 @@ def _commands() -> list[str]:
                  "verify --code phase3 --degree 13 --kind bit --burst 18",
                  "verify --code five --degree 40 --kind colocated",  # over the burst budget
                  "verify --degree 0", "verify --burst 0", "verify --seed 3",
-                 "verify --code phase3 --degree 9 --method statevector"]
+                 "verify --code phase3 --degree 9 --method statevector",
+                 # n != m: the interleave gather is not its own inverse
+                 "verify --code five --degree 2 --burst 2 --method statevector --seed 4 "
+                 "--output json"]
     commands += ["demo", "demo --output json", "demo --seed 7", "demo --seed 7 --output json",
                  "demo --coeffs 0.6,0.8,0.28,0.96,1,0",
                  "demo --bursts ZZZIIIIII,IIIIIZZZI,XIIIIIIII --output json",
+                 "demo --bursts zzziiiiii,iiiiiyyyi --output json",  # labels upper-cased
+                 "demo --bursts xiiiiiiii,IIIIIIIIY",
                  "demo --bursts ZZZZIIIII",  # longer than the interleaver spreads
                  "demo --seed 1 --coeffs 0.6,0.8,0.28,0.96,1,0", "demo --seed -1",
                  "demo --coeffs 1,2,3", "demo --coeffs 0.6,0.8,0.28,0.96,1,x",
@@ -82,9 +87,6 @@ ALLOWED = {
     "pauli.BinaryVector.is_zero": "read by spans._apply_pauli_bytes",
     "pauli.PauliString.x_mask": "read by spans._apply_pauli_bytes",
     "pauli.PauliString.z_mask": "read by spans._apply_pauli_bytes",
-    "report.ItemTable.__iter__": "the row reader the tests compare tables with",
-    "report.ItemTable.__getitem__": "the row reader the tests compare tables with",
-    "report._unpadded": "the row reader the tests compare tables with",
     "report.report_schema": "the published report schema the tests validate against",
     "statevector.StateVector.__repr__": "keeps a state's amplitudes out of its repr",
     "codes.CorrectabilityResult.__bool__": "a result reads as its verdict",

@@ -35,7 +35,7 @@ from qinterleave import (
 )
 from qinterleave.cli import DEFAULT_COEFFS, run_demo, run_verify
 from qinterleave.codes import _leaf, corrects_bursts
-from qinterleave.pauli import _decoded_rows, burst_count, burst_letters, mask_rows
+from qinterleave.pauli import _decoded_rows, burst_count, mask_rows
 from oracles import (
     basis_state,
     burst_ability_measured,
@@ -45,6 +45,7 @@ from oracles import (
     embed_pauli,
     gf2_rank_of,
     in_gf2_span,
+    letter_grid,
     letter_label,
     pairwise_relation_checks,
     pauli_lanes,
@@ -797,7 +798,7 @@ def assert_words_match_oracle(n, ops, rng, errors=12):
     xs, zs = random_masks(n, errors, rng), random_masks(n, errors, rng)
     leaf = _leaf(n, ops)
     words = np.zeros((len(leaf), errors), np.uint64)
-    for column, letter_words in zip(burst_letters(n, mask_rows(n, xs), mask_rows(n, zs)).T,
+    for column, letter_words in zip(letter_grid(n, mask_rows(n, xs), mask_rows(n, zs)).T,
                                     leaf.transpose(1, 0, 2)):
         words ^= letter_words[:, column]
     assert words.shape == (-(-len(ops) // 64), errors)

@@ -78,6 +78,19 @@ def test_letter_grid_label_path_is_gone():
     assert not hasattr(importlib.import_module("qinterleave.report"), "_JSON_ENDS")
 
 
+def test_second_burst_decoder_and_row_reader_are_gone():
+    # a burst set is decoded once, into its labels, and deinterleaving reads
+    # the labels' letter codes; the row reader lives in tests/oracles.py
+    pauli = importlib.import_module("qinterleave.pauli")
+    for name in ("burst_letters", "_lane_bytes"):
+        assert not hasattr(pauli, name), name
+    assert callable(pauli.label_letters) and callable(pauli.letter_rows)
+    report = importlib.import_module("qinterleave.report")
+    for name in ("__iter__", "__getitem__"):
+        assert name not in vars(report.ItemTable), name
+    assert not hasattr(report, "_unpadded")
+
+
 def test_pauli_algebra_is_gone():
     # a Pauli is (n, x, z); its products, commutation, permutation and
     # embedding live in tests/oracles.py, over the mask ints

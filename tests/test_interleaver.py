@@ -292,7 +292,7 @@ class TestGateColumns:
         (3, ([-2], [1]), "negative qubit index"),
         (3, ([1], [1]), "SWAP operands must be distinct"),
         (3, ([-1], [-1]), "SWAP operands must be distinct"),
-        (3, ([0.5], [1]), "gate kinds and qubit indices must be integers"),
+        (3, ([0.5], [1]), "SWAP operands must be integers"),
         # one SWAP is checked for repeated, then negative, then out-of-width operands
         (3, ([4], [4]), "SWAP operands must be distinct"),
         (3, ([-1], [5]), "negative qubit index"),

@@ -17,7 +17,7 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
-from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, burst_letters, letter_rows,
+from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, label_letters, letter_rows,
                                mask_rows, row_labels, row_length_weight, row_lengths,
                                row_masks)
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     is_quantum_burst,
     label_burst_vectors,
     label_bursts,
+    letter_grid,
     letter_label,
     pauli_matrix,
     pauli_of_bits,
@@ -45,11 +46,11 @@ from oracles import (
 
 
 def mask_bits(n, masks):
-    """The 0/1 grid of n-bit masks as run_enumerate reads it: the x bits of
-    burst_letters, checked against the z bits of the same masks."""
+    """The 0/1 grid of n-bit masks: the x bits of letter_grid, checked
+    against the z bits of the same masks."""
     rows, zero = mask_rows(n, masks), mask_rows(n, [0] * len(masks))
-    bits = burst_letters(n, rows, zero) & 1
-    assert np.array_equal(bits, burst_letters(n, zero, rows) >> 1)
+    bits = letter_grid(n, rows, zero) & 1
+    assert np.array_equal(bits, letter_grid(n, zero, rows) >> 1)
     return bits
 
 
@@ -441,7 +442,7 @@ class TestEnumerateBursts:
             labels = labels_of(n, xs, zs)
             assert labels == [str(p) for p in paulis]
             assert labels == [letter_label(p) for p in paulis]
-            assert labels == burst_labels(burst_letters(n, xs, zs))
+            assert labels == burst_labels(letter_grid(n, xs, zs))
         assert labels_of(4, mask_rows(4, []), mask_rows(4, [])) == []
 
     def test_masks_errors(self):
@@ -618,13 +619,13 @@ class TestBurstRows:
         assert row_masks(mask_rows(n, [])) == []
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
-    def test_letter_rows_invert_burst_letters(self, n):
+    def test_letter_rows_invert_letter_grid(self, n):
         rng = np.random.default_rng(n)
         letters = rng.integers(0, 4, size=(50, n), dtype=np.uint8)
-        assert np.array_equal(burst_letters(n, *letter_rows(letters)), letters)
+        assert np.array_equal(letter_grid(n, *letter_rows(letters)), letters)
         xs, zs = (mask_rows(n, [int(v) for v in rng.integers(0, 2, size=(40, n)) @ (
             1 << np.arange(n - 1, -1, -1, dtype=object))]) for _ in range(2))
-        for got, rows in zip(letter_rows(burst_letters(n, xs, zs)), (xs, zs)):
+        for got, rows in zip(letter_rows(letter_grid(n, xs, zs)), (xs, zs)):
             assert np.array_equal(got, rows)
         assert letter_rows(np.zeros((0, n), np.uint8))[0].shape == (-(-n // 64), 0)
 
@@ -632,15 +633,16 @@ class TestBurstRows:
 class TestRowTables:
     """Labels read off mask lanes a byte at a time, and burst lengths and
     weights read off the lanes a word at a time, equal what the letter grid
-    (burst_letters) gives: its "IXZY" gather, its first and last 1 of each
-    mask, and its nonzero count."""
+    (oracles.letter_grid) gives: its "IXZY" gather, its first and last 1 of
+    each mask, and its nonzero count; the labels' letter codes are the grid."""
 
     @staticmethod
     def assert_rows_read_as_letter_grid(n, xs, zs):
-        letters = burst_letters(n, xs, zs)
+        letters = letter_grid(n, xs, zs)
         labels = row_labels(n, xs, zs)
         assert labels.shape == (xs.shape[1], n) and labels.flags.c_contiguous
         assert labels_of(n, xs, zs) == burst_labels(letters)
+        assert np.array_equal(label_letters(labels), letters)
         x_lengths = burst_lengths(letters & 1)
         z_lengths = burst_lengths(letters >> 1)
         assert row_lengths(xs).tolist() == x_lengths.tolist()

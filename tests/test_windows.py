@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinterleave import BURST_KINDS, burst_masks
-from qinterleave.pauli import (BURST_BYTES_BUDGET, _decoded_rows, burst_count, burst_letters,
-                               burst_rows, burst_words, row_masks)
-from oracles import int_burst_at
+from qinterleave.pauli import (BURST_BYTES_BUDGET, _decoded_rows, burst_count, burst_rows,
+                               burst_words, row_masks)
+from oracles import int_burst_at, letter_grid
 
 
 def admitted(n, l, kind):
@@ -86,7 +86,7 @@ class TestBurstWindows:
                     words = burst_words(n, l, kind, leaf)
                     assert words.dtype == np.uint64
                     assert words.shape == (lanes, burst_count(n, l, kind) + 1)
-                    letters = burst_letters(n, *burst_masks(n, l, kind))
+                    letters = letter_grid(n, *burst_masks(n, l, kind))
                     expected = np.bitwise_xor.reduce(
                         leaf[:, np.arange(n), letters], axis=2)
                     assert not words[:, 0].any()
