@@ -56,7 +56,11 @@ def _commands() -> list[str]:
                  "verify --code phase3 --degree 9 --method statevector",
                  # n != m: the interleave gather is not its own inverse
                  "verify --code five --degree 2 --burst 2 --method statevector --seed 4 "
-                 "--output json"]
+                 "--output json",
+                 # the block decoder's collision row, with its reason
+                 "verify --code phase3 --kind bit --burst 4 --method statevector --output json",
+                 # a failing verdict and its witness list
+                 "verify --code five --kind colocated --burst 4 --method stabilizer --output json"]
     commands += ["demo", "demo --output json", "demo --seed 7", "demo --seed 7 --output json",
                  "demo --coeffs 0.6,0.8,0.28,0.96,1,0",
                  "demo --bursts ZZZIIIIII,IIIIIZZZI,XIIIIIIII --output json",
@@ -74,6 +78,7 @@ def _commands() -> list[str]:
     # 1,200 qubits: operands cross 99/100 and 999/1000 within one listing
     commands += ["synth 40 30", "synth 40 30 --expand-swaps", "synth 40 30 --format qasm"]
     commands += ["synth 6 4 --report json", "synth 8 8 --format qasm --report json",
+                 "synth 1 1 --report json",  # two labels of different widths
                  "synth 0 3", "synth 100000 100000",  # over the synth budget
                  "synth 2 2 --output /"]  # a directory: an I/O error
     return commands
