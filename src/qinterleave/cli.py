@@ -28,6 +28,7 @@ from .codes import (
     logical_encoder,
     phase3_code,
 )
+from .grid import cells
 from .interleaver import interleave_permutation, synthesize_swap_network
 from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, SYNTH_BYTES_PER_QUBIT, PauliString,
                     admitted_burst_count, burst_masks, enumerate_bursts, label_letters,
@@ -39,6 +40,9 @@ CODES: dict[str, Callable[[], StabilizerCode]] = {
     "phase3": phase3_code,
     "five": five_qubit_code,
 }
+
+# verify's methods, in the order --method lists them.
+METHODS = ("statevector", "stabilizer")
 
 # Fixed logical coefficients, cycled over blocks.  Chosen away from every
 # logical-Pauli eigenstate so that a wrong correction always shows up as a
@@ -196,7 +200,7 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         raise ValueError(f"unknown code name {code_name!r}")
     if kind not in BURST_KINDS:
         raise ValueError(f"unknown burst kind {kind!r}")
-    if method not in ("statevector", "stabilizer"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if seed is not None and method == "stabilizer":
         raise ValueError("verify takes --seed with --method statevector only: "
@@ -228,13 +232,10 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         compound = interleaved_code(code, degree)
         parameters["interleaved_code_block"] = compound.to_text()
         result = corrects_bursts(compound, effective, kind)
-        item = {
-            "label": f"{count} {kind} bursts of length <= {effective}",
-            "passed": result.ok,
-        }
-        if not result.ok:
-            item["witness"] = [str(result.witness[0]), str(result.witness[1])]
-        items = [item]
+        label = f"{count} {kind} bursts of length <= {effective}".encode()
+        witness = {} if result.ok else {
+            "witness": cells(*(str(p).encode() for p in result.witness))[None]}
+        items = ItemTable(label=cells(label), passed=np.array([result.ok]), **witness)
     else:
         pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
         # The swept set restricted to a block: block bursts of length <= length.
@@ -242,11 +243,9 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
         try:
             table = build_syndrome_table(code, enumerate_bursts(code.n, length, kind))
         except SyndromeCollisionError as exc:
-            items = [{
-                "label": f"block decoder for {kind} bursts of length <= {length}",
-                "passed": False,
-                "reason": str(exc),
-            }]
+            label = f"block decoder for {kind} bursts of length <= {length}".encode()
+            items = ItemTable(label=cells(label), passed=np.zeros(1, bool),
+                              reason=cells(str(exc).encode()))
         else:
             items = _statevector_table(code, table, pairs,
                                        row_labels(total, *burst_masks(total, effective, kind)))
@@ -269,18 +268,14 @@ def run_synth(rows: int, cols: int, fmt: str = "plain",
     circuit = synthesize_swap_network(perm)
     text = circuit.export(fmt, lowered=expand_swaps)
     count = circuit.cnot_count()
-    items = [{
-        "label": f"cnot count within 3(nm-1) = {3 * (total - 1)}",
-        "passed": count <= 3 * (total - 1) if total > 1 else count == 0,
-        "cnot_count": count,
-    }]
+    labels = [f"cnot count within 3(nm-1) = {3 * (total - 1)}".encode()]
+    passed = [count <= 3 * (total - 1) if total > 1 else count == 0]
     if rows == cols:
         expected = 3 * rows * (rows - 1) // 2
-        items.insert(0, {
-            "label": f"cnot count equals 3n(n-1)/2 = {expected}",
-            "passed": count == expected,
-            "cnot_count": count,
-        })
+        labels.insert(0, f"cnot count equals 3n(n-1)/2 = {expected}".encode())
+        passed.insert(0, count == expected)
+    items = ItemTable(label=cells(*labels), passed=np.array(passed),
+                      cnot_count=np.full(len(labels), count))
     report = Report(
         command="synth",
         parameters={
@@ -349,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--burst", type=int, default=None,
                         help="maximum burst length (default: ability * degree)")
     verify.add_argument("--kind", choices=BURST_KINDS, default="phase")
-    verify.add_argument("--method", choices=("statevector", "stabilizer"),
-                        default="stabilizer")
+    verify.add_argument("--method", choices=METHODS, default="stabilizer")
     verify.add_argument("--seed", type=int, default=None,
                         help="randomize logical coefficients (statevector only)")
     verify.add_argument("--output", choices=("text", "json"), default="text")

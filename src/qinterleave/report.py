@@ -1,9 +1,10 @@
 """Reports: per-item results, an aggregate verdict, and their JSON and text.
 
-A report's items are a list of dicts, or an ItemTable of columns that renders
-the bytes those dicts would render as, through the byte grids of grid.py and with
-no dict built.  JSON is json.dumps(report, indent=2) either way, text one line
-per item; both are made a block of items at a time (Report.blocks).
+A report's items are an ItemTable of columns, one row per item, each row
+standing for the dict of its values.  The rows render as json.dumps(indent=2)
+and str would write those dicts, through the byte grids of grid.py and with
+no dict built; JSON is made a block of items at a time, text one line per item
+(Report.blocks).
 """
 from __future__ import annotations
 
@@ -27,6 +28,13 @@ _JSON_END = b"\n    },\n"
 _KEY_LEVEL = 3
 
 
+def _is_text(rows: np.ndarray, refused: bytes) -> bool:
+    """Whether uint8 rows are printable ASCII but `refused`, each padded with PAD after it."""
+    pad = rows == PAD
+    return not (rows.min(initial=0x20) < 0x20 or ((rows > 0x7E) & ~pad).any()
+                or any((rows == b).any() for b in refused) or (pad[:, :-1] & ~pad[:, 1:]).any())
+
+
 def _column_kind(col: np.ndarray) -> str | None:
     """The kind of a valid item column, else None."""
     if col.ndim == 1:
@@ -37,13 +45,13 @@ def _column_kind(col: np.ndarray) -> str | None:
         if col.dtype.kind == "f" and np.isfinite(col).all():
             return "float"
     elif col.dtype == np.uint8:
-        if col.ndim == 2 and col.shape[1] > 0:
-            # a block of rows at a time: no bool temporary as large as the column
-            step = max(1, GRID_BYTES // col.shape[1])
-            blocks = (col[i:i + step] for i in range(0, len(col), step))
-            if not any(b.min() < 0x20 or b.max() > 0x7E or (b == ord('"')).any()
-                       or (b == ord("\\")).any() for b in blocks):
-                return "text"
+        if col.ndim in (2, 3) and col.shape[-1] > 0:
+            # a block of rows at a time: no bool temporary as large as the column;
+            # a list entry holding ' is refused: str would quote it with "
+            rows = col.reshape(-1, col.shape[-1])
+            step, refused = max(1, GRID_BYTES // rows.shape[1]), b'"\\' + b"'" * (col.ndim - 2)
+            if all(_is_text(rows[i:i + step], refused) for i in range(0, len(rows), step)):
+                return "text" if col.ndim == 2 else "lists"
     elif col.ndim >= 2 and col.dtype.kind == "i":
         pad = col < 0
         # -1 pads the lists of the last axis, after their entries
@@ -53,12 +61,17 @@ def _column_kind(col: np.ndarray) -> str | None:
 
 
 def _list_parts(col: np.ndarray, level: int | None) -> list:
-    """Parts rendering the lists of an int-list column as json.dumps(indent=2)
-    writes them at indent level `level`, or as str when `level` is None."""
-    present = (col >= 0).reshape(len(col), math.prod(col.shape[1:]))
-    digits = digit_cells(np.maximum(col, 0).ravel())
-    digits = digits.reshape(*present.shape, digits.shape[1])
-    padded = not present.all()
+    """Parts rendering the lists of an int-list or text-list column as
+    json.dumps(indent=2) writes them at indent level `level`, or as str when
+    `level` is None."""
+    if col.dtype == np.uint8:  # text lists: each entry between quotes, as str or JSON has it
+        shape, present, quote = col.shape[1:-1], None, ord("'" if level is None else '"')
+        entries = np.pad(col, ((0, 0), (0, 0), (1, 1)), constant_values=quote)
+    else:
+        shape, present = col.shape[1:], (col >= 0).reshape(len(col), math.prod(col.shape[1:]))
+        entries = digit_cells(np.maximum(col, 0).ravel())
+    entries = entries.reshape(len(col), math.prod(shape), entries.shape[-1])
+    padded = present is not None and not present.all()
 
     def lists(shape: tuple, level: int | None, base: int) -> list:
         # the lists of the given shape whose entries start at slot `base`
@@ -78,14 +91,14 @@ def _list_parts(col: np.ndarray, level: int | None) -> list:
             elif padded:
                 here = present[:, base + s, None]
                 parts += [np.where(here, np.frombuffer(sep, np.uint8), PAD),
-                          np.where(here, digits[:, base + s], PAD)]
+                          np.where(here, entries[:, base + s], PAD)]
             else:
-                parts += [sep, digits[:, base + s]]
+                parts += [sep, entries[:, base + s]]
         if len(shape) == 1 and padded:
             close = np.take(cells(b"[]", close), present[:, base].view(np.uint8), axis=0)
         return parts + [close]
 
-    return lists(col.shape[1:], level, 0)
+    return lists(shape, level, 0)
 
 
 def _bool_parts(col: np.ndarray, texts: tuple[bytes, bytes]) -> list:
@@ -109,12 +122,13 @@ def _value_parts(col: np.ndarray, kind: str, level: int | None) -> list:
 
 class ItemTable:
     """Report items held as columns of one length N: 1-d bool, 1-d
-    non-negative int, 1-d finite float, (N, w) uint8 text of printable ASCII
-    without '"' or '\\', or int lists: an int array (N, d1, ..., dk) of
-    lists of length dk and entries >= 0, each padded after its entries with
-    -1 to dk.  A row stands for a dict of str, bool, int, float and nested
-    lists of int; json_rows and text_rows render the rows as those dicts
-    render, through byte grids."""
+    non-negative int, 1-d finite float, text: (N, w) uint8 rows of printable
+    ASCII without '"' or '\\', padded after their text with PAD, text lists:
+    (N, k, w) uint8, k such texts a row and no "'" in them, or int lists: an
+    int array (N, d1, ..., dk) of lists of length dk and entries >= 0, each
+    padded after its entries with -1 to dk.  A table with rows has a text
+    "label" and a bool "passed" column, as the report schema asks.  json_rows
+    and text_rows render the rows as the dicts of their values render."""
 
     def __init__(self, **columns: np.ndarray) -> None:
         self._kinds = {}
@@ -122,10 +136,12 @@ class ItemTable:
             self._kinds[name] = _column_kind(col)
             if self._kinds[name] is None:
                 raise ValueError(f"column {name!r} is not bool, non-negative int, "
-                                 "finite float, text or padded int lists")
+                                 "finite float, text, text lists or padded int lists")
         if len(sizes := {len(col) for col in columns.values()}) > 1:
             raise ValueError(f"ragged columns of lengths {sorted(sizes)}")
         self.columns, self._len = columns, sizes.pop() if sizes else 0
+        if self._len and (self._kinds.get("label"), self._kinds.get("passed")) != ("text", "bool"):
+            raise ValueError("items need a text 'label' column and a bool 'passed' column")
 
     def __len__(self) -> int:
         return self._len
@@ -143,7 +159,7 @@ class ItemTable:
 
     def text_rows(self, head: str = "", tail: str = "") -> Iterator[str]:
         """head, the rows as a report's text lists items, then tail, in blocks."""
-        parts = [b"  [", *_bool_parts(self.columns["passed"].astype(bool), _STATUS), b"] ",
+        parts = [b"  [", *_bool_parts(self.columns["passed"], _STATUS), b"] ",
                  *_value_parts(self.columns["label"], self._kinds["label"], None)]
         sep = b" | "
         for name, col in self.columns.items():
@@ -153,49 +169,31 @@ class ItemTable:
         return grid_blocks(parts + [b"\n"], len(self), head, tail)
 
 
-def _text_row(item: dict) -> str:
-    status = "pass" if item["passed"] else "FAIL"
-    extras = " ".join(f"{k}={v}" for k, v in item.items() if k not in ("label", "passed"))
-    return f"  [{status}] {item['label']}" + (f" | {extras}" if extras else "") + "\n"
-
-
 @dataclass
 class Report:
     """Per-item results plus an aggregate verdict; renders as text or JSON."""
 
     command: str
     parameters: dict
-    items: list[dict] | ItemTable = field(default_factory=list)
+    items: ItemTable = field(default_factory=ItemTable)
     elapsed_seconds: float = 0.0
 
     @property
     def verdict(self) -> str:
         """Pass only when there are items and every one of them passed."""
-        items = self.items
-        if isinstance(items, ItemTable):
-            return "pass" if len(items) and items.columns["passed"].all() else "fail"
-        passed = items and all(item["passed"] for item in items)
-        return "pass" if passed else "fail"
-
-    def to_dict(self, items: list | None = None) -> dict:
-        """The report as a dict, `items` in place of its own items when given."""
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "items": self.items if items is None else items,
-            "verdict": self.verdict,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return "pass" if len(self.items) and self.items.columns["passed"].all() else "fail"
 
     def blocks(self, fmt: str) -> Iterator[str]:
         """The report as JSON or as text, ending in a newline: head, item
         blocks and tail, each made when it is asked for."""
-        table = isinstance(self.items, ItemTable)
-        if fmt == "json" and not (table and len(self.items)):
-            return iter([json.dumps(self.to_dict([] if table else None), indent=2) + "\n"])
         if fmt == "json":
-            head, tail = json.dumps(self.to_dict(items=[]), indent=2).split('\n  "items": []', 1)
-            return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}\n")
+            text = json.dumps({"command": self.command, "parameters": self.parameters,
+                               "items": [], "verdict": self.verdict,
+                               "elapsed_seconds": self.elapsed_seconds}, indent=2) + "\n"
+            if not len(self.items):
+                return iter([text])
+            head, tail = text.split('\n  "items": []', 1)
+            return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}")
         lines = [f"command: {self.command}"]
         for key, value in self.parameters.items():
             if isinstance(value, list) and len(str(value)) > 80:
@@ -210,9 +208,7 @@ class Report:
         lines.append(f"items: {len(self.items)}\n")
         head = "\n".join(lines)
         tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"
-        if table:
-            return self.items.text_rows(head, tail)
-        return iter([head + "".join(map(_text_row, self.items)) + tail])
+        return self.items.text_rows(head, tail) if len(self.items) else iter([head + tail])
 
     def write(self, stream: TextIO, fmt: str) -> None:
         """Write render(fmt) to stream a block at a time, each as it is made."""

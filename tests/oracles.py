@@ -13,6 +13,7 @@ gates by circuit_gates and gate_columns.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 from typing import NamedTuple
@@ -37,6 +38,7 @@ from qinterleave import (
     logical_encoder,
 )
 from qinterleave.cli import FIDELITY_TOL
+from qinterleave.grid import PAD
 from qinterleave.pauli import row_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -730,16 +732,22 @@ def burst_lengths(bits: np.ndarray) -> np.ndarray:
     return np.where(bits.any(axis=1), bits.shape[1] - last - first, 0)
 
 
-# The row reader that rendered item tables are compared with.
+# The row reader and the dict renderer that rendered reports are compared with.
 
 def table_rows(table) -> list[dict]:
     """The rows of an ItemTable as the report items they stand for: a (N, w)
-    uint8 text column read as str, an int-list column with its -1 padding
-    dropped, every other column as its Python values."""
+    uint8 text column read as str and a (N, k, w) text-list column as lists of
+    k str, each with its PAD padding dropped, an int-list column with its -1
+    padding dropped, every other column as its Python values."""
     def values(col):
-        if col.dtype == np.uint8 and col.ndim == 2:
-            text, w = col.tobytes().decode("ascii"), col.shape[1]
-            return [text[i:i + w] for i in range(0, len(text), w)]
+        if col.dtype == np.uint8 and col.ndim > 1:
+            data, w = col.tobytes(), col.shape[-1]
+            texts = [data[i:i + w].rstrip(bytes([PAD])).decode("ascii")
+                     for i in range(0, len(data), w)]
+            if col.ndim == 2:
+                return texts
+            k = col.shape[1]
+            return [texts[i * k:(i + 1) * k] for i in range(len(col))]
         return unpadded(col.tolist(), col.ndim - 1)
 
     def unpadded(rows, depth):
@@ -751,6 +759,44 @@ def table_rows(table) -> list[dict]:
 
     columns = {name: values(col) for name, col in table.columns.items()}
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def report_dict(report) -> dict:
+    """A Report as the dict its JSON stands for: its items read back as dicts
+    (table_rows) and its verdict taken from them, pass only when there are
+    items and every one of them passed."""
+    items = table_rows(report.items)
+    return {"command": report.command, "parameters": report.parameters, "items": items,
+            "verdict": "pass" if items and all(item["passed"] for item in items) else "fail",
+            "elapsed_seconds": report.elapsed_seconds}
+
+
+def text_row(item: dict) -> str:
+    """An item dict as one line of a report's text: its status and label, then
+    its other keys as key=str(value)."""
+    status = "pass" if item["passed"] else "FAIL"
+    extras = " ".join(f"{k}={v}" for k, v in item.items() if k not in ("label", "passed"))
+    return f"  [{status}] {item['label']}" + (f" | {extras}" if extras else "") + "\n"
+
+
+def render_dict(report: dict, fmt: str) -> str:
+    """A report dict (report_dict) as JSON, json.dumps(indent=2) of the whole
+    dict, or as text: the command, one line per parameter (a long list or a
+    multi-line str one line per element), the item count, one text_row per
+    item, the verdict and the elapsed seconds."""
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
+    lines = [f"command: {report['command']}"]
+    for key, value in report["parameters"].items():
+        if isinstance(value, list) and len(str(value)) > 80:
+            lines += [f"  {key} =", *(f"    {element}" for element in value)]
+        elif isinstance(value, str) and "\n" in value:
+            lines += [f"  {key} =", *(f"    {ln}" for ln in value.rstrip().splitlines())]
+        else:
+            lines.append(f"  {key} = {value}")
+    lines.append(f"items: {len(report['items'])}\n")
+    return ("\n".join(lines) + "".join(map(text_row, report["items"]))
+            + f"verdict: {report['verdict']}\nelapsed_seconds: {report['elapsed_seconds']:.3f}\n")
 
 
 # Test-only helpers.

@@ -70,7 +70,7 @@ def test_criterion_3_theorem2_statevector_scale():
     ok = (at_3.verdict == "pass"
           and len(at_3.items) == 31
           and at_4.verdict == "fail"
-          and sum(1 for item in at_4.items if not item["passed"]) >= 1)
+          and sum(1 for item in table_rows(at_4.items) if not item["passed"]) >= 1)
     record(3, "phase3 m=3 corrects all 31 length-3 phase bursts, fails at 4",
            ok, time.perf_counter() - start, 10.0)
 

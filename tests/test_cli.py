@@ -45,7 +45,8 @@ from qinterleave.cli import (
     run_synth,
     run_verify,
 )
-from qinterleave.report import _text_row, report_schema
+from qinterleave.grid import PAD
+from qinterleave.report import report_schema
 from oracles import (
     Gate,
     burst_labels,
@@ -61,9 +62,12 @@ from oracles import (
     permutation_label_action,
     permute_pauli,
     qasm_listing,
+    render_dict,
+    report_dict,
     split_pauli,
     swap_network_gates,
     table_rows,
+    text_row,
 )
 from qinterleave import Permutation, interleave_permutation
 
@@ -83,16 +87,23 @@ def statevector_items(code, table, pairs, errors):
                               text.reshape(len(labels), -1 if labels else code.n * len(pairs)))
 
 
-def item_dicts(report):
-    """A report's items as a list of dicts: an ItemTable's rows read back
-    (oracles.table_rows)."""
-    items = report.items
-    return table_rows(items) if isinstance(items, ItemTable) else items
+def labelled(passed, **columns):
+    """An ItemTable of one row per passed flag, labelled A, B, ..., with the
+    given columns."""
+    labels = np.frombuffer(bytes(range(65, 65 + len(passed))), np.uint8)
+    return ItemTable(label=labels.reshape(-1, 1), passed=np.array(passed, bool), **columns)
 
 
-def report_dict(report):
-    """Report.to_dict with the items as a list of dicts."""
-    return report.to_dict(items=item_dicts(report))
+def assert_renders_as_dicts(report):
+    """A report renders as its dict (oracles.report_dict) does, in JSON and
+    in text, and its JSON validates against the schema with the rows of its
+    table as its items."""
+    want = report_dict(report)
+    for fmt in ("json", "text"):
+        assert report.render(fmt) == render_dict(want, fmt)
+    rendered = json.loads(report.render("json"))
+    jsonschema.validate(rendered, report_schema())
+    assert rendered["items"] == want["items"]
 
 
 def run_main(capsys, *argv):
@@ -486,7 +497,7 @@ class TestVerifyCommand:
         report = run_verify("five", 2, burst=1, kind="independent",
                             method="statevector")
         assert report.verdict == "fail"
-        assert "reason" in report.items[0]
+        assert "reason" in report.items.columns
 
     def test_no_block_decoder_labels_no_burst(self, monkeypatch):
         # 237,567 bursts whose block restriction (length 2) has no decoder:
@@ -500,10 +511,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(qinterleave.cli, "_statevector_table", no_labels)
         report = run_verify("five", 5, burst=7, kind="colocated", method="statevector")
         assert report.parameters["burst_count"] == 237567
-        assert len(report.items) == 1
-        assert report.items[0]["label"] == (
-            "block decoder for colocated bursts of length <= 2")
-        assert report.items[0]["passed"] is False
+        [item] = table_rows(report.items)
+        assert item["label"] == "block decoder for colocated bursts of length <= 2"
+        assert item["passed"] is False
         assert report.verdict == "fail"
 
     def test_labels_are_the_one_decoded_form(self, monkeypatch):
@@ -626,16 +636,6 @@ class TestPerBurstOracle:
         assert decoded == [24, 24]
 
 
-def assert_renders_as_dicts(report):
-    """A report renders as the same report with its items as a list of dicts,
-    in JSON and in text, and its JSON validates against the schema."""
-    oracle = Report(report.command, report.parameters, item_dicts(report),
-                    report.elapsed_seconds)
-    assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
-    assert report.render("text") == oracle.render("text")
-    jsonschema.validate(json.loads(report.render("json")), report_schema())
-
-
 class TestStatevectorRendering:
     """The state-vector items, a table of float and int-list columns, render
     byte for byte as their rows do through json.dumps(indent=2) and one text
@@ -664,8 +664,8 @@ class TestStatevectorRendering:
                         reports.append(Report("verify", {"m": m}, items, 0.125))
                     for report in reports:
                         assert_renders_as_dicts(report)
-                        if isinstance(report.items, ItemTable):
-                            for item in table_rows(report.items):
+                        for item in table_rows(report.items):
+                            if "fidelity" in item:  # not the block decoder's collision row
                                 seen.add((item["passed"],
                                           min(len(item["corrected_positions_0based"]), 2),
                                           item["fidelity"] < 0.5))
@@ -684,12 +684,10 @@ class TestStatevectorRendering:
         report = json.loads(out)
         assert code == (1 if "--bursts" in argv else 0)
         assert report["verdict"] == ("fail" if "--bursts" in argv else "pass")
-        oracle = Report("demo", report["parameters"], report["items"],
-                        report["elapsed_seconds"])
-        assert out == oracle.render("json")
+        assert out == render_dict(report, "json")
         code, out = run_main(capsys, "demo", *argv, "--output", "text")
-        oracle.elapsed_seconds = float(out.rsplit(" ", 1)[1])
-        assert out == oracle.render("text")
+        report["elapsed_seconds"] = float(out.rsplit(" ", 1)[1])
+        assert out == render_dict(report, "text")
         if "--bursts" in argv:
             # the identity passes with no corrected position; ZZZZIIIII fails
             by_label = {item["label"]: item for item in report["items"]}
@@ -951,14 +949,13 @@ class TestRendering:
         argv = ["enumerate", str(n), "--burst", str(burst), "--kind", kind]
         code, out = run_main(capsys, *argv, "--output", "json")
         report = json.loads(out)
-        oracle = Report("enumerate", report["parameters"],
-                        enumerate_items(n, burst, kind), report["elapsed_seconds"])
+        oracle = {**report, "items": enumerate_items(n, burst, kind)}
         assert code == 0
-        assert out == json.dumps(oracle.to_dict(), indent=2) + "\n"
+        assert out == render_dict(oracle, "json")
         code, out = run_main(capsys, *argv, "--output", "text")
-        oracle.elapsed_seconds = float(out.rsplit(" ", 1)[1])
+        oracle["elapsed_seconds"] = float(out.rsplit(" ", 1)[1])
         assert code == 0
-        assert out == oracle.render("text")
+        assert out == render_dict(oracle, "text")
 
     def test_passed_is_checked_on_the_masks(self, monkeypatch):
         # burst_masks yields only bursts, so append the lanes of some that are
@@ -1012,28 +1009,38 @@ class TestRendering:
         lambda: run_synth(3, 5, fmt="qasm")[1],
         lambda: run_enumerate(6, 2, "independent"),
         lambda: Report("verify", {}),
-        lambda: Report("x", {"items": None, "nested": {"items": [], "k": "v"}}, [
-            {"label": 'a},\n      {"b', "passed": True, "none": None},
-            {"label": "\u00e9\u2028\\", "passed": False, "f": 1.5e-300,
-             "inf": float("inf"), "i": -3},
-        ]),
-        # the verdict stops reading items at the first failure
-        lambda: Report("x", {}, [{"label": "x", "passed": False}, {}]),
+        # "items" keys among the parameters, and text only json.dumps escapes
+        lambda: Report("x", {"items": None, "nested": {"items": [], "k": "v"},
+                             "label": 'a},\n      {"b', "text": "\u00e9\u2028\\", "none": None,
+                             "f": 1.5e-300, "inf": float("inf"), "i": -3},
+                       labelled([True, False])),
+        lambda: Report("x", {}, labelled([False, True])),
     ])
     def test_to_json_equals_indent_encoder(self, make):
         report = make()
-        assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
+        assert report.render("json") == render_dict(report_dict(report), "json")
 
 
 SAFE_TEXT = [b for b in range(0x20, 0x7F) if b not in b'"\\']
+
+
+def padded_texts(draw, size, width, alphabet=SAFE_TEXT):
+    """`size` texts of 0 to `width` bytes of the alphabet, as (size, width)
+    uint8 rows padded after their text with PAD, and as str."""
+    texts = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=width),
+                          min_size=size, max_size=size))
+    rows = [bytes(text).ljust(width, bytes([PAD])) for text in texts]
+    return (np.frombuffer(b"".join(rows), np.uint8).reshape(size, width),
+            [bytes(text).decode() for text in texts])
 INTS = st.one_of(st.integers(0, 10**12),
                  st.sampled_from([0] + [10**k for k in range(13)]))
 
 
 @st.composite
 def item_columns(draw):
-    """Named columns of one length: text of width 1-80, ints, bools; a text
-    "label" and a bool "passed" always among them, in a random order."""
+    """Named columns of one length: text of width 1-80, each row padded after
+    its text or not, ints, bools; a text "label" and a bool "passed" always
+    among them, in a random order."""
     size = draw(st.integers(0, 50), label="N")
     names = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True)
                  .filter(lambda names: not {"label", "passed"} & set(names)))
@@ -1041,7 +1048,9 @@ def item_columns(draw):
     for name in ["label", "passed", *names]:
         kind = {"label": "text", "passed": "bool"}.get(name) or draw(
             st.sampled_from(["text", "int", "bool"]))
-        if kind == "text":
+        if kind == "text" and draw(st.booleans(), label=f"{name} padded"):
+            columns[name] = padded_texts(draw, size, draw(st.integers(1, 80)))[0]
+        elif kind == "text":
             width = draw(st.integers(1, 80))
             cells = draw(st.lists(st.lists(st.sampled_from(SAFE_TEXT), min_size=width,
                                            max_size=width), min_size=size, max_size=size))
@@ -1073,10 +1082,11 @@ def padded_lists(value, depth, width):
 
 @st.composite
 def float_and_list_columns(draw):
-    """A text "label", a bool "passed", then finite float columns and int-list
+    """A text "label", a bool "passed", then finite float columns, int-list
     columns (nested lists of fixed shape above a last axis of lists, ragged or
-    not, empty ones included), 1-8 rows, in a random order; and the row dicts
-    they stand for."""
+    not, empty ones included) and text-list columns (0-3 padded texts a row,
+    with no "'"), 1-8 rows, in a random order; and the row dicts they stand
+    for."""
     size = draw(st.integers(1, 8), label="N")
     labels = [chr(65 + i) * 3 for i in range(size)]
     same = draw(st.sampled_from([None, True, False]), label="passed all")
@@ -1085,11 +1095,18 @@ def float_and_list_columns(draw):
                                       min_size=size, max_size=size))}
     columns = {"label": np.frombuffer("".join(labels).encode(), np.uint8).reshape(size, 3),
                "passed": np.array(values["passed"], bool)}
-    for name in draw(st.lists(st.sampled_from(["fidelity", "f", "lists", "syn", "pos"]),
-                              min_size=1, max_size=5, unique=True)):
+    names = ["fidelity", "f", "lists", "syn", "pos", "witness", "texts"]
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=7, unique=True)):
         if name in ("fidelity", "f"):
             values[name] = draw(st.lists(FLOATS, min_size=size, max_size=size))
             columns[name] = np.array(values[name], np.float64)
+            continue
+        if name in ("witness", "texts"):
+            k, width = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+            col, texts = padded_texts(draw, size * k, width,
+                                      [b for b in SAFE_TEXT if b != ord("'")])
+            columns[name] = col.reshape(size, k, width)
+            values[name] = [texts[i * k:(i + 1) * k] for i in range(size)]
             continue
         shape = draw(st.lists(st.integers(0, 3), max_size=2), label="fixed axes")
         width = draw(st.integers(0, 4), label="list width")
@@ -1118,7 +1135,7 @@ def assert_written_as_rendered(report, grid_bytes):
                 report.write(stream, fmt)
                 assert stream.getvalue() == report.render(fmt)
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", size):
-            assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
+            assert report.render("json") == render_dict(report_dict(report), "json")
 
 
 class TestItemTable:
@@ -1129,18 +1146,19 @@ class TestItemTable:
     @given(columns=item_columns(), grid_bytes=st.integers(1, 3000))
     def test_to_json_equals_indent_encoder(self, columns, grid_bytes):
         table = ItemTable(**columns)
-        rows = [{name: col[i].tobytes().decode() if col.ndim == 2 else col[i].item()
-                 for name, col in columns.items()} for i in range(len(table))]
+        rows = [{name: col[i].tobytes().rstrip(bytes([PAD])).decode() if col.ndim == 2
+                 else col[i].item() for name, col in columns.items()} for i in range(len(table))]
         assert table_rows(table) == rows
         assert len(table) == len(rows)
         report = Report("x", {"n": len(rows), "nested": {"items": []}}, table, 0.25)
-        assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
+        want = report_dict(report)
+        assert report.render("json") == render_dict(want, "json")
         # rows rendered a few (or one) at a time join to the same text
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
-            assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
-        assert report_dict(report)["items"] == rows
-        assert report.verdict == Report("x", {}, rows).verdict
-        assert report.render("text") == Report("x", report.parameters, rows, 0.25).render("text")
+            assert report.render("json") == render_dict(want, "json")
+        assert want["items"] == rows
+        assert report.verdict == want["verdict"]
+        assert report.render("text") == render_dict(want, "text")
         if not rows:
             assert '"items": []' in report.render("json")
         assert_written_as_rendered(report, grid_bytes)
@@ -1152,13 +1170,14 @@ class TestItemTable:
         table = ItemTable(**columns)
         assert table_rows(table) == rows
         report = Report("x", {"n": len(rows)}, table, 0.5)
-        oracle = Report("x", {"n": len(rows)}, rows, 0.5)
-        assert "".join(table.text_rows()) == "".join(map(_text_row, rows))
-        assert report.render("text") == oracle.render("text")
-        assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
+        oracle = report_dict(report)
+        assert oracle["items"] == rows
+        assert "".join(table.text_rows()) == "".join(map(text_row, rows))
+        assert report.render("text") == render_dict(oracle, "text")
+        assert report.render("json") == render_dict(oracle, "json")
         with mock.patch.object(qinterleave.grid, "GRID_BYTES", grid_bytes):
-            assert report.render("json") == json.dumps(oracle.to_dict(), indent=2) + "\n"
-            assert report.render("text") == oracle.render("text")
+            assert report.render("json") == render_dict(oracle, "json")
+            assert report.render("text") == render_dict(oracle, "text")
         assert_written_as_rendered(report, grid_bytes)
 
     @pytest.mark.parametrize("make", [
@@ -1184,15 +1203,16 @@ class TestItemTable:
                           passed=np.ones(len(values), bool), v=np.array(values, dtype))
         report = Report("x", {}, table)
         assert [item["v"] for item in json.loads(report.render("json"))["items"]] == values
-        assert report.render("json") == json.dumps(report_dict(report), indent=2) + "\n"
+        assert report.render("json") == render_dict(report_dict(report), "json")
 
     @pytest.mark.parametrize("columns,message", [
         ({"a": np.zeros(3, bool), "b": np.zeros(2, int)}, "ragged"),
         ({"a": np.zeros((3, 4), np.uint8) + 65, "b": np.zeros(4, bool)}, "ragged"),
         ({"a": np.array([1, -1, 2])}, "'a'"),
         ({"a": np.array([0.5, np.nan])}, "'a'"),
-        ({"a": np.zeros((2, 2, 2), np.uint8) + 65}, "'a'"),
+        ({"a": np.zeros((2, 2, 2, 2), np.uint8) + 65}, "'a'"),
         ({"a": np.zeros((2, 0), np.uint8)}, "'a'"),
+        ({"a": np.zeros((2, 2, 0), np.uint8)}, "'a'"),
         ({"a": np.full((2, 3), 65.0)}, "'a'"),
     ] + [({"t": np.array([[65, bad, 66]], np.uint8)}, "'t'")
          for bad in (ord('"'), ord("\\"), 0, 0x0A, 0x1F, 0x7F, 0x80, 0xFF)] + [
@@ -1203,6 +1223,13 @@ class TestItemTable:
         ({"a": np.array([[65, -1, 65]])}, "'a'"),
         ({"a": np.array([[[1, 2], [-1, 0]]])}, "'a'"),
         ({"a": np.ones((2, 3), bool)}, "'a'"),
+        # text is padded with PAD after its last byte only; a text-list entry
+        # holds no ', which str would write between " quotes
+        ({"t": np.array([[65, PAD], [PAD, 66]], np.uint8)}, "'t'"),
+        ({"w": np.array([[[65, 66], [ord("'"), PAD]]], np.uint8)}, "'w'"),
+        # the schema's rule for items: a text label and a bool passed
+        ({"passed": np.ones(2, bool), "v": np.arange(2)}, "label"),
+        ({"label": np.full((2, 1), 65, np.uint8), "passed": np.ones(2, np.int64)}, "passed"),
     ])
     def test_refuses_bad_columns(self, columns, message):
         with pytest.raises(ValueError, match=message):
@@ -1213,10 +1240,11 @@ class TestItemTable:
         # blocks of two 3-byte rows: the bad byte sits in the last block only
         monkeypatch.setattr(qinterleave.report, "GRID_BYTES", 6)
         col = np.full((7, 3), 65, np.uint8)
-        assert table_rows(ItemTable(t=col)) == [{"t": "AAA"}] * 7
+        labels = labelled([True] * 7).columns
+        assert [row["t"] for row in table_rows(ItemTable(**labels, t=col))] == ["AAA"] * 7
         col[6, 1] = bad
         with pytest.raises(ValueError, match="'t'"):
-            ItemTable(t=col)
+            ItemTable(**labels, t=col)
 
     def test_enumerate_items_are_a_table(self):
         report = run_enumerate(5, 2, "colocated")
@@ -1324,14 +1352,39 @@ class TestReports:
                             if ln.startswith("verdict:")][0].split()[1]
             assert json.loads(report.render("json"))["verdict"] == text_verdict
 
+    @pytest.mark.parametrize("make,verdict", [
+        (lambda: run_demo(), "pass"),
+        (lambda: run_verify("phase3", 3), "pass"),
+        (lambda: run_verify("five", 3, burst=4, kind="colocated"), "fail"),
+        (lambda: run_verify("phase3", 3, method="statevector"), "pass"),
+        (lambda: run_verify("phase3", 3, burst=4, kind="bit", method="statevector"), "fail"),
+        (lambda: run_synth(4, 4)[1], "pass"),
+        (lambda: run_synth(1, 1)[1], "pass"),
+        (lambda: run_synth(2, 3)[1], "pass"),
+        (lambda: run_enumerate(6, 2, "bit"), "pass"),
+    ], ids=["demo", "stabilizer-pass", "stabilizer-witness", "statevector-pass",
+            "statevector-collision", "synth-n-eq-m", "synth-1x1", "synth-n-ne-m", "enumerate"])
+    def test_each_report_shape_validates_as_its_table(self, make, verdict):
+        # one report shape per command: its JSON validates against the schema
+        # and its items are the rows of its table
+        report = make()
+        rendered = json.loads(report.render("json"))
+        jsonschema.validate(rendered, report_schema())
+        assert rendered["items"] == table_rows(report.items)
+        assert rendered["verdict"] == report.verdict == verdict
+
     def test_empty_report_fails(self):
-        assert Report("verify", {}).verdict == "fail"
-        assert Report("verify", {}, [{"label": "x", "passed": True}]).verdict == "pass"
+        empty = Report("verify", {})
+        assert empty.verdict == "fail"
+        assert json.loads(empty.render("json"))["items"] == []
+        assert '\n  "items": [],\n' in empty.render("json")
+        assert "\nitems: 0\nverdict: fail\n" in empty.render("text")
+        assert Report("verify", {}, labelled([True])).verdict == "pass"
 
     def test_verdict_rule(self):
         report = run_verify("phase3", 3, burst=4, method="statevector")
         assert report.verdict == "fail"
-        assert any(not item["passed"] for item in report.items)
+        assert any(not item["passed"] for item in table_rows(report.items))
         report2 = run_verify("phase3", 3, burst=3, method="statevector")
         assert report2.verdict == "pass"
         assert all(item["passed"] for item in table_rows(report2.items))

@@ -91,6 +91,19 @@ def test_second_burst_decoder_and_row_reader_are_gone():
     assert not hasattr(report, "_unpadded")
 
 
+def test_report_items_have_one_form():
+    # a report's items are always an ItemTable: the list-of-dicts path, its
+    # text line and the report dict are gone (the dict renderer is
+    # tests/oracles.py::render_dict)
+    report = importlib.import_module("qinterleave.report")
+    assert not hasattr(report, "_text_row")
+    assert not hasattr(report.Report, "to_dict")
+    assert isinstance(report.Report("verify", {}).items, report.ItemTable)
+    cli = importlib.import_module("qinterleave.cli")
+    # verify's methods are named once, in the order --method lists them
+    assert cli.METHODS == ("statevector", "stabilizer")
+
+
 def test_pauli_algebra_is_gone():
     # a Pauli is (n, x, z); its products, commutation, permutation and
     # embedding live in tests/oracles.py, over the mask ints
