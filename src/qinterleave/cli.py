@@ -41,8 +41,7 @@ CODES: dict[str, Callable[[], StabilizerCode]] = {
     "five": five_qubit_code,
 }
 
-# verify's methods, in the order --method lists them.
-METHODS = ("statevector", "stabilizer")
+METHODS = ("statevector", "stabilizer")  # verify's methods, in the order --method lists them
 
 # Fixed logical coefficients, cycled over blocks.  Chosen away from every
 # logical-Pauli eigenstate so that a wrong correction always shows up as a

@@ -30,9 +30,12 @@ _KEY_LEVEL = 3
 
 def _is_text(rows: np.ndarray, refused: bytes) -> bool:
     """Whether uint8 rows are printable ASCII but `refused`, each padded with PAD after it."""
+    if rows.min(initial=0x20) < 0x20 or any((rows == b).any() for b in refused):
+        return False
+    if rows.max(initial=0) <= 0x7E:  # no PAD, as in every row of a burst label column
+        return True
     pad = rows == PAD
-    return not (rows.min(initial=0x20) < 0x20 or ((rows > 0x7E) & ~pad).any()
-                or any((rows == b).any() for b in refused) or (pad[:, :-1] & ~pad[:, 1:]).any())
+    return not (((rows > 0x7E) & ~pad).any() or (pad[:, :-1] & ~pad[:, 1:]).any())
 
 
 def _column_kind(col: np.ndarray) -> str | None:
@@ -61,15 +64,14 @@ def _column_kind(col: np.ndarray) -> str | None:
 
 
 def _list_parts(col: np.ndarray, level: int | None) -> list:
-    """Parts rendering the lists of an int-list or text-list column as
-    json.dumps(indent=2) writes them at indent level `level`, or as str when
-    `level` is None."""
-    if col.dtype == np.uint8:  # text lists: each entry between quotes, as str or JSON has it
-        shape, present, quote = col.shape[1:-1], None, ord("'" if level is None else '"')
-        entries = np.pad(col, ((0, 0), (0, 0), (1, 1)), constant_values=quote)
+    """Parts rendering the lists of a list column as json.dumps(indent=2) writes
+    them at indent level `level`, or as str when `level` is None."""
+    if col.dtype == np.uint8:  # text lists: entries quoted '"' in JSON, "'" as str has them
+        shape, present, entries = col.shape[1:-1], None, col
+        quote = b"'" if level is None else b'"'
     else:
         shape, present = col.shape[1:], (col >= 0).reshape(len(col), math.prod(col.shape[1:]))
-        entries = digit_cells(np.maximum(col, 0).ravel())
+        entries, quote = digit_cells(np.maximum(col, 0).ravel()), b""
     entries = entries.reshape(len(col), math.prod(shape), entries.shape[-1])
     padded = present is not None and not present.all()
 
@@ -83,6 +85,8 @@ def _list_parts(col: np.ndarray, level: int | None) -> list:
             close = f"\n{'  ' * level}]".encode()
         if shape[0] == 0:
             return [b"[]"]
+        if len(shape) == 1:
+            first, later, close = first + quote, quote + later + quote, quote + close
         deeper, size, parts = None if level is None else level + 1, math.prod(shape[1:]), []
         for s in range(shape[0]):
             sep = first if s == 0 else later
@@ -197,14 +201,11 @@ class Report:
         lines = [f"command: {self.command}"]
         for key, value in self.parameters.items():
             if isinstance(value, list) and len(str(value)) > 80:
-                lines.append(f"  {key} =")
-                lines.extend(f"    {element}" for element in value)
-                continue
-            if isinstance(value, str) and "\n" in value:
-                lines.append(f"  {key} =")
-                lines.extend(f"    {ln}" for ln in value.rstrip().splitlines())
-                continue
-            lines.append(f"  {key} = {value}")
+                lines += [f"  {key} =", *(f"    {element}" for element in value)]
+            elif isinstance(value, str) and "\n" in value:
+                lines += [f"  {key} =", *(f"    {ln}" for ln in value.rstrip().splitlines())]
+            else:
+                lines.append(f"  {key} = {value}")
         lines.append(f"items: {len(self.items)}\n")
         head = "\n".join(lines)
         tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"

@@ -1022,6 +1022,8 @@ class TestRendering:
 
 
 SAFE_TEXT = [b for b in range(0x20, 0x7F) if b not in b'"\\']
+INTS = st.one_of(st.integers(0, 10**12),
+                 st.sampled_from([0] + [10**k for k in range(13)]))
 
 
 def padded_texts(draw, size, width, alphabet=SAFE_TEXT):
@@ -1032,8 +1034,6 @@ def padded_texts(draw, size, width, alphabet=SAFE_TEXT):
     rows = [bytes(text).ljust(width, bytes([PAD])) for text in texts]
     return (np.frombuffer(b"".join(rows), np.uint8).reshape(size, width),
             [bytes(text).decode() for text in texts])
-INTS = st.one_of(st.integers(0, 10**12),
-                 st.sampled_from([0] + [10**k for k in range(13)]))
 
 
 @st.composite
