@@ -29,7 +29,7 @@ _KEY_LEVEL = 3
 
 
 def _is_text(rows: np.ndarray, refused: bytes) -> bool:
-    """Whether uint8 rows are printable ASCII but `refused`, each padded with PAD after it."""
+    """Whether uint8 rows are printable ASCII but `refused`, each PAD-padded after its text."""
     if rows.min(initial=0x20) < 0x20 or any((rows == b).any() for b in refused):
         return False
     if rows.max(initial=0) <= 0x7E:  # no PAD, as in every row of a burst label column
