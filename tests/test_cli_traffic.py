@@ -77,6 +77,8 @@ def _commands() -> list[str]:
                  for fmt in ("plain", "qasm") for expand in ("", " --expand-swaps")]
     # 1,200 qubits: operands cross 99/100 and 999/1000 within one listing
     commands += ["synth 40 30", "synth 40 30 --expand-swaps", "synth 40 30 --format qasm"]
+    # 10,100 qubits: operands cross 9999/10000, the CNOT count has 5 digits
+    commands += ["synth 101 100 --format qasm", "synth 101 100 --report json"]
     commands += ["synth 6 4 --report json", "synth 8 8 --format qasm --report json",
                  "synth 1 1 --report json",  # two labels of different widths
                  "synth 0 3", "synth 100000 100000",  # over the synth budget
