@@ -1,7 +1,9 @@
 """Text rendered from byte grids: row i joins one cell from each part, bytes
-shared by every row or row i of an (N, w) uint8 array.  Cells are padded with
-PAD, a byte no UTF-8 text holds, which is dropped when the grid is read, a
-block of rows at a time (grid_blocks)."""
+shared by every row or row i of an (N, w) uint8 array.  A block of rows at a
+time (grid_blocks) is filled from one template row of the shared bytes, then
+each array part is written into its columns as one void item a row.  Cells are
+padded with PAD, a byte no UTF-8 text holds, which is dropped when a block is
+read.  Decimal digits are looked up a 4-digit group at a time (digit_cells)."""
 from __future__ import annotations
 
 from typing import Iterator, Sequence
@@ -12,6 +14,14 @@ PAD = 0xFF
 # Rows are rendered this many grid bytes at a time: a whole-table grid and its
 # mask would push enumerate past the 600 + 4n bytes a burst of pauli's budget.
 GRID_BYTES = 8 << 20
+# Decimal digits a 4-digit group at a time, as uint32 cells indexed by the
+# group's value: zero-padded ("0042"), PAD-led for a value's units group
+# ("PP42", 0 is "PPP0") and PAD-led above it (0 is "PPPP").
+_POWERS, _GROUPS = 10 ** np.arange(3, -1, -1), np.arange(10**4)[:, None]
+_ZEROED, _UNITS, _ABOVE = (np.where(_GROUPS < lead, PAD, _GROUPS // _POWERS % 10 + 48)
+                           .astype(np.uint8).view(np.uint32).ravel()
+                           for lead in (0, _POWERS * (_POWERS > 1), _POWERS))
+del _POWERS, _GROUPS
 
 
 def cells(*texts: bytes) -> np.ndarray:
@@ -22,20 +32,21 @@ def cells(*texts: bytes) -> np.ndarray:
 
 
 def digit_cells(values: np.ndarray) -> np.ndarray:
-    """Right-aligned decimal digits of non-negative ints, padded to the widest."""
+    """Right-aligned decimal digits of non-negative ints, padded to the widest:
+    one uint32 cell a 4-digit group, viewed as bytes and cut to the width."""
     rest = np.asarray(values).astype(np.uint64)
-    top = int(rest.max(initial=0))
-    if top + 1 < len(rest):
-        # a table of 0..top is shorter than the values: look them up in it
-        return np.take(digit_cells(np.arange(top + 1)), rest, axis=0)
-    width, ten = len(str(top)), np.uint64(10)
-    digits = np.empty((len(rest), width), np.uint8)
-    for k in range(width - 1, -1, -1):
+    width = len(str(int(rest.max(initial=0))))
+    groups, base = -(-width // 4), np.uint64(10**4)
+    out = np.empty((len(rest), groups), np.uint32)
+    for g in range(groups - 1, 0, -1):  # the units group first
         # numpy divides by a scalar quickly, but not so its remainder
-        quotient = rest // ten
-        digits[:, k] = np.where((rest > 0) | (k == width - 1), rest - quotient * ten + 48, PAD)
+        quotient = rest // base
+        group = rest - quotient * base
+        out[:, g] = np.where(quotient > 0, _ZEROED.take(group),
+                             (_UNITS if g == groups - 1 else _ABOVE).take(group))
         rest = quotient
-    return digits
+    out[:, 0] = (_UNITS if groups == 1 else _ABOVE).take(rest)
+    return out.view(np.uint8)[:, 4 * groups - width:]
 
 
 def float_cells(values: np.ndarray) -> np.ndarray:
@@ -51,19 +62,25 @@ def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
                 tail: str = "", cut: int = 0) -> Iterator[str]:
     """head, the rows' cells a block of rows at a time, then tail; the last
     `cut` bytes of the last row are left out."""
-    merged = []
+    template, fields = bytearray(), []
     for p in parts:
-        # runs of shared bytes become one part
-        if isinstance(p, bytes) and merged and isinstance(merged[-1], bytes):
-            merged[-1] += p
-        else:
-            merged.append(p)
-    parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-             if isinstance(p, bytes) else p for p in merged]
-    step = max(1, GRID_BYTES // max(1, sum(p.shape[1] for p in parts)))
+        # shared bytes go into one template row; each array fills its columns
+        if isinstance(p, bytes):
+            template += p
+        elif p.shape[1]:
+            fields.append((len(template), p if p.strides[1] == 1 else np.ascontiguousarray(p)))
+            template += bytes(p.shape[1])
+    width, template = len(template), np.frombuffer(template, np.uint8)
+    step = max(1, GRID_BYTES // max(1, width))
     yield head
     for start in range(0, rows, step):
-        grid = np.concatenate([p[start:start + step] for p in parts], axis=1).ravel()
+        grid = np.empty((min(step, rows - start), width), np.uint8)
+        grid[:] = template
+        for o, p in fields:
+            # one void item a row: its w bytes are copied as one element
+            w = p.shape[1]
+            grid[:, o:o + w].view(f"V{w}")[:, 0] = p[start:start + step].view(f"V{w}")[:, 0]
+        grid = grid.ravel()
         if grid.max(initial=0) == PAD:  # a block with no padded cell is left as it is
             grid = grid[grid != PAD]
         if start + step >= rows:

@@ -7,7 +7,9 @@ code paths under test.  The Pauli algebra that PauliString does not carry
 its mask ints.  The last section holds helpers that only tests use: burst
 vectors, deinterleaving a transmitted vector, permutation composition,
 basis states, tensor products, dense gate simulation, reading a plain circuit
-listing back, and the measured burst ability of a code.  The per-gate oracles
+listing back, the measured burst ability of a code, and the byte-grid
+references: digit cells one decimal digit at a time and rows joined by
+concatenating their parts.  The per-gate oracles
 take a Gate value; a circuit's SWAP pairs are read as and written from SWAP
 gates by circuit_gates and gate_columns.
 """
@@ -37,6 +39,7 @@ from qinterleave import (
     interleave_permutation,
     logical_encoder,
 )
+import qinterleave.grid
 from qinterleave.cli import FIDELITY_TOL
 from qinterleave.grid import PAD
 from qinterleave.pauli import row_masks
@@ -902,3 +905,45 @@ def burst_ability_measured(code: StabilizerCode, kind: str) -> int:
         if not class_corrects_masks(code, *burst_masks(code.n, l, kind)):
             return l - 1
     return code.n
+
+
+# The byte-grid references: digit cells one decimal digit at a time, and rows
+# joined by concatenating every part's columns, a block of rows at a time.
+
+def digit_cells_reference(values: np.ndarray) -> np.ndarray:
+    """Right-aligned decimal digits of non-negative ints, padded with PAD to
+    the widest, written one digit column at a time from the right."""
+    rest = np.asarray(values).astype(np.uint64)
+    top = int(rest.max(initial=0))
+    width, ten = len(str(top)), np.uint64(10)
+    digits = np.empty((len(rest), width), np.uint8)
+    for k in range(width - 1, -1, -1):
+        quotient = rest // ten
+        digits[:, k] = np.where((rest > 0) | (k == width - 1), rest - quotient * ten + 48, PAD)
+        rest = quotient
+    return digits
+
+
+def grid_text_reference(parts, rows: int, head: str = "", tail: str = "",
+                        cut: int = 0) -> str:
+    """head, row i of every part joined in order (a bytes part is shared by
+    every row), with the PAD bytes dropped and the last `cut` bytes of the last
+    row left out, then tail; made grid.GRID_BYTES grid bytes at a time."""
+    merged = []
+    for p in parts:
+        if isinstance(p, bytes) and merged and isinstance(merged[-1], bytes):
+            merged[-1] += p
+        else:
+            merged.append(p)
+    parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+             if isinstance(p, bytes) else p for p in merged]
+    step = max(1, qinterleave.grid.GRID_BYTES // max(1, sum(p.shape[1] for p in parts)))
+    text = [head]
+    for start in range(0, rows, step):
+        grid = np.concatenate([p[start:start + step] for p in parts], axis=1).ravel()
+        if grid.max(initial=0) == PAD:
+            grid = grid[grid != PAD]
+        if start + step >= rows:
+            grid = grid[:len(grid) - cut]
+        text.append(str(grid.data, "utf-8"))
+    return "".join(text + [tail])
