@@ -16,12 +16,14 @@ PAD = 0xFF
 GRID_BYTES = 8 << 20
 # Decimal digits a 4-digit group at a time, as uint32 cells indexed by the
 # group's value: zero-padded ("0042"), PAD-led for a value's units group
-# ("PP42", 0 is "PPP0") and PAD-led above it (0 is "PPPP").
-_POWERS, _GROUPS = 10 ** np.arange(3, -1, -1), np.arange(10**4)[:, None]
-_ZEROED, _UNITS, _ABOVE = (np.where(_GROUPS < lead, PAD, _GROUPS // _POWERS % 10 + 48)
-                           .astype(np.uint8).view(np.uint32).ravel()
-                           for lead in (0, _POWERS * (_POWERS > 1), _POWERS))
-del _POWERS, _GROUPS
+# ("PP42", 0 is "PPP0") and PAD-led above it (0 is "PPPP"); built in place
+# from uint8 digit indices, since wider temporaries raise the peak RSS.
+_CELLS = np.empty((3, 10**4, 4), np.uint8)
+_CELLS[:] = np.indices((10,) * 4, np.uint8).reshape(4, 10**4).T + ord("0")
+# a group below 1000, 100, 10 or 1 has no thousands, hundreds, tens or units digit
+_CELLS[1:, np.arange(10**4, dtype=np.uint16)[:, None] < np.uint16([1000, 100, 10, 1])] = PAD
+_CELLS[1, 0, 3] = ord("0")  # but a value of 0 has its units digit
+_ZEROED, _UNITS, _ABOVE = _CELLS.view(np.uint32)[..., 0]
 
 
 def cells(*texts: bytes) -> np.ndarray:
