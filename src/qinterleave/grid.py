@@ -19,9 +19,9 @@ GRID_BYTES = 8 << 20
 # ("PP42", 0 is "PPP0") and PAD-led above it (0 is "PPPP"); built in place
 # from uint8 digit indices, since wider temporaries raise the peak RSS.
 _CELLS = np.empty((3, 10**4, 4), np.uint8)
-_CELLS[:] = np.indices((10,) * 4, np.uint8).reshape(4, 10**4).T + ord("0")
+_CELLS[:] = np.add(np.indices((10,) * 4, np.uint8).reshape(4, 10**4).T, ord("0"), order="C")
 # a group below 1000, 100, 10 or 1 has no thousands, hundreds, tens or units digit
-_CELLS[1:, np.arange(10**4, dtype=np.uint16)[:, None] < np.uint16([1000, 100, 10, 1])] = PAD
+_CELLS[1:, :1000, 0] = _CELLS[1:, :100, 1] = _CELLS[1:, :10, 2] = _CELLS[1:, :1, 3] = PAD
 _CELLS[1, 0, 3] = ord("0")  # but a value of 0 has its units digit
 _ZEROED, _UNITS, _ABOVE = _CELLS.view(np.uint32)[..., 0]
 

@@ -29,7 +29,7 @@ def grid_parts(draw):
         if layout == "bytes":
             parts.append(draw(_TEXT).encode())
             continue
-        width = draw(st.integers(1, 6))
+        width = draw(st.integers(0, 6))
         cells = rng.integers(0x20, 0x7F, (rows, width), dtype=np.uint8)
         if draw(st.booleans()):  # right-aligned, as digit cells are; some all PAD
             cells[np.arange(width) < rng.integers(0, width + 1, (rows, 1))] = PAD
