@@ -29,10 +29,9 @@ from .codes import (
     phase3_code,
 )
 from .grid import cells
-from .interleaver import interleave_permutation, synthesize_swap_network
-from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, SYNTH_BYTES_PER_QUBIT, PauliString,
-                    admitted_burst_count, burst_masks, enumerate_bursts, label_letters,
-                    row_labels, row_length_weight)
+from .interleaver import SYNTH_BYTES_PER_QUBIT, interleave_permutation, synthesize_swap_network
+from .pauli import (BURST_BYTES_BUDGET, BURST_KINDS, PauliString, admitted_burst_count,
+                    burst_masks, enumerate_bursts, label_letters, row_labels, row_length_weight)
 from .report import ItemTable, Report
 from .statevector import MAX_QUBITS, IndeterminateEigenvalueError, apply_paulis
 

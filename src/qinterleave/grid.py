@@ -90,8 +90,3 @@ def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
         yield str(grid.data, "utf-8")
     yield tail
 
-
-def grid_text(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
-              tail: str = "") -> str:
-    """grid_blocks joined into one str."""
-    return "".join(grid_blocks(parts, rows, head, tail))

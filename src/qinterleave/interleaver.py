@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import digit_cells, grid_text
+from .grid import digit_cells, grid_blocks
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -39,10 +39,6 @@ class Permutation:
         array.setflags(write=False)
         object.__setattr__(self, "array", array)
 
-    @property
-    def size(self) -> int:
-        return len(self.array)
-
 
 def interleave_permutation(n: int, m: int) -> Permutation:
     """Permutation on n*m positions sending symbol j of block i to slot j*m + i."""
@@ -56,13 +52,16 @@ _PLAIN = (b"SWAP ", 0, b" ", 1, b"\n")
 _LOWERED = (b"CNOT ", 0, b" ", 1, b"\nCNOT ", 1, b" ", 0, b"\nCNOT ", 0, b" ", 1, b"\n")
 _QASM = (b"cx q[", 0, b"],q[", 1, b"];\ncx q[", 1, b"],q[", 0, b"];\ncx q[", 0, b"],q[", 1,
          b"];\n")
+# synth's peak bytes a qubit under pauli's BURST_BYTES_BUDGET.  Its costliest path, qasm with
+# n != m (about one SWAP a qubit), peaked at 166 and 171 B over import at 1e6 and 2e6 qubits;
+# --expand-swaps at 136 and 138 B, plain at 89 B, and qasm at 114 B for n = m.
+SYNTH_BYTES_PER_QUBIT = 448
 
 
 class Circuit:
-    """SWAP gates on `width` qubits, held as a read-only (2, G) int64 array of
-    operand pairs.  The pairs are checked at once, and the first bad SWAP is
-    refused for repeated or negative operands, or as out of width, in that
-    order."""
+    """SWAP gates on `width` qubits, a read-only (2, G) int64 array of operand
+    pairs checked at once: the first bad SWAP is refused for repeated or
+    negative operands, or as out of width, in that order."""
 
     def __init__(self, width: int, pairs) -> None:
         pairs = np.array(pairs)
@@ -87,27 +86,18 @@ class Circuit:
         """CNOTs after lowering: 3 per SWAP."""
         return 3 * self.swap_count
 
-    def _listing(self, head: str, layout: tuple) -> str:
+    def export(self, fmt: str, lowered: bool = False) -> str:
+        """fmt "plain": "qubits N", then each SWAP as `SWAP a b` (0-based) or,
+        lowered, as its three CNOT lines; "qasm": each SWAP as three cx lines."""
+        if fmt == "plain":
+            head, layout = f"qubits {self.width}\n", _LOWERED if lowered else _PLAIN
+        elif fmt == "qasm":
+            head, layout = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{self.width}];\n', _QASM
+        else:
+            raise ValueError(f"unknown circuit format {fmt!r}")
         digits = np.split(digit_cells(self.pairs.ravel()), 2)
         parts = [digits[p] if isinstance(p, int) else p for p in layout]
-        return grid_text(parts, self.swap_count, head)
-
-    def to_plain(self, lowered: bool = False) -> str:
-        """One gate per line after a "qubits N" header; 0-based operands.
-        Lowered, each SWAP is written as its three CNOT lines."""
-        return self._listing(f"qubits {self.width}\n", _LOWERED if lowered else _PLAIN)
-
-    def to_qasm(self) -> str:
-        """QASM-2 style listing; SWAPs are always lowered to cx triples."""
-        head = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{self.width}];\n'
-        return self._listing(head, _QASM)
-
-    def export(self, fmt: str, lowered: bool = False) -> str:
-        if fmt == "plain":
-            return self.to_plain(lowered)
-        if fmt == "qasm":
-            return self.to_qasm()
-        raise ValueError(f"unknown circuit format {fmt!r}")
+        return "".join(grid_blocks(parts, self.swap_count, head))
 
 
 def synthesize_swap_network(perm: Permutation) -> Circuit:
@@ -122,10 +112,10 @@ def synthesize_swap_network(perm: Permutation) -> Circuit:
     is the least of the 2**r positions from i on, off[i] its distance (the
     nearer on a tie); once 2**r spans every cycle, lead is c0, i is c_{k-off}.
     """
-    walk, hop, span = np.arange(perm.size) << 32, perm.array, 1
+    walk, hop, span = np.arange(len(perm.array)) << 32, perm.array, 1
     while not np.array_equal((ahead := walk[hop] + span) >> 32, walk >> 32):
         np.minimum(walk, ahead, out=walk)
         hop, span = hop[hop], 2 * span
     moved = np.flatnonzero(walk & 0xFFFFFFFF)  # all but the c0s, sorted by c0, then off down
     ends = moved[np.argsort(walk[moved] ^ 0xFFFFFFFF)]
-    return Circuit(perm.size, pairs=(walk[ends] >> 32, ends))
+    return Circuit(len(perm.array), pairs=(walk[ends] >> 32, ends))

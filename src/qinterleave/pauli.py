@@ -35,11 +35,6 @@ BURST_KINDS = ("bit", "phase", "colocated", "independent")
 # bounds enumerate --output json, which peaked at 0.40, 0.80 and 3.3 kB a burst
 # on 25, 200 and 1000 qubits; 3 GiB at that rate stays well under 7 GB.
 BURST_BYTES_BUDGET = 3 << 30
-# synth's peak bytes per interleaver qubit under the same budget.  Its costliest
-# path, qasm with n != m (about one SWAP a qubit), peaked at 166 and 171 B over
-# import at 1e6 and 2e6 qubits; --expand-swaps at 136 and 138 B, plain at 89 B,
-# and qasm at 114 B for n = m.
-SYNTH_BYTES_PER_QUBIT = 448
 
 # The four ASCII letters of each key (x nibble << 4) | z nibble, as one uint32.
 _NIBBLE_LETTERS = np.frombuffer(b"".join(bytes(b"IXZY"[(k >> 4 + b & 1) | (k >> b & 1) << 1]

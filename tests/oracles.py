@@ -479,14 +479,14 @@ def expand_swap_gates(gates) -> tuple[Gate, ...]:
 
 
 def plain_listing(width: int, gates) -> str:
-    """Circuit.to_plain, lowered or not, one f-string per gate."""
+    """Circuit.export("plain"), lowered or not, one f-string per gate."""
     lines = [f"qubits {width}"]
     lines += [f"{g.kind} {' '.join(str(q) for q in g.qubits)}" for g in gates]
     return "\n".join(lines) + "\n"
 
 
 def qasm_listing(width: int, gates) -> str:
-    """Circuit.to_qasm of a list of SWAP gates, one f-string per line, each
+    """Circuit.export("qasm") of a list of SWAP gates, one f-string per line, each
     SWAP as three cx lines."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{width}];"]
     for _, (a, b) in gates:
@@ -508,7 +508,7 @@ def circuit_label_action(circuit: Circuit) -> np.ndarray:
 
 def permutation_label_action(perm: Permutation) -> np.ndarray:
     """Output basis label for every input label under a qubit relabeling."""
-    n = perm.size
+    n = len(perm.array)
     labels = np.arange(1 << n, dtype=np.int64)
     out = np.zeros_like(labels)
     for q, image in enumerate(perm.array.tolist()):
@@ -527,7 +527,7 @@ def track_label_scalar(circuit: Circuit, label: int) -> int:
 
 
 def permute_label_scalar(perm: Permutation, label: int) -> int:
-    n = perm.size
+    n = len(perm.array)
     out = 0
     for q, image in enumerate(perm.array.tolist()):
         out |= ((label >> (n - 1 - q)) & 1) << (n - 1 - image)
@@ -823,7 +823,7 @@ def deinterleave_blocks(v, n: int, m: int) -> list[tuple[int, ...]]:
 
 def compose(second: Permutation, first: Permutation) -> Permutation:
     """Permutation equal to applying `first`, then `second`."""
-    if first.size != second.size:
+    if len(first.array) != len(second.array):
         raise ValueError("size mismatch in permutation composition")
     return Permutation(second.array[first.array])
 
@@ -885,7 +885,7 @@ def apply_circuit(s: StateVector, circuit: Circuit) -> StateVector:
 
 
 def parse_plain(text: str) -> Circuit:
-    """Inverse of Circuit.to_plain, lowered or not: in a lowered listing every
+    """Inverse of Circuit.export("plain"), lowered or not: in a lowered listing every
     three CNOT lines are read back as the one SWAP they lower."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits "):

@@ -29,8 +29,9 @@ from qinterleave import (
     burst_masks,
     enumerate_bursts,
 )
-from qinterleave.pauli import (BURST_BYTES_BUDGET, SYNTH_BYTES_PER_QUBIT, burst_count,
-                               mask_rows, row_length_weight, row_masks)
+from qinterleave.interleaver import SYNTH_BYTES_PER_QUBIT
+from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, mask_rows, row_length_weight,
+                               row_masks)
 from qinterleave.cli import (
     CODES,
     ItemTable,

@@ -133,6 +133,11 @@ def test_gate_and_permutation_extras_are_gone():
         assert not hasattr(interleaver, name), name
     for name in ("gates", "expand_swaps", "columns"):
         assert not hasattr(qinterleave.Circuit, name), name
+    # export is the one listing path: it joins grid_blocks itself
+    for name in ("to_plain", "to_qasm", "_listing"):
+        assert not hasattr(qinterleave.Circuit, name), name
+    assert not hasattr(importlib.import_module("qinterleave.grid"), "grid_text")
+    assert not hasattr(qinterleave.Permutation, "size")
     assert "__eq__" not in vars(qinterleave.Circuit)
     for name in ("images", "inverse", "identity", "is_identity", "__call__",
                  "__eq__", "__hash__"):

@@ -230,24 +230,24 @@ def swap_lists(width):
 
 class TestExport:
     def test_plain_empty(self):
-        text = Circuit(4, gate_columns([])).to_plain()
+        text = Circuit(4, gate_columns([])).export("plain")
         assert text == "qubits 4\n"
 
     def test_swap_expansion_matches_three_cnots(self):
         circuit = Circuit(2, gate_columns([Gate.swap(0, 1)]))
-        assert circuit.to_plain(lowered=True) == "qubits 2\nCNOT 0 1\nCNOT 1 0\nCNOT 0 1\n"
+        assert circuit.export("plain", lowered=True) == "qubits 2\nCNOT 0 1\nCNOT 1 0\nCNOT 0 1\n"
 
     def test_plain_round_trip(self):
         circuit = synthesize_swap_network(interleave_permutation(3, 3))
         swaps = Circuit(4, gate_columns([Gate.swap(1, 2), Gate.swap(3, 0)]))
         for original in (circuit, swaps):
             for lowered in (False, True):
-                parsed = parse_plain(original.to_plain(lowered))
+                parsed = parse_plain(original.export("plain", lowered))
                 assert parsed.width == original.width
                 assert np.array_equal(parsed.pairs, original.pairs)
 
     def test_qasm(self):
-        text = Circuit(3, gate_columns([Gate.swap(0, 2)])).to_qasm()
+        text = Circuit(3, gate_columns([Gate.swap(0, 2)])).export("qasm")
         lines = text.splitlines()
         assert lines[0] == "OPENQASM 2.0;"
         assert lines[2] == "qreg q[3];"
@@ -257,15 +257,13 @@ class TestExport:
         swaps = Circuit(5, gate_columns([Gate.swap(0, 3), Gate.swap(4, 1), Gate.swap(2, 0)]))
         network = synthesize_swap_network(interleave_permutation(4, 6))
         for circuit in (swaps, network, Circuit(2, gate_columns([]))):
-            assert circuit.to_qasm() == expanded_qasm(circuit)
+            assert circuit.export("qasm") == expanded_qasm(circuit)
 
     def test_export_dispatch(self):
         circuit = Circuit(3, gate_columns([Gate.swap(2, 0)]))
-        assert circuit.export("plain") == circuit.to_plain()
-        assert circuit.export("plain", lowered=True) == circuit.to_plain(lowered=True)
-        # QASM is lowered either way
-        assert circuit.export("qasm") == circuit.export("qasm", lowered=True) == circuit.to_qasm()
-        with pytest.raises(ValueError):
+        assert circuit.export("plain") == "qubits 3\nSWAP 2 0\n"
+        assert circuit.export("plain", lowered=True) == "qubits 3\nCNOT 2 0\nCNOT 0 2\nCNOT 2 0\n"
+        with pytest.raises(ValueError, match="unknown circuit format 'svg'"):
             circuit.export("svg")
 
     def test_parse_errors(self):
@@ -352,13 +350,16 @@ class TestGateColumns:
         width, gates = case
         circuit = Circuit(width, gate_columns(gates))
         assert circuit_gates(circuit) == tuple(gates)
-        assert circuit.to_plain() == plain_listing(width, gates)
-        assert circuit.to_plain(lowered=True) == plain_listing(width, expand_swap_gates(gates))
-        assert circuit.to_qasm() == qasm_listing(width, gates)
+        assert circuit.export("plain") == plain_listing(width, gates)
+        expanded = plain_listing(width, expand_swap_gates(gates))
+        assert circuit.export("plain", lowered=True) == expanded
+        assert circuit.export("qasm") == qasm_listing(width, gates)
+        # QASM is lowered either way
+        assert circuit.export("qasm", lowered=True) == qasm_listing(width, gates)
         assert circuit.swap_count == len(gates)
         assert circuit.cnot_count() == len(expand_swap_gates(gates))
         for lowered in (False, True):
-            parsed = parse_plain(circuit.to_plain(lowered))
+            parsed = parse_plain(circuit.export("plain", lowered))
             assert parsed.width == width and circuit_gates(parsed) == tuple(gates)
         assert np.array_equal(Circuit(width, circuit.pairs.tolist()).pairs, circuit.pairs)
 

@@ -66,7 +66,7 @@ def test_synth_builds_its_circuit_from_arrays(capsys, monkeypatch):
     assert len(built) == 1
     assert [(type(a), a.shape) for a in built[0]] == [(np.ndarray, (9936,))] * 2
     perm = interleave_permutation(200, 50)
-    listing = plain_listing(perm.size, expand_swap_gates(swap_network_gates(perm)))
+    listing = plain_listing(len(perm.array), expand_swap_gates(swap_network_gates(perm)))
     assert stdout[:len(listing)] == listing
     assert stdout[len(listing):].startswith("command:")
 
