@@ -12,14 +12,13 @@ positions with nonzero endpoints; a Pauli string is a quantum burst of length l
 when both of its masks are bursts of length l or less.  A kind's bursts are
 numbered after the identity: column 0 is the identity and column c burst c - 1.
 burst_words folds a word linear in the masks, such as a syndrome, down the tree
-of windows that share a prefix; burst_masks is burst_words of a leaf whose words
-are mask lanes, and burst_rows decodes the lanes of a few columns from their
-numbers alone.  Each refuses a set over BURST_BYTES_BUDGET before allocating it
-(admitted_burst_count).  Labels are read off the lanes' big-endian bytes through
-a 256-entry byte table; burst lengths and weights off the lanes themselves, a
-few whole-word passes a lane.  label_letters reads labels back as the letter
-codes x + 2z that deinterleaving gathers; letter_rows packs a grid of such codes
-into lanes, for the columns burst_rows decodes.
+of windows that share a prefix, and a few columns' words are gathered from their
+numbers alone, the XOR of one leaf word a letter; burst_masks and burst_rows do
+so with the mask leaf, whose words are mask lanes.  Each refuses a set over
+BURST_BYTES_BUDGET before allocating it (admitted_burst_count).  Labels are read
+off the lanes' big-endian bytes through a 256-entry byte table, burst lengths
+and weights off the lanes themselves, a few whole-word passes a lane, and
+label_letters reads labels back as the letter codes x + 2z.
 """
 from __future__ import annotations
 
@@ -37,20 +36,19 @@ BURST_KINDS = ("bit", "phase", "colocated", "independent")
 BURST_BYTES_BUDGET = 3 << 30
 
 # The four ASCII letters of each key (x nibble << 4) | z nibble, as one uint32.
-_NIBBLE_LETTERS = np.frombuffer(b"".join(bytes(b"IXZY"[(k >> 4 + b & 1) | (k >> b & 1) << 1]
-                                               for b in (3, 2, 1, 0)) for k in range(256)), np.uint32)
+_NIBBLE_LETTERS = np.frombuffer(bytes(b"IXZY"[(k >> 4 + b & 1) | (k >> b & 1) << 1]
+                                      for k in range(256) for b in (3, 2, 1, 0)), np.uint32)
 # The letter code x + 2z of each ASCII byte "IXZY"; 0 for every other byte.
 _LETTER_CODES = np.array([max(b"IXZY".find(b), 0) for b in range(256)], np.uint8)
 _LETTER_X_DIGIT = str.maketrans("IXZY", "0101")
 _LETTER_Z_DIGIT = str.maketrans("IXZY", "0011")
 _DROP_LETTERS = str.maketrans("", "", "IXZY")
 
-# Window letters of the burst kinds as (x bit, z bit) in "IXZY" order: the
-# letters allowed at the two ends of a window, and inside it.
+# The letter codes x + 2z each kind allows at a window's two ends, and inside it.
 _WINDOW_LETTERS = {
-    "bit": (((1, 0),), ((0, 0), (1, 0))),
-    "phase": (((0, 1),), ((0, 0), (0, 1))),
-    "colocated": (((1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (0, 1), (1, 1))),
+    "bit": ((1,), (0, 1)),
+    "phase": ((2,), (0, 2)),
+    "colocated": ((1, 2, 3), (0, 1, 2, 3)),
 }
 
 
@@ -168,19 +166,6 @@ def label_letters(labels: np.ndarray) -> np.ndarray:
     return np.take(_LETTER_CODES, labels)
 
 
-def letter_rows(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x mask lanes and the z mask lanes (mask_rows) of the Paulis of an
-    (N, n) uint8 grid whose row i holds each qubit's letter code x + 2z."""
-    n = letters.shape[1]
-    lanes = -(-n // 64)
-    bits = np.zeros((2, len(letters), 64 * lanes), dtype=np.uint8)
-    np.bitwise_and(letters, 1, out=bits[0, :, -n:])
-    np.right_shift(letters, 1, out=bits[1, :, -n:])
-    # Masks of whole lanes pack as one run each.
-    words = np.packbits(bits.reshape(2, -1), axis=1).view(">u8").reshape(2, len(letters), lanes)
-    return tuple(words.transpose(0, 2, 1).astype(np.uint64, order="C"))
-
-
 def row_labels(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """The (N, n) C-contiguous ASCII labels of the Paulis with mask lanes xs
     and zs (mask_rows), cut from one gather of four letters per (x, z) nibble
@@ -234,7 +219,7 @@ def _window_tree(l: int, leaf: np.ndarray, ends: Sequence, inner: Sequence,
     # the windows one longer) XOR its last letter's leaf, one broadcast a span,
     # written to out by span, start, then letters.  leaf is (n, 4), one lane.
     n = len(leaf)
-    end, mid = (leaf[:, [x + 2 * z for x, z in letters]] for letters in (ends, inner))
+    end, mid = leaf[:, ends], leaf[:, inner]
     head, at = np.zeros((n, 1), np.uint64), 0
     for span in range(1, l + 1):
         starts = n - span + 1
@@ -271,63 +256,58 @@ def burst_words(n: int, l: int, kind: str, leaf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_letters(n: int, l: int, kind: str, columns: np.ndarray) -> np.ndarray:
-    # The (N, n) letter grid of the given columns of burst_words, decoded from
-    # the numbers alone: span, then start, then the letters, the last one first
-    # (leftmost slowest).  Column 0, the identity, stays all I.
-    ends, inner = (np.array([x + 2 * z for x, z in letters], np.uint8)
-                   for letters in _WINDOW_LETTERS[kind])
+def _column_words(n: int, l: int, kind: str, leaf: np.ndarray, columns: np.ndarray
+                  ) -> np.ndarray:
+    # burst_words(n, l, kind, leaf)[:, columns], no other word built: a column's
+    # span, start and letter digits (the last letter fastest) are read off its
+    # number, span by span of those met, and its letters' leaf rows XORed.
+    if kind == "independent":
+        x, z = np.divmod(columns, burst_count(n, l, "bit") + 1)
+        return _column_words(n, l, "bit", leaf, x) ^ _column_words(n, l, "phase", leaf, z)
+    ends, inner = map(np.array, _WINDOW_LETTERS[kind])
     sizes = _span_sizes(n, l, kind)
     first = np.cumsum([1, *sizes])
     span = np.searchsorted(first, columns, side="right")
-    letters = np.zeros((len(columns), n), dtype=np.uint8)
-    cells = letters.reshape(-1)
-    for s in range(1, l + 1):
-        rows = np.flatnonzero(span == s)
-        start, rest = np.divmod(columns[rows] - first[s - 1], sizes[s - 1] // (n - s + 1))
-        at = rows * n + start + s - 1
+    rows = np.ascontiguousarray(leaf.transpose(1, 2, 0)).reshape(4 * n, len(leaf))
+    out = np.zeros((len(leaf), len(columns)), dtype=np.uint64)
+    for s in np.flatnonzero(np.bincount(span, minlength=l + 1)[1:]) + 1:
+        at = np.flatnonzero(span == s)
+        start, rest = np.divmod(columns[at] - first[s - 1], sizes[s - 1] // (n - s + 1))
+        row, words = 4 * (start + s - 1), np.zeros((len(at), len(leaf)), np.uint64)
         for codes in [ends, *[inner] * (s - 2), ends][:-s - 1:-1]:
             rest, digit = np.divmod(rest, len(codes))
-            cells[at] = codes[digit]
-            at -= 1
-    return letters
+            words ^= rows.take(row + codes[digit], axis=0)
+            row -= 4
+        out[:, at] = words.T
+    return out
 
 
 def burst_rows(n: int, l: int, kind: str, columns: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray]:
     """The x and z mask lanes (mask_rows) of the given columns of
-    burst_words(n, l, kind, ...), each decoded from its number with no other
-    burst built.  Decoding a burst costs 3 to 37 times as much as building its
-    lanes in sets of 10**5 bursts or more, so columns over 1/64 of the set are
-    taken from the words of burst_masks instead."""
+    burst_words(n, l, kind, ...), gathered from their numbers alone: the mask
+    leaf's words of each column's letters, XORed.  A gathered burst costs 2 to
+    32 times a built one in sets of 10**5 bursts or more, so a request over
+    1/64 of the set takes its columns from the words of burst_masks instead."""
     columns, count = np.asarray(columns, dtype=np.int64), admitted_burst_count(n, l, kind)
     if columns.size and not 0 <= columns.min() <= columns.max() <= count:
         raise IndexError(f"burst columns must lie in [0, {count}]")
-    if 64 * len(columns) <= count + 1:
-        return _decoded_rows(n, l, kind, columns)
-    return tuple(_mask_words(n, l, kind)[:, :, columns])
+    leaf = _mask_leaf(n)
+    words = (_column_words(n, l, kind, leaf, columns) if 64 * len(columns) <= count + 1
+             else burst_words(n, l, kind, leaf)[:, columns])
+    return tuple(words.reshape(2, -1, len(columns)))
 
 
-def _decoded_rows(n: int, l: int, kind: str, columns: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    # An independent column is a bit column (outer) and a phase column.
-    if kind != "independent":
-        return letter_rows(_window_letters(n, l, kind, columns))
-    x, z = np.divmod(columns, burst_count(n, l, "bit") + 1)
-    return letter_rows(_window_letters(n, l, "bit", x) | _window_letters(n, l, "phase", z))
-
-
-def _mask_words(n: int, l: int, kind: str) -> np.ndarray:
-    # burst_words of a leaf holding each single letter's x lanes, then its z
-    # lanes, as (2, lanes, 1 + count): every burst's x lanes, then its z lanes.
-    admitted_burst_count(n, l, kind)
+def _mask_leaf(n: int) -> np.ndarray:
+    # The (2 lanes, n, 4) leaf holding each single letter's x lanes, then its
+    # z lanes: its burst_words are every burst's x lanes, then its z lanes.
     lanes, qubits = -(-n // 64), np.arange(n)
     leaf = np.zeros((2, lanes, n, 4), np.uint64)
     lane, bit = np.divmod(qubits + 64 * lanes - n, 64)
     # X and Y set the qubit's bit in the x lanes, Z and Y in the z lanes.
     leaf[0, lane, qubits, 1::2] = leaf[1, lane, qubits, 2:] = (
         np.uint64(1) << (63 - bit).astype(np.uint64))[:, None]
-    return burst_words(n, l, kind, leaf.reshape(2 * lanes, n, 4)).reshape(2, lanes, -1)
+    return leaf.reshape(2 * lanes, n, 4)
 
 
 def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -342,10 +322,12 @@ def burst_masks(n: int, l: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     <= l; every x mask (outer) with every z mask (inner).
     A set predicted past BURST_BYTES_BUDGET raises ValueError before allocation.
 
-    The two halves are views of one array of burst_words, its identity
-    column dropped: the x lanes, then the z lanes.
+    The two halves are views of one array of burst_words of the mask leaf,
+    its identity column dropped: the x lanes, then the z lanes.
     """
-    return tuple(_mask_words(n, l, kind)[:, :, 1:])
+    admitted_burst_count(n, l, kind)  # refused before the leaf is built
+    words = burst_words(n, l, kind, _mask_leaf(n))
+    return tuple(words.reshape(2, -1, words.shape[1])[:, :, 1:])
 
 
 def enumerate_bursts(n: int, l: int, kind: str) -> list[PauliString]:

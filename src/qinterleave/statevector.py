@@ -10,7 +10,7 @@ qubits), one Pauli per state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ class StateVector:
     """Normalized dense state of an n-qubit register."""
 
     n: int
-    amps: np.ndarray
+    amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
@@ -46,9 +46,6 @@ class StateVector:
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "amps", amps)
-
-    def __repr__(self) -> str:
-        return f"StateVector(n={self.n})"
 
     def apply_pauli(self, p: PauliString) -> "StateVector":
         """Apply X_x Z_z: phase (-1)^(label . z) first, then the bit flips

@@ -709,7 +709,7 @@ def hex_burst_labels(n: int, xs, zs) -> list[str]:
 
 
 # The letter grid and its readers, the references for row_labels (a byte
-# table), row_lengths (a scan over uint64 lanes), label_letters and letter_rows.
+# table), row_lengths (a scan over uint64 lanes) and label_letters.
 
 def letter_grid(n: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """The (N, n) uint8 grid of the n-qubit Paulis with x mask lanes xs and z

@@ -70,7 +70,7 @@ from oracles import (
     table_rows,
     text_row,
 )
-from qinterleave import Permutation, interleave_permutation
+from qinterleave import Permutation, interleave_permutation, synthesize_swap_network
 
 
 def block_table(code, kind, length):
@@ -762,6 +762,17 @@ class TestSynthCommand:
     def test_expand_swaps(self, capsys):
         code, out = run_main(capsys, "synth", "2", "2", "--expand-swaps")
         assert "CNOT 1 2" in out and "SWAP" not in out.split("command")[0]
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 3), (4, 6)])
+    def test_swap_count_ignores_the_layout(self, rows, cols):
+        # the report counts the circuit's SWAPs whatever the listing's layout,
+        # as cnot_count does; expand_swaps alone says how it is laid out
+        swaps = synthesize_swap_network(interleave_permutation(rows, cols)).swap_count
+        for fmt in ("plain", "qasm"):
+            for expand in (False, True):
+                parameters = run_synth(rows, cols, fmt, expand_swaps=expand)[1].parameters
+                assert parameters["swap_count"] == swaps
+                assert parameters["expand_swaps"] is expand
 
     def test_internal_fault_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken_readout(values):

@@ -60,7 +60,9 @@ def _commands() -> list[str]:
                  # the block decoder's collision row, with its reason
                  "verify --code phase3 --kind bit --burst 4 --method statevector --output json",
                  # a failing verdict and its witness list
-                 "verify --code five --kind colocated --burst 4 --method stabilizer --output json"]
+                 "verify --code five --kind colocated --burst 4 --method stabilizer --output json",
+                 # a witness decoded from its column numbers on two lanes (65 qubits)
+                 "verify --code five --degree 13 --kind independent --burst 1"]
     commands += ["demo", "demo --output json", "demo --seed 7", "demo --seed 7 --output json",
                  "demo --coeffs 0.6,0.8,0.28,0.96,1,0",
                  "demo --bursts ZZZIIIIII,IIIIIZZZI,XIIIIIIII --output json",
@@ -95,7 +97,6 @@ ALLOWED = {
     "pauli.PauliString.x_mask": "read by spans._apply_pauli_bytes",
     "pauli.PauliString.z_mask": "read by spans._apply_pauli_bytes",
     "report.report_schema": "the published report schema the tests validate against",
-    "statevector.StateVector.__repr__": "keeps a state's amplitudes out of its repr",
     "codes.CorrectabilityResult.__bool__": "a result reads as its verdict",
 }
 

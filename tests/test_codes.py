@@ -35,7 +35,7 @@ from qinterleave import (
 )
 from qinterleave.cli import DEFAULT_COEFFS, run_demo, run_verify
 from qinterleave.codes import _leaf, corrects_bursts
-from qinterleave.pauli import _decoded_rows, burst_count, mask_rows
+from qinterleave.pauli import _column_words, burst_count, mask_rows
 from oracles import (
     basis_state,
     burst_ability_measured,
@@ -566,8 +566,8 @@ class TestCorrectsBursts:
 
     def test_equals_row_path(self, monkeypatch):
         decoded = []
-        monkeypatch.setattr(qinterleave.pauli, "_decoded_rows",
-                            lambda *args: decoded.append(args) or _decoded_rows(*args))
+        monkeypatch.setattr(qinterleave.pauli, "_column_words",
+                            lambda *args: decoded.append(args) or _column_words(*args))
         cases, verdicts, branches = 0, set(), set()
         for base in (phase3_code(), five_qubit_code()):
             for m in (1, 2, 3, 4, 13):

@@ -84,7 +84,7 @@ def test_second_burst_decoder_and_row_reader_are_gone():
     pauli = importlib.import_module("qinterleave.pauli")
     for name in ("burst_letters", "_lane_bytes"):
         assert not hasattr(pauli, name), name
-    assert callable(pauli.label_letters) and callable(pauli.letter_rows)
+    assert callable(pauli.label_letters)
     report = importlib.import_module("qinterleave.report")
     for name in ("__iter__", "__getitem__"):
         assert name not in vars(report.ItemTable), name
@@ -143,3 +143,13 @@ def test_gate_and_permutation_extras_are_gone():
                  "__eq__", "__hash__"):
         assert name not in vars(qinterleave.Permutation), name
     assert not hasattr(qinterleave.PauliString, "weight")
+
+
+def test_letter_grid_decoder_is_gone():
+    # a burst's word is the XOR of its letters' leaf words, whether the window
+    # tree folds it or _column_words gathers it from its number: no letter
+    # grid is decoded or packed into lanes, and one mask leaf serves both
+    pauli = importlib.import_module("qinterleave.pauli")
+    for name in ("letter_rows", "_window_letters", "_decoded_rows", "_mask_words"):
+        assert not hasattr(pauli, name), name
+    assert callable(pauli._column_words) and callable(pauli._mask_leaf)

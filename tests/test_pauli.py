@@ -17,9 +17,8 @@ from qinterleave import (
     enumerate_bursts,
     interleave_permutation,
 )
-from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, label_letters, letter_rows,
-                               mask_rows, row_labels, row_length_weight, row_lengths,
-                               row_masks)
+from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, label_letters, mask_rows,
+                               row_labels, row_length_weight, row_lengths, row_masks)
 from oracles import (
     bits_of,
     burst_labels,
@@ -617,17 +616,6 @@ class TestBurstRows:
         assert burst_lengths(mask_bits(n, masks)).tolist() == lengths
         assert row_lengths(lanes).tolist() == lengths
         assert row_masks(mask_rows(n, [])) == []
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 129])
-    def test_letter_rows_invert_letter_grid(self, n):
-        rng = np.random.default_rng(n)
-        letters = rng.integers(0, 4, size=(50, n), dtype=np.uint8)
-        assert np.array_equal(letter_grid(n, *letter_rows(letters)), letters)
-        xs, zs = (mask_rows(n, [int(v) for v in rng.integers(0, 2, size=(40, n)) @ (
-            1 << np.arange(n - 1, -1, -1, dtype=object))]) for _ in range(2))
-        for got, rows in zip(letter_rows(letter_grid(n, xs, zs)), (xs, zs)):
-            assert np.array_equal(got, rows)
-        assert letter_rows(np.zeros((0, n), np.uint8))[0].shape == (-(-n // 64), 0)
 
 
 class TestRowTables:

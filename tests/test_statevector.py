@@ -65,6 +65,11 @@ class TestBasisAndTensor:
         with pytest.raises(ValueError):
             tensor(random_state(14, rng), random_state(13, rng))
 
+    def test_repr_shows_n_and_no_amplitudes(self):
+        state = random_state(3, np.random.default_rng(3))
+        assert repr(state) == "StateVector(n=3)"
+        assert "amps" not in repr(state) and "j" not in repr(state)
+
     def test_normalization_guard(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))

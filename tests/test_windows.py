@@ -1,5 +1,6 @@
 """Tests for burst sets addressed by window number: the window-tree words of
-burst_words and the rows that burst_rows decodes from column numbers."""
+burst_words, the words _column_words gathers from column numbers, and the rows
+burst_rows takes from them."""
 import itertools
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinterleave import BURST_KINDS, burst_masks
-from qinterleave.pauli import (BURST_BYTES_BUDGET, _decoded_rows, burst_count, burst_rows,
-                               burst_words, row_masks)
+from qinterleave.pauli import (BURST_BYTES_BUDGET, _column_words, _mask_leaf, burst_count,
+                               burst_rows, burst_words, row_masks)
 from oracles import int_burst_at, letter_grid
 
 
@@ -27,11 +28,19 @@ def linear_leaf(n, lanes, rng):
     return leaf
 
 
+def decoded_rows(n, l, kind, columns):
+    """The x and z lanes of the columns gathered from their numbers alone:
+    _column_words of the mask leaf, whatever the share of the set."""
+    columns = np.asarray(columns, dtype=np.int64)
+    return tuple(_column_words(n, l, kind, _mask_leaf(n), columns).reshape(2, -1, len(columns)))
+
+
 class TestBurstWindows:
-    """The rows decoded from column numbers alone (_decoded_rows, and
+    """The rows gathered from column numbers alone (decoded_rows, and
     burst_rows, which takes many columns from burst_masks instead) against
-    the rows of burst_masks and the scalar counting oracle; and the
-    window-tree words of burst_words against a per-burst XOR of their leaf."""
+    the rows of burst_masks and the scalar counting oracle; the window-tree
+    words of burst_words against a per-burst XOR of their leaf; and the words
+    _column_words gathers against the columns of burst_words."""
 
     @pytest.mark.parametrize("kind", BURST_KINDS)
     @pytest.mark.parametrize("n", range(1, 13))
@@ -52,7 +61,7 @@ class TestBurstWindows:
                 columns = np.r_[0, 1, count, edges, rng.integers(0, count + 1, 4096)]
             zero = np.zeros((-(-n // 64), 1), np.uint64)
             expected = [np.hstack([zero, lanes])[:, columns] for lanes in burst_masks(n, l, kind)]
-            for got in (_decoded_rows(n, l, kind, columns), burst_rows(n, l, kind, columns)):
+            for got in (decoded_rows(n, l, kind, columns), burst_rows(n, l, kind, columns)):
                 for lanes, want in zip(got, expected):
                     assert lanes.dtype == np.uint64
                     assert np.array_equal(lanes, want)
@@ -67,8 +76,7 @@ class TestBurstWindows:
         columns = data.draw(st.lists(st.integers(0, count), min_size=1, max_size=5),
                             label="columns")
         want = [int_burst_at(n, l, kind, c - 1) if c else (0, 0) for c in columns]
-        for rows in (_decoded_rows(n, l, kind, np.array(columns)),
-                     burst_rows(n, l, kind, columns)):
+        for rows in (decoded_rows(n, l, kind, columns), burst_rows(n, l, kind, columns)):
             assert list(zip(*map(row_masks, rows))) == want
         for c in (-1, count + 1):
             with pytest.raises(IndexError):
@@ -91,6 +99,31 @@ class TestBurstWindows:
                         leaf[:, np.arange(n), letters], axis=2)
                     assert not words[:, 0].any()
                     assert np.array_equal(words[:, 1:], expected)
+
+    @pytest.mark.parametrize("kind", BURST_KINDS)
+    def test_column_words_equal_burst_words(self, kind):
+        # column 0, both sides of every span edge and random columns, on
+        # random linear leaves of 1 and 3 lanes; for independent sets the
+        # edges of the bit side, as outer and inner halves
+        rng = np.random.default_rng(len(kind) + 10)
+        for n in (1, 2, 5, 9, 66):
+            for l in range(1, n + 1):
+                if burst_count(n, l, kind) > 5000:
+                    break
+                count = burst_count(n, l, kind)
+                edges = [burst_count(n, s, "bit" if kind == "independent" else kind) + d
+                         for s in range(1, l) for d in (0, 1)]
+                if kind == "independent":
+                    side = burst_count(n, l, "bit") + 1
+                    halves = [0, 1, *edges, side - 1]
+                    edges = [x * side + z for x in halves for z in halves]
+                columns = np.r_[0, edges, count, rng.integers(0, count + 1, 64)].astype(np.int64)
+                for lanes in (1, 3):
+                    leaf = linear_leaf(n, lanes, rng)
+                    got = _column_words(n, l, kind, leaf, columns)
+                    assert got.dtype == np.uint64 and got.shape == (lanes, len(columns))
+                    assert np.array_equal(got, burst_words(n, l, kind, leaf)[:, columns])
+                    assert _column_words(n, l, kind, leaf, columns[:0]).shape == (lanes, 0)
 
     def test_words_refused_before_allocation(self, monkeypatch):
         def no_allocation(*args, **kwargs):
