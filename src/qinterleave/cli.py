@@ -53,26 +53,21 @@ DEMO_BURSTS = ("ZZZIIIIII", "IIIIIZZZI")
 FIDELITY_TOL = 1e-10
 
 
-def _random_pairs(seed: int, m: int) -> list[tuple[complex, complex]]:
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(m):
-        raw = rng.normal(size=4)
-        raw /= np.linalg.norm(raw)
-        pairs.append((complex(raw[0], raw[1]), complex(raw[2], raw[3])))
-    return pairs
+def _coefficients(seed: int | None, m: int) -> list[tuple[complex, complex]]:
+    """m logical coefficient pairs: DEFAULT_COEFFS cycled, or with a seed one
+    normal draw of m rows of 4 reals, each row scaled to unit norm."""
+    if seed is None:
+        return [DEFAULT_COEFFS[i % len(DEFAULT_COEFFS)] for i in range(m)]
+    raw = np.random.default_rng(seed).normal(size=(m, 4))
+    raw /= np.sqrt(np.vecdot(raw, raw))[:, None]  # a row's np.linalg.norm, bit for bit
+    return [(complex(a, b), complex(c, d)) for a, b, c, d in raw.tolist()]
 
 
-def _cycled_pairs(m: int) -> list[tuple[complex, complex]]:
-    return [DEFAULT_COEFFS[i % len(DEFAULT_COEFFS)] for i in range(m)]
-
-
-def _statevector_table(code: StabilizerCode, table: dict,
-                       pairs: Sequence[tuple[complex, complex]],
+def _statevector_table(code: StabilizerCode, table: dict, states: np.ndarray,
                        labels: np.ndarray) -> ItemTable:
-    """Encode one block per coefficient pair; for each error on the
-    interleaved register, a row of the text column `labels` whose last n*m
-    letters spell it (row_labels), deinterleave -> corrupt -> block-decode ->
+    """For the encoded blocks `states`, one (2**n,) row each, and each error on
+    the interleaved register, a row of the text column `labels` whose last n*m
+    letters spell it (row_labels): deinterleave -> corrupt -> block-decode ->
     fidelity.
 
     Deinterleaved, the register is a tensor product of blocks and the error a
@@ -84,8 +79,6 @@ def _statevector_table(code: StabilizerCode, table: dict,
     and all of them are decoded in one block_decode call.  `table` is the
     block decoder's syndrome table (build_syndrome_table).
     """
-    encoder = logical_encoder(code)
-    states = np.stack([encoder(c0, c1).amps for c0, c1 in pairs])
     n, m = code.n, len(states)
     # Qubit j of block i is register qubit images[i*n + j]: a label's letter images - n*m.
     parts = label_letters(labels[:, interleave_permutation(n, m).array - n * m]).reshape(-1, m, n)
@@ -136,7 +129,7 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
     if coeffs is not None and seed is not None:
         raise ValueError("demo takes --coeffs or --seed, not both")
     if coeffs is None:
-        coeffs = _random_pairs(seed, 3) if seed is not None else _cycled_pairs(3)
+        coeffs = _coefficients(seed, 3)
     coeffs = [(complex(a), complex(b)) for a, b in coeffs]
     if len(coeffs) != 3:
         raise ValueError("demo takes exactly 3 logical coefficient pairs")
@@ -151,10 +144,12 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
 
     code = phase3_code()
     encoder = logical_encoder(code)
+    blocks = [encoder(a, b) for a, b in coeffs]
     table = build_syndrome_table(code, enumerate_bursts(code.n, code.burst_ability,
                                                         "phase"))
     labels = np.frombuffer("".join(f"e_{p}" for p in paulis).encode(), np.uint8)
-    items = _statevector_table(code, table, coeffs, labels.reshape(len(paulis), -1))
+    items = _statevector_table(code, table, np.stack([b.amps for b in blocks]),
+                               labels.reshape(len(paulis), -1))
 
     return Report(
         command="demo",
@@ -163,9 +158,8 @@ def run_demo(coeffs: Sequence[tuple[complex, complex]] | None = None,
             "bursts": [str(p) for p in paulis],
             "kind": "phase",
             "fidelity_tolerance": FIDELITY_TOL,
-            "block_amplitudes": [
-                [list(entry) for entry in encoder(a, b).amplitudes_table()]
-                for a, b in coeffs],
+            "block_amplitudes": [[list(entry) for entry in b.amplitudes_table()]
+                                 for b in blocks],
         },
         items=items,
         elapsed_seconds=time.perf_counter() - start,
@@ -235,7 +229,6 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
             "witness": cells(*(str(p).encode() for p in result.witness))[None]}
         items = ItemTable(label=cells(label), passed=np.array([result.ok]), **witness)
     else:
-        pairs = _random_pairs(seed, degree) if seed is not None else _cycled_pairs(degree)
         # The swept set restricted to a block: block bursts of length <= length.
         length = min(code.n, (effective - 1) // degree + 1)
         try:
@@ -245,7 +238,9 @@ def run_verify(code_name: str, degree: int, burst: int | None = None,
             items = ItemTable(label=cells(label), passed=np.zeros(1, bool),
                               reason=cells(str(exc).encode()))
         else:
-            items = _statevector_table(code, table, pairs,
+            encoder = logical_encoder(code)
+            states = np.stack([encoder(a, b).amps for a, b in _coefficients(seed, degree)])
+            items = _statevector_table(code, table, states,
                                        row_labels(total, *burst_masks(total, effective, kind)))
 
     return Report("verify", parameters, items, time.perf_counter() - start)

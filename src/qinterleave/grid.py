@@ -60,10 +60,9 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     return np.take(cells(*(t.encode() for t in texts)), inverse, axis=0)
 
 
-def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
-                tail: str = "", cut: int = 0) -> Iterator[str]:
-    """head, the rows' cells a block of rows at a time, then tail; the last
-    `cut` bytes of the last row are left out."""
+def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, cut: int = 0) -> Iterator[str]:
+    """The rows' cells, a block of rows at a time; the last `cut` bytes of the
+    last row are left out."""
     template, fields = bytearray(), []
     for p in parts:
         # shared bytes go into one template row; each array fills its columns
@@ -74,7 +73,6 @@ def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
             template += bytes(p.shape[1])
     width, template = len(template), np.frombuffer(template, np.uint8)
     step = max(1, GRID_BYTES // max(1, width))
-    yield head
     for start in range(0, rows, step):
         grid = np.empty((min(step, rows - start), width), np.uint8)
         grid[:] = template
@@ -88,5 +86,3 @@ def grid_blocks(parts: Sequence[bytes | np.ndarray], rows: int, head: str = "",
         if start + step >= rows:
             grid = grid[:len(grid) - cut]
         yield str(grid.data, "utf-8")
-    yield tail
-

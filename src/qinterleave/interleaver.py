@@ -97,7 +97,7 @@ class Circuit:
             raise ValueError(f"unknown circuit format {fmt!r}")
         digits = np.split(digit_cells(self.pairs.ravel()), 2)
         parts = [digits[p] if isinstance(p, int) else p for p in layout]
-        return "".join(grid_blocks(parts, self.swap_count, head))
+        return "".join([head, *grid_blocks(parts, self.swap_count)])
 
 
 def synthesize_swap_network(perm: Permutation) -> Circuit:

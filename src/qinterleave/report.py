@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterator, TextIO
@@ -150,19 +151,19 @@ class ItemTable:
     def __len__(self) -> int:
         return self._len
 
-    def json_rows(self, head: str = "", tail: str = "") -> Iterator[str]:
-        """head, the rows of a non-empty table as json.dumps(indent=2) writes
-        them inside a report's items list, then tail, in blocks."""
+    def json_rows(self) -> Iterator[str]:
+        """The rows of a non-empty table as json.dumps(indent=2) writes them
+        inside a report's items list, in blocks."""
         parts = []
         for j, (name, col) in enumerate(self.columns.items()):
             kind = self._kinds[name]
             key = (("    {\n" if j == 0 else ",\n") + f"      {json.dumps(name)}: ").encode()
             quote = b'"' if kind == "text" else b""
             parts += [key + quote, *_value_parts(col, kind, _KEY_LEVEL), quote]
-        return grid_blocks(parts + [_JSON_END], len(self), head, tail, cut=len(b",\n"))
+        return grid_blocks(parts + [_JSON_END], len(self), cut=len(b",\n"))
 
-    def text_rows(self, head: str = "", tail: str = "") -> Iterator[str]:
-        """head, the rows as a report's text lists items, then tail, in blocks."""
+    def text_rows(self) -> Iterator[str]:
+        """The rows of a non-empty table as a report's text lists items, in blocks."""
         parts = [b"  [", *_bool_parts(self.columns["passed"], _STATUS), b"] ",
                  *_value_parts(self.columns["label"], self._kinds["label"], None)]
         sep = b" | "
@@ -170,7 +171,7 @@ class ItemTable:
             if name not in ("label", "passed"):
                 parts += [sep + f"{name}=".encode(), *_value_parts(col, self._kinds[name], None)]
                 sep = b" "
-        return grid_blocks(parts + [b"\n"], len(self), head, tail)
+        return grid_blocks(parts + [b"\n"], len(self))
 
 
 @dataclass
@@ -190,14 +191,16 @@ class Report:
     def blocks(self, fmt: str) -> Iterator[str]:
         """The report as JSON or as text, ending in a newline: head, item
         blocks and tail, each made when it is asked for."""
+        rows = () if not len(self.items) else (
+            self.items.json_rows() if fmt == "json" else self.items.text_rows())
         if fmt == "json":
             text = json.dumps({"command": self.command, "parameters": self.parameters,
                                "items": [], "verdict": self.verdict,
                                "elapsed_seconds": self.elapsed_seconds}, indent=2) + "\n"
-            if not len(self.items):
-                return iter([text])
+            # the rows go between the brackets json.dumps left empty
             head, tail = text.split('\n  "items": []', 1)
-            return self.items.json_rows(f'{head}\n  "items": [\n', f"\n  ]{tail}")
+            opening, closing = ("[\n", "\n  ]") if len(self.items) else ("[", "]")
+            return chain([f'{head}\n  "items": {opening}'], rows, [closing + tail])
         lines = [f"command: {self.command}"]
         for key, value in self.parameters.items():
             if isinstance(value, list) and len(str(value)) > 80:
@@ -207,9 +210,8 @@ class Report:
             else:
                 lines.append(f"  {key} = {value}")
         lines.append(f"items: {len(self.items)}\n")
-        head = "\n".join(lines)
         tail = f"verdict: {self.verdict}\nelapsed_seconds: {self.elapsed_seconds:.3f}\n"
-        return self.items.text_rows(head, tail) if len(self.items) else iter([head + tail])
+        return chain(["\n".join(lines)], rows, [tail])
 
     def write(self, stream: TextIO, fmt: str) -> None:
         """Write render(fmt) to stream a block at a time, each as it is made."""

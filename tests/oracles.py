@@ -366,6 +366,18 @@ def dense_statevector_items(code: StabilizerCode, kind: str, length: int, pairs,
     return items
 
 
+def random_pairs_reference(seed: int, m: int) -> list[tuple[complex, complex]]:
+    """m logical coefficient pairs drawn a pair at a time from one generator:
+    4 normal reals each, divided by their np.linalg.norm."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(m):
+        raw = rng.normal(size=4)
+        raw /= np.linalg.norm(raw)
+        pairs.append((complex(raw[0], raw[1]), complex(raw[2], raw[3])))
+    return pairs
+
+
 def split_pauli(p: PauliString, size: int) -> list[PauliString]:
     """The consecutive size-qubit parts of p, position 0's part first: part i
     embedded at offset i*size gives back p's letters there."""
@@ -924,11 +936,10 @@ def digit_cells_reference(values: np.ndarray) -> np.ndarray:
     return digits
 
 
-def grid_text_reference(parts, rows: int, head: str = "", tail: str = "",
-                        cut: int = 0) -> str:
-    """head, row i of every part joined in order (a bytes part is shared by
-    every row), with the PAD bytes dropped and the last `cut` bytes of the last
-    row left out, then tail; made grid.GRID_BYTES grid bytes at a time."""
+def grid_text_reference(parts, rows: int, cut: int = 0) -> str:
+    """Row i of every part joined in order (a bytes part is shared by every
+    row), with the PAD bytes dropped and the last `cut` bytes of the last row
+    left out; made grid.GRID_BYTES grid bytes at a time."""
     merged = []
     for p in parts:
         if isinstance(p, bytes) and merged and isinstance(merged[-1], bytes):
@@ -938,7 +949,7 @@ def grid_text_reference(parts, rows: int, head: str = "", tail: str = "",
     parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
              if isinstance(p, bytes) else p for p in merged]
     step = max(1, qinterleave.grid.GRID_BYTES // max(1, sum(p.shape[1] for p in parts)))
-    text = [head]
+    text = []
     for start in range(0, rows, step):
         grid = np.concatenate([p[start:start + step] for p in parts], axis=1).ravel()
         if grid.max(initial=0) == PAD:
@@ -946,4 +957,4 @@ def grid_text_reference(parts, rows: int, head: str = "", tail: str = "",
         if start + step >= rows:
             grid = grid[:len(grid) - cut]
         text.append(str(grid.data, "utf-8"))
-    return "".join(text + [tail])
+    return "".join(text)

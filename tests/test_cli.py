@@ -28,17 +28,18 @@ from qinterleave import (
     build_syndrome_table,
     burst_masks,
     enumerate_bursts,
+    logical_encoder,
 )
 from qinterleave.interleaver import SYNTH_BYTES_PER_QUBIT
 from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, mask_rows, row_length_weight,
                                row_masks)
 from qinterleave.cli import (
     CODES,
+    DEFAULT_COEFFS,
     ItemTable,
     Report,
-    _cycled_pairs,
+    _coefficients,
     _parser,
-    _random_pairs,
     _statevector_table,
     main,
     run_demo,
@@ -63,6 +64,7 @@ from oracles import (
     permutation_label_action,
     permute_pauli,
     qasm_listing,
+    random_pairs_reference,
     render_dict,
     report_dict,
     split_pauli,
@@ -79,12 +81,15 @@ def block_table(code, kind, length):
 
 
 def statevector_items(code, table, pairs, errors):
-    """_statevector_table for (label, x mask, z mask) triples of errors on the
-    interleaved register, labels of one length that end in the error's
-    letters; the masks are not read."""
+    """_statevector_table for the blocks the coefficient pairs encode and
+    (label, x mask, z mask) triples of errors on the interleaved register,
+    labels of one length that end in the error's letters; the masks are not
+    read."""
+    encoder = logical_encoder(code)
+    states = np.stack([encoder(c0, c1).amps for c0, c1 in pairs])
     labels = [row[0] for row in errors]
     text = np.frombuffer("".join(labels).encode("ascii"), np.uint8)
-    return _statevector_table(code, table, pairs,
+    return _statevector_table(code, table, states,
                               text.reshape(len(labels), -1 if labels else code.n * len(pairs)))
 
 
@@ -534,6 +539,64 @@ class TestVerifyCommand:
         assert calls == [(10, report.parameters["burst_count"])]
 
 
+def counting_encoders(monkeypatch) -> dict:
+    """Counts of the encoders the CLI builds (logical_encoder) and of the
+    blocks they encode, kept as the commands run."""
+    counts = {"built": 0, "encoded": 0}
+    original = qinterleave.cli.logical_encoder
+
+    def building(code):
+        counts["built"] += 1
+        encoder = original(code)
+
+        def encoding(c0, c1):
+            counts["encoded"] += 1
+            return encoder(c0, c1)
+
+        return encoding
+
+    monkeypatch.setattr(qinterleave.cli, "logical_encoder", building)
+    return counts
+
+
+class TestLogicalStates:
+    """demo and verify --method statevector draw their coefficients in one
+    step and encode each block once, with one encoder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), m=st.integers(1, 8))
+    def test_one_draw_equals_a_draw_per_pair(self, seed, m):
+        assert _coefficients(seed, m) == random_pairs_reference(seed, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+    def test_unseeded_coefficients_cycle_the_defaults(self, m):
+        assert _coefficients(None, m) == [DEFAULT_COEFFS[i % 3] for i in range(m)]
+
+    @pytest.mark.parametrize("kwargs", [{}, {"seed": 7}, {"coeffs": [(1, 0), (0, 1), (0.6, 0.8)]},
+                                        {"bursts": ["XIIIIIIII"]}])
+    def test_demo_encodes_each_block_once(self, monkeypatch, kwargs):
+        counts = counting_encoders(monkeypatch)
+        report = run_demo(**kwargs)
+        assert counts == {"built": 1, "encoded": 3}
+        assert len(report.parameters["block_amplitudes"]) == 3
+
+    @pytest.mark.parametrize("code_name,degree,seed", [
+        ("phase3", 1, None), ("phase3", 4, 2), ("phase3", 6, None), ("five", 2, 9)])
+    def test_statevector_sweep_encodes_each_block_once(self, monkeypatch, code_name, degree,
+                                                       seed):
+        counts = counting_encoders(monkeypatch)
+        report = run_verify(code_name, degree, method="statevector", seed=seed)
+        assert len(report.items) == report.parameters["burst_count"]
+        assert counts == {"built": 1, "encoded": degree}
+
+    def test_colliding_block_table_builds_no_encoder(self, monkeypatch):
+        # the block decoder's table collides before any block is encoded
+        counts = counting_encoders(monkeypatch)
+        report = run_verify("five", 5, burst=7, kind="colocated", method="statevector")
+        assert "reason" in report.items.columns
+        assert counts == {"built": 0, "encoded": 0}
+
+
 class TestDenseOracle:
     """The block-by-block state-vector pipeline against the dense register of
     all blocks (oracles.dense_statevector_items), on every configuration
@@ -554,7 +617,7 @@ class TestDenseOracle:
                     continue
                 errors = [(str(e), e) for e in enumerate_bursts(code.n * m, l, kind)]
                 masks = [(label, e.x, e.z) for label, e in errors]
-                for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
+                for pairs in (_coefficients(None, m), _coefficients(5, m)):
                     try:
                         dense = dense_statevector_items(code, kind, length, pairs,
                                                         errors)
@@ -592,7 +655,7 @@ class TestPerBurstOracle:
                 rows = burst_masks(total, l, kind)
                 labels = burst_labels(letter_grid(total, *rows))
                 xs, zs = map(row_masks, rows)
-                for pairs in (_cycled_pairs(m), _random_pairs(5, m)):
+                for pairs in (_coefficients(None, m), _coefficients(5, m)):
                     # generators: the table is built before the first burst,
                     # so a collision costs no Pauli per burst
                     paulis = ((label, PauliString(total, x, z))
@@ -661,7 +724,7 @@ class TestStatevectorRendering:
                     except SyndromeCollisionError:
                         table = None
                     if table is not None:
-                        items = statevector_items(code, table, _cycled_pairs(m), errors)
+                        items = statevector_items(code, table, _coefficients(None, m), errors)
                         reports.append(Report("verify", {"m": m}, items, 0.125))
                     for report in reports:
                         assert_renders_as_dicts(report)

@@ -62,8 +62,12 @@ def _commands() -> list[str]:
                  # a failing verdict and its witness list
                  "verify --code five --kind colocated --burst 4 --method stabilizer --output json",
                  # a witness decoded from its column numbers on two lanes (65 qubits)
-                 "verify --code five --degree 13 --kind independent --burst 1"]
+                 "verify --code five --degree 13 --kind independent --burst 1",
+                 # a seed past 32 bits, one draw of 8 coefficient rows
+                 "verify --code phase3 --degree 8 --burst 2 --method statevector "
+                 "--seed 4294967296"]
     commands += ["demo", "demo --output json", "demo --seed 7", "demo --seed 7 --output json",
+                 "demo --seed 0 --output json",
                  "demo --coeffs 0.6,0.8,0.28,0.96,1,0",
                  "demo --bursts ZZZIIIIII,IIIIIZZZI,XIIIIIIII --output json",
                  "demo --bursts zzziiiiii,iiiiiyyyi --output json",  # labels upper-cased

@@ -2,6 +2,7 @@
 removed API stay out of it."""
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -153,3 +154,18 @@ def test_letter_grid_decoder_is_gone():
     for name in ("letter_rows", "_window_letters", "_decoded_rows", "_mask_words"):
         assert not hasattr(pauli, name), name
     assert callable(pauli._column_words) and callable(pauli._mask_leaf)
+
+
+def test_one_coefficient_draw_and_row_only_grids():
+    # demo and verify draw their logical coefficients through _coefficients
+    # alone, and a byte grid renders rows only: a report or a circuit listing
+    # writes its own head and tail around them
+    cli = importlib.import_module("qinterleave.cli")
+    for name in ("_random_pairs", "_cycled_pairs"):
+        assert not hasattr(cli, name), name
+    assert callable(cli._coefficients)
+    report = importlib.import_module("qinterleave.report")
+    grid = importlib.import_module("qinterleave.grid")
+    for function in (grid.grid_blocks, report.ItemTable.json_rows, report.ItemTable.text_rows):
+        parameters = inspect.signature(function).parameters
+        assert "head" not in parameters and "tail" not in parameters, function.__qualname__
