@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from typing import Iterator, TextIO
 
 import numpy as np
