@@ -239,20 +239,16 @@ def burst_words(n: int, l: int, kind: str, leaf: np.ndarray) -> np.ndarray:
     zero, letter 3 the XOR of letters 1 and 2), such as commutation words, so
     the words come out with no mask row built.
 
-    Windows sharing a prefix share its word, folded one lane at a time;
-    independent words are the outer XOR of the bit and the phase words.
+    Window kinds fold the words of windows sharing a prefix one lane at a time;
+    independent words recurse, the outer XOR of the bit and the phase words.
     """
     out = np.zeros((len(leaf), admitted_burst_count(n, l, kind) + 1), dtype=np.uint64)
     if kind != "independent":
         for lane, words in zip(leaf, out):
             _window_tree(l, lane, *_WINDOW_LETTERS[kind], words[1:])
         return out
-    side = burst_count(n, l, "bit") + 1
-    bits, phases = np.zeros(side, np.uint64), np.zeros(side, np.uint64)
-    for lane, words in zip(leaf, out):
-        _window_tree(l, lane, *_WINDOW_LETTERS["bit"], bits[1:])
-        _window_tree(l, lane, *_WINDOW_LETTERS["phase"], phases[1:])
-        np.bitwise_xor(bits[:, None], phases, out=words.reshape(side, side))
+    bits, phases = (burst_words(n, l, k, leaf) for k in ("bit", "phase"))
+    np.bitwise_xor(bits[:, :, None], phases[:, None, :], out=out.reshape(bits.shape + (-1,)))
     return out
 
 

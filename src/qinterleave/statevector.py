@@ -80,12 +80,8 @@ class StateVector:
 
     def amplitudes_table(self) -> list[tuple[str, float, float]]:
         """(basis label, real, imaginary) triples for amplitudes above _TABLE_TOL."""
-        out = []
-        for idx, amp in enumerate(self.amps):
-            if abs(amp) > _TABLE_TOL:
-                label = format(idx, f"0{self.n}b")
-                out.append((label, float(amp.real), float(amp.imag)))
-        return out
+        return [(format(i, f"0{self.n}b"), float(self.amps[i].real), float(self.amps[i].imag))
+                for i in np.flatnonzero(np.abs(self.amps) > _TABLE_TOL).tolist()]
 
 
 def apply_paulis(amps: np.ndarray, x, z) -> np.ndarray:

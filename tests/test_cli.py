@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import jsonschema
@@ -36,6 +37,7 @@ from qinterleave.pauli import (BURST_BYTES_BUDGET, burst_count, mask_rows, row_l
 from qinterleave.cli import (
     CODES,
     DEFAULT_COEFFS,
+    STABILIZER_BYTES_PER_LETTER,
     ItemTable,
     Report,
     _coefficients,
@@ -404,6 +406,35 @@ class TestVerifyCommand:
             "qinterleave: error: 10,536,091,647 colocated bursts of length <= 14 "
             "on 65 qubits exceed the budget of 3,745,611 bursts\n")
 
+    @pytest.mark.parametrize("degree, refusal", [
+        # the burst budget refuses this one first, at 600 + 4n bytes a burst
+        (8000, "40,000 phase bursts of length <= 1 on 40000 qubits exceed the budget of "),
+        (5000, "the interleaved code's 750,000,000 letters exceed the stabilizer budget of "
+               f"{BURST_BYTES_BUDGET // STABILIZER_BYTES_PER_LETTER:,} letters\n"),
+        (4231, "the interleaved code's 537,040,830 letters exceed the stabilizer budget of "),
+        (4230, None),
+        (4000, None),
+    ])
+    def test_stabilizer_letter_budget(self, monkeypatch, capsys, degree, refusal):
+        # The interleaved code's text, (n+k)m operators of nm letters, is refused past
+        # the budget before the code is built; a run within it goes on to build the code.
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr(qinterleave.cli, "interleaved_code", build)
+        argv = ["verify", "--code", "five", "--degree", str(degree), "--burst", "1"]
+        if refusal is None:
+            with pytest.raises(Built):
+                main(argv)
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"qinterleave: error: {refusal}")
+
     def test_negative_seed_usage_error(self, monkeypatch, capsys):
         # refused with the flag's name before any code or burst is built, not
         # with numpy's message for a negative seed
@@ -761,6 +792,21 @@ class TestStatevectorRendering:
         kwargs = {"seed": 7} if "--seed" in argv else {}
         assert_renders_as_dicts(run_demo(**kwargs, bursts=argv[1].split(",")
                                          if "--bursts" in argv else None))
+
+
+class TestStatevectorMemory:
+    """A state-vector sweep takes memory of the order of its bursts' rows and
+    decoded blocks: no per-burst int64 index array over the register is built."""
+
+    def test_verify_peak_per_burst(self):
+        tracemalloc.start()
+        try:
+            report = run_verify("five", 5, burst=5, kind="colocated", method="statevector")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.parameters["burst_count"] == 16383
+        assert peak < 550 * 16383
 
 
 class TestMethodProperty:

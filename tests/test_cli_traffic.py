@@ -52,6 +52,9 @@ def _commands() -> list[str]:
                  # a failing syndrome that holds over 1/64 of the bursts: burst_rows gathers
                  "verify --code phase3 --degree 13 --kind bit --burst 18",
                  "verify --code five --degree 40 --kind colocated",  # over the burst budget
+                 "verify --code five --degree 8000 --burst 1",  # over the burst budget
+                 # over the letter budget of the interleaved code's text
+                 "verify --code five --degree 5000 --burst 1",
                  "verify --degree 0", "verify --burst 0", "verify --seed 3",
                  "verify --code phase3 --degree 9 --method statevector",
                  # n != m: the interleave gather is not its own inverse
